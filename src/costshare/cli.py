@@ -11,7 +11,8 @@ Five subcommands:
 Every artifact except ``meta.json`` is byte-deterministic for a fixed
 configuration (``meta.json`` records wall time, so replay skips it).  Exit
 codes: 0 success, 2 bad input (ConfigError), 3 internal invariant breach
-(EngineInvariantError, including closure violations), 4 verification
+(EngineInvariantError, including closure violations, whose details follow
+the message as one sorted-key JSON line on stderr), 4 verification
 failure (VerificationError, non-equilibrium snapshot, uncertified ratio,
 or replay divergence).
 """
@@ -39,7 +40,12 @@ from .dynamics import (
     schedule_from_jsonable,
     schedule_to_jsonable,
 )
-from .errors import ConfigError, EngineInvariantError, VerificationError
+from .errors import (
+    ClosureViolationError,
+    ConfigError,
+    EngineInvariantError,
+    VerificationError,
+)
 from .instances import (
     EUCLIDEAN_PROFILES,
     build_gm,
@@ -592,6 +598,9 @@ def main(argv=None) -> int:
         return 4
     except EngineInvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
+        if isinstance(exc, ClosureViolationError):
+            print(json.dumps(exc.details, sort_keys=True, separators=(",", ":"),
+                             default=str), file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

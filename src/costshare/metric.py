@@ -15,6 +15,7 @@ nothing is ever decided by floats alone.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -35,13 +36,14 @@ EUCLIDEAN_GRID = 10**6
 class MetricInstance:
     """Immutable complete metric over vertices 0..n-1 (0 is the root)."""
 
-    __slots__ = ("n", "kind", "meta", "_cost", "_costf", "float_margin")
+    __slots__ = ("n", "kind", "meta", "_cost", "_costf", "float_margin", "_denominator")
 
     def __init__(self, cost_rows, kind, meta, *, _validated=False):
         self.n = len(cost_rows)
         self.kind = kind
         self.meta = meta
         self._cost = cost_rows
+        self._denominator = None
         self._costf = np.array([[float(c) for c in row] for row in cost_rows], dtype=np.float64)
         scale = float(self._costf.max()) if self.n > 1 else 1.0
         self.float_margin = MARGIN_REL * max(1.0, scale)
@@ -50,6 +52,18 @@ class MetricInstance:
 
     def cost(self, u, v) -> Fraction:
         return self._cost[u][v]
+
+    @property
+    def denominator(self) -> int:
+        """D, the lcm of every cost's denominator, computed on first use.
+
+        c(u,v) over any multiple L of D is the integer
+        ``c.numerator * (L // c.denominator)``; the exact kernels in
+        `routing` work on such integers instead of Fractions.
+        """
+        if self._denominator is None:
+            self._denominator = math.lcm(*{c.denominator for row in self._cost for c in row})
+        return self._denominator
 
     @property
     def costf(self) -> np.ndarray:
@@ -290,18 +304,44 @@ def instance_to_dict(instance) -> dict:
     return out
 
 
+def _field(data, kind, key):
+    if key not in data:
+        raise ConfigError(f"{kind} instance needs a {key!r} field")
+    return data[key]
+
+
+def _rows(data, kind, key, arity):
+    """data[key] as a list of `arity`-field rows; ConfigError otherwise."""
+    rows = _field(data, kind, key)
+    if not isinstance(rows, list):
+        raise ConfigError(f"{kind} instance field {key!r} must be a list")
+    for row in rows:
+        if not isinstance(row, list) or len(row) != arity:
+            raise ConfigError(f"malformed {key!r} row {row!r}: expected {arity} fields")
+    return rows
+
+
+def _int(value, what):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def instance_from_dict(data) -> MetricInstance:
     try:
         kind = data["kind"]
     except (KeyError, TypeError):
         raise ConfigError("instance object needs a 'kind' field") from None
     if kind == "euclidean":
-        pts = [(parse_rational(x), parse_rational(y)) for x, y in data["points"]]
+        pts = [(parse_rational(x), parse_rational(y))
+               for x, y in _rows(data, kind, "points", 2)]
         return euclidean_instance(pts)
     if kind == "weighted-graph":
-        edges = [(int(u), int(v), parse_rational(c)) for u, v, c in data["edges"]]
-        return metric_closure(int(data["n"]), edges)
+        edges = [(_int(u, "edge endpoint"), _int(v, "edge endpoint"), parse_rational(c))
+                 for u, v, c in _rows(data, kind, "edges", 3)]
+        return metric_closure(_int(_field(data, kind, "n"), "n"), edges)
     if kind == "metric":
-        pairs = {(int(u), int(v)): parse_rational(c) for u, v, c in data["costs"]}
-        return explicit_metric(int(data["n"]), pairs)
+        pairs = {(_int(u, "cost endpoint"), _int(v, "cost endpoint")): parse_rational(c)
+                 for u, v, c in _rows(data, kind, "costs", 3)}
+        return explicit_metric(_int(_field(data, kind, "n"), "n"), pairs)
     raise ConfigError(f"unknown instance kind {kind!r}")

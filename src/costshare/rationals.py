@@ -10,18 +10,22 @@ and the "p/q" string round-trip used by every serialized artifact.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import ConfigError
 
 RATIO_DECIMALS = 6
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse "p/q" (or a bare integer) into a Fraction.
 
     Only integer numerators/denominators are accepted; this is the on-disk
-    format, so reject floats loudly instead of guessing.
+    format, so reject floats (decimal and exponent forms too) loudly instead
+    of guessing.
     """
     if isinstance(text, bool):
         raise ConfigError(f"expected a rational, got {text!r}")
@@ -29,11 +33,13 @@ def parse_rational(text: str | int) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise ConfigError(f"expected a rational 'p/q' string, got {text!r}")
+    body = text.strip()
+    if not _RATIONAL.fullmatch(body):
+        raise ConfigError(f"bad rational {text!r}: expected integer 'p' or 'p/q'")
     try:
-        frac = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(body)
+    except ZeroDivisionError as exc:
         raise ConfigError(f"bad rational {text!r}: {exc}") from None
-    return frac
 
 
 def format_rational(value: Fraction) -> str:
@@ -119,12 +125,3 @@ def sqrt_ceil_grid(value: Fraction, denominator: int) -> Fraction:
     if k * k < target:
         k += 1
     return Fraction(k, denominator)
-
-
-def float_log2(value: Fraction) -> float:
-    """log2 as a float for reporting; exact code paths use floor_log2."""
-    # math.log2(float(value)) overflows for huge numerators; go via the
-    # exact floor and a bounded mantissa instead.
-    j = floor_log2(value)
-    mant = value / pow2(j)
-    return j + math.log2(float(mant))

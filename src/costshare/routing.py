@@ -9,16 +9,23 @@ Cost sharing is Shapley: an edge of cost c used by N agents costs c/N to each.
 Best responses minimize (shared cost, number of fresh edges, vertex-id
 sequence) lexicographically, where a fresh edge is one no *other* agent uses.
 
-Everything that decides anything runs on exact Fractions.  float64 mirrors
-(`instance.costf`, the A/B prefix arrays) only discard candidates that lose by
-more than the instance's float margin; whatever survives the screen is settled
-exactly.  Comments below mark each such screen with its soundness argument.
+Everything that decides anything is exact.  The two hot kernels, the
+best-response search (`_Search`) and the tree view (`_Tree`), keep their exact
+values as plain ints over one common denominator: the instance's cost
+denominator D times the lcm of the user-count divisors they meet.  A Fraction
+is built only where a value leaves them, so the public API returns Fractions
+throughout.  float64 mirrors (`instance.costf`, the A/B prefix arrays) only
+discard candidates that lose by more than the instance's float margin;
+whatever survives the screen is settled exactly.  Comments below mark each
+such screen with its soundness argument.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -64,6 +71,15 @@ class RoutingState:
         if v == ROOT:
             return bool(self.paths)
         return any(v in p for p in self.paths.values())
+
+    @cached_property
+    def view(self) -> "_Tree":
+        """This state's tree view, built on first use and then shared.
+
+        The state never changes, so neither does its view.  Raises
+        EngineInvariantError (and caches nothing) if the paths are not a tree.
+        """
+        return _Tree(self)
 
 
 @dataclass(frozen=True)
@@ -192,14 +208,16 @@ class _Tree:
     """Derived view of a state whose paths form a rooted tree.
 
     Carries parent/children/depth/Euler intervals plus the two prefix sums
-    A(x) = sum of c_e/N_e and B(x) = sum of c_e/(N_e+1) along x -> root,
-    in exact and float forms.  Raises EngineInvariantError if the paths do
+    A(x) = sum of c_e/N_e and B(x) = sum of c_e/(N_e+1) along x -> root.
+    The exact A and B are ints over the view's own denominator
+    `den` = D * lcm{N_e, N_e+1 : e a tree edge}, so A(x) is A[x]/den; Af and
+    Bf are their float mirrors.  Raises EngineInvariantError if the paths do
     not form a tree (conflicting parents, cycles) or a leaf is not a terminal.
     """
 
     __slots__ = (
         "parent", "children", "depth", "tin", "tout",
-        "order", "A", "B", "Af", "Bf", "leaves",
+        "order", "den", "A", "B", "Af", "Bf", "leaves",
     )
 
     def __init__(self, state: RoutingState):
@@ -220,9 +238,12 @@ class _Tree:
             children[v].sort()
 
         cost = state.instance.cost
+        users = {ch: state.usage.get(edge_key(ch, par)) for ch, par in parent.items()}
+        den = state.instance.denominator * math.lcm(
+            *{k for n in users.values() if n for k in (n, n + 1)})
         depth, tin, tout = {ROOT: 0}, {}, {}
-        A = {ROOT: Fraction(0)}
-        B = {ROOT: Fraction(0)}
+        A = {ROOT: 0}
+        B = {ROOT: 0}
         Af = {ROOT: 0.0}
         Bf = {ROOT: 0.0}
         clock = 0
@@ -237,12 +258,12 @@ class _Tree:
             clock += 1
             stack.append((x, True))
             for ch in reversed(children[x]):
-                n = state.usage.get(edge_key(ch, x))
+                n = users[ch]
                 if not n:
                     raise EngineInvariantError(f"tree edge ({ch},{x}) has no recorded usage")
                 c = cost(ch, x)
-                A[ch] = A[x] + c / n
-                B[ch] = B[x] + c / (n + 1)
+                A[ch] = A[x] + c.numerator * (den // (c.denominator * n))
+                B[ch] = B[x] + c.numerator * (den // (c.denominator * (n + 1)))
                 Af[ch] = Af[x] + float(c) / n
                 Bf[ch] = Bf[x] + float(c) / (n + 1)
                 depth[ch] = depth[x] + 1
@@ -256,6 +277,7 @@ class _Tree:
         self.tin = tin
         self.tout = tout
         self.order = sorted(children)
+        self.den = den
         self.A, self.B, self.Af, self.Bf = A, B, Af, Bf
         self.leaves = {v for v in children if not children[v] and v != ROOT}
         bad = self.leaves - set(state.counts)
@@ -305,14 +327,19 @@ def tree_path(state, v, view=None) -> Path:
 class _Search:
     """(cost, fresh)-lexicographic shortest paths to the root, exact.
 
-    Dense Dijkstra over the revealed vertices.  Selection and relaxation are
-    float-screened: a candidate is dropped without exact work only when it
-    loses by more than the margin, which is sound because the float mirror of
-    any exact distance reached here drifts by orders of magnitude less than
-    the margin (a few hundred additions of correctly rounded floats).
+    Dense Dijkstra over the revealed vertices.  Exact shares are ints over
+    the search's denominator `den` = D * lcm{d_e}, where d_e is the divisor
+    of edge e's hypothetical share: N_e on the mover's own edges, N_e + 1 on
+    every other used edge (unused edges divide by 1).  `dist` holds
+    (int cost, fresh) pairs over `den`; `cost_fresh` turns one into a
+    Fraction.  Selection and relaxation are float-screened: a candidate is
+    dropped without exact work only when it loses by more than the margin,
+    which is sound because the float mirror of any exact distance reached
+    here drifts by orders of magnitude less than the margin (a few hundred
+    additions of correctly rounded floats).
     """
 
-    __slots__ = ("state", "nodes", "pos", "dist", "_wf", "_distf", "_margin",
+    __slots__ = ("state", "nodes", "pos", "dist", "den", "_wf", "_distf", "_margin",
                  "_own", "_mover_count", "_wcache")
 
     def __init__(self, state, *, mover, own_path, excluded=frozenset()):
@@ -330,32 +357,33 @@ class _Search:
         self._wcache: dict = {}
 
         wf = inst.costf[np.ix_(nodes, nodes)].copy()
+        divisors = set()
         for (a, b), n in state.usage.items():
             ia, ib = self.pos.get(a), self.pos.get(b)
             if ia is None or ib is None:
                 continue
             d = n if (a, b) in self._own else n + 1
+            divisors.add(d)
             w = wf[ia, ib] / d
             wf[ia, ib] = w
             wf[ib, ia] = w
+        self.den = inst.denominator * math.lcm(*divisors)
         self._wf = wf
         self.dist = {}
         self._run()
 
     def _edge_weight(self, x, y):
-        """Exact (hypothetical share, fresh flag) of edge (x, y) for the mover."""
+        """(hypothetical share over `den`, fresh flag) of edge (x, y) for the mover."""
         e = edge_key(x, y)
         got = self._wcache.get(e)
         if got is None:
             n = self.state.usage.get(e, 0)
             c = self.state.instance.cost(x, y)
             if e in self._own:
-                share = c / n
-                others = n - self._mover_count
+                d, others = n, n - self._mover_count
             else:
-                share = c / (n + 1)
-                others = n
-            got = (share, 1 if others == 0 else 0)
+                d, others = n + 1, n
+            got = (c.numerator * (self.den // (c.denominator * d)), 1 if others == 0 else 0)
             self._wcache[e] = got
         return got
 
@@ -367,7 +395,7 @@ class _Search:
         done = np.zeros(k, dtype=bool)
         ri = pos[ROOT]
         distf[ri] = 0.0
-        exact = {ri: (Fraction(0), 0)}
+        exact = {ri: (0, 0)}
 
         for _ in range(k):
             masked = np.where(done, np.inf, distf)
@@ -396,10 +424,11 @@ class _Search:
         self.dist = {nodes[i]: d for i, d in exact.items()}
 
     def cost_fresh(self, v):
+        """(exact Fraction share, fresh edges) of v's best path to the root."""
         got = self.dist.get(v)
         if got is None:
             raise EngineInvariantError(f"no path from {v} to the root was found")
-        return got
+        return Fraction(got[0], self.den), got[1]
 
     def path_from(self, source) -> Path:
         """Greedy smallest-id walk along exact-optimal continuations.
@@ -458,13 +487,14 @@ def best_response(state, vertex) -> BestResponse:
     return BestResponse(search.path_from(vertex), cost, fresh)
 
 
-def has_improving_move(state, vertex) -> Optional[Witness]:
+def has_improving_move(state, vertex, view=None) -> Optional[Witness]:
     """Witness that `vertex` (terminal or interior) can improve, else None.
 
     For an active terminal: compare its best response to its current share.
     For an interior (Steiner) vertex w: terminals routing through w are tried
     in id order; each keeps its segment below w fixed and searches for a
-    cheaper replacement of the segment above w.
+    cheaper replacement of the segment above w.  `view` is the state's tree
+    view; without one, the state's shared view (`RoutingState.view`) is used.
     """
     if state.is_active(vertex):
         br = best_response(state, vertex)
@@ -473,12 +503,12 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
             return Witness("terminal", vertex, vertex, br.path, cur, br.cost)
         return None
 
-    view = _Tree(state)
+    view = view or state.view
     if vertex == ROOT or vertex not in view:
         raise EngineInvariantError(
             f"vertex {vertex} is neither an active terminal nor on the routing tree"
         )
-    above = view.A[vertex]  # current share of the segment above `vertex`
+    above = Fraction(view.A[vertex], view.den)  # current share of the segment above `vertex`
     for t in view.terminals_through(state, vertex):
         tpath = state.paths[t]
         cut = tpath.index(vertex)
@@ -495,9 +525,11 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
 def verify_equilibrium(state, *, cross_check=True) -> EquilibriumVerdict:
     """Full sweep: every active terminal, then every interior tree vertex.
 
-    With cross_check on, the verdict is compared against the improving
-    tree-move scan; an improving path exists iff an improving tree-follow
-    move does, so disagreement is an engine bug and raises.
+    The interior checks share one tree view, the state's own
+    (`RoutingState.view`), so the sweep builds it once.  With cross_check on,
+    the verdict is compared against the improving tree-move scan; an
+    improving path exists iff an improving tree-follow move does, so
+    disagreement is an engine bug and raises.
     """
     witness = None
     for t in sorted(state.counts):
@@ -505,7 +537,7 @@ def verify_equilibrium(state, *, cross_check=True) -> EquilibriumVerdict:
         if witness:
             break
     try:
-        view = _Tree(state)
+        view = state.view
     except EngineInvariantError:
         view = None
     if witness is None and view is not None:
@@ -538,7 +570,8 @@ def is_improving_tree_move(state, u, v, view=None) -> bool:
     """Would rerouting u (and its subtree) onto v strictly help its users?
 
     Exact O(depth) test via the prefix sums: with L = lca(u, v),
-        c(u,v) + B(v) - B(L)  <  A(u) - A(L).
+        c(u,v) + B(v) - B(L)  <  A(u) - A(L),
+    compared as ints over the view's denominator.
     This is the hypothetical saving of any witness terminal in u's subtree:
     edges on v -> L are newly adopted (count+1), edges on L -> root stay on
     the witness's path (count unchanged), everything below u moves rigidly.
@@ -551,7 +584,8 @@ def is_improving_tree_move(state, u, v, view=None) -> bool:
     if v == u or view.in_subtree(v, u):
         raise EngineInvariantError(f"move target {v} lies in the subtree of {u}")
     ell = view.lca(u, v)
-    lhs = state.instance.cost(u, v) + view.B[v] - view.B[ell]
+    c = state.instance.cost(u, v)
+    lhs = c.numerator * (view.den // c.denominator) + view.B[v] - view.B[ell]
     return lhs < view.A[u] - view.A[ell]
 
 

@@ -116,17 +116,20 @@ def fresh_edge_count(usage, counts, source, own_path, path):
     return fresh
 
 
-def enumerate_best_response(cost, counts, paths, source, allowed=None):
+def enumerate_best_response(cost, counts, paths, source, allowed=None, start=None):
     """Exhaustive best response: try every simple path from source to the root.
 
     Returns ``(share, fresh, path)`` minimizing the triple
     (share, fresh, vertex-id sequence).  `allowed` restricts which vertices may
-    appear (defaults to everything in the matrix).
+    appear (defaults to everything in the matrix).  With `start`, the paths
+    begin at `start` instead, still priced for the agent at `source` (its own
+    path keeps its user counts): the replacement of a segment above `start`.
     """
     n = len(cost)
     nodes = set(range(n)) if allowed is None else set(allowed)
     usage = usage_from_paths(paths, counts)
     own_path = paths.get(source)
+    start = source if start is None else start
     best = None
 
     def walk(prefix, seen):
@@ -146,7 +149,7 @@ def enumerate_best_response(cost, counts, paths, source, allowed=None):
             seen.discard(nxt)
             prefix.pop()
 
-    walk([source], {source})
+    walk([start], {start})
     share, fresh, path = best
     return share, fresh, path
 

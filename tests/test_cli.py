@@ -15,6 +15,7 @@ import pytest
 from costshare import schedule_from_jsonable, schedule_to_jsonable, verify_equilibrium
 from costshare.cli import DATA_FILES, main, snapshot_from_jsonable
 from costshare.dynamics import ArrivalEvent, ArrivalItem
+from costshare.errors import ClosureViolationError
 from costshare.metric import instance_to_dict
 from conftest import line_instance
 
@@ -147,6 +148,21 @@ def test_exit_code_3_on_broken_path_pin(tmp_path, capsys):
     assert "engine chose" in capsys.readouterr().err
 
 
+def test_exit_code_3_prints_closure_details_as_json(tmp_path, capsys, monkeypatch):
+    details = {"tag": "lu-b", "mover": 7, "cut": "(2, 0)"}
+
+    def breach(*args, **kwargs):
+        raise ClosureViolationError("move left its class", details=details)
+
+    monkeypatch.setattr("costshare.cli.run_eqp", breach)
+    rc = main(["run", "--gen", "euclidean", "--n", "5", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "invariant violated: move left its class"
+    assert err[1] == json.dumps(details, sort_keys=True, separators=(",", ":"))
+    assert json.loads(err[1]) == details
+
+
 def test_exit_code_4_on_unstable_oneshot_state(tmp_path, capsys):
     rc = main(["run", "--gen", "euclidean", "--n", "20", "--seed", "0",
                "--mode", "noneqp", "--out", str(tmp_path / "out")])
@@ -167,6 +183,52 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, argv):
     rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instance", [
+    {"kind": "euclidean"},                                         # no points
+    {"kind": "euclidean", "points": [["0", "0"], ["1"]]},          # 1-field point
+    {"kind": "euclidean", "points": "0,0"},                        # not a list
+    {"kind": "metric", "n": 2},                                    # no costs
+    {"kind": "metric", "costs": [[0, 1, "1"]]},                    # no n
+    {"kind": "metric", "n": 2, "costs": [[0, 1]]},                 # 2-field row
+    {"kind": "metric", "n": 2, "costs": [[0, 1, "1", "2"]]},       # 4-field row
+    {"kind": "metric", "n": "two", "costs": [[0, 1, "1"]]},        # non-integer n
+    {"kind": "metric", "n": 2, "costs": [["a", 1, "1"]]},          # non-integer id
+    {"kind": "metric", "n": 2, "costs": [[0, 1.5, "1"]]},          # fractional id
+    {"kind": "metric", "n": True, "costs": [[0, 1, "1"]]},         # boolean n
+    {"kind": "metric", "n": 2, "costs": [[0, 1, "0.5"]]},          # decimal cost
+    {"kind": "weighted-graph", "n": 2},                            # no edges
+    {"kind": "weighted-graph", "edges": [[0, 1, "1"]]},            # no n
+    {"kind": "weighted-graph", "n": 2, "edges": [[0, 1]]},         # 2-field row
+    {"kind": "weighted-graph", "n": 2, "edges": [[0, None, "1"]]},  # null id
+])
+def test_malformed_instance_exits_2_without_traceback(tmp_path, capsys, instance):
+    ipath = tmp_path / "instance.json"
+    ipath.write_text(json.dumps(instance))
+    spath = tmp_path / "schedule.json"
+    spath.write_text(json.dumps(schedule_to_jsonable([ArrivalEvent((ArrivalItem(1, 1),))])))
+    rc = main(["run", "--instance", str(ipath), "--schedule", str(spath),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("instance", [
+    {"kind": "euclidean"},
+    {"kind": "metric", "n": 2, "costs": [[0, 1]]},
+])
+def test_malformed_instance_exits_2_as_a_process(tmp_path, instance):
+    ipath = tmp_path / "instance.json"
+    ipath.write_text(json.dumps(instance))
+    spath = tmp_path / "schedule.json"
+    spath.write_text(json.dumps(schedule_to_jsonable([ArrivalEvent((ArrivalItem(1, 1),))])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "costshare.cli", "run", "--instance", str(ipath),
+         "--schedule", str(spath), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_run_rejects_gen_and_instance_together(tmp_path, capsys):

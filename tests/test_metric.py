@@ -54,7 +54,8 @@ def test_parse_rational_accepts_ints_and_strings():
     assert parse_rational(" 5/10 ") == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", [True, 1.5, None, "1/0", "x", "3.5/2", [1]])
+@pytest.mark.parametrize("bad", [True, 1.5, None, "1/0", "x", "3.5/2", [1],
+                                 "0.5", "1e3", "2E-1", "1/2e1", "1_000", "½"])
 def test_parse_rational_rejects_junk(bad):
     with pytest.raises(ConfigError):
         parse_rational(bad)

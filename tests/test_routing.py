@@ -6,6 +6,7 @@ best responses and explicit subtree rerouting for improving-move checks.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,11 +31,13 @@ from costshare import (
     verify_equilibrium,
     with_revealed,
 )
-from costshare.routing import audit_state, is_legal_improving
+from costshare.instances import build_steiner_gap_fixture
+from costshare.routing import audit_state, has_improving_move, is_legal_improving
 from conftest import line_instance, random_metric, random_tree_state
 from oracles import (
     brute_improving_tree_move,
     enumerate_best_response,
+    hypothetical_share,
     recompute_potential,
     reroute_subtree,
     shared_cost_of,
@@ -466,3 +469,135 @@ def test_single_terminal_direct_route_is_equilibrium():
     state = add_terminal(state, 1, 3, (1, 0))
     assert verify_equilibrium(state).ok
     assert find_improving_tree_move(state) is None
+
+
+# ---------------------------------------------------------------------------
+# the exact integer kernel, against the Fraction oracles
+
+
+@pytest.mark.parametrize("third", [Fraction(1, 3), Fraction(1, 10)])
+def test_best_response_settles_exact_ties_floats_cannot(third):
+    # 3 -> 2 -> 1 -> 0 is three edges of `third`; the direct edge (3, 0)
+    # costs exactly 3 * third, as do 3 -> 1 -> 0 and 3 -> 2 -> 0.
+    # In floats 0.1 + 0.1 + 0.1 != 0.3, so only the exact kernel sees the
+    # four-way cost tie, which the fresh-edge count must then decide.
+    inst = explicit_metric(4, {
+        (0, 1): third, (1, 2): third, (2, 3): third,
+        (0, 2): 2 * third, (1, 3): 2 * third, (0, 3): 3 * third,
+    })
+    state = _revealed_state(inst)
+    got = best_response(state, 3)
+    assert (got.cost, got.fresh_edges, got.path) == (3 * third, 1, (3, 0))
+    assert (got.cost, got.fresh_edges, got.path) == enumerate_best_response(
+        _matrix(inst), state.counts, state.paths, 3)
+    # With two agents riding (1, 0), 3 -> 1 -> 0 and 3 -> 2 -> 1 -> 0 tie at
+    # 7/3 of `third`; one fresh edge beats two.
+    loaded = add_terminal(state, 1, 2, (1, 0))
+    got = best_response(loaded, 3)
+    assert (got.cost, got.fresh_edges, got.path) == (7 * third / 3, 1, (3, 1, 0))
+    assert (got.cost, got.fresh_edges, got.path) == enumerate_best_response(
+        _matrix(inst), loaded.counts, loaded.paths, 3)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 101, 103, 107, 109, 113, 127)
+
+
+def _primed_chain_states(rng, n=3, samples=12):
+    """Tree states on the steiner-gap chain whose agent counts are distinct primes.
+
+    The edge user counts N_e are then sums of distinct primes, so N_e and
+    N_e + 1 over the tree are mostly co-prime and the kernels' common
+    denominators get big.  The small primes leave light agents on costly
+    routes, so both kinds of witness occur.
+    """
+    inst = build_steiner_gap_fixture(n).instance
+    for _ in range(samples):
+        shape = random_tree_state(rng, inst, chain_chance=0.6)
+        state = _revealed_state(inst)
+        primes = rng.sample(_PRIMES, len(shape.counts))
+        for p, t in zip(primes, sorted(shape.counts)):
+            state = add_terminal(state, t, p, shape.paths[t])
+        yield state
+
+
+def _oracle_witness(matrix, state, vertex):
+    """has_improving_move, re-derived with the exhaustive Fraction oracles."""
+    usage = usage_from_paths(state.paths, state.counts)
+    if vertex in state.counts:
+        share, _, path = enumerate_best_response(matrix, state.counts, state.paths, vertex)
+        cur = shared_cost_of(matrix, usage, state.paths[vertex])
+        return ("terminal", vertex, vertex, path, cur, share) if share < cur else None
+    for t in sorted(state.counts):
+        tpath = state.paths[t]
+        if vertex not in tpath:
+            continue
+        cut = tpath.index(vertex)
+        above = shared_cost_of(matrix, usage, tpath[cut:])
+        allowed = set(range(len(matrix))) - set(tpath[:cut])
+        share, _, path = enumerate_best_response(
+            matrix, state.counts, state.paths, t, allowed=allowed, start=vertex)
+        if share < above:
+            cur = shared_cost_of(matrix, usage, tpath)
+            return ("steiner", vertex, t, tpath[:cut] + path, cur, cur - above + share)
+    return None
+
+
+def test_kernel_matches_oracle_on_large_coprime_counts():
+    rng = random.Random(1)
+    kinds, dens = set(), []
+    for state in _primed_chain_states(rng):
+        matrix = _matrix(state.instance)
+        view = tree_view(state)
+        dens.append(view.den)
+        for v in range(1, state.instance.n):
+            got = best_response(state, v)
+            assert (got.cost, got.fresh_edges, got.path) == enumerate_best_response(
+                matrix, state.counts, state.paths, v)
+            if v not in state.counts and v not in view:
+                continue
+            w = has_improving_move(state, v)
+            want = _oracle_witness(matrix, state, v)
+            assert (w and (w.kind, w.vertex, w.via_terminal, w.path,
+                           w.current, w.candidate)) == want
+            if w:
+                kinds.add(w.kind)
+    assert kinds == {"terminal", "steiner"}
+    assert max(dens) > 10**12
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tree_prefix_sums_over_den_match_oracle(seed):
+    rng = random.Random(14000 + seed)
+    inst = random_metric(rng, rng.randint(3, 9))
+    state = random_tree_state(rng, inst, max_count=40)
+    view = tree_view(state)
+    matrix = _matrix(inst)
+    usage = usage_from_paths(state.paths, state.counts)
+    parent = tree_parent_map(state.paths)
+    for x in view.order:
+        path = [x]
+        while path[-1] != ROOT:
+            path.append(parent[path[-1]])
+        assert Fraction(view.A[x], view.den) == shared_cost_of(matrix, usage, path)
+        assert Fraction(view.B[x], view.den) == hypothetical_share(
+            matrix, usage, state.counts, None, path)
+
+
+def test_has_improving_move_same_with_and_without_view():
+    rng = random.Random(15000)
+    for _ in range(20):
+        inst = random_metric(rng, rng.randint(3, 9))
+        state = random_tree_state(rng, inst)
+        view = tree_view(state)
+        for v in sorted(set(state.counts) | set(view.order) - {ROOT}):
+            # a fresh copy carries no cached view, so this call builds its own
+            assert has_improving_move(replace(state), v) == has_improving_move(state, v, view)
+        assert verify_equilibrium(replace(state)) == verify_equilibrium(state)
+
+
+def test_state_view_is_built_once_and_not_inherited():
+    rng = random.Random(15500)
+    state = random_tree_state(rng, random_metric(rng, 7))
+    assert state.view is state.view
+    assert replace(state).view is not state.view
+    assert replace(state).view.parent == state.view.parent
