@@ -27,7 +27,6 @@ from .metric import (
     instance_to_dict,
     metric_closure,
     mst_cost,
-    reveal_vertices,
 )
 from .routing import (
     BestResponse,
@@ -43,8 +42,6 @@ from .routing import (
     shared_cost,
     solution_cost,
     tree_follow_move,
-    tree_path,
-    tree_view,
     verify_equilibrium,
     with_revealed,
 )
@@ -95,11 +92,11 @@ __all__ = [
     "ClosureViolationError", "VerificationError",
     "parse_rational", "format_rational",
     "ROOT", "MetricInstance", "metric_closure", "euclidean_instance",
-    "explicit_metric", "reveal_vertices", "mst_cost",
+    "explicit_metric", "mst_cost",
     "instance_to_dict", "instance_from_dict",
     "RoutingState", "BestResponse", "EquilibriumVerdict",
     "initial_state", "with_revealed", "add_terminal", "prune_departures",
-    "shared_cost", "solution_cost", "potential", "tree_view", "tree_path",
+    "shared_cost", "solution_cost", "potential",
     "best_response", "verify_equilibrium", "is_improving_tree_move",
     "find_improving_tree_move", "tree_follow_move",
     "DualFamily", "ChargeMap", "StateClass", "AccountingReport",

@@ -54,7 +54,7 @@ from .instances import (
     build_sigma,
     build_steiner_gap_fixture,
 )
-from .metric import instance_from_dict, instance_to_dict
+from .metric import ROOT, _int, instance_from_dict, instance_to_dict
 from .rationals import format_rational
 from .routing import (
     add_terminal,
@@ -111,29 +111,52 @@ def snapshot_to_jsonable(state, family) -> dict:
     }
 
 
+def _ints(value, what) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list of integers, got {value!r}")
+    return [_int(v, f"{what} entry") for v in value]
+
+
 def snapshot_from_jsonable(data):
-    """Rebuild (state, family) from a snapshot dict."""
+    """Rebuild (state, family) from a snapshot dict; ConfigError if malformed.
+
+    The dual family is rebuilt from `revealed`; `insertion_order` is still
+    written for compatibility and must repeat `revealed` exactly.
+    """
     if not isinstance(data, dict):
         raise ConfigError("snapshot must be a JSON object")
     for key in ("instance", "revealed", "terminals", "insertion_order"):
         if key not in data:
             raise ConfigError(f"snapshot is missing the {key!r} field")
     instance = instance_from_dict(data["instance"])
-    revealed = data["revealed"]
-    if not revealed or revealed[0] != 0:
+    revealed = _ints(data["revealed"], "snapshot revealed")
+    if not revealed or revealed[0] != ROOT:
         raise ConfigError("snapshot revealed list must start with the root 0")
-    state = initial_state(instance)
-    state = with_revealed(state, revealed[1:])
+    if len(set(revealed)) != len(revealed) or not all(0 <= v < instance.n for v in revealed):
+        raise ConfigError("snapshot revealed list must name distinct vertices of the instance")
+    if data["insertion_order"] != revealed:
+        raise ConfigError("snapshot insertion_order must equal its revealed list")
+    last_mover = data.get("last_mover")
+    if last_mover is not None and not 0 <= _int(last_mover, "snapshot last_mover") < instance.n:
+        raise ConfigError(f"snapshot last_mover {last_mover} is not a vertex of the instance")
+    if not isinstance(data["terminals"], list):
+        raise ConfigError("snapshot terminals must be a list of [vertex, count, path] rows")
+    state = with_revealed(initial_state(instance), revealed[1:])
     for row in data["terminals"]:
+        if not isinstance(row, list) or len(row) != 3:
+            raise ConfigError(f"malformed terminal row {row!r}: expected [vertex, count, path]")
+        v = _int(row[0], "terminal vertex")
+        count = _int(row[1], "terminal count")
+        path = _ints(row[2], "terminal path")
+        if v == ROOT or count < 1:
+            raise ConfigError(f"terminal row {row!r} needs a non-root vertex and a count >= 1")
         try:
-            v, count, path = row
-        except (TypeError, ValueError):
-            raise ConfigError(f"malformed terminal row {row!r}") from None
-        state = add_terminal(state, v, count, tuple(path))
-    if data.get("last_mover") is not None:
-        state = dc_replace(state, last_mover=data["last_mover"])
+            state = add_terminal(state, v, count, path)
+        except EngineInvariantError as exc:
+            raise ConfigError(f"terminal row {row!r}: {exc}") from None
+    state = dc_replace(state, last_mover=last_mover)
     family = DualFamily(instance)
-    for v in data["insertion_order"]:
+    for v in revealed:
         family.insert(v)
     return state, family
 
@@ -323,8 +346,9 @@ def cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.gen == "gm":
         gm = build_gm(args.m)
+        sigma = build_sigma(gm)
         _write_json(out / "instance.json", instance_to_dict(gm.instance))
-        _write_json(out / "schedule.json", schedule_to_jsonable(build_sigma(gm)))
+        _write_json(out / "schedule.json", schedule_to_jsonable(sigma))
         _write_json(out / "paths.json",
                     {f"{j},{k}": list(p) for (j, k), p in
                      sorted(gm.canonical_paths.items())})
@@ -525,11 +549,11 @@ def cmd_replay(args) -> int:
 
 def _add_gen_params(p, *, lists=False) -> None:
     if lists:
-        p.add_argument("--m", help="comma-separated list for the gm generator")
+        p.add_argument("--m", help="comma-separated list for the gm generator (each <= 5)")
         p.add_argument("--n", help="comma-separated vertex counts")
         p.add_argument("--seeds", default="0", help="comma-separated seeds")
     else:
-        p.add_argument("--m", type=int, help="size parameter of the gm generator")
+        p.add_argument("--m", type=int, help="size parameter of the gm generator (1..5)")
         p.add_argument("--n", type=int, help="vertex/ratio parameter")
         p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", default="churn", choices=EUCLIDEAN_PROFILES,

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ClosureViolationError, EngineInvariantError, VerificationError
 from .metric import ROOT, MetricInstance, mst_cost
 from .rationals import ceil_log2, floor_log2, pow2
-from .routing import RoutingState, find_improving_tree_move, solution_cost, tree_view
+from .routing import RoutingState, find_improving_tree_move, solution_cost
 
 
 def charge_level(cost) -> int:
@@ -106,14 +106,6 @@ class DualFamily:
 
     def __contains__(self, v) -> bool:
         return v in self._pos
-
-    def extend(self, instance: MetricInstance, vertices) -> None:
-        """Adopt a grown instance and insert newly revealed vertices in order."""
-        if instance.n < self.instance.n:
-            raise EngineInvariantError("dual family handed a shrunken instance")
-        self.instance = instance
-        for v in vertices:
-            self.insert(v)
 
     def insert(self, v: int) -> None:
         if v in self._pos:
@@ -256,11 +248,11 @@ class ChargeMap:
     by_cut: dict  # cut key -> tuple of ChargeRecords, insertion-ordered
 
 
-def compute_charges(state: RoutingState, family: DualFamily, view=None) -> ChargeMap:
+def compute_charges(state: RoutingState, family: DualFamily) -> ChargeMap:
     """Charge every tree vertex's parent edge to its cut, indexed by cut."""
     if set(family.inserted) != set(state.revealed):
         raise EngineInvariantError("dual family out of sync with revealed vertices")
-    view = view or tree_view(state)
+    view = state.view
     cost = state.instance.cost
     records = []
     by_cut: dict = {}
@@ -307,7 +299,7 @@ class StateClass:
         return CLASS_NAMES[self.rank]
 
 
-def classify(state: RoutingState, family: DualFamily, view=None, *,
+def classify(state: RoutingState, family: DualFamily, *,
              decide_equilibrium: bool = True) -> StateClass:
     """Rank the state on the balanced/unbalanced ladder.
 
@@ -315,8 +307,7 @@ def classify(state: RoutingState, family: DualFamily, view=None, *,
     separates the bottom two rungs and reports every every-cut-at-most-once
     state as merely "balanced"; useful when only the upper bounds matter.
     """
-    view = view or tree_view(state)
-    charges = compute_charges(state, family, view)
+    charges = compute_charges(state, family)
 
     crowded = {}  # cut -> non-leaf charger vertices, when there are >= 2
     for cut, recs in charges.by_cut.items():
@@ -328,7 +319,7 @@ def classify(state: RoutingState, family: DualFamily, view=None, *,
         if all(len(recs) <= 1 for recs in charges.by_cut.values()):
             if not decide_equilibrium:
                 return StateClass(BALANCED, charges)
-            if find_improving_tree_move(state, view) is None:
+            if find_improving_tree_move(state) is None:
                 return StateClass(BALANCED_EQUILIBRIUM, charges)
             return StateClass(BALANCED, charges)
         return StateClass(LEAF_UNBALANCED, charges)
@@ -408,8 +399,7 @@ def logn_accounting(state: RoutingState, family: DualFamily,
         return AccountingReport(n, zero, zero, zero, 32.0 * (math.log2(max(n, 2)) + 1),
                                 True, zero, zero, 0, (), 0, 0)
 
-    view = tree_view(state)
-    charges = compute_charges(state, family, view)
+    charges = compute_charges(state, family)
     total = solution_cost(state)
     max_edge = max(rec.cost for rec in charges.records)
     threshold = max_edge / n

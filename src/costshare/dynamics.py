@@ -56,7 +56,6 @@ from .routing import (
     prune_departures,
     solution_cost,
     tree_follow_move,
-    tree_view,
     verify_equilibrium,
     with_revealed,
 )
@@ -205,7 +204,7 @@ class SelectedMove:
     context_cut: Optional[tuple] = None  # lu-c: the shared cut; nlu: the old S*
 
 
-def select_tree_move(state, family, *, view=None, cls=None) -> Optional[SelectedMove]:
+def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
     """Pick the next tree-follow move by the class-driven priority rules.
 
     balanced: the smallest-id vertex with an improving move goes to its
@@ -228,17 +227,17 @@ def select_tree_move(state, family, *, view=None, cls=None) -> Optional[Selected
     equilibria.  A rule whose backing claim fails raises
     ClosureViolationError with the evidence.
     """
-    view = view or tree_view(state)
-    cls = cls or classify(state, family, view)
+    cls = cls or classify(state, family)
     if cls.rank == BALANCED_EQUILIBRIUM:
         return None
 
-    verts, screen = _candidate_screen(state, view)
+    view = state.view
+    verts, screen = _candidate_screen(state)
     at = {v: i for i, v in enumerate(verts)}
 
     def closest(u, allowed=None):
         return closest_improving_target(
-            state, view, u, allowed=allowed, screen_row=screen[at[u]], verts=verts)
+            state, u, allowed=allowed, screen_row=screen[at[u]], verts=verts)
 
     if cls.rank == BALANCED:
         for u in verts:
@@ -274,7 +273,7 @@ def select_tree_move(state, family, *, view=None, cls=None) -> Optional[Selected
                     f"chargers at cut {cut}")
             u = chargers_nl[0]
             for v in chargers_lf:
-                if is_legal_improving(state, u, v, view):
+                if is_legal_improving(state, u, v):
                     if not state.instance.cost(u, v) < pow2(cut[0]):
                         raise EngineInvariantError(
                             f"co-members {u},{v} of a level-{cut[0]} component "
@@ -306,9 +305,9 @@ def select_tree_move(state, family, *, view=None, cls=None) -> Optional[Selected
 
     # non-leaf-unbalanced
     c1, c2 = cls.heavy_chargers  # (last mover, the other charger)
-    if is_legal_improving(state, c1, c2, view):
+    if is_legal_improving(state, c1, c2):
         mover, other = c1, c2
-    elif is_legal_improving(state, c2, c1, view):
+    elif is_legal_improving(state, c2, c1):
         mover, other = c2, c1
     else:
         raise ClosureViolationError(
@@ -380,7 +379,7 @@ def _assert_move_contract(sel: SelectedMove, post: StateClass, new_cut) -> None:
             )
 
 
-def _apply_move(state, family, sel, view, phi, index):
+def _apply_move(state, family, sel, phi, index):
     move_cost = state.instance.cost(sel.mover, sel.target)
     new_state = tree_follow_move(state, sel.mover, sel.target)
     new_phi = potential(new_state)
@@ -388,8 +387,7 @@ def _apply_move(state, family, sel, view, phi, index):
         raise EngineInvariantError(
             f"move {sel.mover}->{sel.target} did not lower the potential "
             f"({phi} -> {new_phi})")
-    new_view = tree_view(new_state)
-    post = classify(new_state, family, new_view)
+    post = classify(new_state, family)
     new_cut = family.component_of(sel.mover, charge_level(move_cost))
     _assert_move_contract(sel, post, new_cut)
     record = MoveRecord(
@@ -398,10 +396,10 @@ def _apply_move(state, family, sel, view, phi, index):
         phi_pre=phi, phi_post=new_phi, mover_new_cut=new_cut,
         pre_heavy_cut=sel.before.heavy_cut, post_heavy_cut=post.heavy_cut,
         context_cut=sel.context_cut,
-        mover_was_leaf=sel.mover in view.leaves,
-        target_was_leaf=sel.target in view.leaves,
+        mover_was_leaf=sel.mover in state.view.leaves,
+        target_was_leaf=sel.target in state.view.leaves,
     )
-    return new_state, new_view, post, new_phi, record
+    return new_state, post, new_phi, record
 
 
 # ---------------------------------------------------------------------------
@@ -440,22 +438,23 @@ def _reveal_for_event(state, family, event):
             order.append(v)
     if order:
         state = with_revealed(state, order)
-        family.extend(state.instance, order)
+        for v in order:
+            family.insert(v)
     return state
 
 
-def _arrival_path(state, view, item, *, adopt_tree_paths):
+def _arrival_path(state, item, *, adopt_tree_paths):
     v = item.vertex
     if adopt_tree_paths and state.is_active(v):
         path = state.paths[v]
-    elif adopt_tree_paths and v in view:
-        path = view.path_to_root(v)
+    elif adopt_tree_paths and v in state.view:
+        path = state.view.path_to_root(v)
     else:
         path = best_response(state, v).path
         if adopt_tree_paths:
             # into an equilibrium, a new terminal grafts by one fresh edge
             w = path[1]
-            if w not in view or path[1:] != view.path_to_root(w):
+            if w not in state.view or path[1:] != state.view.path_to_root(w):
                 raise EngineInvariantError(
                     f"arrival at {v} routed {path} instead of attaching to "
                     "the tree by a single fresh edge")
@@ -468,9 +467,7 @@ def _arrival_path(state, view, item, *, adopt_tree_paths):
 
 def _apply_arrival(state, event, *, batch_order, adopt_tree_paths):
     if batch_order == "snapshot":
-        base_view = tree_view(state)
-        plans = [(it, _arrival_path(state, base_view, it,
-                                    adopt_tree_paths=adopt_tree_paths))
+        plans = [(it, _arrival_path(state, it, adopt_tree_paths=adopt_tree_paths))
                  for it in event.items]
         for it, path in plans:
             state = add_terminal(state, it.vertex, it.count, path)
@@ -478,8 +475,7 @@ def _apply_arrival(state, event, *, batch_order, adopt_tree_paths):
     if batch_order != "sequential":
         raise ConfigError(f"unknown batch order {batch_order!r}")
     for it in event.items:
-        path = _arrival_path(state, tree_view(state), it,
-                             adopt_tree_paths=adopt_tree_paths)
+        path = _arrival_path(state, it, adopt_tree_paths=adopt_tree_paths)
         state = add_terminal(state, it.vertex, it.count, path)
     return state
 
@@ -508,8 +504,7 @@ def run_epoch_eqp(state, family, event, *, epoch_index=0,
     else:
         raise EngineInvariantError(f"unknown event object {event!r}")
 
-    view = tree_view(state)
-    cls = classify(state, family, view)
+    cls = classify(state, family)
     if cls.rank > allowed_rank:
         raise ClosureViolationError(
             f"state is {cls.name} immediately after a {kind} event "
@@ -522,9 +517,8 @@ def run_epoch_eqp(state, family, event, *, epoch_index=0,
     ceiling = ceiling_factor * len(state.revealed) ** 3
     moves = []
     while cls.rank != BALANCED_EQUILIBRIUM:
-        sel = select_tree_move(state, family, view=view, cls=cls)
-        state, view, cls, phi, record = _apply_move(
-            state, family, sel, view, phi, len(moves))
+        sel = select_tree_move(state, family, cls=cls)
+        state, cls, phi, record = _apply_move(state, family, sel, phi, len(moves))
         moves.append(record)
         if on_move is not None:
             on_move(epoch_index, record)

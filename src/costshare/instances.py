@@ -161,17 +161,27 @@ def build_gm(m: int) -> GmFamily:
     )
 
 
+#: Largest m whose schedule is supported.  At m = 6 the pinned path of top
+#: vertex 218 in phase 2 is not a best response (a cheaper path exists), so
+#: the schedule for m >= 6 would stop the runner with an invariant breach.
+GM_MAX_M = 5
+
+
 def build_sigma(gm: GmFamily) -> tuple:
-    """The adversarial schedule for a GmFamily.
+    """The adversarial schedule for a GmFamily (m <= GM_MAX_M).
 
     m phases, each sweeping all (j, k) rounds in lexicographic order.  One
     round floods the canonical path bottom-up — m^2 co-located agents at
     each of v^0 .. v^{m-1}, one agent at the top — then clears everything
     below the top in a single departure.  Every arrival pins its expected
     best response (the canonical-path suffix); the runner raises if the
-    search ever disagrees.
+    search ever disagrees.  Raises ConfigError for m > GM_MAX_M.
     """
     m = gm.m
+    if m > GM_MAX_M:
+        raise ConfigError(
+            f"the layered schedule supports m <= {GM_MAX_M}, got m={m}: beyond "
+            "that its pinned paths are not all best responses")
     events = []
     for _phase in range(m):
         for j in range(1, m + 1):

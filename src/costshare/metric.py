@@ -1,10 +1,10 @@
-"""Exact finite metrics: construction, closure, MST, incremental reveal.
+"""Exact finite metrics: construction, closure, MST.
 
 A `MetricInstance` is a complete metric over vertices 0..n-1 with exact
 Fraction distances; vertex 0 is always the broadcast root.  Instances come
 from three constructors (the closure of a positively-weighted graph, grid-
-rounded Euclidean point sets, or an explicit matrix) and can grow via
-`reveal_vertices`, which re-validates the metric axioms on the new triples.
+rounded Euclidean point sets, or an explicit matrix) and never change;
+revealing vertices to the dynamics is the routing state's business.
 
 A float64 mirror of the matrix is kept alongside the exact one.  It is used
 strictly as a conservative pre-filter (see `float_margin`): any comparison the
@@ -92,8 +92,8 @@ def _check_metric(rows, costf, margin):
     _check_triangle(rows, costf, margin)
 
 
-def _check_triangle(rows, costf, margin, new_from=0):
-    """Verify d(i,j) <= d(i,k) + d(k,j) for all triples touching i >= new_from.
+def _check_triangle(rows, costf, margin):
+    """Verify d(i,j) <= d(i,k) + d(k,j) for all triples.
 
     The float mirror rules out the overwhelming majority of triples; anything
     within the margin is confirmed exactly.
@@ -109,8 +109,6 @@ def _check_triangle(rows, costf, margin, new_from=0):
             i, j = int(i), int(j)
             if i == k or j == k or i == j:
                 continue
-            if max(i, j, k) < new_from:
-                continue  # old triple, validated earlier
             if rows[i][j] > rows[i][k] + rows[k][j]:
                 raise MetricError(
                     f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
@@ -206,47 +204,6 @@ def explicit_metric(n, pair_costs) -> MetricInstance:
         "costs": [[a, b, format_rational(rows[a][b])] for a in range(n) for b in range(a + 1, n)]
     }
     return MetricInstance(rows, "metric", meta)
-
-
-def reveal_vertices(instance, new_vertices, new_costs) -> MetricInstance:
-    """Extend an instance with newly revealed vertices.
-
-    `new_vertices` must continue the dense id sequence (n, n+1, ...);
-    `new_costs` maps vertex pairs (either order) to exact costs and must cover
-    every pair involving a new vertex.  The triangle inequality is re-verified
-    over all triples that touch a new vertex.
-    """
-    old_n = instance.n
-    expected = list(range(old_n, old_n + len(new_vertices)))
-    if list(new_vertices) != expected:
-        raise ConfigError(
-            f"new vertices must be {expected} (dense ids), got {list(new_vertices)}"
-        )
-    n = old_n + len(expected)
-
-    lookup = {}
-    for (u, v), c in new_costs.items():
-        a, b = (u, v) if u < v else (v, u)
-        lookup[(a, b)] = Fraction(c)
-
-    rows = [list(instance._cost[i]) + [None] * len(expected) for i in range(old_n)]
-    rows += [[None] * n for _ in expected]
-    for v in expected:
-        rows[v][v] = Fraction(0)
-        for u in range(n):
-            if u == v or rows[u][v] is not None:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key not in lookup:
-                raise ConfigError(f"missing cost for revealed pair {key}")
-            c = lookup[key]
-            if c <= 0:
-                raise MetricError(f"non-positive distance between {u} and {v}")
-            rows[u][v] = rows[v][u] = c
-
-    out = MetricInstance(rows, instance.kind, dict(instance.meta), _validated=True)
-    _check_triangle(rows, out.costf, out.float_margin, new_from=old_n)
-    return out
 
 
 def mst_cost(instance, vertex_subset) -> Fraction:

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .errors import ConfigError
 
-RATIO_DECIMALS = 6
-
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -45,21 +43,6 @@ def parse_rational(text: str | int) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Inverse of parse_rational: "p" for integers, "p/q" otherwise."""
     return str(Fraction(value))
-
-
-def format_decimal(value: Fraction, places: int = RATIO_DECIMALS) -> str:
-    """Exact fixed-point decimal rendering (round half away from zero).
-
-    Used for the human-readable columns next to the exact "p/q" ones; exact
-    so that identical inputs always serialize to identical bytes.
-    """
-    if value < 0:
-        return "-" + format_decimal(-value, places)
-    scaled = value * 10**places
-    whole = scaled.numerator // scaled.denominator
-    if 2 * (scaled - whole) >= 1:
-        whole += 1
-    return f"{whole // 10**places}.{whole % 10**places:0{places}d}"
 
 
 def floor_log2(value: Fraction) -> int:

@@ -9,6 +9,11 @@ Cost sharing is Shapley: an edge of cost c used by N agents costs c/N to each.
 Best responses minimize (shared cost, number of fresh edges, vertex-id
 sequence) lexicographically, where a fresh edge is one no *other* agent uses.
 
+Everything that reads the routing tree (parents, Euler intervals, the A/B
+share prefix sums) reads one object: the state's tree view, `state.view`,
+built on first use and cached on the state.  No function takes a view as an
+argument, so a view can never be paired with the wrong state.
+
 Everything that decides anything is exact.  The two hot kernels, the
 best-response search (`_Search`) and the tree view (`_Tree`), keep their exact
 values as plain ints over one common denominator: the instance's cost
@@ -67,17 +72,14 @@ class RoutingState:
     def is_active(self, v) -> bool:
         return v in self.counts
 
-    def on_tree(self, v) -> bool:
-        if v == ROOT:
-            return bool(self.paths)
-        return any(v in p for p in self.paths.values())
-
     @cached_property
     def view(self) -> "_Tree":
         """This state's tree view, built on first use and then shared.
 
-        The state never changes, so neither does its view.  Raises
-        EngineInvariantError (and caches nothing) if the paths are not a tree.
+        The only place a tree view is built: every reader of the tree goes
+        through here.  The state never changes, so neither does its view.
+        Raises EngineInvariantError (and caches nothing) if the paths are not
+        a tree.
         """
         return _Tree(self)
 
@@ -123,7 +125,11 @@ def with_revealed(state, new_vertices) -> RoutingState:
         added.append(v)
     if not added:
         return state
-    return replace(state, revealed=state.revealed + tuple(added))
+    new = replace(state, revealed=state.revealed + tuple(added))
+    if "view" in state.__dict__:
+        # the tree is built from paths, counts and usage, never from `revealed`
+        new.__dict__["view"] = state.__dict__["view"]
+    return new
 
 
 def add_terminal(state, vertex, count, path) -> RoutingState:
@@ -309,17 +315,6 @@ class _Tree:
         return sorted(t for t in state.counts if self.in_subtree(t, u))
 
 
-def tree_view(state) -> _Tree:
-    return _Tree(state)
-
-
-def tree_path(state, v, view=None) -> Path:
-    view = view or _Tree(state)
-    if v not in view:
-        raise EngineInvariantError(f"vertex {v} is not on the routing tree")
-    return view.path_to_root(v)
-
-
 # ---------------------------------------------------------------------------
 # best response search
 
@@ -487,14 +482,13 @@ def best_response(state, vertex) -> BestResponse:
     return BestResponse(search.path_from(vertex), cost, fresh)
 
 
-def has_improving_move(state, vertex, view=None) -> Optional[Witness]:
+def has_improving_move(state, vertex) -> Optional[Witness]:
     """Witness that `vertex` (terminal or interior) can improve, else None.
 
     For an active terminal: compare its best response to its current share.
     For an interior (Steiner) vertex w: terminals routing through w are tried
     in id order; each keeps its segment below w fixed and searches for a
-    cheaper replacement of the segment above w.  `view` is the state's tree
-    view; without one, the state's shared view (`RoutingState.view`) is used.
+    cheaper replacement of the segment above w.
     """
     if state.is_active(vertex):
         br = best_response(state, vertex)
@@ -503,7 +497,7 @@ def has_improving_move(state, vertex, view=None) -> Optional[Witness]:
             return Witness("terminal", vertex, vertex, br.path, cur, br.cost)
         return None
 
-    view = view or state.view
+    view = state.view
     if vertex == ROOT or vertex not in view:
         raise EngineInvariantError(
             f"vertex {vertex} is neither an active terminal nor on the routing tree"
@@ -525,8 +519,7 @@ def has_improving_move(state, vertex, view=None) -> Optional[Witness]:
 def verify_equilibrium(state, *, cross_check=True) -> EquilibriumVerdict:
     """Full sweep: every active terminal, then every interior tree vertex.
 
-    The interior checks share one tree view, the state's own
-    (`RoutingState.view`), so the sweep builds it once.  With cross_check on,
+    The interior checks share the state's one tree view.  With cross_check on,
     the verdict is compared against the improving tree-move scan; an
     improving path exists iff an improving tree-follow move does, so
     disagreement is an engine bug and raises.
@@ -553,7 +546,7 @@ def verify_equilibrium(state, *, cross_check=True) -> EquilibriumVerdict:
         # segment swap -- the downward-closure argument).
         raise EngineInvariantError("equilibrium verdict on a non-tree routing")
     if cross_check and view is not None:
-        pair = find_improving_tree_move(state, view)
+        pair = find_improving_tree_move(state)
         if (pair is None) != (witness is None):
             raise EngineInvariantError(
                 "best-response sweep and tree-move scan disagree: "
@@ -566,7 +559,7 @@ def verify_equilibrium(state, *, cross_check=True) -> EquilibriumVerdict:
 # improving tree-follow moves
 
 
-def is_improving_tree_move(state, u, v, view=None) -> bool:
+def is_improving_tree_move(state, u, v) -> bool:
     """Would rerouting u (and its subtree) onto v strictly help its users?
 
     Exact O(depth) test via the prefix sums: with L = lca(u, v),
@@ -576,7 +569,7 @@ def is_improving_tree_move(state, u, v, view=None) -> bool:
     edges on v -> L are newly adopted (count+1), edges on L -> root stay on
     the witness's path (count unchanged), everything below u moves rigidly.
     """
-    view = view or _Tree(state)
+    view = state.view
     if u == ROOT or u not in view.parent:
         raise EngineInvariantError(f"{u} has no parent edge to swap")
     if v not in view:
@@ -589,28 +582,29 @@ def is_improving_tree_move(state, u, v, view=None) -> bool:
     return lhs < view.A[u] - view.A[ell]
 
 
-def is_legal_improving(state, u, v, view=None) -> bool:
+def is_legal_improving(state, u, v) -> bool:
     """Like is_improving_tree_move, but illegal pairs answer False quietly.
 
     Illegal means: u is the root or off the tree, v is off the tree, or v
     lies (weakly) inside u's subtree.  Used where a candidate pair comes from
     a heuristic and not from an enumerated legal set.
     """
-    view = view or _Tree(state)
+    view = state.view
     if u == ROOT or u not in view.parent or v not in view:
         return False
     if v == u or view.in_subtree(v, u):
         return False
-    return is_improving_tree_move(state, u, v, view)
+    return is_improving_tree_move(state, u, v)
 
 
-def _candidate_screen(state, view):
+def _candidate_screen(state):
     """Float pre-screen for improving pairs.
 
     A(u) - B(v) - c(u,v) > A(L) - B(L) >= 0 is necessary for u -> v to
     improve, so no improving pair scores below -margin: the screen is
     conservative and complete.
     """
+    view = state.view
     verts = view.order
     a = np.array([view.Af[x] for x in verts])
     b = np.array([view.Bf[x] for x in verts])
@@ -618,12 +612,12 @@ def _candidate_screen(state, view):
     return verts, a[:, None] - b[None, :] - c
 
 
-def find_improving_tree_move(state, view=None):
+def find_improving_tree_move(state):
     """First (u, v) in id order whose tree-follow move improves, or None."""
-    view = view or _Tree(state)
+    view = state.view
     if len(view.order) <= 1:
         return None
-    verts, screen = _candidate_screen(state, view)
+    verts, screen = _candidate_screen(state)
     margin = state.instance.float_margin
     for i, u in enumerate(verts):
         if u == ROOT:
@@ -632,12 +626,12 @@ def find_improving_tree_move(state, view=None):
             v = verts[int(j)]
             if v == u or view.in_subtree(v, u):
                 continue
-            if is_improving_tree_move(state, u, v, view):
+            if is_improving_tree_move(state, u, v):
                 return u, v
     return None
 
 
-def closest_improving_target(state, view, u, allowed=None, screen_row=None, verts=None):
+def closest_improving_target(state, u, allowed=None, screen_row=None, verts=None):
     """Closest v (exact c(u,v), ties by id) with an improving move u -> v.
 
     `allowed` optionally restricts the target set; returns None if nothing
@@ -645,8 +639,9 @@ def closest_improving_target(state, view, u, allowed=None, screen_row=None, vert
     found only candidates within the margin of its distance can still win,
     and those are settled exactly.
     """
+    view = state.view
     if screen_row is None:
-        verts, screen = _candidate_screen(state, view)
+        verts, screen = _candidate_screen(state)
         screen_row = screen[verts.index(u)]
     margin = state.instance.float_margin
     costf = state.instance.costf
@@ -664,7 +659,7 @@ def closest_improving_target(state, view, u, allowed=None, screen_row=None, vert
     for cf, v in cands:
         if best is not None and cf > best_f + margin:
             break
-        if is_improving_tree_move(state, u, v, view):
+        if is_improving_tree_move(state, u, v):
             c = state.instance.cost(u, v)
             if best is None or (c, v) < best:
                 best = (c, v)
@@ -678,7 +673,7 @@ def tree_follow_move(state, u, v) -> RoutingState:
     Terminals outside u's subtree are untouched.  Usage counts are updated by
     the subtree's total agent count along the abandoned and adopted segments.
     """
-    view = _Tree(state)
+    view = state.view
     if u == ROOT or u not in view.parent:
         raise EngineInvariantError(f"{u} has no parent edge to swap")
     if v not in view:
@@ -710,25 +705,3 @@ def tree_follow_move(state, u, v) -> RoutingState:
         usage[e] = usage.get(e, 0) + block
 
     return replace(state, paths=paths, usage=usage, last_mover=u)
-
-
-def audit_state(state) -> None:
-    """Re-derive everything derivable and compare; raises on any mismatch."""
-    revealed = set(state.revealed)
-    if ROOT not in revealed:
-        raise EngineInvariantError("root is not revealed")
-    if set(state.paths) != set(state.counts):
-        raise EngineInvariantError("terminals with paths and with counts differ")
-    recomputed: dict = {}
-    for t, path in state.paths.items():
-        k = state.counts[t]
-        if k <= 0:
-            raise EngineInvariantError(f"terminal {t} has non-positive count")
-        if path[0] != t or path[-1] != ROOT or len(set(path)) != len(path):
-            raise EngineInvariantError(f"malformed path for terminal {t}: {path}")
-        if any(v not in revealed for v in path):
-            raise EngineInvariantError(f"path of {t} uses unrevealed vertices")
-        for e in path_edges(path):
-            recomputed[e] = recomputed.get(e, 0) + k
-    if recomputed != state.usage:
-        raise EngineInvariantError("stored usage counts disagree with recomputation")

@@ -30,6 +30,24 @@ def usage_from_paths(paths, counts):
     return usage
 
 
+def audit_state(state):
+    """Re-derive everything derivable about a routing state and compare.
+
+    Reads only the state's plain fields (revealed, counts, paths, usage);
+    fails an assertion on any mismatch.
+    """
+    revealed = set(state.revealed)
+    assert ROOT in revealed, "root is not revealed"
+    assert set(state.paths) == set(state.counts), "terminals with paths and with counts differ"
+    for t, path in state.paths.items():
+        assert state.counts[t] > 0, f"terminal {t} has non-positive count"
+        assert path[0] == t and path[-1] == ROOT and len(set(path)) == len(path), (
+            f"malformed path for terminal {t}: {path}")
+        assert all(v in revealed for v in path), f"path of {t} uses unrevealed vertices"
+    assert usage_from_paths(state.paths, state.counts) == state.usage, (
+        "stored usage counts disagree with recomputation")
+
+
 def floyd_warshall(cost):
     """All-pairs shortest path lengths of a symmetric Fraction matrix.
 

@@ -29,7 +29,6 @@ from costshare import (
     shared_cost,
     solution_cost,
     tree_follow_move,
-    tree_view,
     verify_equilibrium,
 )
 from costshare.duals import (
@@ -196,10 +195,10 @@ def test_criterion_5_oracle_equivalence():
         inst = random_metric(rng, rng.randint(4, 8))
         state = random_tree_state(rng, inst)
         cost = _matrix(inst)
-        view = tree_view(state)
+        view = state.view
         for u, v in _legal_pairs(view):
             want = brute_improving_tree_move(cost, state.counts, state.paths, u, v)
-            assert is_improving_tree_move(state, u, v, view) is want
+            assert is_improving_tree_move(state, u, v) is want
             assert is_legal_improving(state, u, v) is want
             move_checked += 1
     print(f"[criterion 5] PASS — best response exact on {br_checked} searches; "
@@ -239,12 +238,12 @@ def test_criterion_6_structural_property_suite(eqp_runs):
     while quad_checked < 500:
         inst = random_metric(rng, rng.randint(4, 9))
         state = random_tree_state(rng, inst)
-        view = tree_view(state)
+        view = state.view
         pairs = _legal_pairs(view)
-        live = [(u, v) for u, v in pairs if is_improving_tree_move(state, u, v, view)]
+        live = [(u, v) for u, v in pairs if is_improving_tree_move(state, u, v)]
         for u, x in live:
             stale = [(a, b) for a, b in pairs
-                     if a == u and b != x and not is_improving_tree_move(state, a, b, view)]
+                     if a == u and b != x and not is_improving_tree_move(state, a, b)]
             if not stale:
                 continue
             moved = tree_follow_move(state, u, x)

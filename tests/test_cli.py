@@ -39,6 +39,12 @@ def test_gen_gm_writes_instance_schedule_and_paths(tmp_path, capsys):
     assert all(len(p) == 4 and p[-1] == 0 for p in paths.values())
 
 
+def test_gen_gm_refuses_unsupported_m(tmp_path, capsys):
+    assert main(["gen", "--gen", "gm", "--m", "6", "--out", str(tmp_path)]) == 2
+    assert "m <= 5" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_gen_poa_snapshot_passes_verify(tmp_path, capsys):
     assert main(["gen", "--gen", "poa", "--n", "5", "--out", str(tmp_path)]) == 0
     snap = tmp_path / "snapshot.json"
@@ -229,6 +235,33 @@ def test_malformed_instance_exits_2_as_a_process(tmp_path, instance):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def _reverse_order(snap):
+    snap["insertion_order"].reverse()
+
+
+@pytest.mark.parametrize("mutate", [
+    _reverse_order,
+    lambda snap: snap["insertion_order"].pop(),
+    lambda snap: snap["insertion_order"].append(snap["insertion_order"][1]),
+    lambda snap: snap["revealed"].append(99),
+    lambda snap: snap.update(terminals=[[1, 1, ["x"]]]),
+    lambda snap: snap.update(terminals=[[1, 0, [1, 0]]]),
+    lambda snap: snap.update(last_mover="q"),
+    lambda snap: snap.update(terminals=5),
+], ids=["reversed-order", "short-order", "duplicate-in-order", "revealed-99",
+        "non-int-path", "zero-count", "string-last-mover", "terminals-not-a-list"])
+def test_malformed_snapshot_exits_2_without_traceback(tmp_path, capsys, mutate):
+    assert main(["gen", "--gen", "poa", "--n", "3", "--out", str(tmp_path)]) == 0
+    snap = json.loads((tmp_path / "snapshot.json").read_text())
+    mutate(snap)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(snap))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_run_rejects_gen_and_instance_together(tmp_path, capsys):

@@ -166,21 +166,6 @@ def test_family_insert_errors():
         family.insert(7)
 
 
-def test_family_extend_adopts_grown_instance():
-    from costshare import reveal_vertices
-
-    inst = line_instance(0, 5)
-    family = DualFamily(inst)
-    family.insert(0)
-    family.insert(1)
-    grown = reveal_vertices(inst, [2], {(0, 2): 9, (1, 2): 4})
-    family.extend(grown, [2])
-    assert family.inserted == [0, 1, 2]
-    family.check_invariants()
-    with pytest.raises(EngineInvariantError, match="shrunken"):
-        family.extend(inst, [])
-
-
 def test_check_invariants_catches_corruption():
     inst = line_instance(0, 5, 9, 200)
     family = DualFamily(inst)

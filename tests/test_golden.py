@@ -1,0 +1,75 @@
+"""Golden digests of the deterministic artifacts.
+
+Every file in `cli.DATA_FILES` is byte-deterministic for a fixed config, so
+a refactor that keeps behaviour must keep these sha256 digests.  A change
+that alters an artifact on purpose updates the digest here and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from costshare.cli import DATA_FILES, main
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+RUNS = {
+    "gm-m3-noneqp": (
+        ["--gen", "gm", "--m", "3", "--mode", "noneqp"],
+        {
+            "events.jsonl": "519fc5b6a13179fea6616b906b7175fa4be4aab0c60cd63c5be9ade13b3ab131",
+            "snapshot.json": "28e6792d070f9ece0fbe3b49492fa853ffc58103b8152b18449b9531a9b0cb32",
+            "accounting.json": "de4651a76c0706c148d07fc84e9317aafa263b8b9529f37ed46a4c2ccb489062",
+            "accounting.csv": "61f4f8ab389d40f3f637bd64d77b733b92a80a0b14030088892b38de3053f040",
+            "summary.csv": "6a8e9d5a4ea8a84d87b34368a1825ea0fbf64c341db28a8d4c0fa9793130ed43",
+        },
+    ),
+    "euclidean-n50-s0-eqp": (
+        ["--gen", "euclidean", "--n", "50", "--seed", "0", "--mode", "eqp"],
+        {
+            "events.jsonl": "56347184b26d95c42bd80f183633e3658efd86c2ff8b2c657ea0077001439e35",
+            "snapshot.json": "2e38738ade6eb770aa2e58a50553ffa61a2f0f66881628b24dbea9c767ba415c",
+            "accounting.json": "4bbae48136c17a5aeb05395a3ad83dfe9ef44e4b5aaa1a26abbd8cc80b304d1e",
+            "accounting.csv": "d01888c0f5d108f3b3830ca873e5c0493085458d557162870e34bbaac0ff0177",
+            "summary.csv": "3902fc8f265c664da08f48f99c9cf59fc9aaaf3cde6a0ae6f3d68b06acd60e35",
+        },
+    ),
+    "steiner-gap-n3-eqp": (
+        ["--gen", "steiner-gap", "--n", "3", "--mode", "eqp"],
+        {
+            "events.jsonl": "8b32bc9d993434c5c8ef87b360f9f2198fbceb0e5291e900055073cb23db1e2f",
+            "snapshot.json": "5110825dd2c9cabb5cd65cf37dcd34b767ae7b064932310b2e06aad016c0a7e7",
+            "accounting.json": "0a620f8ea6caee9c6047d3091ad79fb841ce93df9f7c8b65ca5d4a1a54295db3",
+            "accounting.csv": "86f30e04ce73bdcef3bc1ada710a9e5eea682c867b7d8900c4a7ffc8c2e8ee09",
+            "summary.csv": "c8cc0c9e2af321b04536a80e7bf6ee7edf019532a6c8b3bfd57c22a79c7facb6",
+        },
+    ),
+    # the snapshot batch order: arrivals routed against the pre-event state
+    "euclidean-n40-s1-arrivals-snapshot": (
+        ["--gen", "euclidean", "--n", "40", "--seed", "1", "--profile", "arrivals",
+         "--batch-order", "snapshot"],
+        {
+            "events.jsonl": "f6cc4810a7d25d230310e871a230311bce5be9badc8cbc9071ee20a2664ed44d",
+            "snapshot.json": "3206d0f0a2bf63213bcc345458ffd3ff37fe7aca3331ad371a4a6d40dccb5ff0",
+            "accounting.json": "56dc318486e02d7923c35a371db6c700435f257af4a1b2b9664f692604282d3a",
+            "accounting.csv": "9e89950193fbf2d63219980118ef11446c2c21a8cd2077e2cc50585399f4e57f",
+            "summary.csv": "af6e44b39dae46bb154c3eea19e64315a6dfde623d31bc9c673338f49e55a430",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_artifact_digests(tmp_path, name):
+    argv, want = RUNS[name]
+    assert main(["run", *argv, "--out", str(tmp_path)]) == 0
+    assert {f: _sha256(tmp_path / f) for f in DATA_FILES} == want
+
+
+def test_gen_poa_snapshot_digest(tmp_path):
+    assert main(["gen", "--gen", "poa", "--n", "3", "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "snapshot.json") == (
+        "3197aeca5ceed3b5a6f521a534d741531978a5b4b0610e1dbaf0ffab37ef5af1")

@@ -17,13 +17,11 @@ from costshare import (
     metric_closure,
     mst_cost,
     parse_rational,
-    reveal_vertices,
 )
 from costshare.metric import EUCLIDEAN_GRID, min_max_positive_distance
 from costshare.rationals import (
     ceil_log2,
     floor_log2,
-    format_decimal,
     harmonic,
     pow2,
     sqrt_ceil_grid,
@@ -59,13 +57,6 @@ def test_parse_rational_accepts_ints_and_strings():
 def test_parse_rational_rejects_junk(bad):
     with pytest.raises(ConfigError):
         parse_rational(bad)
-
-
-def test_format_decimal_is_exact_fixed_point():
-    assert format_decimal(Fraction(1, 3), 6) == "0.333333"
-    assert format_decimal(Fraction(2, 3), 6) == "0.666667"
-    assert format_decimal(Fraction(-1, 2), 2) == "-0.50"
-    assert format_decimal(Fraction(5), 3) == "5.000"
 
 
 @given(positive_rationals)
@@ -216,48 +207,6 @@ def test_euclidean_rounding_preserves_triangle(points):
             dx = points[i][0] - points[j][0]
             dy = points[i][1] - points[j][1]
             assert inst.cost(i, j) ** 2 >= dx * dx + dy * dy
-
-
-# ---------------------------------------------------------------------------
-# reveal
-
-
-def test_reveal_requires_dense_ids():
-    inst = explicit_metric(2, {(0, 1): 2})
-    with pytest.raises(ConfigError, match="dense ids"):
-        reveal_vertices(inst, [3], {(0, 3): 1, (1, 3): 1})
-
-
-def test_reveal_requires_complete_costs():
-    inst = explicit_metric(2, {(0, 1): 2})
-    with pytest.raises(ConfigError, match="missing cost"):
-        reveal_vertices(inst, [2], {(0, 2): 1})
-
-
-def test_reveal_checks_new_triangles_only_but_thoroughly():
-    inst = explicit_metric(2, {(0, 1): 2})
-    with pytest.raises(MetricError, match="triangle"):
-        reveal_vertices(inst, [2], {(0, 2): 10, (1, 2): 1})
-    grown = reveal_vertices(inst, [2, 3], {(0, 2): 2, (1, 2): 2, (0, 3): 1, (1, 3): 2, (2, 3): 2})
-    assert grown.n == 4
-    assert grown.cost(0, 1) == 2  # old distances untouched
-    assert grown.cost(3, 2) == 2
-
-
-def test_reveal_preserves_old_matrix_and_kind():
-    rng = random.Random(7)
-    inst = random_metric(rng, 5)
-    new_costs = {}
-    for u in range(5):
-        new_costs[(u, 5)] = max(inst.cost(u, v) for v in range(5)) + 1
-    # constant-ish additions keep the triangle inequality comfortably
-    far = max(new_costs.values())
-    new_costs = {k: far for k in new_costs}
-    grown = reveal_vertices(inst, [5], new_costs)
-    assert grown.kind == inst.kind
-    for i in range(5):
-        for j in range(5):
-            assert grown.cost(i, j) == inst.cost(i, j)
 
 
 # ---------------------------------------------------------------------------

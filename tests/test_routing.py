@@ -26,15 +26,14 @@ from costshare import (
     shared_cost,
     solution_cost,
     tree_follow_move,
-    tree_path,
-    tree_view,
     verify_equilibrium,
     with_revealed,
 )
 from costshare.instances import build_steiner_gap_fixture
-from costshare.routing import audit_state, has_improving_move, is_legal_improving
+from costshare.routing import has_improving_move, is_legal_improving
 from conftest import line_instance, random_metric, random_tree_state
 from oracles import (
+    audit_state,
     brute_improving_tree_move,
     enumerate_best_response,
     hypothetical_share,
@@ -223,22 +222,21 @@ def test_tree_view_rejects_conflicting_parents():
     state = add_terminal(state, 1, 1, (1, 0))
     state = add_terminal(state, 2, 1, (2, 1, 0))
     bad = add_terminal(state, 3, 1, (3, 1, 0))
-    assert tree_view(bad)  # still a tree
+    assert bad.view  # still a tree
     worse = add_terminal(state, 3, 1, (3, 2, 0))  # 2's parent is now 0 and 1
     with pytest.raises(EngineInvariantError, match="parent"):
-        tree_view(worse)
+        worse.view
 
 
 def test_tree_path_matches_terminal_paths():
     rng = random.Random(42)
     inst = random_metric(rng, 8)
     state = random_tree_state(rng, inst)
-    view = tree_view(state)
+    view = state.view
     for t, p in state.paths.items():
-        assert tree_path(state, t, view) == p
-    with pytest.raises(EngineInvariantError, match="not on the routing tree"):
-        off = next(v for v in range(inst.n) if v not in view.children)
-        tree_path(state, off, view)
+        assert view.path_to_root(t) == p
+    off = next(v for v in range(inst.n) if v not in view.children)
+    assert off not in view
 
 
 def test_tree_view_parents_match_oracle():
@@ -246,7 +244,7 @@ def test_tree_view_parents_match_oracle():
     for _ in range(10):
         inst = random_metric(rng, rng.randint(3, 9))
         state = random_tree_state(rng, inst)
-        assert tree_view(state).parent == tree_parent_map(state.paths)
+        assert state.view.parent == tree_parent_map(state.paths)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +267,10 @@ def test_is_improving_matches_witness_oracle(seed):
     rng = random.Random(9000 + seed)
     inst = random_metric(rng, rng.randint(3, 9))
     state = random_tree_state(rng, inst)
-    view = tree_view(state)
+    view = state.view
     matrix = _matrix(inst)
     for u, v in _legal_pairs(state, view):
-        got = is_improving_tree_move(state, u, v, view)
+        got = is_improving_tree_move(state, u, v)
         want = brute_improving_tree_move(matrix, state.counts, state.paths, u, v)
         assert got == want, (u, v, state.paths)
 
@@ -281,16 +279,16 @@ def test_is_improving_rejects_illegal_pairs():
     inst = line_instance(0, 5, 9)
     state = _revealed_state(inst)
     state = add_terminal(state, 2, 1, (2, 1, 0))
-    view = tree_view(state)
+    view = state.view
     with pytest.raises(EngineInvariantError):
-        is_improving_tree_move(state, ROOT, 1, view)
+        is_improving_tree_move(state, ROOT, 1)
     with pytest.raises(EngineInvariantError):
-        is_improving_tree_move(state, 1, 2, view)  # target inside subtree
+        is_improving_tree_move(state, 1, 2)  # target inside subtree
     with pytest.raises(EngineInvariantError):
-        is_improving_tree_move(state, 1, 1, view)
-    assert is_legal_improving(state, ROOT, 1, view) is False
-    assert is_legal_improving(state, 1, 2, view) is False
-    assert is_legal_improving(state, 1, 1, view) is False
+        is_improving_tree_move(state, 1, 1)
+    assert is_legal_improving(state, ROOT, 1) is False
+    assert is_legal_improving(state, 1, 2) is False
+    assert is_legal_improving(state, 1, 1) is False
 
 
 def test_improving_move_strictly_decreases_potential():
@@ -299,9 +297,9 @@ def test_improving_move_strictly_decreases_potential():
     while hits < 12:
         inst = random_metric(rng, rng.randint(3, 8))
         state = random_tree_state(rng, inst)
-        view = tree_view(state)
+        view = state.view
         for u, v in _legal_pairs(state, view):
-            if is_improving_tree_move(state, u, v, view):
+            if is_improving_tree_move(state, u, v):
                 moved = tree_follow_move(state, u, v)
                 assert potential(moved) < potential(state)
                 hits += 1
@@ -312,13 +310,13 @@ def test_find_improving_tree_move_is_first_in_id_order():
     for _ in range(15):
         inst = random_metric(rng, rng.randint(3, 9))
         state = random_tree_state(rng, inst)
-        view = tree_view(state)
+        view = state.view
         want = None
         for u, v in sorted(_legal_pairs(state, view)):
-            if is_improving_tree_move(state, u, v, view):
+            if is_improving_tree_move(state, u, v):
                 want = (u, v)
                 break
-        assert find_improving_tree_move(state, view) == want
+        assert find_improving_tree_move(state) == want
 
 
 def test_tree_follow_move_matches_reroute_oracle():
@@ -327,7 +325,7 @@ def test_tree_follow_move_matches_reroute_oracle():
     while done < 15:
         inst = random_metric(rng, rng.randint(3, 9))
         state = random_tree_state(rng, inst)
-        view = tree_view(state)
+        view = state.view
         pairs = list(_legal_pairs(state, view))
         if not pairs:
             continue
@@ -364,10 +362,10 @@ def test_block_moves_decompose_into_improving_steps(seed):
     rng = random.Random(11000 + seed)
     inst = random_metric(rng, rng.randint(3, 9))
     state = random_tree_state(rng, inst)
-    view = tree_view(state)
+    view = state.view
     matrix = _matrix(inst)
     for u, v in _legal_pairs(state, view):
-        if not is_improving_tree_move(state, u, v, view):
+        if not is_improving_tree_move(state, u, v):
             continue
         after = reroute_subtree(state.paths, u, v)
         movers = sorted(t for t in state.counts if after[t] != state.paths[t])
@@ -396,10 +394,10 @@ def test_non_improving_pairs_stay_non_improving_after_moves():
     while checked < 60:
         inst = random_metric(rng, rng.randint(4, 9))
         state = random_tree_state(rng, inst)
-        view = tree_view(state)
+        view = state.view
         pairs = list(_legal_pairs(state, view))
-        dead = [(u, v) for u, v in pairs if not is_improving_tree_move(state, u, v, view)]
-        live = [(u, v) for u, v in pairs if is_improving_tree_move(state, u, v, view)]
+        dead = [(u, v) for u, v in pairs if not is_improving_tree_move(state, u, v)]
+        live = [(u, v) for u, v in pairs if is_improving_tree_move(state, u, v)]
         if not dead or not live:
             continue
         for u, x in live:
@@ -547,7 +545,7 @@ def test_kernel_matches_oracle_on_large_coprime_counts():
     kinds, dens = set(), []
     for state in _primed_chain_states(rng):
         matrix = _matrix(state.instance)
-        view = tree_view(state)
+        view = state.view
         dens.append(view.den)
         for v in range(1, state.instance.n):
             got = best_response(state, v)
@@ -570,7 +568,7 @@ def test_tree_prefix_sums_over_den_match_oracle(seed):
     rng = random.Random(14000 + seed)
     inst = random_metric(rng, rng.randint(3, 9))
     state = random_tree_state(rng, inst, max_count=40)
-    view = tree_view(state)
+    view = state.view
     matrix = _matrix(inst)
     usage = usage_from_paths(state.paths, state.counts)
     parent = tree_parent_map(state.paths)
@@ -588,10 +586,10 @@ def test_has_improving_move_same_with_and_without_view():
     for _ in range(20):
         inst = random_metric(rng, rng.randint(3, 9))
         state = random_tree_state(rng, inst)
-        view = tree_view(state)
+        view = state.view
         for v in sorted(set(state.counts) | set(view.order) - {ROOT}):
             # a fresh copy carries no cached view, so this call builds its own
-            assert has_improving_move(replace(state), v) == has_improving_move(state, v, view)
+            assert has_improving_move(replace(state), v) == has_improving_move(state, v)
         assert verify_equilibrium(replace(state)) == verify_equilibrium(state)
 
 
@@ -601,3 +599,13 @@ def test_state_view_is_built_once_and_not_inherited():
     assert state.view is state.view
     assert replace(state).view is not state.view
     assert replace(state).view.parent == state.view.parent
+
+
+def test_revealing_keeps_the_view_and_rerouting_rebuilds_it():
+    inst = line_instance(0, 5, 9, 14)
+    state = add_terminal(with_revealed(initial_state(inst), [1, 2]), 1, 1, (1, 0))
+    view = state.view
+    more = with_revealed(state, [3])  # the tree does not depend on `revealed`
+    assert more.view is view
+    grown = add_terminal(more, 3, 1, (3, 0))
+    assert grown.view is not view and 3 in grown.view
