@@ -50,6 +50,7 @@ from .routing import (
     add_terminal,
     best_response,
     closest_improving_target,
+    graft_path,
     initial_state,
     is_legal_improving,
     potential,
@@ -236,8 +237,7 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
     at = {v: i for i, v in enumerate(verts)}
 
     def closest(u, allowed=None):
-        return closest_improving_target(
-            state, u, allowed=allowed, screen_row=screen[at[u]], verts=verts)
+        return closest_improving_target(state, u, verts, screen[at[u]], allowed)
 
     if cls.rank == BALANCED:
         for u in verts:
@@ -443,12 +443,14 @@ def _reveal_for_event(state, family, event):
     return state
 
 
-def _arrival_path(state, item, *, adopt_tree_paths):
+def _arrival_path(state, item, *, adopt_tree_paths, into_equilibrium=False):
     v = item.vertex
     if adopt_tree_paths and state.is_active(v):
         path = state.paths[v]
     elif adopt_tree_paths and v in state.view:
         path = state.view.path_to_root(v)
+    elif into_equilibrium:
+        path = graft_path(state, v)
     else:
         path = best_response(state, v).path
         if adopt_tree_paths:
@@ -466,16 +468,23 @@ def _arrival_path(state, item, *, adopt_tree_paths):
 
 
 def _apply_arrival(state, event, *, batch_order, adopt_tree_paths):
+    """Route the event's items; under adopt_tree_paths, `state` is an equilibrium.
+
+    Items routed against that equilibrium itself (all of them under the
+    snapshot order, the first under the sequential one) graft onto the tree.
+    """
     if batch_order == "snapshot":
-        plans = [(it, _arrival_path(state, it, adopt_tree_paths=adopt_tree_paths))
+        plans = [(it, _arrival_path(state, it, adopt_tree_paths=adopt_tree_paths,
+                                    into_equilibrium=adopt_tree_paths))
                  for it in event.items]
         for it, path in plans:
             state = add_terminal(state, it.vertex, it.count, path)
         return state
     if batch_order != "sequential":
         raise ConfigError(f"unknown batch order {batch_order!r}")
-    for it in event.items:
-        path = _arrival_path(state, it, adopt_tree_paths=adopt_tree_paths)
+    for i, it in enumerate(event.items):
+        path = _arrival_path(state, it, adopt_tree_paths=adopt_tree_paths,
+                             into_equilibrium=adopt_tree_paths and i == 0)
         state = add_terminal(state, it.vertex, it.count, path)
     return state
 
@@ -489,7 +498,11 @@ def _check_departure(state, event):
 def run_epoch_eqp(state, family, event, *, epoch_index=0,
                   batch_order="sequential", on_move=None,
                   ceiling_factor=MOVE_CEILING_FACTOR):
-    """One event, then prioritized moves until balanced equilibrium again."""
+    """One event, then prioritized moves until balanced equilibrium again.
+
+    `state` must be a balanced equilibrium (as every epoch leaves it): an
+    arrival into it grafts onto the tree by one edge without a search.
+    """
     state = _reveal_for_event(state, family, event)
     if isinstance(event, ArrivalEvent):
         kind = "arrive"

@@ -188,18 +188,21 @@ def explicit_metric(n, pair_costs) -> MetricInstance:
     Fully validated: symmetry comes from the keying, positivity and the
     triangle inequality are checked.
     """
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    seen = set()
+    pairs = {}
     for (u, v), c in pair_costs.items():
         a, b = (u, v) if u < v else (v, u)
         if not (0 <= a < b < n):
             raise ConfigError(f"bad vertex pair ({u},{v}) for n={n}")
-        if (a, b) in seen:
+        if (a, b) in pairs:
             raise ConfigError(f"duplicate cost for pair ({a},{b})")
-        seen.add((a, b))
-        rows[a][b] = rows[b][a] = Fraction(c)
-    if len(seen) != n * (n - 1) // 2:
+        pairs[a, b] = Fraction(c)
+    # checked before the n x n matrix exists, so a large n with few pairs
+    # is refused at the size of its input
+    if len(pairs) != n * (n - 1) // 2:
         raise ConfigError("explicit metric must specify every vertex pair")
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (a, b), c in pairs.items():
+        rows[a][b] = rows[b][a] = c
     meta = {
         "costs": [[a, b, format_rational(rows[a][b])] for a in range(n) for b in range(a + 1, n)]
     }
@@ -226,30 +229,6 @@ def mst_cost(instance, vertex_subset) -> Fraction:
             if row[u] < best[u]:
                 best[u] = row[u]
     return total
-
-
-def min_max_positive_distance(instance, subset=None):
-    """(min, max) over positive pairwise distances of a vertex subset.
-
-    Float argext plus exact confirmation of everything inside the margin.
-    Returns (None, None) for fewer than two vertices.
-    """
-    nodes = sorted(set(subset)) if subset is not None else list(range(instance.n))
-    if len(nodes) < 2:
-        return None, None
-    sub = instance._costf[np.ix_(nodes, nodes)]
-    iu = np.triu_indices(len(nodes), k=1)
-    vals = sub[iu]
-    margin = instance.float_margin
-    lo_f, hi_f = vals.min(), vals.max()
-    lo_candidates = np.nonzero(vals <= lo_f + margin)[0]
-    hi_candidates = np.nonzero(vals >= hi_f - margin)[0]
-    cost = instance._cost
-    pairs = [(nodes[iu[0][k]], nodes[iu[1][k]]) for k in lo_candidates]
-    lo = min(cost[a][b] for a, b in pairs)
-    pairs = [(nodes[iu[0][k]], nodes[iu[1][k]]) for k in hi_candidates]
-    hi = max(cost[a][b] for a, b in pairs)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 All game-relevant quantities are `fractions.Fraction`; these utilities cover
 the places where plain Fraction arithmetic is not quite enough: exact binary
 logarithms (for charge levels and dual windows), exact grid-rounded square
-roots (for Euclidean distances), cached harmonic numbers (for the potential),
-and the "p/q" string round-trip used by every serialized artifact.
+roots (for Euclidean distances), harmonic numbers as integer pairs (for the
+potential), and the "p/q" string round-trip used by every serialized artifact.
 """
 
 from __future__ import annotations
@@ -78,17 +78,24 @@ def pow2(j: int) -> Fraction:
     return Fraction(1, 1 << (-j))
 
 
-_HARMONIC: list[Fraction] = [Fraction(0)]
+_LCM = [1]  # L_k = lcm(1..k)
+_HNUM = [0]  # P_k = H_k * L_k, an integer
 
 
-def harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n, memoized."""
+def harmonic(n: int) -> tuple[int, int]:
+    """(P_n, L_n) with H_n = 1 + 1/2 + ... + 1/n = P_n / L_n, memoized.
+
+    L_n = lcm(1..n), so every H_k with k <= n is an integer over L_n:
+    H_k = P_k * (L_n // L_k) / L_n.  The pair is not reduced.
+    """
     if n < 0:
         raise ValueError("harmonic number of a negative index")
-    while len(_HARMONIC) <= n:
-        k = len(_HARMONIC)
-        _HARMONIC.append(_HARMONIC[-1] + Fraction(1, k))
-    return _HARMONIC[n]
+    while len(_LCM) <= n:
+        k = len(_LCM)
+        lcm = math.lcm(_LCM[-1], k)
+        _HNUM.append(_HNUM[-1] * (lcm // _LCM[-1]) + lcm // k)
+        _LCM.append(lcm)
+    return _HNUM[n], _LCM[n]
 
 
 def sqrt_ceil_grid(value: Fraction, denominator: int) -> Fraction:

@@ -14,15 +14,20 @@ share prefix sums) reads one object: the state's tree view, `state.view`,
 built on first use and cached on the state.  No function takes a view as an
 argument, so a view can never be paired with the wrong state.
 
-Everything that decides anything is exact.  The two hot kernels, the
-best-response search (`_Search`) and the tree view (`_Tree`), keep their exact
-values as plain ints over one common denominator: the instance's cost
-denominator D times the lcm of the user-count divisors they meet.  A Fraction
-is built only where a value leaves them, so the public API returns Fractions
-throughout.  float64 mirrors (`instance.costf`, the A/B prefix arrays) only
-discard candidates that lose by more than the instance's float margin;
-whatever survives the screen is settled exactly.  Comments below mark each
-such screen with its soundness argument.
+An arrival into an equilibrium needs no search: its best response grafts
+onto the tree by one edge, and `graft_path` finds that edge with one scan of
+the tree view.  The dense best-response search (`_Search`) serves every other
+routing question, and is the graft's test oracle.
+
+Everything that decides anything is exact.  The hot kernels, `_Search`, the
+tree view (`_Tree`) and `potential`, keep their exact values as plain ints
+over one common denominator: the instance's cost denominator D times the lcm
+of the user-count divisors they meet.  A Fraction is built only where a value
+leaves them, so the public API returns Fractions throughout.  float64
+mirrors (`instance.costf`, the A/B prefix arrays) only discard candidates
+that lose by more than the instance's float margin; whatever survives the
+screen is settled exactly.  Comments below mark each such screen with its
+soundness argument.
 """
 
 from __future__ import annotations
@@ -198,12 +203,25 @@ def potential(state) -> Fraction:
 
     Strictly decreases under every improving move — single agents or whole
     subtree blocks, which decompose into single-agent improving moves.
+
+    Summed as one int over D * lcm(1..N_top), with D the instance's cost
+    denominator and N_top the largest edge count, and divided once at the
+    end.  `harmonic` gives H(N) = P_N / L_N with L_N = lcm(1..N); edges are
+    grouped by count and added in increasing count, the running sum scaled
+    by L_N' // L_N on the way from count N to N'.
     """
-    total = Fraction(0)
-    cost = state.instance.cost
+    inst = state.instance
+    d = inst.denominator
+    by_count: dict = {}
     for (a, b), n in state.usage.items():
-        total += cost(a, b) * harmonic(n)
-    return total
+        c = inst.cost(a, b)
+        by_count[n] = by_count.get(n, 0) + c.numerator * (d // c.denominator)
+    total, lcm = 0, 1
+    for n in sorted(by_count):
+        p, lcm_n = harmonic(n)
+        total = total * (lcm_n // lcm) + by_count[n] * p
+        lcm = lcm_n
+    return Fraction(total, d * lcm)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +500,50 @@ def best_response(state, vertex) -> BestResponse:
     return BestResponse(search.path_from(vertex), cost, fresh)
 
 
+def graft_path(state, vertex) -> Path:
+    """Best response of a newcomer at an off-tree `vertex` of an equilibrium.
+
+    Requires that no terminal of `state` can improve.  Then the best
+    response is the graft (vertex,) + path_to_root(w) for the tree vertex w
+    minimising the key (c(vertex, w) + B(w), w), found by an O(|tree|) scan
+    of the state's tree view instead of a `_Search`:
+
+    - For a tree vertex w and any other path Q from w to the root, B(w) is
+      strictly below the newcomer's share on Q.  Take a terminal t routed
+      through w, T its segment above w.  t cannot improve by swapping T for
+      Q (a non-simple swap shortcuts to a simple one that costs no more, and
+      one through unrevealed vertices shortcuts past them by the triangle
+      inequality), so sum_{T-Q} c/N <= sum_{Q-T} c/(N+1).  As every c > 0,
+      the newcomer's Q costs more than its T.
+    - A prefix from `vertex` that reaches the tree at w through off-tree
+      vertices costs at least c(vertex, w) by the triangle inequality and
+      has at least two fresh edges, where the graft has one.
+
+    So the graft argmin is the unique optimum by (cost, fresh, id sequence).
+    """
+    view = state.view
+    if vertex == ROOT or vertex in view:
+        raise EngineInvariantError(f"graft of tree vertex {vertex}")
+    if vertex not in set(state.revealed):
+        raise EngineInvariantError(f"graft of unrevealed vertex {vertex}")
+    inst = state.instance
+    order = view.order
+    # float screen: each key's float mirror (at most a tree depth of correctly
+    # rounded additions) is within half the margin of the exact key, so the
+    # exact argmin scores within the margin of the float minimum
+    keyf = inst.costf[vertex, order] + np.array([view.Bf[w] for w in order])
+    near = np.nonzero(keyf <= keyf.min() + inst.float_margin)[0]
+    den = view.den
+
+    def key(i):
+        w = order[i]
+        c = inst.cost(vertex, w)
+        return c.numerator * (den // c.denominator) + view.B[w], w
+
+    _, w = min(key(int(i)) for i in near)
+    return (vertex,) + view.path_to_root(w)
+
+
 def has_improving_move(state, vertex) -> Optional[Witness]:
     """Witness that `vertex` (terminal or interior) can improve, else None.
 
@@ -631,18 +693,16 @@ def find_improving_tree_move(state):
     return None
 
 
-def closest_improving_target(state, u, allowed=None, screen_row=None, verts=None):
+def closest_improving_target(state, u, verts, screen_row, allowed=None):
     """Closest v (exact c(u,v), ties by id) with an improving move u -> v.
 
-    `allowed` optionally restricts the target set; returns None if nothing
-    improves.  Candidates are walked in float-distance order; once a hit is
-    found only candidates within the margin of its distance can still win,
-    and those are settled exactly.
+    `verts` and `screen_row` are `_candidate_screen(state)`'s vertex list and
+    u's row of its screen.  `allowed` optionally restricts the target set;
+    returns None if nothing improves.  Candidates are walked in float-distance
+    order; once a hit is found only candidates within the margin of its
+    distance can still win, and those are settled exactly.
     """
     view = state.view
-    if screen_row is None:
-        verts, screen = _candidate_screen(state)
-        screen_row = screen[verts.index(u)]
     margin = state.instance.float_margin
     costf = state.instance.costf
     cands = []

@@ -45,7 +45,7 @@ from costshare.instances import (
     build_steiner_gap_fixture,
 )
 from costshare.rationals import ceil_log2
-from costshare.routing import is_legal_improving
+from costshare.routing import graft_path, is_legal_improving
 from conftest import family_for, random_metric, random_tree_state
 from oracles import (
     brute_improving_tree_move,
@@ -220,16 +220,17 @@ def test_criterion_6_structural_property_suite(eqp_runs):
     for n, seed, res in runs:
         _assert_downward_closed(res.state)
 
-    # (b) arrivals into an equilibrium attach by at most one fresh edge
+    # (b) an arrival into an equilibrium takes the `_Search` best response
+    # (the runner raises on any other path), which adds one fresh edge at most
     attach_checked = 0
     for n, seed, res in runs[:8]:
         state = res.state
         candidates = [v for v in state.revealed if v != 0][:3]
         for v in candidates:
-            after, _rec = run_epoch_eqp(state, family_for(state),
-                                        ArrivalEvent((ArrivalItem(v, 1),)))
-            fresh = [e for e in path_edges(after.paths[v])
-                     if e not in state.usage]
+            want = best_response(state, v).path
+            run_epoch_eqp(state, family_for(state),
+                          ArrivalEvent((ArrivalItem(v, 1, expect_path=want),)))
+            fresh = [e for e in path_edges(want) if e not in state.usage]
             assert len(fresh) <= 1, (n, seed, v)
             attach_checked += 1
 
@@ -284,9 +285,26 @@ def test_criterion_6_structural_property_suite(eqp_runs):
             bound_checked += 1
 
     print(f"[criterion 6] PASS — downward closure on 20 equilibria; "
-          f"{attach_checked} single-edge attachments; {quad_checked} stable "
+          f"{attach_checked} arrivals on the best response; {quad_checked} stable "
           f"quadruples; partition invariants at every insertion; "
           f"{bound_checked} dual bounds <= MST")
+
+
+def test_graft_matches_search_on_every_equilibrium(eqp_runs):
+    # Every off-tree revealed vertex of every final equilibrium: the O(|tree|)
+    # graft scan and the dense `_Search` pick the same path.
+    runs, _ = eqp_runs
+    checked = 0
+    for n, seed, res in runs:
+        state = res.state
+        for v in state.revealed:
+            if v == 0 or v in state.view:
+                continue
+            assert graft_path(state, v) == best_response(state, v).path, (n, seed, v)
+            checked += 1
+    assert checked > 0
+    print(f"[graft] PASS — graft equals the search's best response on {checked} "
+          f"arrivals over {len(runs)} equilibria")
 
 
 def _full_state(inst):

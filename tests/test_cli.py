@@ -196,6 +196,7 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, argv):
     {"kind": "euclidean", "points": [["0", "0"], ["1"]]},          # 1-field point
     {"kind": "euclidean", "points": "0,0"},                        # not a list
     {"kind": "metric", "n": 2},                                    # no costs
+    {"kind": "metric", "n": 2000, "costs": []},                    # pairs missing
     {"kind": "metric", "costs": [[0, 1, "1"]]},                    # no n
     {"kind": "metric", "n": 2, "costs": [[0, 1]]},                 # 2-field row
     {"kind": "metric", "n": 2, "costs": [[0, 1, "1", "2"]]},       # 4-field row
@@ -235,6 +236,34 @@ def test_malformed_instance_exits_2_as_a_process(tmp_path, instance):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+_PEAK_RSS_GROWTH = """
+import json, resource, sys
+from costshare.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rc = main(sys.argv[1:])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"rc": rc, "growth_kb": after - before}))
+"""
+
+
+def test_incomplete_metric_is_refused_before_the_matrix_is_built(tmp_path):
+    # none of the 5000 * 4999 / 2 pairs: refused at the size of the file,
+    # not after an n x n matrix of references (about 200 MB at this n)
+    ipath = tmp_path / "instance.json"
+    ipath.write_text(json.dumps({"kind": "metric", "n": 5000, "costs": []}))
+    spath = tmp_path / "schedule.json"
+    spath.write_text(json.dumps(schedule_to_jsonable([ArrivalEvent((ArrivalItem(1, 1),))])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_GROWTH, "run", "--instance", str(ipath),
+         "--schedule", str(spath), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    got = json.loads(proc.stdout)
+    assert got["rc"] == 2
+    assert proc.stderr.startswith("error:") and "every vertex pair" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert got["growth_kb"] < 20 * 1024
 
 
 def _reverse_order(snap):

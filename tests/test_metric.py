@@ -1,5 +1,6 @@
 """Exact-arithmetic helpers and metric construction."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from costshare import (
     mst_cost,
     parse_rational,
 )
-from costshare.metric import EUCLIDEAN_GRID, min_max_positive_distance
+from costshare.metric import EUCLIDEAN_GRID
 from costshare.rationals import (
     ceil_log2,
     floor_log2,
@@ -88,14 +89,15 @@ def test_floor_log2_rejects_nonpositive():
 
 
 def test_harmonic_small_values():
-    assert harmonic(0) == 0
-    assert harmonic(1) == 1
-    assert harmonic(3) == Fraction(11, 6)
+    assert Fraction(*harmonic(0)) == 0
+    assert Fraction(*harmonic(1)) == 1
+    assert Fraction(*harmonic(3)) == Fraction(11, 6)
 
 
 @given(st.integers(min_value=1, max_value=400))
 def test_harmonic_increment(n):
-    assert harmonic(n) - harmonic(n - 1) == Fraction(1, n)
+    assert Fraction(*harmonic(n)) - Fraction(*harmonic(n - 1)) == Fraction(1, n)
+    assert harmonic(n)[1] == math.lcm(*range(1, n + 1))
 
 
 @given(st.fractions(min_value=Fraction(0), max_value=Fraction(10**8), max_denominator=10**6))
@@ -230,24 +232,6 @@ def test_mst_degenerate_subsets():
     assert mst_cost(inst, [1, 1, 2]) == 1  # duplicates collapse
     with pytest.raises(ConfigError, match="out of range"):
         mst_cost(inst, [0, 9])
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_min_max_positive_distance_matches_brute(seed):
-    rng = random.Random(3000 + seed)
-    inst = random_metric(rng, rng.randint(2, 9))
-    subset = rng.sample(range(inst.n), rng.randint(2, inst.n))
-    lo, hi = min_max_positive_distance(inst, subset)
-    nodes = sorted(set(subset))
-    dists = [inst.cost(a, b) for a in nodes for b in nodes if a < b]
-    assert lo == min(dists)
-    assert hi == max(dists)
-
-
-def test_min_max_positive_distance_small_subsets():
-    inst = explicit_metric(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
-    assert min_max_positive_distance(inst, [1]) == (None, None)
-    assert min_max_positive_distance(inst) == (Fraction(1), Fraction(2))
 
 
 # ---------------------------------------------------------------------------

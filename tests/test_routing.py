@@ -23,6 +23,7 @@ from costshare import (
     is_improving_tree_move,
     potential,
     prune_departures,
+    run_epoch_eqp,
     shared_cost,
     solution_cost,
     tree_follow_move,
@@ -30,8 +31,8 @@ from costshare import (
     with_revealed,
 )
 from costshare.instances import build_steiner_gap_fixture
-from costshare.routing import has_improving_move, is_legal_improving
-from conftest import line_instance, random_metric, random_tree_state
+from costshare.routing import graft_path, has_improving_move, is_legal_improving
+from conftest import family_for, line_instance, random_metric, random_tree_state
 from oracles import (
     audit_state,
     brute_improving_tree_move,
@@ -439,6 +440,40 @@ def test_settled_states_verify_as_equilibria():
                     assert p[p.index(w):] == q[q.index(w):]
 
 
+def test_graft_matches_exhaustive_search_on_settled_states():
+    rng = random.Random(13200)
+    checked = 0
+    for _ in range(40):
+        inst = random_metric(rng, rng.randint(3, 7))
+        state = _settle(random_tree_state(rng, inst))
+        matrix = _matrix(inst)
+        for v in range(1, inst.n):
+            if v in state.view:
+                with pytest.raises(EngineInvariantError, match="graft of tree vertex"):
+                    graft_path(state, v)
+                continue
+            _, _, want = enumerate_best_response(matrix, state.counts, state.paths, v)
+            assert graft_path(state, v) == want == best_response(state, v).path
+            checked += 1
+    assert checked > 40
+
+
+def test_graft_settles_exact_ties_floats_cannot():
+    # Vertex 3 grafts at the root for 2/5, or at 1 for 3/10 + (3/5)/6 = 2/5.
+    # In floats 0.3 + 0.1 < 0.4, so only the exact settlement sees the tie,
+    # which the smaller id, the root, wins.
+    inst = explicit_metric(4, {
+        (0, 1): Fraction(3, 5), (0, 2): Fraction(9, 10), (0, 3): Fraction(2, 5),
+        (1, 2): Fraction(2, 5), (1, 3): Fraction(3, 10), (2, 3): Fraction(1, 2),
+    })
+    state = add_terminal(add_terminal(_revealed_state(inst), 1, 4, (1, 0)), 2, 1, (2, 1, 0))
+    assert verify_equilibrium(state).ok
+    view = state.view
+    assert inst.cost(3, 1) + Fraction(view.B[1], view.den) == inst.cost(3, 0)
+    assert inst.costf[3, 1] + view.Bf[1] < inst.costf[3, 0] + view.Bf[0]
+    assert graft_path(state, 3) == (3, 0) == best_response(state, 3).path
+
+
 def test_unsettled_states_produce_witnesses():
     rng = random.Random(13500)
     found = 0
@@ -538,6 +573,30 @@ def _oracle_witness(matrix, state, vertex):
             cur = shared_cost_of(matrix, usage, tpath)
             return ("steiner", vertex, t, tpath[:cut] + path, cur, cur - above + share)
     return None
+
+
+def test_potential_matches_oracle_at_large_edge_counts():
+    # The steiner-gap n=50 chain: edge (k-1, k) carries every agent at k or
+    # beyond, so the counts run into the thousands.
+    fx = build_steiner_gap_fixture(50)
+    matrix = _matrix(fx.instance)
+    # terminal k routes k, k-1, ..., 0, so edge (k-1, k) carries primes[k-1]:
+    # 40 distinct prime counts
+    primes = [p for p in range(2003, 2600) if all(p % d for d in range(2, 51))][39::-1]
+    state = _revealed_state(fx.instance)
+    for k, (p, rest) in enumerate(zip(primes, primes[1:] + [0]), start=1):
+        state = add_terminal(state, k, p - rest, tuple(range(k, -1, -1)))
+    assert sorted(state.usage.values()) == sorted(primes)
+    assert potential(state) == recompute_potential(matrix, state.usage)
+    # states of the fixture's own run: half the chain, all of it, the u wave
+    # and the departures
+    family = family_for(initial_state(fx.instance))
+    state = initial_state(fx.instance)
+    for i, ev in enumerate(fx.events):
+        state, rec = run_epoch_eqp(state, family, ev, epoch_index=i)
+        if i in (48, 98, 99, 100):
+            assert rec.phi_end == potential(state) == recompute_potential(matrix, state.usage)
+    assert max(state.usage.values()) == 50
 
 
 def test_kernel_matches_oracle_on_large_coprime_counts():
