@@ -37,7 +37,7 @@ from .routing import RoutingState, find_improving_tree_move, solution_cost
 
 def charge_level(cost) -> int:
     """The level an edge of this cost charges: j with 2^{j+2} <= cost < 2^{j+3}."""
-    if cost <= 0:
+    if cost.numerator <= 0:  # the sign, without a Fraction comparison
         raise EngineInvariantError(f"charge_level of non-positive cost {cost}")
     return floor_log2(cost) - 2
 

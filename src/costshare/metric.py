@@ -6,10 +6,17 @@ from three constructors (the closure of a positively-weighted graph, grid-
 rounded Euclidean point sets, or an explicit matrix) and never change;
 revealing vertices to the dynamics is the routing state's business.
 
-A float64 mirror of the matrix is kept alongside the exact one.  It is used
-strictly as a conservative pre-filter (see `float_margin`): any comparison the
-mirror cannot settle by more than the margin is re-done with Fractions, and
-nothing is ever decided by floats alone.
+Each instance carries its distances in three representations:
+
+- the exact Fraction matrix, read through `cost(u, v)`: the API and every
+  artifact see only these;
+- the integer matrix `costi`, with costi[u, v] = c(u, v) * D over the common
+  denominator D (`denominator`), built on first use.  The exact kernels in
+  `routing` read it instead of taking Fractions apart, so how integer costs
+  are stored is decided here alone;
+- the float64 mirror `costf`, used strictly as a conservative pre-filter (see
+  `float_margin`): any comparison the mirror cannot settle by more than the
+  margin is re-done exactly, and nothing is ever decided by floats alone.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ EUCLIDEAN_GRID = 10**6
 class MetricInstance:
     """Immutable complete metric over vertices 0..n-1 (0 is the root)."""
 
-    __slots__ = ("n", "kind", "meta", "_cost", "_costf", "float_margin", "_denominator")
+    __slots__ = ("n", "kind", "meta", "_cost", "_costf", "float_margin", "_denominator",
+                 "_costi")
 
     def __init__(self, cost_rows, kind, meta, *, _validated=False):
         self.n = len(cost_rows)
@@ -44,6 +52,7 @@ class MetricInstance:
         self.meta = meta
         self._cost = cost_rows
         self._denominator = None
+        self._costi = None
         self._costf = np.array([[float(c) for c in row] for row in cost_rows], dtype=np.float64)
         scale = float(self._costf.max()) if self.n > 1 else 1.0
         self.float_margin = MARGIN_REL * max(1.0, scale)
@@ -55,15 +64,25 @@ class MetricInstance:
 
     @property
     def denominator(self) -> int:
-        """D, the lcm of every cost's denominator, computed on first use.
-
-        c(u,v) over any multiple L of D is the integer
-        ``c.numerator * (L // c.denominator)``; the exact kernels in
-        `routing` work on such integers instead of Fractions.
-        """
+        """D, the lcm of every cost's denominator, computed on first use."""
         if self._denominator is None:
             self._denominator = math.lcm(*{c.denominator for row in self._cost for c in row})
         return self._denominator
+
+    @property
+    def costi(self) -> np.ndarray:
+        """The integer matrix c(u, v) * D, built on first use.
+
+        int64 when every entry fits, object dtype (Python ints) otherwise;
+        read entries through ``int(...)`` so both behave alike.  c(u, v) over
+        any multiple L of D is ``int(costi[u, v]) * (L // D)``.
+        """
+        if self._costi is None:
+            d = self.denominator
+            rows = [[c.numerator * (d // c.denominator) for c in row] for row in self._cost]
+            top = max((max(row) for row in rows), default=0)
+            self._costi = np.array(rows, dtype=np.int64 if top < 2**63 else object)
+        return self._costi
 
     @property
     def costf(self) -> np.ndarray:

@@ -47,9 +47,9 @@ def format_rational(value: Fraction) -> str:
 
 def floor_log2(value: Fraction) -> int:
     """Largest j with 2**j <= value, computed exactly. Requires value > 0."""
-    if value <= 0:
-        raise ValueError(f"floor_log2 requires a positive value, got {value}")
     p, q = value.numerator, value.denominator
+    if p <= 0:  # the sign, without a Fraction comparison
+        raise ValueError(f"floor_log2 requires a positive value, got {value}")
     j = p.bit_length() - q.bit_length()
     # bit_length gives j within 1; fix up exactly.
     while _pow2_le(j + 1, p, q):

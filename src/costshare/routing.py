@@ -16,18 +16,21 @@ argument, so a view can never be paired with the wrong state.
 
 An arrival into an equilibrium needs no search: its best response grafts
 onto the tree by one edge, and `graft_path` finds that edge with one scan of
-the tree view.  The dense best-response search (`_Search`) serves every other
-routing question, and is the graft's test oracle.
+the tree view.  The best-response search (`_Search`) serves every other
+routing question, and is the graft's test oracle.  Each search answers one
+vertex: a Dijkstra from the root over the revealed vertices, in id order,
+that stops once that vertex is settled.
 
 Everything that decides anything is exact.  The hot kernels, `_Search`, the
 tree view (`_Tree`) and `potential`, keep their exact values as plain ints
 over one common denominator: the instance's cost denominator D times the lcm
-of the user-count divisors they meet.  A Fraction is built only where a value
-leaves them, so the public API returns Fractions throughout.  float64
-mirrors (`instance.costf`, the A/B prefix arrays) only discard candidates
-that lose by more than the instance's float margin; whatever survives the
-screen is settled exactly.  Comments below mark each such screen with its
-soundness argument.
+of the user-count divisors they meet.  They read costs from the instance's
+integer matrix `costi` (c * D), never from Fractions.  A Fraction is built
+only where a value leaves them, so the public API returns Fractions
+throughout.  float64 mirrors (`instance.costf`, the A/B prefix arrays) only
+discard candidates that lose by more than the instance's float margin;
+whatever survives the screen is settled exactly.  Comments below mark each
+such screen with its soundness argument.
 """
 
 from __future__ import annotations
@@ -194,8 +197,9 @@ def shared_cost(state, terminal) -> Fraction:
 
 def solution_cost(state) -> Fraction:
     """Total cost of all edges in use (each edge once, however many users)."""
-    cost = state.instance.cost
-    return sum((cost(a, b) for a, b in state.usage), Fraction(0))
+    inst = state.instance
+    costi = inst.costi
+    return Fraction(sum(int(costi[a, b]) for a, b in state.usage), inst.denominator)
 
 
 def potential(state) -> Fraction:
@@ -211,17 +215,16 @@ def potential(state) -> Fraction:
     by L_N' // L_N on the way from count N to N'.
     """
     inst = state.instance
-    d = inst.denominator
+    costi = inst.costi
     by_count: dict = {}
     for (a, b), n in state.usage.items():
-        c = inst.cost(a, b)
-        by_count[n] = by_count.get(n, 0) + c.numerator * (d // c.denominator)
+        by_count[n] = by_count.get(n, 0) + int(costi[a, b])
     total, lcm = 0, 1
     for n in sorted(by_count):
         p, lcm_n = harmonic(n)
         total = total * (lcm_n // lcm) + by_count[n] * p
         lcm = lcm_n
-    return Fraction(total, d * lcm)
+    return Fraction(total, inst.denominator * lcm)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +264,12 @@ class _Tree:
         for v in children:
             children[v].sort()
 
-        cost = state.instance.cost
+        inst = state.instance
+        costi, costf = inst.costi, inst.costf
         users = {ch: state.usage.get(edge_key(ch, par)) for ch, par in parent.items()}
-        den = state.instance.denominator * math.lcm(
+        den = inst.denominator * math.lcm(
             *{k for n in users.values() if n for k in (n, n + 1)})
+        scale = den // inst.denominator
         depth, tin, tout = {ROOT: 0}, {}, {}
         A = {ROOT: 0}
         B = {ROOT: 0}
@@ -285,11 +290,12 @@ class _Tree:
                 n = users[ch]
                 if not n:
                     raise EngineInvariantError(f"tree edge ({ch},{x}) has no recorded usage")
-                c = cost(ch, x)
-                A[ch] = A[x] + c.numerator * (den // (c.denominator * n))
-                B[ch] = B[x] + c.numerator * (den // (c.denominator * (n + 1)))
-                Af[ch] = Af[x] + float(c) / n
-                Bf[ch] = Bf[x] + float(c) / (n + 1)
+                c = int(costi[ch, x])
+                A[ch] = A[x] + c * (scale // n)
+                B[ch] = B[x] + c * (scale // (n + 1))
+                cf = float(costf[ch, x])
+                Af[ch] = Af[x] + cf / n
+                Bf[ch] = Bf[x] + cf / (n + 1)
                 depth[ch] = depth[x] + 1
                 stack.append((ch, False))
         if len(tin) != len(children):
@@ -338,148 +344,169 @@ class _Tree:
 
 
 class _Search:
-    """(cost, fresh)-lexicographic shortest paths to the root, exact.
+    """(cost, fresh)-lexicographic shortest path from one `target` to the root.
 
-    Dense Dijkstra over the revealed vertices.  Exact shares are ints over
-    the search's denominator `den` = D * lcm{d_e}, where d_e is the divisor
-    of edge e's hypothetical share: N_e on the mover's own edges, N_e + 1 on
-    every other used edge (unused edges divide by 1).  `dist` holds
-    (int cost, fresh) pairs over `den`; `cost_fresh` turns one into a
-    Fraction.  Selection and relaxation are float-screened: a candidate is
-    dropped without exact work only when it loses by more than the margin,
-    which is sound because the float mirror of any exact distance reached
-    here drifts by orders of magnitude less than the margin (a few hundred
-    additions of correctly rounded floats).
+    Dijkstra from the root over the revealed vertices, stopped as soon as
+    `target` is settled; `nodes` lists them in ascending id order.  Exact
+    shares are ints over the search's denominator `den` = D * lcm{d_e}, where
+    d_e is the divisor of edge e's hypothetical share: N_e on the mover's own
+    edges, N_e + 1 on every other used edge.  A used edge's (share, fresh)
+    pair is tabulated once per search, in both orientations; an unused edge
+    is fresh and weighs c(x, y) over `den`, read from the instance's integer
+    matrix as costi[x, y] * (den // D).
+
+    Settling follows the exact (cost, fresh, id) key: the float screen only
+    drops a candidate that loses by more than the margin, which is sound
+    because the float mirror of any exact distance reached here drifts by
+    orders of magnitude less than the margin (a few hundred additions of
+    correctly rounded floats), and candidates within the margin are ordered
+    exactly.  Every share is positive, so every optimal continuation of the
+    target has a strictly smaller key and is settled before it: stopping at
+    the target loses nothing `cost_fresh` and `path_from` read, and both
+    accept settled vertices only.
     """
 
-    __slots__ = ("state", "nodes", "pos", "dist", "den", "_wf", "_distf", "_margin",
-                 "_own", "_mover_count", "_wcache")
+    __slots__ = ("nodes", "pos", "dist", "den", "_wf", "_ci", "_settled_f", "_margin",
+                 "_target", "_used", "_scale")
 
-    def __init__(self, state, *, mover, own_path, excluded=frozenset()):
+    def __init__(self, state, target, *, mover, own_path, excluded=frozenset()):
         inst = state.instance
-        excluded = set(excluded)
-        nodes = [v for v in state.revealed if v not in excluded]
-        if ROOT not in nodes:
-            raise EngineInvariantError("search excludes the root")
-        self.state = state
+        nodes = sorted(set(state.revealed) - set(excluded))
+        pos = {v: i for i, v in enumerate(nodes)}
+        if ROOT not in pos or target not in pos:
+            raise EngineInvariantError(f"search from {target} excludes it or the root")
         self.nodes = nodes
-        self.pos = {v: i for i, v in enumerate(nodes)}
-        self._own = frozenset(path_edges(own_path)) if own_path else frozenset()
-        self._mover_count = state.counts.get(mover, 0)
+        self.pos = pos
+        self._target = pos[target]
         self._margin = inst.float_margin
-        self._wcache: dict = {}
 
-        wf = inst.costf[np.ix_(nodes, nodes)].copy()
-        divisors = set()
+        own = frozenset(path_edges(own_path)) if own_path else frozenset()
+        mover_count = state.counts.get(mover, 0)
+        used = []  # (i, j, divisor, fresh) of each used edge among `nodes`
         for (a, b), n in state.usage.items():
-            ia, ib = self.pos.get(a), self.pos.get(b)
-            if ia is None or ib is None:
+            i, j = pos.get(a), pos.get(b)
+            if i is None or j is None:
                 continue
-            d = n if (a, b) in self._own else n + 1
-            divisors.add(d)
-            w = wf[ia, ib] / d
-            wf[ia, ib] = w
-            wf[ib, ia] = w
-        self.den = inst.denominator * math.lcm(*divisors)
+            if (a, b) in own:
+                used.append((i, j, n, int(n == mover_count)))
+            else:
+                used.append((i, j, n + 1, 0))
+        ia, ib, d, fresh = zip(*used) if used else ((), (), (), ())
+        ia, ib = np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp)
+        grid = np.ix_(nodes, nodes)
+        wf = inst.costf[grid]
+        wf[ia, ib] = wf[ib, ia] = wf[ia, ib] / np.array(d)
+        ci = inst.costi[grid]
+        self.den = inst.denominator * math.lcm(*set(d))
+        scale = self.den // inst.denominator
+        unit = {k: scale // k for k in set(d)}
+        table: dict = {}
+        for x, y, c, k, f in zip(ia.tolist(), ib.tolist(), ci[ia, ib].tolist(), d, fresh):
+            w = (c * unit[k], f)
+            table.setdefault(x, {})[y] = w
+            table.setdefault(y, {})[x] = w
+        self._scale = scale
+        self._used = table
         self._wf = wf
+        self._ci = ci
         self.dist = {}
         self._run()
 
-    def _edge_weight(self, x, y):
-        """(hypothetical share over `den`, fresh flag) of edge (x, y) for the mover."""
-        e = edge_key(x, y)
-        got = self._wcache.get(e)
-        if got is None:
-            n = self.state.usage.get(e, 0)
-            c = self.state.instance.cost(x, y)
-            if e in self._own:
-                d, others = n, n - self._mover_count
-            else:
-                d, others = n + 1, n
-            got = (c.numerator * (self.den // (c.denominator * d)), 1 if others == 0 else 0)
-            self._wcache[e] = got
-        return got
-
     def _run(self):
-        nodes, pos, wf = self.nodes, self.pos, self._wf
-        k = len(nodes)
+        nodes, wf, ci, used, scale = self.nodes, self._wf, self._ci, self._used, self._scale
         margin = self._margin
-        distf = np.full(k, np.inf)
-        done = np.zeros(k, dtype=bool)
-        ri = pos[ROOT]
-        distf[ri] = 0.0
+        k = len(nodes)
+        # tent: tentative float distance, inf once settled (what pops read);
+        # relax: the same, but -inf once settled (what relaxations compare to)
+        tent = np.full(k, np.inf)
+        relax = np.full(k, np.inf)
+        settled_f = np.full(k, np.inf)
+        ri = self.pos[ROOT]
+        tent[ri] = relax[ri] = 0.0
         exact = {ri: (0, 0)}
+        empty: dict = {}
 
-        for _ in range(k):
-            masked = np.where(done, np.inf, distf)
-            i = int(np.argmin(masked))
-            if masked[i] == np.inf:
+        while True:
+            i = int(np.argmin(tent))
+            best = tent[i]
+            if best == np.inf:
                 break
-            near = np.nonzero(masked <= masked[i] + margin)[0]
+            near = np.nonzero(tent <= best + margin)[0]
             if len(near) > 1:
-                # float ties: settle the pop order exactly (cost, fresh, id)
-                i = int(min(near, key=lambda j: (exact[j][0], exact[j][1], nodes[j])))
-            done[i] = True
-            base_f = distf[i]
-            base_e = exact[i]
+                # float ties: settle the pop order exactly (cost, fresh, id);
+                # node index order is id order
+                i = min(near.tolist(), key=lambda j: (exact[j], j))
+            base_f = tent[i]
+            base_c, base_n = exact[i]
+            settled_f[i] = base_f
+            tent[i] = np.inf
+            relax[i] = -np.inf
+            self.dist[nodes[i]] = (base_c, base_n)
+            if i == self._target:
+                break
             row = wf[i]
-            cand = np.nonzero(~done & (base_f + row < distf + margin))[0]
-            for j in cand:
-                j = int(j)
-                share, fresh = self._edge_weight(nodes[i], nodes[j])
-                nd = (base_e[0] + share, base_e[1] + fresh)
+            crow = ci[i]
+            edges = used.get(i, empty)
+            for j in np.nonzero(base_f + row < relax + margin)[0].tolist():
+                w = edges.get(j)
+                if w is None:
+                    nd = (base_c + int(crow[j]) * scale, base_n + 1)
+                else:
+                    nd = (base_c + w[0], base_n + w[1])
                 old = exact.get(j)
                 if old is None or nd < old:
                     exact[j] = nd
-                    distf[j] = base_f + row[j]
+                    tent[j] = relax[j] = base_f + row[j]
 
-        self._distf = distf
-        self.dist = {nodes[i]: d for i, d in exact.items()}
+        self._settled_f = settled_f
+
+    def _weight(self, i, j):
+        """(share over `den`, fresh flag) of the edge between nodes i and j."""
+        w = self._used.get(i, {}).get(j)
+        if w is None:
+            w = (int(self._ci[i, j]) * self._scale, 1)
+        return w
 
     def cost_fresh(self, v):
-        """(exact Fraction share, fresh edges) of v's best path to the root."""
+        """(exact Fraction share, fresh edges) of settled v's best path to the root."""
         got = self.dist.get(v)
         if got is None:
-            raise EngineInvariantError(f"no path from {v} to the root was found")
+            raise EngineInvariantError(f"no path from {v} to the root was settled")
         return Fraction(got[0], self.den), got[1]
 
     def path_from(self, source) -> Path:
         """Greedy smallest-id walk along exact-optimal continuations.
 
-        At each step the smallest-id next hop y with
+        At each step the smallest-id settled next hop y with
         weight(cur, y) + dist(y) == dist(cur) (exact pair equality) is taken;
         every such y extends to an optimal path, so the walk realizes the
-        lexicographically smallest optimal id sequence.  All distances are
-        positive, so the walk cannot revisit a vertex.
+        lexicographically smallest optimal id sequence.  All shares are
+        positive, so the walk cannot revisit a vertex, and every optimal
+        continuation of a settled vertex is settled.
         """
+        if source not in self.dist:
+            raise EngineInvariantError(f"no path from {source} to the root was settled")
+        nodes, sf, margin = self.nodes, self._settled_f, self._margin
         seq = [source]
-        seen = {source}
+        cur = self.pos[source]
         budget = self.dist[source]
-        cur = source
-        margin = self._margin
-        while cur != ROOT:
-            ic = self.pos[cur]
-            bf = self._distf[ic]
+        while nodes[cur] != ROOT:
             nxt = None
-            for y in self.nodes:  # ascending vertex id order
-                if y in seen:
+            # float screen: exact equality implies |float residue| << margin;
+            # unsettled nodes read inf and fail it; indices ascend with ids
+            for j in np.nonzero(np.abs(sf + self._wf[cur] - sf[cur]) <= margin)[0].tolist():
+                if j == cur:
                     continue
-                iy = self.pos[y]
-                # float screen: exact equality implies |float residue| << margin
-                if abs(self._distf[iy] + self._wf[ic, iy] - bf) > margin:
-                    continue
-                share, fresh = self._edge_weight(cur, y)
-                dy = self.dist.get(y)
-                if dy is not None and (dy[0] + share, dy[1] + fresh) == budget:
-                    nxt = y
-                    budget = dy
+                share, fresh = self._weight(cur, j)
+                dj = self.dist[nodes[j]]
+                if (dj[0] + share, dj[1] + fresh) == budget:
+                    nxt, budget = j, dj
                     break
             if nxt is None:
                 raise EngineInvariantError("optimal-path walk got stuck (engine bug)")
-            seq.append(nxt)
-            seen.add(nxt)
+            seq.append(nodes[nxt])
             cur = nxt
-            if len(seq) > len(self.nodes):
+            if len(seq) > len(nodes):
                 raise EngineInvariantError("optimal-path walk cycled (engine bug)")
         return tuple(seq)
 
@@ -495,7 +522,7 @@ def best_response(state, vertex) -> BestResponse:
         raise EngineInvariantError("the root does not route")
     if vertex not in set(state.revealed):
         raise EngineInvariantError(f"best response for unrevealed vertex {vertex}")
-    search = _Search(state, mover=vertex, own_path=state.paths.get(vertex))
+    search = _Search(state, vertex, mover=vertex, own_path=state.paths.get(vertex))
     cost, fresh = search.cost_fresh(vertex)
     return BestResponse(search.path_from(vertex), cost, fresh)
 
@@ -533,12 +560,12 @@ def graft_path(state, vertex) -> Path:
     # exact argmin scores within the margin of the float minimum
     keyf = inst.costf[vertex, order] + np.array([view.Bf[w] for w in order])
     near = np.nonzero(keyf <= keyf.min() + inst.float_margin)[0]
-    den = view.den
+    crow = inst.costi[vertex]
+    scale = view.den // inst.denominator
 
     def key(i):
         w = order[i]
-        c = inst.cost(vertex, w)
-        return c.numerator * (den // c.denominator) + view.B[w], w
+        return int(crow[w]) * scale + view.B[w], w
 
     _, w = min(key(int(i)) for i in near)
     return (vertex,) + view.path_to_root(w)
@@ -569,7 +596,7 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
         tpath = state.paths[t]
         cut = tpath.index(vertex)
         prefix = tpath[: cut + 1]
-        search = _Search(state, mover=t, own_path=tpath, excluded=frozenset(prefix[:-1]))
+        search = _Search(state, vertex, mover=t, own_path=tpath, excluded=prefix[:-1])
         cand, _fresh = search.cost_fresh(vertex)
         if cand < above:
             cur = shared_cost(state, t)
@@ -639,8 +666,8 @@ def is_improving_tree_move(state, u, v) -> bool:
     if v == u or view.in_subtree(v, u):
         raise EngineInvariantError(f"move target {v} lies in the subtree of {u}")
     ell = view.lca(u, v)
-    c = state.instance.cost(u, v)
-    lhs = c.numerator * (view.den // c.denominator) + view.B[v] - view.B[ell]
+    inst = state.instance
+    lhs = int(inst.costi[u, v]) * (view.den // inst.denominator) + view.B[v] - view.B[ell]
     return lhs < view.A[u] - view.A[ell]
 
 

@@ -5,12 +5,14 @@ reproducible; no module-level RNG state.
 """
 
 from fractions import Fraction
+from itertools import combinations
 import random
 
 from costshare import (
     DualFamily,
     add_terminal,
     euclidean_instance,
+    explicit_metric,
     initial_state,
     metric_closure,
     with_revealed,
@@ -43,21 +45,39 @@ def random_metric(rng: random.Random, n: int):
     return metric_closure(n, edges)
 
 
+def big_denominator_metric(rng: random.Random, n: int = 5):
+    """Explicit metric whose costs p/q have distinct prime q just above 10^6.
+
+    Every cost lies strictly between 1 and 2, so every triangle holds.  The
+    common denominator D is the product of the q's, so D * c overflows
+    int64 and the instance's integer matrix falls back to Python ints.
+    """
+    primes = [q for q in range(10**6, 10**6 + 400) if all(q % d for d in range(2, 1001))]
+    pairs = list(combinations(range(n), 2))
+    costs = {e: Fraction(rng.randrange(q + 1, 2 * q), q)
+             for e, q in zip(pairs, rng.sample(primes, len(pairs)))}
+    return explicit_metric(n, costs)
+
+
 def line_instance(*xs):
     """Collinear rational points: distances are exact absolute differences."""
     return euclidean_instance([(Fraction(x), Fraction(0)) for x in xs])
 
 
 def random_tree_state(rng: random.Random, instance, *, max_terminals=None,
-                      max_count=3, chain_chance=0.35):
+                      max_count=3, chain_chance=0.35, shuffled=False):
     """A valid routing state whose paths form a random tree.
 
     Terminals attach to a uniformly chosen tree vertex, sometimes through a
     chain of not-yet-used vertices (those become interior relays, so the
-    generated trees have non-terminal branch points too).
+    generated trees have non-terminal branch points too).  Vertices 1..n-1
+    are revealed in ascending order, or in a random order with `shuffled`.
     """
     n = instance.n
-    state = with_revealed(initial_state(instance), range(1, n))
+    reveal = list(range(1, n))
+    if shuffled:
+        rng.shuffle(reveal)
+    state = with_revealed(initial_state(instance), reveal)
     pool = list(range(1, n))
     rng.shuffle(pool)
     on_tree = {0: (0,)}  # vertex -> its root path

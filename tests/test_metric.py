@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +28,7 @@ from costshare.rationals import (
     pow2,
     sqrt_ceil_grid,
 )
-from conftest import random_metric
+from conftest import big_denominator_metric, random_metric
 from oracles import brute_mst, floyd_warshall
 
 rationals = st.fractions(
@@ -213,6 +214,27 @@ def test_euclidean_rounding_preserves_triangle(points):
 
 # ---------------------------------------------------------------------------
 # MST and distance extremes
+
+
+def test_integer_matrix_is_cost_times_denominator():
+    rng = random.Random(5)
+    small = [
+        euclidean_instance([(0, 0), (3, 0), (3, 4), (Fraction(1, 3), Fraction(7, 2))]),
+        random_metric(rng, 6),
+        explicit_metric(3, {(0, 1): Fraction(1, 3), (0, 2): Fraction(1, 2), (1, 2): Fraction(2, 3)}),
+    ]
+    big = big_denominator_metric(rng)
+    assert {inst.kind for inst in small} == {"euclidean", "weighted-graph", "metric"}
+    assert [inst.costi.dtype for inst in small] == [np.int64] * 3
+    assert big.costi.dtype == object
+    assert big.denominator * max(big.cost(0, j) for j in range(1, big.n)) > 2**63
+    for inst in small + [big]:
+        d = inst.denominator
+        assert inst.costi.shape == (inst.n, inst.n)
+        assert inst.costi is inst.costi
+        for i in range(inst.n):
+            for j in range(inst.n):
+                assert int(inst.costi[i, j]) == inst.cost(i, j) * d
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -8,6 +8,7 @@ best responses and explicit subtree rerouting for improving-move checks.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,13 @@ from costshare import (
 )
 from costshare.instances import build_steiner_gap_fixture
 from costshare.routing import graft_path, has_improving_move, is_legal_improving
-from conftest import family_for, line_instance, random_metric, random_tree_state
+from conftest import (
+    big_denominator_metric,
+    family_for,
+    line_instance,
+    random_metric,
+    random_tree_state,
+)
 from oracles import (
     audit_state,
     brute_improving_tree_move,
@@ -148,7 +155,7 @@ def test_best_response_matches_exhaustive_search(seed):
 def test_best_response_matches_exhaustive_search_fuzz(seed):
     rng = random.Random(seed)
     inst = random_metric(rng, rng.randint(2, 7))
-    state = random_tree_state(rng, inst)
+    state = random_tree_state(rng, inst, shuffled=True)
     matrix = _matrix(inst)
     source = rng.randrange(1, inst.n)
     got = best_response(state, source)
@@ -180,17 +187,36 @@ def test_best_response_prefers_fewer_fresh_edges_on_cost_ties():
     assert got.path == (3, 2, 1, 0)
 
 
-def test_best_response_breaks_full_ties_by_id_sequence():
+@pytest.mark.parametrize("reveal", [(1, 2, 3), (2, 1, 3)], ids=["reveal-123", "reveal-213"])
+def test_best_response_breaks_full_ties_by_id_sequence(reveal):
+    # the tie-break is by vertex id, whatever order the vertices were revealed in
     inst = explicit_metric(
         4, {(0, 1): 2, (0, 2): 2, (1, 2): 2, (1, 3): 1, (2, 3): 1, (0, 3): 3}
     )
-    state = _revealed_state(inst)
+    state = with_revealed(initial_state(inst), reveal)
     state = add_terminal(state, 1, 1, (1, 0))
     state = add_terminal(state, 2, 1, (2, 0))
     got = best_response(state, 3)
     # (3,1,0) and (3,2,0) both cost 1 + 2/2 = 2 with one fresh edge each.
     assert got.cost == 2
     assert got.path == (3, 1, 0)
+
+
+def test_best_response_does_not_depend_on_reveal_order():
+    # Costs in {2, 3, 4} satisfy every triangle and make full ties (equal
+    # share and fresh count) common; whichever order the vertices were
+    # revealed in, the smallest id sequence must win them.
+    rng = random.Random(16500)
+    for _ in range(300):
+        n = rng.randint(4, 7)
+        inst = explicit_metric(n, {e: rng.randint(2, 4) for e in combinations(range(n), 2)})
+        state = random_tree_state(rng, inst)
+        want = [best_response(state, v).path for v in range(1, n)]
+        for _ in range(2):
+            order = list(range(1, n))
+            rng.shuffle(order)
+            other = replace(state, revealed=(ROOT, *order))
+            assert [best_response(other, v).path for v in range(1, n)] == want
 
 
 def test_best_response_rejects_root_and_unrevealed():
@@ -545,8 +571,8 @@ def _primed_chain_states(rng, n=3, samples=12):
     """
     inst = build_steiner_gap_fixture(n).instance
     for _ in range(samples):
-        shape = random_tree_state(rng, inst, chain_chance=0.6)
-        state = _revealed_state(inst)
+        shape = random_tree_state(rng, inst, chain_chance=0.6, shuffled=True)
+        state = with_revealed(initial_state(inst), shape.revealed)
         primes = rng.sample(_PRIMES, len(shape.counts))
         for p, t in zip(primes, sorted(shape.counts)):
             state = add_terminal(state, t, p, shape.paths[t])
@@ -620,6 +646,38 @@ def test_kernel_matches_oracle_on_large_coprime_counts():
                 kinds.add(w.kind)
     assert kinds == {"terminal", "steiner"}
     assert max(dens) > 10**12
+
+
+def test_kernels_match_oracles_on_python_int_costs():
+    # D * c overflows int64 here, so every kernel reads Python ints from an
+    # object-dtype matrix
+    rng = random.Random(14500)
+    inst = big_denominator_metric(rng)
+    assert inst.costi.dtype == object
+    matrix = _matrix(inst)
+    verdicts = set()
+    for _ in range(12):
+        shape = random_tree_state(rng, inst, shuffled=True)
+        for state in (shape, _settle(shape)):
+            for v in range(1, inst.n):
+                got = best_response(state, v)
+                assert (got.cost, got.fresh_edges, got.path) == enumerate_best_response(
+                    matrix, state.counts, state.paths, v)
+            view = state.view
+            sweep = sorted(state.counts) + [
+                w for w in view.order if w != ROOT and w not in state.counts]
+            want = next(filter(None, (_oracle_witness(matrix, state, w) for w in sweep)), None)
+            verdict = verify_equilibrium(state)
+            w = verdict.witness
+            assert (w and (w.kind, w.vertex, w.via_terminal, w.path,
+                           w.current, w.candidate)) == want
+            assert potential(state) == recompute_potential(matrix, state.usage)
+            if verdict.ok:
+                for v in range(1, inst.n):
+                    if v not in view:
+                        assert graft_path(state, v) == best_response(state, v).path
+            verdicts.add(verdict.ok)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("seed", range(10))
