@@ -61,7 +61,6 @@ from .dynamics import (
     ArrivalItem,
     DepartureEvent,
     EpochRecord,
-    EventRecord,
     MoveRecord,
     RunResult,
     SelectedMove,
@@ -105,7 +104,7 @@ __all__ = [
     "ArrivalItem", "ArrivalEvent", "DepartureEvent", "check_schedule",
     "schedule_to_jsonable", "schedule_from_jsonable",
     "SelectedMove", "select_tree_move", "MoveRecord", "EpochRecord",
-    "EventRecord", "RunResult", "run_epoch_eqp", "run_eqp", "run_noneqp",
+    "RunResult", "run_epoch_eqp", "run_eqp", "run_noneqp",
     "GmFamily", "PoaFixture", "SteinerGapFixture", "EuclideanRun",
     "build_gm", "build_sigma", "build_poa_fixture",
     "build_steiner_gap_fixture", "build_random_euclidean",

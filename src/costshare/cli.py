@@ -22,17 +22,18 @@ from __future__ import annotations
 import argparse
 import csv
 import filecmp
+import itertools
 import json
 import os
 import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
 from . import __version__
-from .duals import DualFamily, classify, logn_accounting
+from .duals import CLASS_NAMES, DualFamily, classify, logn_accounting
 from .dynamics import (
     MOVE_CEILING_FACTOR,
     run_eqp,
@@ -54,7 +55,7 @@ from .instances import (
     build_sigma,
     build_steiner_gap_fixture,
 )
-from .metric import ROOT, _int, instance_from_dict, instance_to_dict
+from .metric import ROOT, _int, _ints, instance_from_dict, instance_to_dict
 from .rationals import format_rational
 from .routing import (
     add_terminal,
@@ -111,12 +112,6 @@ def snapshot_to_jsonable(state, family) -> dict:
     }
 
 
-def _ints(value, what) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a list of integers, got {value!r}")
-    return [_int(v, f"{what} entry") for v in value]
-
-
 def snapshot_from_jsonable(data):
     """Rebuild (state, family) from a snapshot dict; ConfigError if malformed.
 
@@ -165,38 +160,24 @@ def snapshot_from_jsonable(data):
 # artifact writers
 
 
-def _epoch_lines(result) -> list:
-    """JSON-line dicts for an eq-p run's epochs (moves inline)."""
-    from .duals import CLASS_NAMES
-
+def _event_lines(result, mode) -> list:
+    """JSON-line dicts, one per epoch; an eq-p epoch lists its moves inline."""
     lines = []
     for ep in result.epochs:
-        lines.append({
-            "epoch": ep.index,
-            "kind": ep.kind,
-            "post_event_class": CLASS_NAMES[ep.post_event_rank],
-            "moves": [
+        line = {"kind": ep.kind, "phi": format_rational(ep.phi),
+                "cost": format_rational(ep.cost), "agents": ep.agents}
+        if mode == "eqp":
+            line.update(epoch=ep.index, post_event_class=ep.post_class, moves=[
                 {"mover": mv.mover, "target": mv.target, "tag": mv.tag,
                  "cost": format_rational(mv.move_cost),
                  "post_class": CLASS_NAMES[mv.post_rank],
                  "phi": format_rational(mv.phi_post)}
                 for mv in ep.moves
-            ],
-            "phi": format_rational(ep.phi_end),
-            "cost": format_rational(ep.cost_end),
-            "agents": ep.agents_end,
-        })
+            ])
+        else:
+            line.update({"event": ep.index, "class": ep.post_class})
+        lines.append(line)
     return lines
-
-
-def _event_lines(result) -> list:
-    """JSON-line dicts for a one-shot run's events."""
-    return [
-        {"event": ev.index, "kind": ev.kind, "class": ev.marker,
-         "phi": format_rational(ev.phi), "cost": format_rational(ev.cost),
-         "agents": ev.agents}
-        for ev in result.epochs
-    ]
 
 
 def _accounting_jsonable(report) -> dict:
@@ -237,14 +218,14 @@ def _accounting_csv_rows(report):
     ]
 
 
-def _summary_row(label, mode, result, report, final_class) -> dict:
-    moves = sum(len(ep.moves) for ep in result.epochs) if mode == "eqp" else 0
+def _summary_row(cfg, result, report, final_class) -> dict:
     return {
-        "label": label,
-        "mode": mode,
+        "label": (GENERATORS[cfg["gen"]].label.format(**cfg) if cfg.get("gen")
+                  else Path(cfg["instance"]).stem),
+        "mode": cfg["mode"],
         "n": len(result.state.revealed),
         "events": len(result.epochs),
-        "moves": moves,
+        "moves": sum(len(ep.moves) for ep in result.epochs),
         "agents": sum(result.state.counts.values()),
         "final_cost": format_rational(solution_cost(result.state)),
         "opt_cost": format_rational(report.opt_cost),
@@ -258,69 +239,123 @@ def _summary_row(label, mode, result, report, final_class) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# generators: one row per `--gen` choice
+
+
+def _build_gm(cfg):
+    gm = build_gm(cfg["m"])
+    paths = {f"{j},{k}": list(p) for (j, k), p in sorted(gm.canonical_paths.items())}
+    return (gm.instance, build_sigma(gm), {"paths.json": paths},
+            f"gm m={cfg['m']}: n={gm.n}")
+
+
+def _build_euclidean(cfg):
+    run = build_random_euclidean(cfg["n"], cfg["seed"], cfg["profile"])
+    return (run.instance, run.events, {},
+            f"euclidean n={cfg['n']} seed={cfg['seed']} profile={cfg['profile']}: "
+            f"{len(run.events)} events")
+
+
+def _build_poa(cfg):
+    fx = build_poa_fixture(cfg["n"])
+    family = DualFamily(fx.instance)
+    for v in fx.bad_state.revealed:
+        family.insert(v)
+    return (fx.instance, None,
+            {"snapshot.json": snapshot_to_jsonable(fx.bad_state, family)},
+            f"poa n={cfg['n']}: bad equilibrium of cost {fx.bad_cost} vs "
+            f"optimum {fx.opt_cost}")
+
+
+def _build_steiner_gap(cfg):
+    fx = build_steiner_gap_fixture(cfg["n"])
+    return (fx.instance, fx.events, {},
+            f"steiner-gap n={cfg['n']}: {len(fx.events)} events")
+
+
+@dataclass(frozen=True)
+class Generator:
+    keys: tuple  # config keys, each named after its command-line flag
+    label: str  # run label, formatted with the config
+    build: object  # config -> (instance, events or None, extra files, note)
+    sweep: bool = False  # offered by `costshare sweep`
+
+
+GENERATORS = {
+    "gm": Generator(("m",), "gm-m{m}", _build_gm, sweep=True),
+    "euclidean": Generator(("n", "seed", "profile"),
+                           "euclidean-n{n}-s{seed}-{profile}", _build_euclidean,
+                           sweep=True),
+    "poa": Generator(("n",), "poa-n{n}", _build_poa),
+    "steiner-gap": Generator(("n",), "steiner-gap-n{n}", _build_steiner_gap),
+}
+
+
+# ---------------------------------------------------------------------------
 # configs: a plain dict describes one run; shared by run, sweep, and replay
 
 
-def _config_label(cfg) -> str:
-    gen = cfg.get("gen")
-    if gen == "gm":
-        return f"gm-m{cfg['m']}"
-    if gen == "euclidean":
-        return f"euclidean-n{cfg['n']}-s{cfg['seed']}-{cfg['profile']}"
-    if gen == "steiner-gap":
-        return f"steiner-gap-n{cfg['n']}"
-    return Path(cfg["instance"]).stem
+MODES = ("eqp", "noneqp")
+BATCH_ORDERS = ("sequential", "snapshot")
 
 
-def _materialize(cfg):
-    """Config dict -> (instance, events) ready to run."""
+def _check_config(cfg) -> dict:
+    """Return `cfg` if `_execute` can run it; ConfigError otherwise.
+
+    A config comes from the command line, from a sweep grid or from the
+    meta.json of a run being replayed, which may have been edited by hand.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a run config must be an object, got {cfg!r}")
+    if cfg.get("mode") not in MODES:
+        raise ConfigError(f"unknown mode {cfg.get('mode')!r}")
+    if _int(cfg.get("move_ceiling", MOVE_CEILING_FACTOR), "the move ceiling") < 0:
+        raise ConfigError(f"the move ceiling must be >= 0, got {cfg['move_ceiling']}")
     gen = cfg.get("gen")
-    if gen == "gm":
-        gm = build_gm(cfg["m"])
-        return gm.instance, build_sigma(gm)
-    if gen == "euclidean":
-        run = build_random_euclidean(cfg["n"], cfg["seed"], cfg["profile"])
-        return run.instance, run.events
-    if gen == "steiner-gap":
-        fx = build_steiner_gap_fixture(cfg["n"])
-        return fx.instance, fx.events
-    if gen == "poa":
-        raise ConfigError(
-            "the poa generator is a static fixture with no schedule; "
-            "use `costshare gen --gen poa` and `costshare verify` instead")
-    if gen is not None:
+    if gen is None:
+        if not (isinstance(cfg.get("instance"), str) and isinstance(cfg.get("schedule"), str)):
+            raise ConfigError("nothing to run: give --gen, or --instance with --schedule")
+        return cfg
+    if "instance" in cfg or "schedule" in cfg:
+        raise ConfigError("give either --gen or --instance/--schedule, not both")
+    if not isinstance(gen, str) or gen not in GENERATORS:
         raise ConfigError(f"unknown generator {gen!r}")
-    instance = instance_from_dict(_load_json(cfg["instance"]))
-    if not cfg.get("schedule"):
-        raise ConfigError("running from an instance file needs --schedule")
-    events = schedule_from_jsonable(_load_json(cfg["schedule"]))
-    return instance, events
+    for key in GENERATORS[gen].keys:
+        if cfg.get(key) is None:
+            raise ConfigError(f"--gen {gen} needs --{key}")
+        if key != "profile":  # the generator checks its profile name itself
+            _int(cfg[key], f"--{key}")
+    return cfg
 
 
 def _execute(cfg):
     """Run a config to completion; returns (result, report, final_class)."""
-    instance, events = _materialize(cfg)
-    mode = cfg["mode"]
-    if mode == "eqp":
-        result = run_eqp(instance, events,
-                         batch_order=cfg.get("batch_order", "sequential"),
+    gen = _check_config(cfg).get("gen")
+    if gen is None:
+        instance = instance_from_dict(_load_json(cfg["instance"]))
+        events = schedule_from_jsonable(_load_json(cfg["schedule"]))
+    else:
+        instance, events, _files, _note = GENERATORS[gen].build(cfg)
+    if events is None:
+        raise ConfigError(
+            f"the {gen} generator is a static fixture with no schedule; "
+            f"use `costshare gen --gen {gen}` and `costshare verify` instead")
+    batch_order = cfg.get("batch_order", "sequential")
+    if cfg["mode"] == "eqp":
+        result = run_eqp(instance, events, batch_order=batch_order,
+                         accounting=False,
                          ceiling_factor=cfg.get("move_ceiling",
                                                 MOVE_CEILING_FACTOR))
-        report = result.accounting
-    elif mode == "noneqp":
-        result = run_noneqp(instance, events,
-                            batch_order=cfg.get("batch_order", "sequential"))
-        report = logn_accounting(result.state, result.family)
     else:
-        raise ConfigError(f"unknown mode {mode!r}")
+        result = run_noneqp(instance, events, batch_order=batch_order)
+    report = logn_accounting(result.state, result.family)
     final_class = classify(result.state, result.family).name
     return result, report, final_class
 
 
 def _sweep_worker(cfg):
     result, report, final_class = _execute(cfg)
-    return _summary_row(_config_label(cfg), cfg["mode"], result, report,
-                        final_class)
+    return _summary_row(cfg, result, report, final_class)
 
 
 def _max_workers(njobs: int) -> int:
@@ -342,41 +377,17 @@ def _max_workers(njobs: int) -> int:
 
 
 def cmd_gen(args) -> int:
+    cfg = {key: getattr(args, key) for key in GENERATORS[args.gen].keys}
+    instance, events, extra, note = GENERATORS[args.gen].build(cfg)
+    files = {"instance.json": instance_to_dict(instance)}
+    if events is not None:
+        files["schedule.json"] = schedule_to_jsonable(events)
+    files.update(extra)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.gen == "gm":
-        gm = build_gm(args.m)
-        sigma = build_sigma(gm)
-        _write_json(out / "instance.json", instance_to_dict(gm.instance))
-        _write_json(out / "schedule.json", schedule_to_jsonable(sigma))
-        _write_json(out / "paths.json",
-                    {f"{j},{k}": list(p) for (j, k), p in
-                     sorted(gm.canonical_paths.items())})
-        print(f"gm m={args.m}: n={gm.n}, wrote instance.json schedule.json paths.json")
-    elif args.gen == "euclidean":
-        run = build_random_euclidean(args.n, args.seed, args.profile)
-        _write_json(out / "instance.json", instance_to_dict(run.instance))
-        _write_json(out / "schedule.json", schedule_to_jsonable(run.events))
-        print(f"euclidean n={args.n} seed={args.seed} profile={args.profile}: "
-              f"{len(run.events)} events, wrote instance.json schedule.json")
-    elif args.gen == "poa":
-        fx = build_poa_fixture(args.n)
-        family = DualFamily(fx.instance)
-        for v in fx.bad_state.revealed:
-            family.insert(v)
-        _write_json(out / "instance.json", instance_to_dict(fx.instance))
-        _write_json(out / "snapshot.json",
-                    snapshot_to_jsonable(fx.bad_state, family))
-        print(f"poa n={args.n}: bad equilibrium of cost {fx.bad_cost} vs "
-              f"optimum {fx.opt_cost}, wrote instance.json snapshot.json")
-    elif args.gen == "steiner-gap":
-        fx = build_steiner_gap_fixture(args.n)
-        _write_json(out / "instance.json", instance_to_dict(fx.instance))
-        _write_json(out / "schedule.json", schedule_to_jsonable(fx.events))
-        print(f"steiner-gap n={args.n}: {len(fx.events)} events, "
-              f"wrote instance.json schedule.json")
-    else:  # pragma: no cover - argparse limits choices
-        raise ConfigError(f"unknown generator {args.gen!r}")
+    for name, doc in files.items():
+        _write_json(out / name, doc)
+    print(f"{note}, wrote {' '.join(files)}")
     return 0
 
 
@@ -384,26 +395,11 @@ def _config_from_args(args) -> dict:
     cfg = {"mode": args.mode, "batch_order": args.batch_order,
            "move_ceiling": args.move_ceiling}
     if args.gen:
-        if args.instance or args.schedule:
-            raise ConfigError("give either --gen or --instance/--schedule, not both")
         cfg["gen"] = args.gen
-        if args.gen == "gm":
-            if args.m is None:
-                raise ConfigError("--gen gm needs --m")
-            cfg["m"] = args.m
-        elif args.gen in ("euclidean", "poa", "steiner-gap"):
-            if args.n is None:
-                raise ConfigError(f"--gen {args.gen} needs --n")
-            cfg["n"] = args.n
-            if args.gen == "euclidean":
-                cfg["seed"] = args.seed
-                cfg["profile"] = args.profile
-    elif args.instance:
-        cfg["instance"] = str(Path(args.instance).resolve())
-        if args.schedule:
-            cfg["schedule"] = str(Path(args.schedule).resolve())
-    else:
-        raise ConfigError("nothing to run: give --gen or --instance")
+        cfg.update((key, getattr(args, key)) for key in GENERATORS[args.gen].keys)
+    for key in ("instance", "schedule"):
+        if getattr(args, key):
+            cfg[key] = str(Path(getattr(args, key)).resolve())
     return cfg
 
 
@@ -414,9 +410,8 @@ def _run_into(cfg, out: Path) -> dict:
     wall = time.monotonic() - t0
 
     out.mkdir(parents=True, exist_ok=True)
-    lines = _epoch_lines(result) if cfg["mode"] == "eqp" else _event_lines(result)
     with open(out / "events.jsonl", "w") as fh:
-        for row in lines:
+        for row in _event_lines(result, cfg["mode"]):
             fh.write(_dumps(row) + "\n")
     _write_json(out / "snapshot.json",
                 snapshot_to_jsonable(result.state, result.family))
@@ -424,8 +419,7 @@ def _run_into(cfg, out: Path) -> dict:
     _write_csv(out / "accounting.csv",
                ("level", "charges", "charged_cost", "components", "dual_bound"),
                _accounting_csv_rows(report))
-    row = _summary_row(_config_label(cfg), cfg["mode"], result, report,
-                       final_class)
+    row = _summary_row(cfg, result, report, final_class)
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS,
                [tuple(row[c] for c in SUMMARY_COLUMNS)])
     _write_json(out / "meta.json",
@@ -478,22 +472,15 @@ def _parse_int_list(raw, what) -> list:
 def cmd_sweep(args) -> int:
     base = {"mode": args.mode, "batch_order": args.batch_order,
             "move_ceiling": args.move_ceiling}
-    jobs = []
-    if args.gen == "gm":
-        if args.m is None:
-            raise ConfigError("--gen gm needs --m (e.g. --m 2,3,4)")
-        for m in _parse_int_list(args.m, "--m"):
-            jobs.append({**base, "gen": "gm", "m": m})
-    elif args.gen == "euclidean":
-        if args.n is None:
-            raise ConfigError("--gen euclidean needs --n (e.g. --n 25,50)")
-        seeds = _parse_int_list(args.seeds, "--seeds")
-        for n in _parse_int_list(args.n, "--n"):
-            for seed in seeds:
-                jobs.append({**base, "gen": "euclidean", "n": n,
-                             "seed": seed, "profile": args.profile})
-    else:
-        raise ConfigError(f"sweep supports gm and euclidean, not {args.gen!r}")
+    keys = GENERATORS[args.gen].keys
+    axes = []
+    for key in keys:
+        raw = getattr(args, key)
+        if raw is None:
+            raise ConfigError(f"--gen {args.gen} needs --{key} (a comma-separated list)")
+        axes.append([raw] if key == "profile" else _parse_int_list(raw, f"the {key} list"))
+    jobs = [_check_config({**base, "gen": args.gen, **dict(zip(keys, values))})
+            for values in itertools.product(*axes)]
 
     workers = _max_workers(len(jobs))
     t0 = time.monotonic()
@@ -523,7 +510,7 @@ def cmd_sweep(args) -> int:
 def cmd_replay(args) -> int:
     old = Path(args.dir)
     meta = _load_json(old / "meta.json")
-    cfg = meta.get("config")
+    cfg = meta.get("config") if isinstance(meta, dict) else None
     if not isinstance(cfg, dict) or cfg.get("cmd") == "sweep":
         raise ConfigError(f"{old}/meta.json does not describe a single run")
     with tempfile.TemporaryDirectory(prefix="costshare-replay-") as tmp:
@@ -551,7 +538,8 @@ def _add_gen_params(p, *, lists=False) -> None:
     if lists:
         p.add_argument("--m", help="comma-separated list for the gm generator (each <= 5)")
         p.add_argument("--n", help="comma-separated vertex counts")
-        p.add_argument("--seeds", default="0", help="comma-separated seeds")
+        p.add_argument("--seeds", dest="seed", metavar="SEEDS", default="0",
+                       help="comma-separated seeds")
     else:
         p.add_argument("--m", type=int, help="size parameter of the gm generator (1..5)")
         p.add_argument("--n", type=int, help="vertex/ratio parameter")
@@ -561,9 +549,8 @@ def _add_gen_params(p, *, lists=False) -> None:
 
 
 def _add_run_knobs(p) -> None:
-    p.add_argument("--mode", default="eqp", choices=("eqp", "noneqp"))
-    p.add_argument("--batch-order", default="sequential",
-                   choices=("sequential", "snapshot"),
+    p.add_argument("--mode", default="eqp", choices=MODES)
+    p.add_argument("--batch-order", default="sequential", choices=BATCH_ORDERS,
                    help="how a multi-item arrival event is routed")
     p.add_argument("--move-ceiling", type=int, default=MOVE_CEILING_FACTOR,
                    metavar="F", help="per-epoch move budget is F * n^3")
@@ -577,14 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write instance/schedule files for a generator")
-    p.add_argument("--gen", required=True,
-                   choices=("gm", "euclidean", "poa", "steiner-gap"))
+    p.add_argument("--gen", required=True, choices=tuple(GENERATORS))
     _add_gen_params(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("run", help="simulate one schedule and write artifacts")
-    p.add_argument("--gen", choices=("gm", "euclidean", "poa", "steiner-gap"))
+    p.add_argument("--gen", choices=tuple(GENERATORS))
     _add_gen_params(p)
     p.add_argument("--instance", help="instance JSON file (alternative to --gen)")
     p.add_argument("--schedule", help="schedule JSON file")
@@ -597,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run a parameter grid in parallel")
-    p.add_argument("--gen", required=True, choices=("gm", "euclidean"))
+    p.add_argument("--gen", required=True,
+                   choices=tuple(g for g, row in GENERATORS.items() if row.sweep))
     _add_gen_params(p, lists=True)
     _add_run_knobs(p)
     p.add_argument("--out", required=True)

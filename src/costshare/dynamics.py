@@ -1,15 +1,19 @@
 """Arrival/departure schedules and the dynamics that run them.
 
-Two runners share the event vocabulary:
+One event loop runs a schedule under either of two rerouting policies.  Each
+event first reveals its vertices and routes its arrivals or prunes its
+departures; what follows the event is the policy:
 
-- `run_eqp`: after every event, prioritized tree-follow moves fire until the
-  state is a balanced equilibrium again.  Along the way the engine asserts
-  the class-transition contract of each move rule (see `select_tree_move`)
-  and that the exact potential strictly drops on every move.
-- `run_noneqp`: agents best-respond once on arrival and never reroute.  The
-  run log records how far each intermediate state strays from the class
-  hierarchy, and the final state is (optionally) verified to be an
-  equilibrium.
+- eq-p (`run_eqp`): prioritized tree-follow moves fire until the state is a
+  balanced equilibrium again.  Along the way the engine asserts the
+  class-transition contract of each move rule (see `select_tree_move`) and
+  that the exact potential strictly drops on every move.
+- one-shot (`run_noneqp`): agents best-respond once on arrival and never
+  reroute.  The record only notes how far the state strays from the class
+  hierarchy.
+
+Both log one `EpochRecord` per event, and the final state is (optionally)
+verified to be an equilibrium.
 
 Events may arrive in batches; an arrival item can carry an expected path,
 and the engine raises the moment a best response deviates from it, so
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .duals import (
@@ -41,7 +46,7 @@ from .errors import (
     EngineInvariantError,
     VerificationError,
 )
-from .metric import ROOT, MetricInstance
+from .metric import ROOT, MetricInstance, _int, _ints
 from .rationals import pow2
 from .routing import (
     EquilibriumVerdict,
@@ -126,12 +131,6 @@ def check_schedule(instance: MetricInstance, events) -> None:
             raise ConfigError(f"event {i}: unknown event object {ev!r}")
 
 
-def _as_int(x, what):
-    if type(x) is not int:
-        raise ConfigError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 def schedule_to_jsonable(events) -> dict:
     rows = []
     for ev in events:
@@ -166,27 +165,19 @@ def schedule_from_jsonable(data) -> tuple:
             for item in items_raw:
                 if not isinstance(item, dict):
                     raise ConfigError(f"event {i}: items must be objects")
-                vertex = _as_int(item.get("vertex"), f"event {i} item vertex")
-                count = item.get("count", 1)
-                count = _as_int(count, f"event {i} item count")
+                vertex = _int(item.get("vertex"), f"event {i} item vertex")
+                count = _int(item.get("count", 1), f"event {i} item count")
                 expect = item.get("expect_path")
                 if expect is not None:
-                    if not isinstance(expect, list):
-                        raise ConfigError(f"event {i}: expect_path must be a list")
-                    expect = tuple(_as_int(v, f"event {i} expect_path entry")
-                                   for v in expect)
+                    expect = tuple(_ints(expect, f"event {i} expect_path"))
                 items.append(ArrivalItem(vertex, count, expect))
-            reveal = row.get("reveal", [])
-            if not isinstance(reveal, list):
-                raise ConfigError(f"event {i}: reveal must be a list")
-            reveal = tuple(_as_int(v, f"event {i} reveal entry") for v in reveal)
+            reveal = tuple(_ints(row.get("reveal", []), f"event {i} reveal"))
             events.append(ArrivalEvent(tuple(items), reveal))
         elif kind == "depart":
-            vs = row.get("vertices")
-            if not isinstance(vs, list) or not vs:
+            vertices = tuple(_ints(row.get("vertices"), f"event {i} departing vertices"))
+            if not vertices:
                 raise ConfigError(f"event {i}: 'vertices' must be a non-empty list")
-            events.append(DepartureEvent(tuple(
-                _as_int(v, f"event {i} departing vertex") for v in vs)))
+            events.append(DepartureEvent(vertices))
         else:
             raise ConfigError(f"event {i}: unknown type {kind!r}")
     return tuple(events)
@@ -403,18 +394,20 @@ def _apply_move(state, family, sel, phi, index):
 
 
 # ---------------------------------------------------------------------------
-# the equilibrium-preserving runner
+# the event loop and its two rerouting policies
 
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One event and what followed it; `moves` stays empty under one-shot."""
+
     index: int
     kind: str  # "arrive" | "depart"
-    post_event_rank: int
+    post_class: str  # class name; one-shot may say "non-tree" / "beyond-nonleaf-unbalanced"
     moves: tuple
-    phi_end: Fraction
-    cost_end: Fraction
-    agents_end: int
+    phi: Fraction
+    cost: Fraction
+    agents: int
 
 
 @dataclass(frozen=True)
@@ -427,15 +420,11 @@ class RunResult:
 
 
 def _reveal_for_event(state, family, event):
+    if not isinstance(event, ArrivalEvent):
+        return state
     seen = set(state.revealed)
-    order = []
-    wanted = ()
-    if isinstance(event, ArrivalEvent):
-        wanted = tuple(event.reveal) + event.vertices()
-    for v in wanted:
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
+    order = [v for v in dict.fromkeys(tuple(event.reveal) + event.vertices())
+             if v not in seen]
     if order:
         state = with_revealed(state, order)
         for v in order:
@@ -489,10 +478,18 @@ def _apply_arrival(state, event, *, batch_order, adopt_tree_paths):
     return state
 
 
-def _check_departure(state, event):
-    missing = [v for v in event.vertices if not state.is_active(v)]
-    if missing:
-        raise ConfigError(f"departure of vertices with no agents: {missing}")
+def _apply_event(state, family, event, *, batch_order, adopt_tree_paths):
+    """The step both policies share; returns (kind, state after the event)."""
+    state = _reveal_for_event(state, family, event)
+    if isinstance(event, ArrivalEvent):
+        return "arrive", _apply_arrival(state, event, batch_order=batch_order,
+                                        adopt_tree_paths=adopt_tree_paths)
+    if isinstance(event, DepartureEvent):
+        missing = [v for v in event.vertices if not state.is_active(v)]
+        if missing:
+            raise ConfigError(f"departure of vertices with no agents: {missing}")
+        return "depart", prune_departures(state, event.vertices)
+    raise EngineInvariantError(f"unknown event object {event!r}")
 
 
 def run_epoch_eqp(state, family, event, *, epoch_index=0,
@@ -503,20 +500,9 @@ def run_epoch_eqp(state, family, event, *, epoch_index=0,
     `state` must be a balanced equilibrium (as every epoch leaves it): an
     arrival into it grafts onto the tree by one edge without a search.
     """
-    state = _reveal_for_event(state, family, event)
-    if isinstance(event, ArrivalEvent):
-        kind = "arrive"
-        state = _apply_arrival(state, event, batch_order=batch_order,
+    kind, state = _apply_event(state, family, event, batch_order=batch_order,
                                adopt_tree_paths=True)
-        allowed_rank = LEAF_UNBALANCED
-    elif isinstance(event, DepartureEvent):
-        kind = "depart"
-        _check_departure(state, event)
-        state = prune_departures(state, event.vertices)
-        allowed_rank = BALANCED
-    else:
-        raise EngineInvariantError(f"unknown event object {event!r}")
-
+    allowed_rank = LEAF_UNBALANCED if kind == "arrive" else BALANCED
     cls = classify(state, family)
     if cls.rank > allowed_rank:
         raise ClosureViolationError(
@@ -525,7 +511,7 @@ def run_epoch_eqp(state, family, event, *, epoch_index=0,
             details={"epoch": epoch_index, "kind": kind, "rank": cls.rank},
         )
 
-    post_event_rank = cls.rank
+    post_class = cls.name
     phi = potential(state)
     ceiling = ceiling_factor * len(state.revealed) ** 3
     moves = []
@@ -538,49 +524,8 @@ def run_epoch_eqp(state, family, event, *, epoch_index=0,
         if len(moves) > ceiling:
             raise EngineInvariantError(
                 f"epoch {epoch_index} exceeded the move ceiling {ceiling}")
-
-    rec = EpochRecord(
-        index=epoch_index, kind=kind, post_event_rank=post_event_rank,
-        moves=tuple(moves), phi_end=phi, cost_end=solution_cost(state),
-        agents_end=sum(state.counts.values()),
-    )
-    return state, rec
-
-
-def run_eqp(instance, events, *, batch_order="sequential", on_move=None,
-            verify=True, accounting=True,
-            ceiling_factor=MOVE_CEILING_FACTOR) -> RunResult:
-    """Run a whole schedule under equilibrium-preserving dynamics."""
-    check_schedule(instance, events)
-    state = initial_state(instance)
-    family = DualFamily(instance)
-    family.insert(ROOT)
-    epochs = []
-    for i, ev in enumerate(events):
-        state, rec = run_epoch_eqp(
-            state, family, ev, epoch_index=i, batch_order=batch_order,
-            on_move=on_move, ceiling_factor=ceiling_factor)
-        epochs.append(rec)
-    verdict = verify_equilibrium(state) if verify else None
-    if verdict is not None and not verdict.ok:
-        raise VerificationError(
-            f"final state is not an equilibrium: {verdict.witness}")
-    report = logn_accounting(state, family) if accounting else None
-    return RunResult(state, family, tuple(epochs), verdict, report)
-
-
-# ---------------------------------------------------------------------------
-# the one-shot (non-rerouting) runner
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    index: int
-    kind: str
-    marker: str  # class name, or "non-tree" / "beyond-nonleaf-unbalanced"
-    phi: Fraction
-    cost: Fraction
-    agents: int
+    return state, EpochRecord(epoch_index, kind, post_class, tuple(moves), phi,
+                              solution_cost(state), sum(state.counts.values()))
 
 
 def _class_marker(state, family) -> str:
@@ -594,6 +539,45 @@ def _class_marker(state, family) -> str:
         return "non-tree"
 
 
+def _oneshot_epoch(state, family, event, *, epoch_index, batch_order):
+    """One event and nothing after it: the one-shot policy never reroutes."""
+    kind, state = _apply_event(state, family, event, batch_order=batch_order,
+                               adopt_tree_paths=False)
+    return state, EpochRecord(epoch_index, kind, _class_marker(state, family), (),
+                              potential(state), solution_cost(state),
+                              sum(state.counts.values()))
+
+
+def _run(instance, events, epoch, *, verify, accounting=False,
+         on_epoch=None) -> RunResult:
+    """The event loop: `epoch(state, family, event, epoch_index=i)` runs one event."""
+    check_schedule(instance, events)
+    state = initial_state(instance)
+    family = DualFamily(instance)
+    family.insert(ROOT)
+    records = []
+    for i, ev in enumerate(events):
+        state, rec = epoch(state, family, ev, epoch_index=i)
+        records.append(rec)
+        if on_epoch is not None:
+            on_epoch(rec)
+    verdict = verify_equilibrium(state) if verify else None
+    if verdict is not None and not verdict.ok:
+        raise VerificationError(
+            f"final state is not an equilibrium: {verdict.witness}")
+    report = logn_accounting(state, family) if accounting else None
+    return RunResult(state, family, tuple(records), verdict, report)
+
+
+def run_eqp(instance, events, *, batch_order="sequential", on_move=None,
+            verify=True, accounting=True,
+            ceiling_factor=MOVE_CEILING_FACTOR) -> RunResult:
+    """Run a whole schedule under equilibrium-preserving dynamics."""
+    epoch = partial(run_epoch_eqp, batch_order=batch_order, on_move=on_move,
+                    ceiling_factor=ceiling_factor)
+    return _run(instance, events, epoch, verify=verify, accounting=accounting)
+
+
 def run_noneqp(instance, events, *, batch_order="sequential", verify=True,
                on_event=None) -> RunResult:
     """Run a schedule where nobody ever reroutes after arriving.
@@ -603,31 +587,5 @@ def run_noneqp(instance, events, *, batch_order="sequential", verify=True,
     error and raises).  With verify=True the final state must pass the full
     equilibrium sweep, else VerificationError.
     """
-    check_schedule(instance, events)
-    state = initial_state(instance)
-    family = DualFamily(instance)
-    family.insert(ROOT)
-    rows = []
-    for i, ev in enumerate(events):
-        state = _reveal_for_event(state, family, ev)
-        if isinstance(ev, ArrivalEvent):
-            kind = "arrive"
-            state = _apply_arrival(state, ev, batch_order=batch_order,
-                                   adopt_tree_paths=False)
-        else:
-            kind = "depart"
-            _check_departure(state, ev)
-            state = prune_departures(state, ev.vertices)
-        row = EventRecord(
-            index=i, kind=kind, marker=_class_marker(state, family),
-            phi=potential(state), cost=solution_cost(state),
-            agents=sum(state.counts.values()),
-        )
-        rows.append(row)
-        if on_event is not None:
-            on_event(row)
-    verdict = verify_equilibrium(state) if verify else None
-    if verdict is not None and not verdict.ok:
-        raise VerificationError(
-            f"final state is not an equilibrium: {verdict.witness}")
-    return RunResult(state, family, tuple(rows), verdict, None)
+    return _run(instance, events, partial(_oneshot_epoch, batch_order=batch_order),
+                verify=verify, on_epoch=on_event)

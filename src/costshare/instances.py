@@ -98,9 +98,6 @@ class GmFamily:
     def vertex_id(self, layer: int, j: int, k: int) -> int:
         return gm_vertex_id(self.m, layer, j, k)
 
-    def vertex_label(self, vid: int):
-        return gm_vertex_label(self.m, vid)
-
 
 def _gm_path_label(m: int, layer: int, j: int, k: int):
     # Labels alternate down from the top: (j, k) at layer m, swapped every

@@ -282,6 +282,12 @@ def _int(value, what):
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
+def _ints(value, what) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list of integers, got {value!r}")
+    return [_int(v, f"{what} entry") for v in value]
+
+
 def instance_from_dict(data) -> MetricInstance:
     try:
         kind = data["kind"]

@@ -605,13 +605,13 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
     return None
 
 
-def verify_equilibrium(state, *, cross_check=True) -> EquilibriumVerdict:
+def verify_equilibrium(state) -> EquilibriumVerdict:
     """Full sweep: every active terminal, then every interior tree vertex.
 
-    The interior checks share the state's one tree view.  With cross_check on,
-    the verdict is compared against the improving tree-move scan; an
-    improving path exists iff an improving tree-follow move does, so
-    disagreement is an engine bug and raises.
+    The interior checks share the state's one tree view.  On a tree, the
+    verdict is compared against the improving tree-move scan; an improving
+    path exists iff an improving tree-follow move does, so disagreement is
+    an engine bug and raises.
     """
     witness = None
     for t in sorted(state.counts):
@@ -634,7 +634,7 @@ def verify_equilibrium(state, *, cross_check=True) -> EquilibriumVerdict:
         # (non-tree routings always leave some terminal an improving
         # segment swap -- the downward-closure argument).
         raise EngineInvariantError("equilibrium verdict on a non-tree routing")
-    if cross_check and view is not None:
+    if view is not None:
         pair = find_improving_tree_move(state)
         if (pair is None) != (witness is None):
             raise EngineInvariantError(

@@ -34,6 +34,7 @@ from costshare import (
 from costshare.duals import (
     BALANCED,
     BALANCED_EQUILIBRIUM,
+    CLASS_NAMES,
     LEAF_UNBALANCED,
     NONLEAF_UNBALANCED,
 )
@@ -108,7 +109,7 @@ def test_criterion_2_certified_equilibrium_ratio(eqp_runs):
     for n, seed, res in runs:
         assert res.verdict.ok, (n, seed)
         for ep in res.epochs:
-            end_rank = ep.moves[-1].post_rank if ep.moves else ep.post_event_rank
+            end_rank = ep.moves[-1].post_rank if ep.moves else CLASS_NAMES.index(ep.post_class)
             assert end_rank == BALANCED_EQUILIBRIUM, (n, seed, ep.index)
         final = classify(res.state, res.family)
         assert final.rank == BALANCED_EQUILIBRIUM  # every cut charged <= once
@@ -132,7 +133,7 @@ def test_criterion_3_closure_of_the_four_classes(eqp_runs):
     tags = Counter()
     for n, seed, res in runs:
         for ep in res.epochs:
-            assert ep.post_event_rank <= NONLEAF_UNBALANCED
+            assert CLASS_NAMES.index(ep.post_class) <= NONLEAF_UNBALANCED
             for mv in ep.moves:
                 tags[mv.tag] += 1
                 assert mv.pre_rank <= NONLEAF_UNBALANCED

@@ -184,6 +184,8 @@ def test_exit_code_4_on_unstable_oneshot_state(tmp_path, capsys):
     ["run", "--out", "{tmp}"],                                     # nothing to run
     ["verify", "{tmp}/nope.json"],
     ["sweep", "--gen", "euclidean", "--mode", "eqp", "--out", "{tmp}"],
+    ["run", "--gen", "euclidean", "--n", "25", "--seed", "1",      # negative ceiling
+     "--move-ceiling", "-1", "--out", "{tmp}"],
 ])
 def test_exit_code_2_on_config_errors(tmp_path, capsys, argv):
     rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
@@ -316,6 +318,24 @@ def test_replay_round_trip_then_divergence(tmp_path, capsys):
     events.write_text(events.read_text()[:-2] + "9\n")
     assert main(["replay", str(out)]) == 4
     assert "events.jsonl" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("meta", [
+    {"config": {"gen": "gm"}},
+    [1, 2],
+    {"config": {}},
+    {"config": {"gen": "gm", "m": 2, "mode": "noneqp", "move_ceiling": "x"}},
+    {"config": {"instance": 3, "schedule": 4, "mode": "eqp"}},
+    {"config": {"gen": "gm", "m": 2, "mode": "noneqp", "move_ceiling": -1}},
+    {"config": {"gen": "euclidean", "n": 5, "seed": "1", "profile": "churn",
+                "mode": "eqp"}},
+    {"config": {"gen": ["gm"], "m": 2, "mode": "eqp"}},
+])
+def test_malformed_meta_exits_2_without_traceback(tmp_path, capsys, meta):
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    assert main(["replay", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_replay_refuses_sweep_directories(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 """Fuzzing the CLI's input boundary.
 
-Valid instance, schedule and snapshot files are mutated (keys dropped, values
+Valid instance, schedule, snapshot and replay meta.json files are mutated (keys dropped, values
 swapped for other JSON types, lists truncated, integers nudged) and fed to
 `main` in-process.  Bad input must be refused with exit 2, never reach the
 engine as an invariant breach (exit 3) or escape as an exception.
@@ -36,6 +36,24 @@ SCHEDULE = schedule_to_jsonable([
 ])
 _POA = build_poa_fixture(3)
 SNAPSHOT = snapshot_to_jsonable(_POA.bad_state, family_for(_POA.bad_state))
+
+
+
+def _recorded_meta(*argv):
+    """The meta.json a real `costshare run` writes, with its input dir as {tmp}."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+        (Path(tmp) / "instance.json").write_text(json.dumps(INSTANCE))
+        (Path(tmp) / "schedule.json").write_text(json.dumps(SCHEDULE))
+        assert main(["run", *(a.format(tmp=tmp) for a in argv), "--out", f"{tmp}/out"]) == 0
+        text = (Path(tmp) / "out" / "meta.json").read_text()
+        return json.loads(text.replace(str(Path(tmp).resolve()), "{tmp}"))
+
+
+METAS = (
+    _recorded_meta("--gen", "gm", "--m", "2", "--mode", "noneqp"),
+    _recorded_meta("--instance", "{tmp}/instance.json", "--schedule", "{tmp}/schedule.json",
+                   "--batch-order", "snapshot"),
+)
 
 SWAPS = (None, True, -1, 0, 2, 99, 1.5, "x", "1/2", [], {}, [0])
 
@@ -83,7 +101,7 @@ def _run(files, argv):
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
             redirect_stderr(err):
         for name, doc in files.items():
-            (Path(tmp) / name).write_text(json.dumps(doc))
+            (Path(tmp) / name).write_text(json.dumps(doc).replace("{tmp}", tmp))
         rc = main([a.format(tmp=tmp) for a in argv])
     return rc, err.getvalue()
 
@@ -112,6 +130,15 @@ def test_mutated_schedule(doc, mode):
 @given(doc=mutated(SNAPSHOT))
 def test_mutated_snapshot(doc):
     rc, err = _run({"snapshot.json": doc}, ["verify", "{tmp}/snapshot.json"])
+    assert rc in (0, 2, 4) and "Traceback" not in err, err
+
+
+@FUZZ
+@given(doc=st.sampled_from(METAS).flatmap(mutated))
+def test_mutated_meta(doc):
+    # the directory holds no artifacts, so a config that runs replays as exit 4
+    files = {"meta.json": doc, "instance.json": INSTANCE, "schedule.json": SCHEDULE}
+    rc, err = _run(files, ["replay", "{tmp}"])
     assert rc in (0, 2, 4) and "Traceback" not in err, err
 
 

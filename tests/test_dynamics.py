@@ -293,8 +293,8 @@ def test_epoch_records_and_move_records():
     seen = []
     res = run_eqp(inst, events, on_move=lambda epoch, rec: seen.append((epoch, rec)))
     first, second = res.epochs
-    assert (first.kind, first.post_event_rank, first.moves) == ("arrive", 0, ())
-    assert second.post_event_rank == BALANCED
+    assert (first.kind, first.post_class, first.moves) == ("arrive", "balanced-equilibrium", ())
+    assert second.post_class == "balanced"
     (move,) = second.moves
     assert (move.mover, move.target, move.tag) == (1, 2, "balanced")
     assert move.move_cost == 4
@@ -304,9 +304,9 @@ def test_epoch_records_and_move_records():
     assert seen == [(1, move)]
     # the dust settles on the merged tree
     assert res.state.paths == {1: (1, 2, 0), 2: (2, 0)}
-    assert second.phi_end == potential(res.state)
-    assert second.cost_end == solution_cost(res.state) == 10
-    assert second.agents_end == 2
+    assert second.phi == potential(res.state)
+    assert second.cost == solution_cost(res.state) == 10
+    assert second.agents == 2
     assert res.verdict.ok
     assert res.accounting is not None and res.accounting.total_cost == 10
 
@@ -344,7 +344,7 @@ def test_departed_relay_becomes_interior_and_arrivals_adopt_its_path():
     res = run_eqp(inst, events)
     assert res.state.paths == {2: (2, 1, 0), 1: (1, 0)}
     assert res.state.counts == {2: 1, 1: 2}
-    assert all(e.post_event_rank == BALANCED_EQUILIBRIUM for e in res.epochs)
+    assert all(e.post_class == "balanced-equilibrium" for e in res.epochs)
 
 
 def test_run_eqp_rejects_departure_of_inactive_vertex():
@@ -424,7 +424,7 @@ def test_noneqp_event_records_and_callback():
     res = run_noneqp(inst, events, verify=False, on_event=seen.append)
     assert [r.kind for r in res.epochs] == ["arrive", "arrive", "depart"]
     assert [r.agents for r in res.epochs] == [1, 2, 1]
-    assert all(r.marker == "balanced" for r in res.epochs)
+    assert all(r.post_class == "balanced" for r in res.epochs)
     assert seen == list(res.epochs)
     assert res.accounting is None
 

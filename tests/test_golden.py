@@ -73,3 +73,49 @@ def test_gen_poa_snapshot_digest(tmp_path):
     assert main(["gen", "--gen", "poa", "--n", "3", "--out", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "snapshot.json") == (
         "3197aeca5ceed3b5a6f521a534d741531978a5b4b0610e1dbaf0ffab37ef5af1")
+
+
+# every file `costshare gen` writes, and the sha256 of its stdout line
+GENS = {
+    "gm-m3": (
+        ["--gen", "gm", "--m", "3"],
+        {
+            "instance.json": "1e9bec939f9a1a8c94548ce6a84d09523e85da7e278c15cc6b773c5a6cd61c41",
+            "schedule.json": "631c3dff0c769ab483620e1b910758666561a04e1090246306e5d374ded858db",
+            "paths.json": "1e0bfd7aff215893c796382d1efbb7aeb93e976d13a4216a3ac969f39a846705",
+        },
+        "1b14eb56f9a7c2dfca61fdfa7575cec1e8a7dc133e16cd7591f15093cf584aee",
+    ),
+    "euclidean-n20-s2": (
+        ["--gen", "euclidean", "--n", "20", "--seed", "2"],
+        {
+            "instance.json": "a39d0ad839f3c2dcddf9c4a8ac8c86e0e072f9653af9afcfbac98ac5a9adaea9",
+            "schedule.json": "b89a3af19ade74642f1294d132aec1a85f9d7a1025d6925917415ec0b5cf02f2",
+        },
+        "00a19800a0fde35ac1f16087c47625ec5804e0f1cddd0c08a0da33b2d1cdf42c",
+    ),
+    "steiner-gap-n5": (
+        ["--gen", "steiner-gap", "--n", "5"],
+        {
+            "instance.json": "13ff5ebc1d3e5ba0729dd3d709dd215edf4a70b23dd47aab35d76becc21678ff",
+            "schedule.json": "89497539593127ee4bc2c2753da7565659c830b8df7afa470e16ed391f52da2f",
+        },
+        "e1bad6ab9da57ed75470dcaa448ed25e6c3d7136a4e9e2872794db4067a6f8b6",
+    ),
+    "poa-n3": (
+        ["--gen", "poa", "--n", "3"],
+        {
+            "instance.json": "2d54a3df64f7d222b85af95b25962a706324bc7b5498e2994f931699f331ffbc",
+            "snapshot.json": "3197aeca5ceed3b5a6f521a534d741531978a5b4b0610e1dbaf0ffab37ef5af1",
+        },
+        "7b3d5ef7fa6120ac8bcc86c17892f2b8b9be5be87eba44b4f049a8e335174fef",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENS))
+def test_gen_output_digests(tmp_path, capsys, name):
+    argv, want, stdout = GENS[name]
+    assert main(["gen", *argv, "--out", str(tmp_path)]) == 0
+    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == want
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout

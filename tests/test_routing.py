@@ -621,7 +621,7 @@ def test_potential_matches_oracle_at_large_edge_counts():
     for i, ev in enumerate(fx.events):
         state, rec = run_epoch_eqp(state, family, ev, epoch_index=i)
         if i in (48, 98, 99, 100):
-            assert rec.phi_end == potential(state) == recompute_potential(matrix, state.usage)
+            assert rec.phi == potential(state) == recompute_potential(matrix, state.usage)
     assert max(state.usage.values()) == 50
 
 
