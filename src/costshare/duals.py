@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ClosureViolationError, EngineInvariantError, VerificationError
 from .metric import ROOT, MetricInstance, mst_cost
-from .rationals import ceil_log2, floor_log2, pow2
+from .rationals import ceil_log2_ratio, floor_log2, floor_log2_ratio, pow2, pow2_le
 from .routing import RoutingState, find_improving_tree_move, solution_cost
 
 
@@ -52,12 +52,11 @@ class LevelPartition:
     apart, which caps the component diameter below 2^level.
     """
 
-    __slots__ = ("level", "radius", "radius_f", "centers", "members", "of")
+    __slots__ = ("level", "radius_f", "centers", "members", "of")
 
     def __init__(self, level: int):
         self.level = level
-        self.radius = pow2(level - 1)  # join strictly below this
-        self.radius_f = float(self.radius)
+        self.radius_f = math.ldexp(1.0, level - 1)  # join strictly below 2^(level-1)
         self.centers: list = []
         self.members: list = []
         self.of: dict = {}
@@ -70,7 +69,8 @@ class LevelPartition:
             df = costf[c, v]
             if df > rf + margin:
                 continue
-            if df < rf - margin or instance.cost(c, v) < self.radius:
+            if df < rf - margin or not pow2_le(self.level - 1, int(instance.costi[c, v]),
+                                               instance.denominator):
                 self.members[idx].append(v)
                 self.of[v] = idx
                 return idx
@@ -88,7 +88,8 @@ class DualFamily:
     removed (a departed terminal still shapes the partitions).  The stored
     window [jmin, jmax] covers every level where the partition is not forced;
     it is derived from the min/max positive pairwise distance and extended by
-    replaying the insertion history whenever new distances widen it.
+    replaying the insertion history whenever new distances widen it.  The
+    extremes are kept as ints over the instance denominator D.
     """
 
     __slots__ = ("instance", "inserted", "_pos", "levels", "jmin", "jmax",
@@ -101,8 +102,8 @@ class DualFamily:
         self.levels: dict = {}
         self.jmin: Optional[int] = None
         self.jmax: Optional[int] = None
-        self._minpos: Optional[Fraction] = None
-        self._maxd: Optional[Fraction] = None
+        self._minpos: Optional[int] = None
+        self._maxd: Optional[int] = None
 
     def __contains__(self, v) -> bool:
         return v in self._pos
@@ -114,19 +115,20 @@ class DualFamily:
             raise EngineInvariantError(f"vertex {v} outside instance range")
         if not self.inserted and v != ROOT:
             raise EngineInvariantError("the first inserted vertex must be the root")
-        cost = self.instance.cost
-        for u in self.inserted:
-            d = cost(u, v)
-            if self._minpos is None or d < self._minpos:
-                self._minpos = d
-            if self._maxd is None or d > self._maxd:
-                self._maxd = d
+        if self.inserted:
+            row = self.instance.costi[v, self.inserted]
+            lo_d, hi_d = int(row.min()), int(row.max())
+            if self._minpos is None or lo_d < self._minpos:
+                self._minpos = lo_d
+            if self._maxd is None or hi_d > self._maxd:
+                self._maxd = hi_d
         self._pos[v] = len(self.inserted)
         self.inserted.append(v)
 
         if self._minpos is not None:
-            lo = floor_log2(self._minpos) - 4
-            hi = ceil_log2(self._maxd) + 1
+            den = self.instance.denominator
+            lo = floor_log2_ratio(self._minpos, den) - 4
+            hi = ceil_log2_ratio(self._maxd, den) + 1
             if self.jmin is None:
                 new = range(lo, hi + 1)
             else:
@@ -182,11 +184,11 @@ class DualFamily:
         within the margin of a boundary is settled exactly.
         """
         inst = self.instance
+        costi, den = inst.costi, inst.denominator
         margin = inst.float_margin
         all_vs = set(self._pos)
         for j, lp in sorted(self.levels.items()):
-            rf, radius = lp.radius_f, lp.radius
-            diam, diam_f = pow2(j), float(pow2(j))
+            rf, diam_f = lp.radius_f, float(pow2(j))
             seen: dict = {}
             for idx, mem in enumerate(lp.members):
                 if not mem or mem[0] != lp.centers[idx]:
@@ -201,13 +203,14 @@ class DualFamily:
                     seen[v] = idx
                 rows = inst.costf[np.ix_([lp.centers[idx]], mem)][0]
                 for t, v in enumerate(mem):
-                    if rows[t] > rf - margin and not inst.cost(lp.centers[idx], v) < radius:
+                    if rows[t] > rf - margin and pow2_le(
+                            j - 1, int(costi[lp.centers[idx], v]), den):
                         raise EngineInvariantError(
                             f"level {j}: member {v} strays >= 2^{j-1} from its center"
                         )
                 block = inst.costf[np.ix_(mem, mem)]
                 for a, b in zip(*np.nonzero(block > diam_f - margin)):
-                    if a < b and not inst.cost(mem[a], mem[b]) < diam:
+                    if a < b and pow2_le(j, int(costi[mem[a], mem[b]]), den):
                         raise EngineInvariantError(
                             f"level {j}: component {idx} has diameter >= 2^{j}"
                         )
@@ -215,7 +218,7 @@ class DualFamily:
                 raise EngineInvariantError(f"level {j} does not partition the vertices")
             cf = inst.costf[np.ix_(lp.centers, lp.centers)]
             for a, b in zip(*np.nonzero(cf < rf + margin)):
-                if a < b and inst.cost(lp.centers[a], lp.centers[b]) < radius:
+                if a < b and not pow2_le(j - 1, int(costi[lp.centers[a], lp.centers[b]]), den):
                     raise EngineInvariantError(
                         f"level {j}: centers {lp.centers[a]},{lp.centers[b]} too close"
                     )
@@ -238,8 +241,13 @@ class ChargeRecord:
     vertex: int
     level: int
     cut: tuple  # (level, component index)
-    cost: Fraction
+    costi: int  # the parent edge's cost times den
+    den: int    # the instance's cost denominator D
     leaf: bool
+
+    @property
+    def cost(self) -> Fraction:
+        return Fraction(self.costi, self.den)
 
 
 @dataclass(frozen=True)
@@ -249,20 +257,24 @@ class ChargeMap:
 
 
 def compute_charges(state: RoutingState, family: DualFamily) -> ChargeMap:
-    """Charge every tree vertex's parent edge to its cut, indexed by cut."""
+    """Charge every tree vertex's parent edge to its cut, indexed by cut.
+
+    The charge level is read off the integer cost matrix, so no Fraction is
+    built here.
+    """
     if set(family.inserted) != set(state.revealed):
         raise EngineInvariantError("dual family out of sync with revealed vertices")
     view = state.view
-    cost = state.instance.cost
+    costi, den = state.instance.costi, state.instance.denominator
     records = []
     by_cut: dict = {}
     for u in view.order:
         if u == ROOT:
             continue
-        c = cost(u, view.parent[u])
-        j = charge_level(c)
+        c = int(costi[u, view.parent[u]])
+        j = floor_log2_ratio(c, den) - 2  # charge_level(c / den)
         cut = family.component_of(u, j)
-        rec = ChargeRecord(u, j, cut, c, u in view.leaves)
+        rec = ChargeRecord(u, j, cut, c, den, u in view.leaves)
         records.append(rec)
         by_cut.setdefault(cut, []).append(rec)
     return ChargeMap(tuple(records), {k: tuple(v) for k, v in by_cut.items()})
@@ -400,16 +412,17 @@ def logn_accounting(state: RoutingState, family: DualFamily,
                                 True, zero, zero, 0, (), 0, 0)
 
     charges = compute_charges(state, family)
+    den = state.instance.denominator
     total = solution_cost(state)
-    max_edge = max(rec.cost for rec in charges.records)
-    threshold = max_edge / n
+    max_edge = max(rec.costi for rec in charges.records)  # over den, as all sums here
+    threshold = Fraction(max_edge, den * n)
 
     counted_by_cut: dict = {}
-    ignored_cost, ignored_count = Fraction(0), 0
+    ignored_cost, ignored_count = 0, 0
     per_level: dict = {}
     for rec in charges.records:
-        if rec.cost <= threshold:
-            ignored_cost += rec.cost
+        if rec.costi * n <= max_edge:  # rec.cost <= threshold
+            ignored_cost += rec.costi
             ignored_count += 1
             continue
         if rec.cut in counted_by_cut:
@@ -419,12 +432,12 @@ def logn_accounting(state: RoutingState, family: DualFamily,
                 "the logarithmic accounting only covers balanced states"
             )
         counted_by_cut[rec.cut] = rec.vertex
-        cnt, csum = per_level.get(rec.level, (0, Fraction(0)))
-        per_level[rec.level] = (cnt + 1, csum + rec.cost)
+        cnt, csum = per_level.get(rec.level, (0, 0))
+        per_level[rec.level] = (cnt + 1, csum + rec.costi)
 
     rows = []
     for j in sorted(per_level):
-        cnt, csum = per_level[j]
+        cnt, csum = per_level[j][0], Fraction(per_level[j][1], den)
         comps = family.num_components(j)
         if comps < 2:
             raise EngineInvariantError(
@@ -454,7 +467,7 @@ def logn_accounting(state: RoutingState, family: DualFamily,
     gate = 32.0 * (math.log2(n) + 1.0)
     return AccountingReport(
         n=n, total_cost=total, opt_cost=opt, ratio=ratio, gate=gate,
-        certified=float(ratio) <= gate, max_edge=max_edge,
-        ignored_cost=ignored_cost, ignored_count=ignored_count,
+        certified=float(ratio) <= gate, max_edge=Fraction(max_edge, den),
+        ignored_cost=Fraction(ignored_cost, den), ignored_count=ignored_count,
         rows=tuple(rows), levels_charged=len(rows), level_budget=level_budget,
     )

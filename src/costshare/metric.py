@@ -1,22 +1,25 @@
 """Exact finite metrics: construction, closure, MST.
 
-A `MetricInstance` is a complete metric over vertices 0..n-1 with exact
-Fraction distances; vertex 0 is always the broadcast root.  Instances come
-from three constructors (the closure of a positively-weighted graph, grid-
-rounded Euclidean point sets, or an explicit matrix) and never change;
+A `MetricInstance` is a complete metric over vertices 0..n-1 (n >= 1) with
+exact rational distances; vertex 0 is always the broadcast root.  Instances
+come from three constructors (the closure of a positively-weighted graph,
+grid-rounded Euclidean point sets, or an explicit matrix) and never change;
 revealing vertices to the dynamics is the routing state's business.
 
-Each instance carries its distances in three representations:
+The distances live in one integer matrix, `costi`, with
+costi[u, v] = c(u, v) * D over the smallest common denominator D
+(`denominator`).  Each constructor computes it on ints alone, and the other
+two representations derive from it:
 
-- the exact Fraction matrix, read through `cost(u, v)`: the API and every
-  artifact see only these;
-- the integer matrix `costi`, with costi[u, v] = c(u, v) * D over the common
-  denominator D (`denominator`), built on first use.  The exact kernels in
-  `routing` read it instead of taking Fractions apart, so how integer costs
-  are stored is decided here alone;
-- the float64 mirror `costf`, used strictly as a conservative pre-filter (see
-  `float_margin`): any comparison the mirror cannot settle by more than the
-  margin is re-done exactly, and nothing is ever decided by floats alone.
+- `cost(u, v)` builds the exact Fraction costi[u, v] / D on demand: the API
+  and every artifact see only these;
+- the float64 mirror `costf` holds costi / D, each entry correctly rounded,
+  and is used strictly as a conservative pre-filter (see `float_margin`):
+  any comparison the mirror cannot settle by more than the margin is re-done
+  exactly, and nothing is ever decided by floats alone.
+
+The exact kernels in `routing` and `duals` read `costi` directly, so how
+integer costs are stored is decided here alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, MetricError
-from .rationals import format_rational, parse_rational, sqrt_ceil_grid
+from .rationals import format_rational, parse_rational
 
 ROOT = 0
 
@@ -39,55 +42,32 @@ MARGIN_REL = 1e-9
 
 EUCLIDEAN_GRID = 10**6
 
+#: Entries per row block of the vectorized Euclidean build.
+_BLOCK = 1 << 16
+
 
 class MetricInstance:
-    """Immutable complete metric over vertices 0..n-1 (0 is the root)."""
+    """Immutable complete metric over vertices 0..n-1 (0 is the root).
 
-    __slots__ = ("n", "kind", "meta", "_cost", "_costf", "float_margin", "_denominator",
-                 "_costi")
+    `costi` is int64 when every entry fits, object dtype (Python ints)
+    otherwise; read entries through ``int(...)`` so both behave alike.
+    c(u, v) over any multiple L of D is ``int(costi[u, v]) * (L // D)``.
+    The constructors below have checked that the matrix is a metric.
+    """
 
-    def __init__(self, cost_rows, kind, meta, *, _validated=False):
-        self.n = len(cost_rows)
+    __slots__ = ("n", "kind", "meta", "costi", "denominator", "costf", "float_margin")
+
+    def __init__(self, costi, denominator, kind, meta):
+        self.n = len(costi)
         self.kind = kind
         self.meta = meta
-        self._cost = cost_rows
-        self._denominator = None
-        self._costi = None
-        self._costf = np.array([[float(c) for c in row] for row in cost_rows], dtype=np.float64)
-        scale = float(self._costf.max()) if self.n > 1 else 1.0
+        self.costi, self.denominator = _lowest_terms(costi, denominator)
+        self.costf = _float_mirror(self.costi, self.denominator)
+        scale = float(self.costf.max()) if self.n > 1 else 1.0
         self.float_margin = MARGIN_REL * max(1.0, scale)
-        if not _validated:
-            _check_metric(cost_rows, self._costf, self.float_margin)
 
     def cost(self, u, v) -> Fraction:
-        return self._cost[u][v]
-
-    @property
-    def denominator(self) -> int:
-        """D, the lcm of every cost's denominator, computed on first use."""
-        if self._denominator is None:
-            self._denominator = math.lcm(*{c.denominator for row in self._cost for c in row})
-        return self._denominator
-
-    @property
-    def costi(self) -> np.ndarray:
-        """The integer matrix c(u, v) * D, built on first use.
-
-        int64 when every entry fits, object dtype (Python ints) otherwise;
-        read entries through ``int(...)`` so both behave alike.  c(u, v) over
-        any multiple L of D is ``int(costi[u, v]) * (L // D)``.
-        """
-        if self._costi is None:
-            d = self.denominator
-            rows = [[c.numerator * (d // c.denominator) for c in row] for row in self._cost]
-            top = max((max(row) for row in rows), default=0)
-            self._costi = np.array(rows, dtype=np.int64 if top < 2**63 else object)
-        return self._costi
-
-    @property
-    def costf(self) -> np.ndarray:
-        """Float mirror of the distance matrix. Pre-filtering only."""
-        return self._costf
+        return Fraction(int(self.costi[u, v]), self.denominator)
 
     def vertices(self):
         return range(self.n)
@@ -96,52 +76,75 @@ class MetricInstance:
         return f"MetricInstance(n={self.n}, kind={self.kind!r})"
 
 
-def _check_metric(rows, costf, margin):
-    n = len(rows)
-    for i in range(n):
-        if len(rows[i]) != n:
-            raise MetricError(f"row {i} has length {len(rows[i])}, expected {n}")
-        if rows[i][i] != 0:
-            raise MetricError(f"nonzero self-distance at vertex {i}")
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise MetricError(f"asymmetric distance between {i} and {j}")
-            if rows[i][j] <= 0:
-                raise MetricError(f"non-positive distance between {i} and {j}")
-    _check_triangle(rows, costf, margin)
+def _int_matrix(rows) -> np.ndarray:
+    """Square matrix of Python ints: int64 when every entry fits, else object."""
+    top = max((max(row) for row in rows), default=0)
+    return np.array(rows, dtype=np.int64 if top < 2**63 else object)
 
 
-def _check_triangle(rows, costf, margin):
-    """Verify d(i,j) <= d(i,k) + d(k,j) for all triples.
+def _lowest_terms(costi, den):
+    """(costi // g, den // g), g the gcd of den and every entry."""
+    g = den
+    for row in costi:
+        g = math.gcd(g, int(np.gcd.reduce(row)))
+        if g == 1:
+            return costi, den
+    costi = costi // g
+    if costi.dtype == object and costi.max() < 2**63:
+        costi = costi.astype(np.int64)
+    return costi, den // g
 
-    The float mirror rules out the overwhelming majority of triples; anything
-    within the margin is confirmed exactly.
+
+def _float_mirror(costi, den) -> np.ndarray:
+    """costi / den in float64, each entry correctly rounded.
+
+    numpy divides in float64, which rounds correctly when both operands are
+    exact there (at most 2**53); Python's int division always does.  Costs
+    so large that a float sum of a few paths could overflow are refused.
     """
-    n = len(rows)
-    if n < 3:
-        return
-    for k in range(n):
-        # slack[i, j] = d(i,k) + d(k,j) - d(i,j); suspicious when < margin
-        slack = costf[:, k][:, None] + costf[k, :][None, :] - costf
-        sus = np.argwhere(slack < margin)
-        for i, j in sus:
-            i, j = int(i), int(j)
-            if i == k or j == k or i == j:
-                continue
-            if rows[i][j] > rows[i][k] + rows[k][j]:
-                raise MetricError(
-                    f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
-                )
+    top = int(costi.max())
+    if top <= 2**53 and den <= 2**53:
+        return costi / den
+    try:
+        if not math.isfinite(4.0 * len(costi) * (top / den)):
+            raise OverflowError
+        return (costi.astype(object) / den).astype(np.float64)
+    except OverflowError:
+        raise MetricError(
+            f"a distance near 2^{top.bit_length() - den.bit_length()} is too large: "
+            "float64 sums of path lengths would overflow") from None
+
+
+def _need_root(n) -> None:
+    if n < 1:
+        raise MetricError(f"an instance needs at least the root vertex, got n={n}")
+
+
+def _check_triangle(costi) -> None:
+    """Verify d(i,j) <= d(i,k) + d(k,j) for all triples, exactly.
+
+    On int64 while every two-term sum fits, on Python ints otherwise.
+    """
+    if costi.dtype != object and int(costi.max()) >= 2**62:
+        costi = costi.astype(object)
+    for k in range(len(costi)):
+        bad = np.argwhere(costi[:, k][:, None] + costi[k, :][None, :] < costi)
+        if len(bad):
+            i, j = (int(x) for x in bad[0])
+            raise MetricError(
+                f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
+            )
 
 
 def metric_closure(n, weighted_edges) -> MetricInstance:
     """Shortest-path closure of a connected, positively weighted graph.
 
-    `weighted_edges` is an iterable of (u, v, cost) with exact Fractions.
-    The closure is computed with exact Dijkstra (Fractions order fine in a
-    heap), so the result is a metric by construction and skips re-validation.
+    `weighted_edges` is an iterable of (u, v, cost) with exact rationals.
+    The closure is an exact Dijkstra per source on ints (the edge costs
+    times the lcm of their denominators), so the result is a metric by
+    construction and skips re-validation.
     """
-    adj = [[] for _ in range(n)]
+    _need_root(n)
     edges = []
     for u, v, c in weighted_edges:
         c = Fraction(c)
@@ -151,62 +154,111 @@ def metric_closure(n, weighted_edges) -> MetricInstance:
             raise ConfigError(f"self-loop at vertex {u}")
         if c <= 0:
             raise ConfigError(f"edge ({u},{v}) has non-positive cost {c}")
-        adj[u].append((v, c))
-        adj[v].append((u, c))
         edges.append((u, v, c))
+
+    den = math.lcm(*(c.denominator for _, _, c in edges))
+    adj = [[] for _ in range(n)]
+    for u, v, c in edges:
+        w = c.numerator * (den // c.denominator)
+        adj[u].append((v, w))
+        adj[v].append((u, w))
 
     rows = []
     for src in range(n):
-        dist = {src: Fraction(0)}
-        done = [False] * n
-        heap = [(Fraction(0), src)]
+        dist = [None] * n
+        dist[src] = 0
+        heap = [(0, src)]
         while heap:
             d, x = heapq.heappop(heap)
-            if done[x]:
+            if d > dist[x]:
                 continue
-            done[x] = True
-            for y, c in adj[x]:
-                nd = d + c
-                if y not in dist or nd < dist[y]:
+            for y, w in adj[x]:
+                nd = d + w
+                if dist[y] is None or nd < dist[y]:
                     dist[y] = nd
                     heapq.heappush(heap, (nd, y))
-        if len(dist) != n:
+        if None in dist:
             raise MetricError("weighted graph is disconnected; closure undefined")
-        rows.append([dist[v] for v in range(n)])
+        rows.append(dist)
 
     meta = {"edges": [[u, v, format_rational(c)] for u, v, c in edges]}
-    return MetricInstance(rows, "weighted-graph", meta, _validated=True)
+    return MetricInstance(_int_matrix(rows), den, "weighted-graph", meta)
 
 
 def euclidean_instance(points) -> MetricInstance:
-    """Metric over 2-D rational points, distances ceiling-rounded to 1/10^6.
+    """Metric over 2-D rational points, distances ceiling-rounded to 1/G.
 
-    Rounding *up* preserves the triangle inequality exactly (see
-    sqrt_ceil_grid), so no re-validation pass is needed.  Duplicate points
-    would create zero distances and are rejected.
+    G is EUCLIDEAN_GRID.  Rounding *up* to the grid is deliberate:
+    ceil(a) <= ceil(b) + ceil(c) whenever a <= b + c, so distances rounded
+    this way still satisfy the triangle inequality, which floor or nearest
+    rounding can break on near-collinear triples; no re-validation pass is
+    needed.  Duplicate points would create zero distances and are rejected.
+
+    With the coordinates as ints over the lcm L of their denominators and s
+    a squared distance on that scale, costi over G holds the smallest k
+    with k^2 >= s (G/L)^2.  When L divides G the points have integer grid
+    coordinates, and while squared grid distances stay below 2^62 the build
+    is vectorized (`_grid_ceil_sqrt`); otherwise each k is `math.isqrt`'s.
     """
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    _need_root(len(pts))
     if len(set(pts)) != len(pts):
         raise MetricError("duplicate points produce zero distances")
     n = len(pts)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    grid = EUCLIDEAN_GRID
+    lcm = math.lcm(*(c.denominator for p in pts for c in p))
+    xs = [x.numerator * (lcm // x.denominator) for x, _ in pts]
+    ys = [y.numerator * (lcm // y.denominator) for _, y in pts]
+    if grid % lcm == 0:
+        r = grid // lcm
+        gx, gy = [x * r for x in xs], [y * r for y in ys]
+        if (max(gx) - min(gx)) ** 2 + (max(gy) - min(gy)) ** 2 < 2**62:
+            costi = _grid_ceil_sqrt(gx, gy)
+            meta = {"points": [[format_rational(x), format_rational(y)] for x, y in pts]}
+            return MetricInstance(costi, grid, "euclidean", meta)
+    scale, l2 = grid * grid, lcm * lcm
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        xi, yi = pts[i]
         for j in range(i + 1, n):
-            dx = xi - pts[j][0]
-            dy = yi - pts[j][1]
-            d = sqrt_ceil_grid(dx * dx + dy * dy, EUCLIDEAN_GRID)
-            rows[i][j] = rows[j][i] = d
+            dx, dy = xs[i] - xs[j], ys[i] - ys[j]
+            target = -(-(dx * dx + dy * dy) * scale // l2)  # ceil(s G^2 / L^2)
+            k = math.isqrt(target)
+            rows[i][j] = rows[j][i] = k if k * k == target else k + 1
     meta = {"points": [[format_rational(x), format_rational(y)] for x, y in pts]}
-    return MetricInstance(rows, "euclidean", meta, _validated=True)
+    return MetricInstance(_int_matrix(rows), grid, "euclidean", meta)
+
+
+def _grid_ceil_sqrt(xs, ys) -> np.ndarray:
+    """ceil(sqrt(dx^2 + dy^2)) for every pair of integer points, on int64.
+
+    Requires every squared distance s below 2^62, so K = ceil(sqrt(s)) is at
+    most 2^31.  Float rounding is monotone and rounds K^2 back to K through
+    the root, so the float root r of s is at most K; r is also within 2^-21
+    of sqrt(s), so ceil(r) >= K - 1, and one exact step up fixes it.  Built
+    a block of rows at a time, so no n x n temporaries pile up.
+    """
+    x = np.array(xs, dtype=np.int64)
+    y = np.array(ys, dtype=np.int64)
+    n = len(xs)
+    out = np.empty((n, n), dtype=np.int64)
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        dx = x[lo:lo + step, None] - x
+        dy = y[lo:lo + step, None] - y
+        s = dx * dx + dy * dy
+        k = np.ceil(np.sqrt(s)).astype(np.int64)
+        k += k * k < s
+        out[lo:lo + step] = k
+    return out
 
 
 def explicit_metric(n, pair_costs) -> MetricInstance:
     """Metric from explicit pairwise costs {(u, v): Fraction} (u < v).
 
     Fully validated: symmetry comes from the keying, positivity and the
-    triangle inequality are checked.
+    triangle inequality are checked exactly.
     """
+    _need_root(n)
     pairs = {}
     for (u, v), c in pair_costs.items():
         a, b = (u, v) if u < v else (v, u)
@@ -219,35 +271,39 @@ def explicit_metric(n, pair_costs) -> MetricInstance:
     # is refused at the size of its input
     if len(pairs) != n * (n - 1) // 2:
         raise ConfigError("explicit metric must specify every vertex pair")
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (a, b), c in sorted(pairs.items()):
+        if c <= 0:
+            raise MetricError(f"non-positive distance between {a} and {b}")
+    den = math.lcm(*(c.denominator for c in pairs.values()))
+    rows = [[0] * n for _ in range(n)]
     for (a, b), c in pairs.items():
-        rows[a][b] = rows[b][a] = c
+        rows[a][b] = rows[b][a] = c.numerator * (den // c.denominator)
+    costi = _int_matrix(rows)
+    _check_triangle(costi)
     meta = {
-        "costs": [[a, b, format_rational(rows[a][b])] for a in range(n) for b in range(a + 1, n)]
+        "costs": [[a, b, format_rational(pairs[a, b])] for a in range(n) for b in range(a + 1, n)]
     }
-    return MetricInstance(rows, "metric", meta)
+    return MetricInstance(costi, den, "metric", meta)
 
 
 def mst_cost(instance, vertex_subset) -> Fraction:
-    """Exact minimum spanning tree cost over a subset of vertices (Prim)."""
+    """Exact minimum spanning tree cost over a subset of vertices (Prim on ints)."""
     nodes = sorted(set(vertex_subset))
     if any(not 0 <= v < instance.n for v in nodes):
         raise ConfigError(f"subset {nodes} out of range for n={instance.n}")
     if len(nodes) <= 1:
         return Fraction(0)
-    cost = instance._cost
-    in_tree = {nodes[0]}
-    best = {v: cost[nodes[0]][v] for v in nodes[1:]}
-    total = Fraction(0)
+    rows = instance.costi[np.ix_(nodes, nodes)].tolist()
+    best = dict(enumerate(rows[0][1:], start=1))  # subset index -> cheapest link
+    total = 0
     while best:
         v = min(best, key=lambda x: (best[x], x))
         total += best.pop(v)
-        in_tree.add(v)
-        row = cost[v]
+        row = rows[v]
         for u in best:
             if row[u] < best[u]:
                 best[u] = row[u]
-    return total
+    return Fraction(total, instance.denominator)
 
 
 # ---------------------------------------------------------------------------

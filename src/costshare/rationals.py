@@ -2,9 +2,10 @@
 
 All game-relevant quantities are `fractions.Fraction`; these utilities cover
 the places where plain Fraction arithmetic is not quite enough: exact binary
-logarithms (for charge levels and dual windows), exact grid-rounded square
-roots (for Euclidean distances), harmonic numbers as integer pairs (for the
-potential), and the "p/q" string round-trip used by every serialized artifact.
+logarithms (for charge levels and dual windows, also of an integer ratio
+p/q, so that readers of the integer cost matrix build no Fraction), harmonic
+numbers as integer pairs (for the potential), and the "p/q" string
+round-trip used by every serialized artifact.
 """
 
 from __future__ import annotations
@@ -47,28 +48,32 @@ def format_rational(value: Fraction) -> str:
 
 def floor_log2(value: Fraction) -> int:
     """Largest j with 2**j <= value, computed exactly. Requires value > 0."""
-    p, q = value.numerator, value.denominator
-    if p <= 0:  # the sign, without a Fraction comparison
-        raise ValueError(f"floor_log2 requires a positive value, got {value}")
+    return floor_log2_ratio(value.numerator, value.denominator)
+
+
+def floor_log2_ratio(p: int, q: int) -> int:
+    """floor_log2(p/q) for ints p, q > 0; p/q need not be in lowest terms."""
+    if p <= 0 or q <= 0:  # the sign, without a Fraction comparison
+        raise ValueError(f"log2 of a non-positive ratio {p}/{q}")
+    # 2**(j-1) < p/q < 2**(j+1), so the answer is j or j - 1
     j = p.bit_length() - q.bit_length()
-    # bit_length gives j within 1; fix up exactly.
-    while _pow2_le(j + 1, p, q):
-        j += 1
-    while not _pow2_le(j, p, q):
-        j -= 1
-    return j
+    return j if pow2_le(j, p, q) else j - 1
 
 
-def _pow2_le(j: int, p: int, q: int) -> bool:
-    # 2**j <= p/q without constructing Fractions.
+def pow2_le(j: int, p: int, q: int) -> bool:
+    """2**j <= p/q for ints p, q > 0, without constructing Fractions."""
     if j >= 0:
         return (q << j) <= p
     return q <= (p << -j)
 
 
 def ceil_log2(value: Fraction) -> int:
-    j = floor_log2(value)
-    return j if pow2(j) == value else j + 1
+    return ceil_log2_ratio(value.numerator, value.denominator)
+
+
+def ceil_log2_ratio(p: int, q: int) -> int:
+    """Smallest j with p/q <= 2**j: ceil(log2 x) = -floor(log2(1/x))."""
+    return -floor_log2_ratio(q, p)
 
 
 def pow2(j: int) -> Fraction:
@@ -96,22 +101,3 @@ def harmonic(n: int) -> tuple[int, int]:
         _HNUM.append(_HNUM[-1] * (lcm // _LCM[-1]) + lcm // k)
         _LCM.append(lcm)
     return _HNUM[n], _LCM[n]
-
-
-def sqrt_ceil_grid(value: Fraction, denominator: int) -> Fraction:
-    """Smallest k/denominator whose square is >= value (value >= 0).
-
-    Rounding *up* to the grid is deliberate: ceil(a) <= ceil(b) + ceil(c)
-    whenever a <= b + c, so distances rounded this way still satisfy the
-    triangle inequality, which floor or nearest rounding can break on
-    near-collinear triples.
-    """
-    if value < 0:
-        raise ValueError("square root of a negative value")
-    num = value.numerator * denominator * denominator
-    den = value.denominator
-    target = -(-num // den)  # ceil(num/den)
-    k = math.isqrt(target)
-    if k * k < target:
-        k += 1
-    return Fraction(k, denominator)

@@ -188,11 +188,11 @@ def prune_departures(state, departing) -> RoutingState:
 def shared_cost(state, terminal) -> Fraction:
     if terminal not in state.counts:
         raise EngineInvariantError(f"shared_cost of inactive vertex {terminal}")
-    cost = state.instance.cost
-    total = Fraction(0)
-    for a, b in zip(state.paths[terminal], state.paths[terminal][1:]):
-        total += cost(a, b) / state.usage[edge_key(a, b)]
-    return total
+    inst = state.instance
+    path = state.paths[terminal]
+    shares = [(int(inst.costi[a, b]), state.usage[edge_key(a, b)]) for a, b in zip(path, path[1:])]
+    lcm = math.lcm(*(k for _, k in shares))
+    return Fraction(sum(c * (lcm // k) for c, k in shares), inst.denominator * lcm)
 
 
 def solution_cost(state) -> Fraction:
@@ -741,13 +741,13 @@ def closest_improving_target(state, u, verts, screen_row, allowed=None):
             continue
         cands.append((costf[u, v], v))
     cands.sort()
-    best = None  # (exact cost, v)
+    best = None  # (exact cost over D, v)
     best_f = None
     for cf, v in cands:
         if best is not None and cf > best_f + margin:
             break
         if is_improving_tree_move(state, u, v):
-            c = state.instance.cost(u, v)
+            c = int(state.instance.costi[u, v])
             if best is None or (c, v) < best:
                 best = (c, v)
                 best_f = cf

@@ -10,7 +10,9 @@ between the two routes is evidence, not tautology.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from fractions import Fraction
 
 ROOT = 0
@@ -66,6 +68,57 @@ def floyd_warshall(cost):
                 if via < row[j]:
                     row[j] = via
     return d
+
+
+def dijkstra_closure(n, edges):
+    """Metric closure by per-source Dijkstra on Fractions (None if disconnected).
+
+    ``edges`` holds (u, v, cost) triples.  A Fraction route to what
+    `metric_closure` computes on ints.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v, c in edges:
+        adj[u].append((v, Fraction(c)))
+        adj[v].append((u, Fraction(c)))
+    rows = []
+    for src in range(n):
+        dist = {src: Fraction(0)}
+        done = [False] * n
+        heap = [(Fraction(0), src)]
+        while heap:
+            d, x = heapq.heappop(heap)
+            if done[x]:
+                continue
+            done[x] = True
+            for y, c in adj[x]:
+                nd = d + c
+                if y not in dist or nd < dist[y]:
+                    dist[y] = nd
+                    heapq.heappush(heap, (nd, y))
+        if len(dist) != n:
+            return None
+        rows.append([dist[v] for v in range(n)])
+    return rows
+
+
+def sqrt_ceil_grid(value, denominator):
+    """Smallest k/denominator whose square is >= value (value >= 0)."""
+    if value < 0:
+        raise ValueError("square root of a negative value")
+    num = value.numerator * denominator * denominator
+    den = value.denominator
+    target = -(-num // den)  # ceil(num/den)
+    k = math.isqrt(target)
+    if k * k < target:
+        k += 1
+    return Fraction(k, denominator)
+
+
+def euclidean_costs(points, grid):
+    """Fraction matrix of grid-ceiling-rounded distances between 2-D points."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    return [[sqrt_ceil_grid((xa - xb) ** 2 + (ya - yb) ** 2, grid) for xb, yb in pts]
+            for xa, ya in pts]
 
 
 def _pruefer_tree(seq, labels):

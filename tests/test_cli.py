@@ -193,6 +193,17 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+_HUGE = "1" + "0" * 400  # beyond the float64 range
+# well-formed, but no engine instance can hold them
+_UNREPRESENTABLE = [
+    {"kind": "metric", "n": 3, "costs": [[0, 1, _HUGE], [0, 2, _HUGE], [1, 2, "1"]]},
+    {"kind": "euclidean", "points": [["0", "0"], [_HUGE, "0"]]},
+    {"kind": "weighted-graph", "n": 2, "edges": [[0, 1, _HUGE]]},
+    {"kind": "euclidean", "points": []},                           # no root
+    {"kind": "weighted-graph", "n": 0, "edges": []},               # no root
+]
+
+
 @pytest.mark.parametrize("instance", [
     {"kind": "euclidean"},                                         # no points
     {"kind": "euclidean", "points": [["0", "0"], ["1"]]},          # 1-field point
@@ -211,12 +222,14 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, argv):
     {"kind": "weighted-graph", "edges": [[0, 1, "1"]]},            # no n
     {"kind": "weighted-graph", "n": 2, "edges": [[0, 1]]},         # 2-field row
     {"kind": "weighted-graph", "n": 2, "edges": [[0, None, "1"]]},  # null id
+    *_UNREPRESENTABLE,
 ])
 def test_malformed_instance_exits_2_without_traceback(tmp_path, capsys, instance):
+    # no events: the instance alone must be refused
     ipath = tmp_path / "instance.json"
     ipath.write_text(json.dumps(instance))
     spath = tmp_path / "schedule.json"
-    spath.write_text(json.dumps(schedule_to_jsonable([ArrivalEvent((ArrivalItem(1, 1),))])))
+    spath.write_text(json.dumps(schedule_to_jsonable([])))
     rc = main(["run", "--instance", str(ipath), "--schedule", str(spath),
                "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -226,12 +239,13 @@ def test_malformed_instance_exits_2_without_traceback(tmp_path, capsys, instance
 @pytest.mark.parametrize("instance", [
     {"kind": "euclidean"},
     {"kind": "metric", "n": 2, "costs": [[0, 1]]},
+    *_UNREPRESENTABLE,
 ])
 def test_malformed_instance_exits_2_as_a_process(tmp_path, instance):
     ipath = tmp_path / "instance.json"
     ipath.write_text(json.dumps(instance))
     spath = tmp_path / "schedule.json"
-    spath.write_text(json.dumps(schedule_to_jsonable([ArrivalEvent((ArrivalItem(1, 1),))])))
+    spath.write_text(json.dumps(schedule_to_jsonable([])))
     proc = subprocess.run(
         [sys.executable, "-m", "costshare.cli", "run", "--instance", str(ipath),
          "--schedule", str(spath), "--out", str(tmp_path / "out")],

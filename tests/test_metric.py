@@ -1,7 +1,10 @@
 """Exact-arithmetic helpers and metric construction."""
 
+import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,9 @@ from hypothesis import given, settings, strategies as st
 from costshare import (
     ConfigError,
     MetricError,
+    build_gm,
+    build_random_euclidean,
+    build_steiner_gap_fixture,
     euclidean_instance,
     explicit_metric,
     format_rational,
@@ -18,18 +24,26 @@ from costshare import (
     instance_to_dict,
     metric_closure,
     mst_cost,
+    metric,
     parse_rational,
 )
 from costshare.metric import EUCLIDEAN_GRID
 from costshare.rationals import (
     ceil_log2,
+    ceil_log2_ratio,
     floor_log2,
+    floor_log2_ratio,
     harmonic,
     pow2,
-    sqrt_ceil_grid,
 )
 from conftest import big_denominator_metric, random_metric
-from oracles import brute_mst, floyd_warshall
+from oracles import (
+    brute_mst,
+    dijkstra_closure,
+    euclidean_costs,
+    floyd_warshall,
+    sqrt_ceil_grid,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -80,6 +94,13 @@ def test_log2_known_values():
     assert floor_log2(Fraction(1, 3)) == -2
     assert ceil_log2(Fraction(8)) == 3
     assert ceil_log2(Fraction(9)) == 4
+
+
+@given(positive_rationals, st.integers(min_value=1, max_value=10**9))
+def test_log2_of_an_unreduced_ratio(x, k):
+    p, q = x.numerator * k, x.denominator * k
+    assert floor_log2_ratio(p, q) == floor_log2(x)
+    assert ceil_log2_ratio(p, q) == ceil_log2(x)
 
 
 def test_floor_log2_rejects_nonpositive():
@@ -210,6 +231,154 @@ def test_euclidean_rounding_preserves_triangle(points):
             dx = points[i][0] - points[j][0]
             dy = points[i][1] - points[j][1]
             assert inst.cost(i, j) ** 2 >= dx * dx + dy * dy
+
+
+# ---------------------------------------------------------------------------
+# integer builders against their Fraction oracles
+
+
+def _matrix(inst):
+    return [[inst.cost(i, j) for j in range(inst.n)] for i in range(inst.n)]
+
+
+def _square_boundary_points(b, unit):
+    """Points at squared distances k^2 - 1, k^2 and k^2 + 1 from the origin,
+    for k = b^2/2 + 1 (b even), coordinates in multiples of `unit`.
+
+    (k - 1)^2 + b^2 = k^2 - 2k + 1 + 2k - 2 = k^2 - 1.
+    """
+    k = b * b // 2 + 1
+    return [(0, 0), ((k - 1) * unit, b * unit), (k * unit, 0), (k * unit, unit)]
+
+
+_G = Fraction(1, EUCLIDEAN_GRID)
+_EUCLIDEAN_CASES = {
+    # name: (points, built by the vectorized int64 path)
+    "non-grid rational": ([(0, 0), (3, 0), (3, 4), (Fraction(1, 3), Fraction(7, 2))], False),
+    "integer": ([(0, 0), (3, 4), (-7, 1), (2, -9), (5, 5)], True),
+    "random grid": (
+        [(Fraction(random.Random(i).randrange(EUCLIDEAN_GRID), EUCLIDEAN_GRID),
+          Fraction(random.Random(~i).randrange(EUCLIDEAN_GRID), EUCLIDEAN_GRID))
+         for i in range(30)], True),
+    "squares near 2^26": (_square_boundary_points(11_586, _G), True),
+    "squares near 2^30": (_square_boundary_points(46_340, _G), True),
+    "squares on the int path": (_square_boundary_points(77_460, _G), False),
+    "huge coordinates": ([(0, 0), (10**15, 1), (-(10**15), Fraction(7, 3))], False),
+    "tiny spacing": ([(0, 0), (_G, 0), (0, _G), (_G, _G), (Fraction(1, 7), 0)], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EUCLIDEAN_CASES))
+def test_euclidean_builder_matches_grid_root_oracle(monkeypatch, name):
+    points, vectorized = _EUCLIDEAN_CASES[name]
+    calls = []
+    grid_ceil_sqrt = metric._grid_ceil_sqrt
+    monkeypatch.setattr(metric, "_grid_ceil_sqrt",
+                        lambda *args: calls.append(1) or grid_ceil_sqrt(*args))
+    inst = euclidean_instance(points)
+    assert bool(calls) == vectorized
+    assert _matrix(inst) == euclidean_costs(points, EUCLIDEAN_GRID)
+
+
+def test_square_boundary_points_hit_the_boundaries():
+    for b in (11_586, 46_340, 77_460):
+        k = b * b // 2 + 1
+        pts = _square_boundary_points(b, 1)
+        assert sorted(x * x + y * y for x, y in pts[1:]) == [k * k - 1, k * k, k * k + 1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closure_with_mixed_denominators_matches_fraction_dijkstra(seed):
+    rng = random.Random(3000 + seed)
+    n = rng.randint(2, 12)
+    denoms = (1, 2, 3, 5, 7, 9, 11, 16, 10**6 + 3)
+    edges = [(rng.randrange(v), v, Fraction(rng.randint(1, 10**4), rng.choice(denoms)))
+             for v in range(1, n)]
+    edges += [(a, b, Fraction(rng.randint(1, 10**4), rng.choice(denoms)))
+              for a, b in (rng.sample(range(n), 2) for _ in range(rng.randrange(2 * n)))]
+    inst = metric_closure(n, edges)
+    want = dijkstra_closure(n, edges)
+    assert _matrix(inst) == want
+    assert inst.denominator == math.lcm(*(c.denominator for row in want for c in row))
+
+
+def _every_kind():
+    rng = random.Random(6)
+    # int64 entries above 2^53 over D = 3: numpy's float division would
+    # round each operand first (1298435936178584516 / 3 is one it misrounds)
+    double_rounding = {(0, 1): Fraction(1298435936178584516, 3),
+                       (0, 2): Fraction(2**60 + 1, 3), (1, 2): Fraction(2**60 + 4, 3)}
+    return [
+        explicit_metric(3, double_rounding),
+        euclidean_instance(_EUCLIDEAN_CASES["non-grid rational"][0]),
+        euclidean_instance(_EUCLIDEAN_CASES["squares on the int path"][0]),
+        build_random_euclidean(40, 3).instance,
+        build_gm(3).instance,
+        build_steiner_gap_fixture(7).instance,
+        random_metric(rng, 9),
+        explicit_metric(3, {(0, 1): Fraction(1, 3), (0, 2): Fraction(1, 2), (1, 2): Fraction(2, 3)}),
+        big_denominator_metric(rng),
+    ]
+
+
+def test_float_mirror_is_bit_identical_to_float_of_cost():
+    for inst in _every_kind():
+        want = np.array([[float(c) for c in row] for row in _matrix(inst)], dtype=np.float64)
+        assert inst.costf.dtype == np.float64
+        assert inst.costf.tobytes() == want.tobytes(), inst
+
+
+@pytest.mark.parametrize("den, unit", [(3, 10**17), (1, 2**70), (10**6 + 3, 2**55)])
+def test_triangle_check_is_exact_below_float_resolution(den, unit):
+    # d(0,2) exceeds d(0,1) + d(1,2) by 1/den, far below the float spacing
+    legs = Fraction(unit, den)
+    assert float(2 * legs + Fraction(1, den)) == float(2 * legs)
+    with pytest.raises(MetricError, match=r"d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
+        explicit_metric(3, {(0, 1): legs, (1, 2): legs, (0, 2): 2 * legs + Fraction(1, den)})
+    tight = explicit_metric(3, {(0, 1): legs, (1, 2): legs, (0, 2): 2 * legs})
+    assert tight.cost(0, 2) == 2 * legs
+
+
+def test_instances_need_a_root():
+    for build in (lambda: euclidean_instance([]), lambda: metric_closure(0, []),
+                  lambda: explicit_metric(0, {})):
+        with pytest.raises(MetricError, match="root"):
+            build()
+
+
+def test_costs_beyond_float_range_are_refused():
+    huge = Fraction(10**400)
+    for build in (lambda: euclidean_instance([(0, 0), (huge, 0)]),
+                  lambda: metric_closure(2, [(0, 1, huge)]),
+                  lambda: explicit_metric(3, {(0, 1): huge, (0, 2): huge, (1, 2): 1})):
+        with pytest.raises(MetricError, match="too large"):
+            build()
+
+
+_BUILD_AT_SCALE = """
+import json, random, resource, sys, time
+from costshare.instances import _random_points
+from costshare.metric import euclidean_instance
+points = _random_points(random.Random(0), int(sys.argv[1]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+inst = euclidean_instance(points)
+seconds = time.perf_counter() - start
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"n": inst.n, "growth_kb": after - before, "seconds": seconds}))
+"""
+
+
+def test_euclidean_instance_at_scale_builds_in_bounded_memory():
+    # costi and costf take 2 * 8 * 1600^2 bytes, about 41 MB; the build
+    # itself works a block of rows at a time
+    proc = subprocess.run([sys.executable, "-c", _BUILD_AT_SCALE, "1600"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["n"] == 1600
+    assert got["growth_kb"] < 60 * 1024
+    assert got["seconds"] < 5
 
 
 # ---------------------------------------------------------------------------
