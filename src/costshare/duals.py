@@ -52,31 +52,25 @@ class LevelPartition:
     apart, which caps the component diameter below 2^level.
     """
 
-    __slots__ = ("level", "radius_f", "centers", "members", "of")
+    __slots__ = ("level", "centers", "members", "of")
 
     def __init__(self, level: int):
         self.level = level
-        self.radius_f = math.ldexp(1.0, level - 1)  # join strictly below 2^(level-1)
         self.centers: list = []
         self.members: list = []
         self.of: dict = {}
 
     def insert(self, v: int, instance: MetricInstance) -> int:
-        costf = instance.costf
-        margin = instance.float_margin
-        rf = self.radius_f
-        for idx, c in enumerate(self.centers):
-            df = costf[c, v]
-            if df > rf + margin:
-                continue
-            if df < rf - margin or not pow2_le(self.level - 1, int(instance.costi[c, v]),
-                                               instance.denominator):
-                self.members[idx].append(v)
-                self.of[v] = idx
-                return idx
-        idx = len(self.centers)
-        self.centers.append(v)
-        self.members.append([v])
+        # c(center, v) < 2^(level-1) iff the int costi[center, v] is below
+        # ceil(D * 2^(level-1))
+        den, j = instance.denominator, self.level - 1
+        limit = den << j if j >= 0 else -(-den >> -j)
+        near = (instance.costi[v, self.centers] < limit).nonzero()[0]
+        idx = int(near[0]) if len(near) else len(self.centers)
+        if idx == len(self.centers):
+            self.centers.append(v)
+            self.members.append([])
+        self.members[idx].append(v)
         self.of[v] = idx
         return idx
 
@@ -188,7 +182,7 @@ class DualFamily:
         margin = inst.float_margin
         all_vs = set(self._pos)
         for j, lp in sorted(self.levels.items()):
-            rf, diam_f = lp.radius_f, float(pow2(j))
+            rf, diam_f = math.ldexp(1.0, j - 1), float(pow2(j))
             seen: dict = {}
             for idx, mem in enumerate(lp.members):
                 if not mem or mem[0] != lp.centers[idx]:

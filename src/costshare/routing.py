@@ -18,8 +18,8 @@ An arrival into an equilibrium needs no search: its best response grafts
 onto the tree by one edge, and `graft_path` finds that edge with one scan of
 the tree view.  The best-response search (`_Search`) serves every other
 routing question, and is the graft's test oracle.  Each search answers one
-vertex: a Dijkstra from the root over the revealed vertices, in id order,
-that stops once that vertex is settled.
+vertex: an exact-integer Dijkstra from the root over the vertices some path
+uses, in id order, that stops once that vertex is settled.
 
 Everything that decides anything is exact.  The hot kernels, `_Search`, the
 tree view (`_Tree`) and `potential`, keep their exact values as plain ints
@@ -27,10 +27,10 @@ over one common denominator: the instance's cost denominator D times the lcm
 of the user-count divisors they meet.  They read costs from the instance's
 integer matrix `costi` (c * D), never from Fractions.  A Fraction is built
 only where a value leaves them, so the public API returns Fractions
-throughout.  float64 mirrors (`instance.costf`, the A/B prefix arrays) only
-discard candidates that lose by more than the instance's float margin;
-whatever survives the screen is settled exactly.  Comments below mark each
-such screen with its soundness argument.
+throughout.  Float64 mirrors (`instance.costf`, the A/B prefix arrays)
+screen candidates in `graft_path`, `_candidate_screen` and
+`closest_improving_target`: a screen drops only what loses by more than the
+float margin, settles the rest exactly, and says why that is sound.
 """
 
 from __future__ import annotations
@@ -346,126 +346,149 @@ class _Tree:
 class _Search:
     """(cost, fresh)-lexicographic shortest path from one `target` to the root.
 
-    Dijkstra from the root over the revealed vertices, stopped as soon as
-    `target` is settled; `nodes` lists them in ascending id order.  Exact
-    shares are ints over the search's denominator `den` = D * lcm{d_e}, where
-    d_e is the divisor of edge e's hypothetical share: N_e on the mover's own
-    edges, N_e + 1 on every other used edge.  A used edge's (share, fresh)
-    pair is tabulated once per search, in both orientations; an unused edge
-    is fresh and weighs c(x, y) over `den`, read from the instance's integer
-    matrix as costi[x, y] * (den // D).
+    A Dijkstra from the root that stops once `target` is settled.  It visits
+    `nodes`, in id order: the used edges' endpoints, the target and the root,
+    minus `excluded`.  No other vertex x lies on a best path from any of
+    them: x would be entered and left by two unused edges, fresh and at full
+    cost, and every instance meets the triangle inequality exactly (closures
+    by construction, Euclidean instances by ceiling rounding, explicit ones
+    by `_check_triangle`), so the direct edge between x's neighbours gives a
+    strictly smaller (cost, fresh) key.
 
-    Settling follows the exact (cost, fresh, id) key: the float screen only
-    drops a candidate that loses by more than the margin, which is sound
-    because the float mirror of any exact distance reached here drifts by
-    orders of magnitude less than the margin (a few hundred additions of
-    correctly rounded floats), and candidates within the margin are ordered
-    exactly.  Every share is positive, so every optimal continuation of the
-    target has a strictly smaller key and is settled before it: stopping at
-    the target loses nothing `cost_fresh` and `path_from` read, and both
-    accept settled vertices only.
+    Shares are ints over `den` = D * lcm{d_e}, d_e being edge e's share
+    divisor: N_e on the mover's own edges, N_e + 1 on other used edges, 1 on
+    unused (fresh) ones.  With K = len(nodes) + 1, a path of share s over
+    `den` with f fresh edges has key s * K + f.  Each key formed here is a
+    simple path plus at most one edge, so f < K and key order is
+    (cost, fresh) order; the first smallest key pops in (cost, fresh, id)
+    order.  Shares are positive, so the target's optimal continuations
+    settle before it, and stopping there loses nothing `cost_fresh` and
+    `path_from` read.
+
+    Weights are clamped at `top`, one more than the key of the direct edge
+    target -> root.  Settled keys are at most the target's, below `top`; a
+    path through a clamped edge weighs at least `top`, clamped or exact.  So
+    the clamp changes no settled key and no continuation `path_from` takes,
+    and relaxed keys stay below 2 * top, an unsettled vertex's key.  When
+    4 * top < 2**63 keys and weights are int64 (`_dense`); otherwise keys
+    are Python ints, split so that work along a row stays on int64 (`_wide`).
     """
 
-    __slots__ = ("nodes", "pos", "dist", "den", "_wf", "_ci", "_settled_f", "_margin",
-                 "_target", "_used", "_scale")
+    __slots__ = ("nodes", "pos", "dist", "den", "_hits")
 
     def __init__(self, state, target, *, mover, own_path, excluded=frozenset()):
-        inst = state.instance
-        nodes = sorted(set(state.revealed) - set(excluded))
-        pos = {v: i for i, v in enumerate(nodes)}
-        if ROOT not in pos or target not in pos:
+        if ROOT in excluded or target in excluded:
             raise EngineInvariantError(f"search from {target} excludes it or the root")
-        self.nodes = nodes
-        self.pos = pos
-        self._target = pos[target]
-        self._margin = inst.float_margin
+        inst = state.instance
+        costi = inst.costi
+        nodes = sorted({ROOT, target, *(v for e in state.usage for v in e)} - set(excluded))
+        pos = {v: i for i, v in enumerate(nodes)}
+        self.nodes, self.pos = nodes, pos
+        K = len(nodes) + 1
 
         own = frozenset(path_edges(own_path)) if own_path else frozenset()
         mover_count = state.counts.get(mover, 0)
-        used = []  # (i, j, divisor, fresh) of each used edge among `nodes`
+        used = {}  # (i, j) -> (divisor, fresh) of each used edge among `nodes`, i < j
         for (a, b), n in state.usage.items():
-            i, j = pos.get(a), pos.get(b)
-            if i is None or j is None:
-                continue
-            if (a, b) in own:
-                used.append((i, j, n, int(n == mover_count)))
-            else:
-                used.append((i, j, n + 1, 0))
-        ia, ib, d, fresh = zip(*used) if used else ((), (), (), ())
-        ia, ib = np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp)
-        grid = np.ix_(nodes, nodes)
-        wf = inst.costf[grid]
-        wf[ia, ib] = wf[ib, ia] = wf[ia, ib] / np.array(d)
-        ci = inst.costi[grid]
-        self.den = inst.denominator * math.lcm(*set(d))
+            if a in pos and b in pos:
+                used[pos[a], pos[b]] = (n, int(n == mover_count)) if (a, b) in own else (n + 1, 0)
+        self.den = inst.denominator * math.lcm(*{d for d, _ in used.values()})
         scale = self.den // inst.denominator
-        unit = {k: scale // k for k in set(d)}
-        table: dict = {}
-        for x, y, c, k, f in zip(ia.tolist(), ib.tolist(), ci[ia, ib].tolist(), d, fresh):
-            w = (c * unit[k], f)
-            table.setdefault(x, {})[y] = w
-            table.setdefault(y, {})[x] = w
-        self._scale = scale
-        self._used = table
-        self._wf = wf
-        self._ci = ci
+        unit = scale * K  # an unused edge of cost c weighs c * unit + 1
+        ids = np.array(nodes)
+        t = pos[target]
+        d, f = used.get((0, t), (1, 1))  # the direct edge target -> root
+        top = int(costi[target, ROOT]) * (scale // d) * K + f + 1
+        cap = (top - 1) // unit  # an unused edge costlier than cap weighs more than top
+        ia = np.array([i for i, _ in used], dtype=np.intp)
+        ib = np.array([j for _, j in used], dtype=np.intp)
+        weights = [min(c * (scale // d) * K + f, top)
+                   for c, (d, f) in zip(costi[ids[ia], ids[ib]].tolist(), used.values())]
         self.dist = {}
-        self._run()
+        if 4 * top < 2**63:
+            sub = costi.take(ids, 0).take(ids, 1)
+            # min(unit, top) is unit, unless cap == 0 and all is clamped below
+            block = np.minimum(sub, cap).astype(np.int64) * min(unit, top) + 1
+            block[sub > cap] = top
+            block[ia, ib] = block[ib, ia] = weights
+            self._dense(t, K, 2 * top, block)
+            return
+        overlay: dict = {}  # i -> [(j, weight(i, j)), ...] over the used edges
+        for i, j, w in zip(ia.tolist(), ib.tolist(), weights):
+            overlay.setdefault(i, []).append((j, w))
+            overlay.setdefault(j, []).append((i, w))
+        self._wide(t, K, 2 * top, unit, overlay, lambda i: costi[nodes[i]].take(ids))
 
-    def _run(self):
-        nodes, wf, ci, used, scale = self.nodes, self._wf, self._ci, self._used, self._scale
-        margin = self._margin
-        k = len(nodes)
-        # tent: tentative float distance, inf once settled (what pops read);
-        # relax: the same, but -inf once settled (what relaxations compare to)
-        tent = np.full(k, np.inf)
-        relax = np.full(k, np.inf)
-        settled_f = np.full(k, np.inf)
-        ri = self.pos[ROOT]
-        tent[ri] = relax[ri] = 0.0
-        exact = {ri: (0, 0)}
-        empty: dict = {}
-
+    def _dense(self, t, K, far, block):
+        """Settle on int64 keys: one argmin and one masked minimum per pop."""
+        nodes = self.nodes
+        tent = np.full(len(nodes), far, dtype=np.int64)  # far once settled
+        key = np.full(len(nodes), far, dtype=np.int64)  # far until settled
+        is_open = np.ones(len(nodes), dtype=bool)
+        tent[0] = 0  # the root has the smallest id
         while True:
-            i = int(np.argmin(tent))
-            best = tent[i]
-            if best == np.inf:
+            i = int(tent.argmin())
+            d = key[i] = tent[i]
+            self.dist[nodes[i]] = divmod(int(d), K)
+            if i == t:
                 break
-            near = np.nonzero(tent <= best + margin)[0]
-            if len(near) > 1:
-                # float ties: settle the pop order exactly (cost, fresh, id);
-                # node index order is id order
-                i = min(near.tolist(), key=lambda j: (exact[j], j))
-            base_f = tent[i]
-            base_c, base_n = exact[i]
-            settled_f[i] = base_f
-            tent[i] = np.inf
-            relax[i] = -np.inf
-            self.dist[nodes[i]] = (base_c, base_n)
-            if i == self._target:
+            tent[i] = far
+            is_open[i] = False
+            np.minimum(tent, block[i] + d, out=tent, where=is_open)
+        self._hits = lambda cur: (key + block[cur] == key[cur]).nonzero()[0].tolist()
+
+    def _wide(self, t, K, far, unit, overlay, costs_from):
+        """Settle on Python-int keys, split as q * unit + r with 0 <= r < unit.
+
+        An unused edge of cost c takes key d to q = (d + 1) // unit + c and
+        r = (d + 1) % unit, one r for the whole row: q relaxes row-wide, on
+        int64 if the costs clipped at `skip` (above every open q) fit; ties
+        in q compare r, and only improved entries build exact keys.  The row
+        prices used edges as unused, at or above the exact weight `overlay`
+        relaxes them at; `hits` cannot match a dearer price, as the exact
+        one would then beat an optimal key.
+        """
+        nodes = self.nodes
+        skip = far // unit + 1
+        fits = costs_from(0).dtype == np.int64 and 2 * skip < 2**63
+        cost = (lambda i: np.minimum(costs_from(i), skip)) if fits else (
+            lambda i: costs_from(i).astype(object))
+        tent = np.full(len(nodes), far, dtype=object)
+        key = tent.copy()  # far until settled
+        q = np.full_like(tent, far // unit, dtype=np.int64 if fits else object)  # tent // unit
+        kq = np.full_like(q, skip)  # key // unit, skip until settled
+        is_open = np.ones(len(nodes), dtype=bool)
+        tent[0] = q[0] = 0
+        while True:
+            i = min((q == q.min()).nonzero()[0].tolist(), key=tent.__getitem__)
+            d = key[i] = tent[i]
+            kq[i] = q[i]
+            self.dist[nodes[i]] = divmod(d, K)
+            if i == t:
                 break
-            row = wf[i]
-            crow = ci[i]
-            edges = used.get(i, empty)
-            for j in np.nonzero(base_f + row < relax + margin)[0].tolist():
-                w = edges.get(j)
-                if w is None:
-                    nd = (base_c + int(crow[j]) * scale, base_n + 1)
-                else:
-                    nd = (base_c + w[0], base_n + w[1])
-                old = exact.get(j)
-                if old is None or nd < old:
-                    exact[j] = nd
-                    tent[j] = relax[j] = base_f + row[j]
+            q[i] = skip  # closed
+            is_open[i] = False
+            qd, rd = divmod(d + 1, unit)
+            nq = cost(i) + qd
+            better = (nq < q) & is_open
+            for j in ((nq == q) & is_open).nonzero()[0].tolist():
+                better[j] = rd < tent[j] % unit
+            js = better.nonzero()[0]
+            q[js] = nq[js]
+            tent[js] = nq[js].astype(object) * unit + rd
+            for j, w in overlay.get(i, ()):
+                if is_open[j] and d + w < tent[j]:
+                    tent[j] = d + w
+                    q[j] = tent[j] // unit
 
-        self._settled_f = settled_f
+        def hits(cur):
+            qc, rc = divmod(key[cur] - 1, unit)
+            found = [j for j in (kq + cost(cur) == qc).nonzero()[0].tolist()
+                     if key[j] % unit == rc]
+            found += [j for j, w in overlay.get(cur, ()) if key[j] + w == key[cur]]
+            return sorted(found)
 
-    def _weight(self, i, j):
-        """(share over `den`, fresh flag) of the edge between nodes i and j."""
-        w = self._used.get(i, {}).get(j)
-        if w is None:
-            w = (int(self._ci[i, j]) * self._scale, 1)
-        return w
+        self._hits = hits
 
     def cost_fresh(self, v):
         """(exact Fraction share, fresh edges) of settled v's best path to the root."""
@@ -477,37 +500,19 @@ class _Search:
     def path_from(self, source) -> Path:
         """Greedy smallest-id walk along exact-optimal continuations.
 
-        At each step the smallest-id settled next hop y with
-        weight(cur, y) + dist(y) == dist(cur) (exact pair equality) is taken;
-        every such y extends to an optimal path, so the walk realizes the
-        lexicographically smallest optimal id sequence.  All shares are
-        positive, so the walk cannot revisit a vertex, and every optimal
-        continuation of a settled vertex is settled.
+        Each step takes the smallest-id y with key(y) + weight(cur, y) ==
+        key(cur); every such y extends to an optimal path, so the walk gives
+        the smallest optimal id sequence.  An unsettled y (key 2 * top) never
+        matches, and keys fall along the walk, so it cannot cycle.
         """
         if source not in self.dist:
             raise EngineInvariantError(f"no path from {source} to the root was settled")
-        nodes, sf, margin = self.nodes, self._settled_f, self._margin
-        seq = [source]
-        cur = self.pos[source]
-        budget = self.dist[source]
-        while nodes[cur] != ROOT:
-            nxt = None
-            # float screen: exact equality implies |float residue| << margin;
-            # unsettled nodes read inf and fail it; indices ascend with ids
-            for j in np.nonzero(np.abs(sf + self._wf[cur] - sf[cur]) <= margin)[0].tolist():
-                if j == cur:
-                    continue
-                share, fresh = self._weight(cur, j)
-                dj = self.dist[nodes[j]]
-                if (dj[0] + share, dj[1] + fresh) == budget:
-                    nxt, budget = j, dj
-                    break
-            if nxt is None:
+        seq, cur = [source], self.pos[source]
+        while cur:  # index 0 is the root
+            cur = next((j for j in self._hits(cur) if j != cur), None)
+            if cur is None:
                 raise EngineInvariantError("optimal-path walk got stuck (engine bug)")
-            seq.append(nodes[nxt])
-            cur = nxt
-            if len(seq) > len(nodes):
-                raise EngineInvariantError("optimal-path walk cycled (engine bug)")
+            seq.append(self.nodes[cur])
         return tuple(seq)
 
 

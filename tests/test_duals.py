@@ -8,6 +8,7 @@ component membership can be placed deliberately.
 import random
 from dataclasses import replace as dc_replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,7 @@ from costshare import (
     classify,
     compute_charges,
     dual_lower_bound,
+    explicit_metric,
     initial_state,
     logn_accounting,
     mst_cost,
@@ -99,6 +101,30 @@ def test_partitions_match_greedy_replay(seed):
             assert lp.centers == centers
             assert lp.members == members
             assert lp.of == of
+
+
+_P = 999983  # a prime, so D * 2^j is not an integer for any j < 0
+
+
+@pytest.mark.parametrize("level, costs", [
+    (2, (1, 1 + Fraction(1, _P), 2 - Fraction(1, _P), 2)),
+    (-2, (Fraction(124997, _P), Fraction(124998, _P), Fraction(187000, _P),
+          Fraction(249994, _P))),
+], ids=["radius-2", "radius-1/8"])
+def test_partitions_join_exactly_below_the_radius(level, costs):
+    # Costs within a factor 2 of each other satisfy every triangle.  They
+    # sit at the join radius 2^(level-1) and one unit of D = P either side
+    # of it: at 2, and around 1/8, which no multiple of 1/P equals.
+    rng = random.Random(650)
+    n = 9
+    inst = explicit_metric(n, {e: rng.choice(costs) for e in combinations(range(n), 2)})
+    family = family_for(with_revealed(initial_state(inst), range(1, n)))
+    family.check_invariants()
+    matrix = _matrix(inst)
+    for j, lp in family.levels.items():
+        centers, members, of = greedy_partition(matrix, family.inserted, pow2(j - 1))
+        assert (lp.centers, lp.members, lp.of) == (centers, members, of)
+    assert level in family.levels
 
 
 def test_family_window_tracks_distance_extremes():

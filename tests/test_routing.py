@@ -6,10 +6,12 @@ best responses and explicit subtree rerouting for improving-move checks.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +33,7 @@ from costshare import (
     verify_equilibrium,
     with_revealed,
 )
+from costshare import routing
 from costshare.instances import build_steiner_gap_fixture
 from costshare.routing import graft_path, has_improving_move, is_legal_improving
 from conftest import (
@@ -625,27 +628,186 @@ def test_potential_matches_oracle_at_large_edge_counts():
     assert max(state.usage.values()) == 50
 
 
+def _assert_searches_match_oracle(state):
+    """Every best response and every terminal or Steiner improvement test of
+    `state` equals its exhaustive Fraction oracle; returns the witness kinds."""
+    matrix = _matrix(state.instance)
+    view = state.view
+    kinds = set()
+    for v in range(1, state.instance.n):
+        got = best_response(state, v)
+        assert (got.cost, got.fresh_edges, got.path) == enumerate_best_response(
+            matrix, state.counts, state.paths, v)
+        if v not in state.counts and v not in view:
+            continue
+        w = has_improving_move(state, v)
+        want = _oracle_witness(matrix, state, v)
+        assert (w and (w.kind, w.vertex, w.via_terminal, w.path,
+                       w.current, w.candidate)) == want
+        if w:
+            kinds.add(w.kind)
+    return kinds
+
+
+def _search(state, v):
+    return routing._Search(state, v, mover=v, own_path=state.paths.get(v))
+
+
 def test_kernel_matches_oracle_on_large_coprime_counts():
     rng = random.Random(1)
     kinds, dens = set(), []
     for state in _primed_chain_states(rng):
-        matrix = _matrix(state.instance)
-        view = state.view
-        dens.append(view.den)
-        for v in range(1, state.instance.n):
-            got = best_response(state, v)
-            assert (got.cost, got.fresh_edges, got.path) == enumerate_best_response(
-                matrix, state.counts, state.paths, v)
-            if v not in state.counts and v not in view:
-                continue
-            w = has_improving_move(state, v)
-            want = _oracle_witness(matrix, state, v)
-            assert (w and (w.kind, w.vertex, w.via_terminal, w.path,
-                           w.current, w.candidate)) == want
-            if w:
-                kinds.add(w.kind)
+        dens.append(state.view.den)
+        kinds |= _assert_searches_match_oracle(state)
     assert kinds == {"terminal", "steiner"}
     assert max(dens) > 10**12
+
+
+def test_search_skips_vertices_no_path_uses():
+    # Departures leave revealed vertices that no path touches.  The search
+    # leaves them out (a best path never visits one: the direct edge
+    # between its neighbours is cheaper or has fewer fresh edges), and the
+    # oracle, which may route through every vertex, agrees.
+    rng = random.Random(17000)
+    chains = _primed_chain_states(rng, samples=16)
+    metrics = (random_tree_state(rng, random_metric(rng, rng.randint(5, 8)), max_count=4)
+               for _ in range(16))
+    kinds, skipped = set(), 0
+    for state in (*chains, *metrics):
+        if len(state.counts) < 2:
+            continue
+        state = prune_departures(
+            state, rng.sample(sorted(state.counts), rng.randint(1, len(state.counts) - 1)))
+        on_paths = {v for e in state.usage for v in e}
+        for v in range(1, state.instance.n):
+            assert _search(state, v).nodes == sorted(on_paths | {ROOT, v})
+        skipped += state.instance.n - len(on_paths | {ROOT})
+        kinds |= _assert_searches_match_oracle(state)
+    assert kinds == {"terminal", "steiner"}
+    assert skipped >= 20
+
+
+def _isprime(p):
+    return p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def _prime_loaded(rng, inst, primes):
+    """A random tree state of `inst` whose terminals hold distinct prime counts."""
+    shape = random_tree_state(rng, inst, shuffled=True)
+    state = with_revealed(initial_state(inst), shape.revealed)
+    for p, t in zip(rng.sample(primes, len(shape.counts)), sorted(shape.counts)):
+        state = add_terminal(state, t, p, shape.paths[t])
+    return state
+
+
+def _count_kernels(monkeypatch):
+    """Counter of the searches that settle on int64 keys ("_dense") and on
+    Python-int keys ("_wide"), from here to the end of the test."""
+    ran = Counter()
+    for name in ("_dense", "_wide"):
+        def counted(self, *args, _run=getattr(routing._Search, name), _name=name):
+            ran[_name] += 1
+            return _run(self, *args)
+        monkeypatch.setattr(routing._Search, name, counted)
+    return ran
+
+
+def test_search_runs_python_int_keys_past_int64(monkeypatch):
+    # The costs fit int64, but co-located agents at distinct primes near
+    # 10^4 drive the lcm of the share divisors, and with it the search's
+    # key bound, past 2^63: those searches settle Python-int keys.  A few
+    # small primes leave light agents on costly routes, so both kinds of
+    # witness occur.
+    rng = random.Random(17100)
+    inst = random_metric(rng, 7)
+    assert inst.costi.dtype == np.int64
+    primes = [2, 3, 5, 7] + [p for p in range(10**4, 10**4 + 300) if _isprime(p)]
+    ran = _count_kernels(monkeypatch)
+    kinds = set()
+    for _ in range(10):
+        kinds |= _assert_searches_match_oracle(_prime_loaded(rng, inst, primes))
+    assert ran["_wide"] >= 20 and ran["_dense"] >= 20
+    assert kinds == {"terminal", "steiner"}
+
+
+@pytest.mark.parametrize("far, low, kernel", [(2**42, 1000, "_dense"),
+                                               (2**63 - 5, 10**6, "_wide")],
+                         ids=["dense", "wide"])
+def test_search_clamps_edges_far_beyond_the_direct_edge(monkeypatch, far, low, kernel):
+    # Vertices 0-3 sit within 4 of each other, 4-6 likewise, and the two
+    # clusters are `far` apart: over 2^40 times any near target's direct
+    # edge to the root.  Prime counts from `low` up give the searches a
+    # scale at which an unclamped cross-cluster weight would overflow
+    # int64; many near targets settle on `kernel`, whose ints must not.
+    rng = random.Random(17200)
+    inst = explicit_metric(7, {
+        (a, b): rng.randint(2, 4) + (far if (a < 4) != (b < 4) else 0)
+        for a, b in combinations(range(7), 2)})
+    assert inst.costi.dtype == np.int64
+    primes = [p for p in range(low, low + 200) if _isprime(p)]
+    ran = _count_kernels(monkeypatch)
+    kinds, clamped = set(), 0
+    for _ in range(12):
+        state = _prime_loaded(rng, inst, primes)
+        for v in (1, 2, 3):
+            runs = ran[kernel]
+            search = _search(state, v)
+            unit = search.den // inst.denominator * (len(search.nodes) + 1)
+            clamped += (ran[kernel] > runs and far * unit >= 2**63
+                        and any(u >= 4 for u in search.nodes))
+        kinds |= _assert_searches_match_oracle(state)
+    assert clamped >= 10
+    assert kinds == {"terminal", "steiner"}
+
+
+@pytest.mark.parametrize("core, terminals, want", [
+    # Once 1 settles (at 3/4), 3 is priced 11/4 through it; 2 (at 3/2) then
+    # offers 5/2.  Both lie in [2, 3), so only their low parts tell them apart.
+    ({(0, 1): 3, (0, 2): 3, (0, 3): 3, (1, 2): 2, (1, 3): 2, (2, 3): 1},
+     {1: (3, (1, 0)), 2: (1, (2, 0))}, (Fraction(5, 2), 1, (3, 2, 0))),
+    # 1 (at 2/3) and 2 (at 1/4) are open in [0, 1) together; 2 must settle
+    # first, as it takes 1 down to 1/2, which 3 needs.
+    ({(0, 1): 2, (0, 2): 1, (1, 2): 1, (0, 3): 2, (1, 3): 1, (2, 3): 2,
+      (0, 4): 2, (1, 4): 1, (2, 4): 2, (3, 4): 2},
+     {1: (2, (1, 0)), 4: (3, (4, 1, 2, 0))}, (Fraction(3, 2), 1, (3, 1, 2, 0))),
+], ids=["relax", "pop"])
+def test_split_keys_order_exactly_within_one_high_part(monkeypatch, core, terminals, want):
+    # Four more vertices, 10 from everything, hold prime counts near 10^6,
+    # which push the search for 3 onto split keys, q * unit + r.  There q
+    # is the integer part of the cost (D is 1), so keys sharing a q must
+    # compare on r.
+    n = max(max(e) for e in core) + 5
+    inst = explicit_metric(n, {e: core.get(e, 10) for e in combinations(range(n), 2)})
+    state = with_revealed(initial_state(inst), range(1, n))
+    for t, (count, path) in terminals.items():
+        state = add_terminal(state, t, count, path)
+    for x, p in zip(range(n - 4, n), (1000003, 1000033, 1000037, 1000039)):
+        state = add_terminal(state, x, p, (x, 0))
+    ran = _count_kernels(monkeypatch)
+    got = best_response(state, 3)
+    assert ran["_wide"] == 1
+    assert (got.cost, got.fresh_edges, got.path) == want == enumerate_best_response(
+        _matrix(inst), state.counts, state.paths, 3)
+
+
+@pytest.mark.parametrize("primes", [None, range(10**4, 10**4 + 300)],
+                         ids=["small-counts", "prime-counts"])
+def test_search_breaks_full_ties_on_equal_distances(primes):
+    # Every distance is 1, so every pop is a tie; the result must be the
+    # oracle's, whatever order the vertices were revealed in.  Prime counts
+    # push the keys past int64, where the ties fall on the split keys.
+    rng = random.Random(17300)
+    n = 7
+    inst = explicit_metric(n, {e: 1 for e in combinations(range(n), 2)})
+    for _ in range(8):
+        if primes is None:
+            state = random_tree_state(rng, inst, max_count=3)
+        else:
+            state = _prime_loaded(rng, inst, [p for p in primes if _isprime(p)])
+        for _ in range(3):
+            order = list(range(1, n))
+            rng.shuffle(order)
+            _assert_searches_match_oracle(replace(state, revealed=(ROOT, *order)))
 
 
 def test_kernels_match_oracles_on_python_int_costs():
