@@ -17,7 +17,9 @@ Partitions are built greedily in revelation order and never rebalanced, so
 every query is reproducible from the insertion sequence alone.  Levels are
 materialized only inside a window where the answer is not forced: below it
 every vertex is its own component, above it everything shares one component,
-and those answers are synthesized rather than stored.
+and those answers are synthesized rather than stored.  So a vertex's
+component at each level is fixed once it is inserted, and so is the charge
+of each (vertex, parent) edge: the family builds each charge once.
 """
 
 from __future__ import annotations
@@ -84,10 +86,23 @@ class DualFamily:
     it is derived from the min/max positive pairwise distance and extended by
     replaying the insertion history whenever new distances widen it.  The
     extremes are kept as ints over the instance denominator D.
+
+    `component_of(u, j)` never changes once u is inserted, for any j:
+    - inside the window, a level's `of` entries are only ever appended;
+    - a level below the window, j < jmin, answers (j, position of u).  All
+      distances so far are at least the smallest one, 2^(jmin+4) or more,
+      far above the level's radius 2^(j-1).  So when the window grows down
+      to j, the replay makes every vertex so far found its own component,
+      in insertion order: index = position;
+    - a level above the window, j > jmax, answers (j, 0).  All distances so
+      far are at most the largest one, at most 2^(jmax-1), below the radius
+      2^(j-1).  So when the window grows up to j, the replay puts every
+      vertex so far into the root's component, index 0.
+    So `charge` memoizes one ChargeRecord per (vertex, parent, leaf).
     """
 
     __slots__ = ("instance", "inserted", "_pos", "levels", "jmin", "jmax",
-                 "_minpos", "_maxd")
+                 "_minpos", "_maxd", "_charges")
 
     def __init__(self, instance: MetricInstance):
         self.instance = instance
@@ -98,6 +113,7 @@ class DualFamily:
         self.jmax: Optional[int] = None
         self._minpos: Optional[int] = None
         self._maxd: Optional[int] = None
+        self._charges: dict = {}  # (vertex, parent, leaf) -> ChargeRecord
 
     def __contains__(self, v) -> bool:
         return v in self._pos
@@ -160,6 +176,18 @@ class DualFamily:
         if j > self.jmax:
             return (j, 0)
         return (j, self.levels[j].of[v])
+
+    def charge(self, u: int, parent: int, leaf: bool) -> "ChargeRecord":
+        """The charge of tree vertex u with this parent edge, built once."""
+        key = (u, parent, leaf)
+        rec = self._charges.get(key)
+        if rec is None:
+            den = self.instance.denominator
+            c = int(self.instance.costi[u, parent])
+            j = floor_log2_ratio(c, den) - 2  # charge_level(c / den)
+            rec = self._charges[key] = ChargeRecord(
+                u, j, self.component_of(u, j), c, den, leaf)
+        return rec
 
     def component_members(self, v: int, j: int) -> tuple:
         if self.jmin is None or j < self.jmin:
@@ -230,7 +258,7 @@ def dual_lower_bound(family: DualFamily, level: int) -> Fraction:
 # charging and classification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChargeRecord:
     vertex: int
     level: int
@@ -253,24 +281,18 @@ class ChargeMap:
 def compute_charges(state: RoutingState, family: DualFamily) -> ChargeMap:
     """Charge every tree vertex's parent edge to its cut, indexed by cut.
 
-    The charge level is read off the integer cost matrix, so no Fraction is
-    built here.
+    Reads only the tree's shape (parents and leaves), never its prefix
+    sums; each record is one lookup in the family's charge memo
+    (`DualFamily.charge`), which builds it on the edge's first charge.
     """
     if set(family.inserted) != set(state.revealed):
         raise EngineInvariantError("dual family out of sync with revealed vertices")
     view = state.view
-    costi, den = state.instance.costi, state.instance.denominator
-    records = []
+    parent, leaves, charge = view.parent, view.leaves, family.charge
+    records = [charge(u, parent[u], u in leaves) for u in view.order[1:]]  # [0] is the root
     by_cut: dict = {}
-    for u in view.order:
-        if u == ROOT:
-            continue
-        c = int(costi[u, view.parent[u]])
-        j = floor_log2_ratio(c, den) - 2  # charge_level(c / den)
-        cut = family.component_of(u, j)
-        rec = ChargeRecord(u, j, cut, c, den, u in view.leaves)
-        records.append(rec)
-        by_cut.setdefault(cut, []).append(rec)
+    for rec in records:
+        by_cut.setdefault(rec.cut, []).append(rec)
     return ChargeMap(tuple(records), {k: tuple(v) for k, v in by_cut.items()})
 
 
@@ -310,8 +332,9 @@ def classify(state: RoutingState, family: DualFamily, *,
     """Rank the state on the balanced/unbalanced ladder.
 
     `decide_equilibrium=False` skips the quadratic improving-move scan that
-    separates the bottom two rungs and reports every every-cut-at-most-once
-    state as merely "balanced"; useful when only the upper bounds matter.
+    separates the bottom two rungs and reports every state whose cuts are
+    each charged at most once as merely "balanced"; useful when only the
+    upper bounds matter.
     """
     charges = compute_charges(state, family)
 

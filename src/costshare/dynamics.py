@@ -36,7 +36,6 @@ from .duals import (
     AccountingReport,
     DualFamily,
     StateClass,
-    charge_level,
     classify,
     logn_accounting,
 )
@@ -47,11 +46,10 @@ from .errors import (
     VerificationError,
 )
 from .metric import ROOT, MetricInstance, _int, _ints
-from .rationals import pow2
+from .rationals import pow2_le
 from .routing import (
     EquilibriumVerdict,
     RoutingState,
-    _candidate_screen,
     add_terminal,
     best_response,
     closest_improving_target,
@@ -224,8 +222,12 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
         return None
 
     view = state.view
-    verts, screen = _candidate_screen(state)
+    verts, screen = state.screen
     at = {v: i for i, v in enumerate(verts)}
+    costi, den = state.instance.costi, state.instance.denominator
+
+    def within(u, v, j):  # c(u, v) < 2^j, exactly
+        return not pow2_le(j, int(costi[u, v]), den)
 
     def closest(u, allowed=None):
         return closest_improving_target(state, u, verts, screen[at[u]], allowed)
@@ -265,7 +267,7 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
             u = chargers_nl[0]
             for v in chargers_lf:
                 if is_legal_improving(state, u, v):
-                    if not state.instance.cost(u, v) < pow2(cut[0]):
+                    if not within(u, v, cut[0]):
                         raise EngineInvariantError(
                             f"co-members {u},{v} of a level-{cut[0]} component "
                             f"are {state.instance.cost(u, v)} apart")
@@ -310,7 +312,7 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
     if tgt is None:
         raise EngineInvariantError(
             f"{mover} improves toward {other} yet has no closest target")
-    if not state.instance.cost(mover, tgt) < pow2(cls.heavy_cut[0]):
+    if not within(mover, tgt, cls.heavy_cut[0]):
         raise EngineInvariantError(
             f"closest target {tgt} of {mover} is farther than the special "
             f"cut's diameter bound 2^{cls.heavy_cut[0]}")
@@ -379,7 +381,8 @@ def _apply_move(state, family, sel, phi, index):
             f"move {sel.mover}->{sel.target} did not lower the potential "
             f"({phi} -> {new_phi})")
     post = classify(new_state, family)
-    new_cut = family.component_of(sel.mover, charge_level(move_cost))
+    mover_was_leaf = sel.mover in state.view.leaves  # the subtree moves along
+    new_cut = family.charge(sel.mover, sel.target, mover_was_leaf).cut
     _assert_move_contract(sel, post, new_cut)
     record = MoveRecord(
         index=index, mover=sel.mover, target=sel.target, tag=sel.tag,
@@ -387,7 +390,7 @@ def _apply_move(state, family, sel, phi, index):
         phi_pre=phi, phi_post=new_phi, mover_new_cut=new_cut,
         pre_heavy_cut=sel.before.heavy_cut, post_heavy_cut=post.heavy_cut,
         context_cut=sel.context_cut,
-        mover_was_leaf=sel.mover in state.view.leaves,
+        mover_was_leaf=mover_was_leaf,
         target_was_leaf=sel.target in state.view.leaves,
     )
     return new_state, post, new_phi, record

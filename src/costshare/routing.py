@@ -11,8 +11,11 @@ sequence) lexicographically, where a fresh edge is one no *other* agent uses.
 
 Everything that reads the routing tree (parents, Euler intervals, the A/B
 share prefix sums) reads one object: the state's tree view, `state.view`,
-built on first use and cached on the state.  No function takes a view as an
-argument, so a view can never be paired with the wrong state.
+built on first use and cached on the state.  The view builds the tree's
+shape at once and its prefix sums on their first read, so charging, which
+reads only the shape, never pays for the sums.  The float screen of
+improving moves is cached beside it, as `state.screen`.  No function takes
+a view as an argument, so a view can never be paired with the wrong state.
 
 An arrival into an equilibrium needs no search: its best response grafts
 onto the tree by one edge, and `graft_path` finds that edge with one scan of
@@ -91,6 +94,14 @@ class RoutingState:
         """
         return _Tree(self)
 
+    @cached_property
+    def screen(self):
+        """`_candidate_screen(self)`, built on first use and then shared.
+
+        Classification and move selection read the same screen of a state.
+        """
+        return _candidate_screen(self)
+
 
 @dataclass(frozen=True)
 class BestResponse:
@@ -134,9 +145,10 @@ def with_revealed(state, new_vertices) -> RoutingState:
     if not added:
         return state
     new = replace(state, revealed=state.revealed + tuple(added))
-    if "view" in state.__dict__:
-        # the tree is built from paths, counts and usage, never from `revealed`
-        new.__dict__["view"] = state.__dict__["view"]
+    for name in ("view", "screen"):
+        # both are built from paths, counts and usage, never from `revealed`
+        if name in state.__dict__:
+            new.__dict__[name] = state.__dict__[name]
     return new
 
 
@@ -234,17 +246,25 @@ def potential(state) -> Fraction:
 class _Tree:
     """Derived view of a state whose paths form a rooted tree.
 
-    Carries parent/children/depth/Euler intervals plus the two prefix sums
-    A(x) = sum of c_e/N_e and B(x) = sum of c_e/(N_e+1) along x -> root.
-    The exact A and B are ints over the view's own denominator
+    The constructor builds the tree's shape, which is all that charging
+    reads: parent/children/depth, Euler intervals (`tin`, `tout`), the
+    preorder `pre`, the sorted `order` and the `leaves`.  It raises
+    EngineInvariantError if the paths do not form a tree (conflicting
+    parents, a root parent edge, a cycle), a tree edge has no recorded
+    usage, or a leaf is not a terminal.
+
+    The two prefix sums A(x) = sum of c_e/N_e and B(x) = sum of c_e/(N_e+1)
+    along x -> root are built once, by whichever reader first asks for one
+    of `den`, `A`, `B`, `Af`, `Bf` (the improving-move questions and the
+    graft).  The exact A and B are ints over the view's own denominator
     `den` = D * lcm{N_e, N_e+1 : e a tree edge}, so A(x) is A[x]/den; Af and
-    Bf are their float mirrors.  Raises EngineInvariantError if the paths do
-    not form a tree (conflicting parents, cycles) or a leaf is not a terminal.
+    Bf are their float mirrors.
     """
 
+    _SUMS = frozenset({"den", "A", "B", "Af", "Bf"})
     __slots__ = (
-        "parent", "children", "depth", "tin", "tout",
-        "order", "den", "A", "B", "Af", "Bf", "leaves",
+        "parent", "children", "depth", "tin", "tout", "pre", "order", "leaves",
+        "_instance", "_users", *_SUMS,
     )
 
     def __init__(self, state: RoutingState):
@@ -259,22 +279,16 @@ class _Tree:
             raise EngineInvariantError("the root has a parent edge")
         children: dict = {v: [] for v in parent}
         children[ROOT] = []
+        users = {}
         for child, par in parent.items():
             children.setdefault(par, []).append(child)
-        for v in children:
-            children[v].sort()
+            users[child] = n = state.usage.get(edge_key(child, par))
+            if not n:
+                raise EngineInvariantError(f"tree edge ({child},{par}) has no recorded usage")
+        for kids in children.values():
+            kids.sort()
 
-        inst = state.instance
-        costi, costf = inst.costi, inst.costf
-        users = {ch: state.usage.get(edge_key(ch, par)) for ch, par in parent.items()}
-        den = inst.denominator * math.lcm(
-            *{k for n in users.values() if n for k in (n, n + 1)})
-        scale = den // inst.denominator
-        depth, tin, tout = {ROOT: 0}, {}, {}
-        A = {ROOT: 0}
-        B = {ROOT: 0}
-        Af = {ROOT: 0.0}
-        Bf = {ROOT: 0.0}
+        depth, tin, tout, pre = {ROOT: 0}, {}, {}, []
         clock = 0
         stack = [(ROOT, False)]
         while stack:
@@ -285,17 +299,9 @@ class _Tree:
                 continue
             tin[x] = clock
             clock += 1
+            pre.append(x)
             stack.append((x, True))
             for ch in reversed(children[x]):
-                n = users[ch]
-                if not n:
-                    raise EngineInvariantError(f"tree edge ({ch},{x}) has no recorded usage")
-                c = int(costi[ch, x])
-                A[ch] = A[x] + c * (scale // n)
-                B[ch] = B[x] + c * (scale // (n + 1))
-                cf = float(costf[ch, x])
-                Af[ch] = Af[x] + cf / n
-                Bf[ch] = Bf[x] + cf / (n + 1)
                 depth[ch] = depth[x] + 1
                 stack.append((ch, False))
         if len(tin) != len(children):
@@ -306,13 +312,40 @@ class _Tree:
         self.depth = depth
         self.tin = tin
         self.tout = tout
+        self.pre = pre
         self.order = sorted(children)
-        self.den = den
-        self.A, self.B, self.Af, self.Bf = A, B, Af, Bf
         self.leaves = {v for v in children if not children[v] and v != ROOT}
         bad = self.leaves - set(state.counts)
         if bad:
             raise EngineInvariantError(f"tree leaves without terminals: {sorted(bad)}")
+        self._instance, self._users = state.instance, users
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the sums, before their first read
+        if name not in self._SUMS:
+            raise AttributeError(name)
+        self._build_sums()
+        return object.__getattribute__(self, name)
+
+    def _build_sums(self):
+        inst, users, parent = self._instance, self._users, self.parent
+        costi, costf = inst.costi, inst.costf
+        den = inst.denominator * math.lcm(*{k for n in users.values() for k in (n, n + 1)})
+        scale = den // inst.denominator
+        A = {ROOT: 0}
+        B = {ROOT: 0}
+        Af = {ROOT: 0.0}
+        Bf = {ROOT: 0.0}
+        for ch in self.pre[1:]:  # a parent before its children
+            x, n = parent[ch], users[ch]
+            c = int(costi[ch, x])
+            A[ch] = A[x] + c * (scale // n)
+            B[ch] = B[x] + c * (scale // (n + 1))
+            cf = float(costf[ch, x])
+            Af[ch] = Af[x] + cf / n
+            Bf[ch] = Bf[x] + cf / (n + 1)
+        self.den = den
+        self.A, self.B, self.Af, self.Bf = A, B, Af, Bf
 
     def __contains__(self, v):
         return v in self.children
@@ -692,11 +725,11 @@ def is_legal_improving(state, u, v) -> bool:
 
 
 def _candidate_screen(state):
-    """Float pre-screen for improving pairs.
+    """Float pre-screen for improving pairs: (tree vertices, score matrix).
 
     A(u) - B(v) - c(u,v) > A(L) - B(L) >= 0 is necessary for u -> v to
     improve, so no improving pair scores below -margin: the screen is
-    conservative and complete.
+    conservative and complete.  Read it through `state.screen`.
     """
     view = state.view
     verts = view.order
@@ -707,29 +740,30 @@ def _candidate_screen(state):
 
 
 def find_improving_tree_move(state):
-    """First (u, v) in id order whose tree-follow move improves, or None."""
+    """First (u, v) in id order whose tree-follow move improves, or None.
+
+    One 2-D nonzero lists the screen's survivors in row-major order, which
+    is (u, v) id order; row 0, the root, has no parent edge to swap.
+    """
     view = state.view
     if len(view.order) <= 1:
         return None
-    verts, screen = _candidate_screen(state)
-    margin = state.instance.float_margin
-    for i, u in enumerate(verts):
-        if u == ROOT:
+    verts, screen = state.screen
+    rows, cols = np.nonzero(screen[1:] > -state.instance.float_margin)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        u, v = verts[i + 1], verts[j]
+        if v == u or view.in_subtree(v, u):
             continue
-        for j in np.nonzero(screen[i] > -margin)[0]:
-            v = verts[int(j)]
-            if v == u or view.in_subtree(v, u):
-                continue
-            if is_improving_tree_move(state, u, v):
-                return u, v
+        if is_improving_tree_move(state, u, v):
+            return u, v
     return None
 
 
 def closest_improving_target(state, u, verts, screen_row, allowed=None):
     """Closest v (exact c(u,v), ties by id) with an improving move u -> v.
 
-    `verts` and `screen_row` are `_candidate_screen(state)`'s vertex list and
-    u's row of its screen.  `allowed` optionally restricts the target set;
+    `verts` and `screen_row` are `state.screen`'s vertex list and u's row
+    of its score matrix.  `allowed` optionally restricts the target set;
     returns None if nothing improves.  Candidates are walked in float-distance
     order; once a hit is found only candidates within the margin of its
     distance can still win, and those are settled exactly.

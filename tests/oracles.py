@@ -10,6 +10,7 @@ between the two routes is evidence, not tautology.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -319,3 +320,80 @@ def greedy_partition(cost, inserted, radius):
             centers.append(v)
             members.append([v])
     return centers, members, of
+
+
+@functools.lru_cache(maxsize=1 << 14)  # costs repeat across the states of a run
+def floor_log2_exact(value):
+    """Largest j with 2^j <= value, by exact Fraction comparisons (value > 0)."""
+    j = value.numerator.bit_length() - value.denominator.bit_length()  # a start
+    while Fraction(2) ** (j + 1) <= value:
+        j += 1
+    while Fraction(2) ** j > value:
+        j -= 1
+    return j
+
+
+def rebuild_charges(cost, paths, component_of):
+    """The whole charge map of a tree routing, rebuilt from scratch.
+
+    Every tree vertex u charges its parent edge, of cost c, at the level j
+    with 2^(j+2) <= c < 2^(j+3), to the cut ``component_of(u, j)``.
+    Returns the records ``(u, j, cut, c, leaf)`` in vertex-id order and the
+    cut -> records index, each cut's records in vertex-id order.
+    """
+    parent = tree_parent_map(paths)
+    has_child = set(parent.values())
+    records = []
+    for u in sorted(parent):
+        c = cost[u][parent[u]]
+        j = floor_log2_exact(c) - 2
+        records.append((u, j, component_of(u, j), c, u not in has_child))
+    by_cut = {}
+    for rec in records:
+        by_cut.setdefault(rec[2], []).append(rec)
+    return records, by_cut
+
+
+def eager_prefix_sums(paths, usage, costi, costf, denominator):
+    """(den, A, B, Af, Bf) of a tree routing, as one eager pass builds them.
+
+    A(x) and B(x) sum c_e/N_e and c_e/(N_e+1) along x -> root, as ints over
+    den = D * lcm{N_e, N_e+1}, with N_e the edge's ``usage`` count and D the
+    cost denominator of the integer costs ``costi``.  Af and Bf add
+    ``costf`` entries divided by N_e and N_e+1 to the parent's float sum,
+    edge by edge from the root down.
+    """
+    parent = tree_parent_map(paths)
+    users = {x: usage[tuple(sorted((x, p)))] for x, p in parent.items()}
+    den = denominator * math.lcm(*{k for n in users.values() for k in (n, n + 1)})
+    scale = den // denominator
+    sums = {ROOT: (0, 0, 0.0, 0.0)}
+
+    def walk(x):
+        if x not in sums:
+            a, b, af, bf = walk(parent[x])
+            c, cf, n = int(costi[x][parent[x]]), float(costf[x][parent[x]]), users[x]
+            sums[x] = (a + c * (scale // n), b + c * (scale // (n + 1)),
+                       af + cf / n, bf + cf / (n + 1))
+        return sums[x]
+
+    for x in parent:
+        walk(x)
+    return (den, *({x: s[i] for x, s in sums.items()} for i in range(4)))
+
+
+def row_scan_first_improving(verts, screen, margin, in_subtree, improves):
+    """First (u, v) by rows of the float screen whose move improves, or None.
+
+    Walks ``screen`` row by row (``verts[i]`` is row and column i, the root
+    first and skipped), keeps each row's entries above -margin, drops v == u
+    and targets inside u's subtree, and asks ``improves(u, v)`` in order.
+    """
+    for i, u in enumerate(verts):
+        if u == ROOT:
+            continue
+        for j, score in enumerate(screen[i]):
+            v = verts[j]
+            if score > -margin and v != u and not in_subtree(v, u) and improves(u, v):
+                return u, v
+    return None

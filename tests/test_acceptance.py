@@ -45,13 +45,16 @@ from costshare.instances import (
     build_sigma,
     build_steiner_gap_fixture,
 )
+from costshare import duals, routing
 from costshare.rationals import ceil_log2
 from costshare.routing import graft_path, is_legal_improving
 from conftest import family_for, random_metric, random_tree_state
 from oracles import (
     brute_improving_tree_move,
+    eager_prefix_sums,
     enumerate_best_response,
     path_edges,
+    rebuild_charges,
 )
 
 EQP_GRID = [(n, seed) for n in (25, 50, 100, 200) for seed in range(5)]
@@ -306,6 +309,56 @@ def test_graft_matches_search_on_every_equilibrium(eqp_runs):
     assert checked > 0
     print(f"[graft] PASS — graft equals the search's best response on {checked} "
           f"arrivals over {len(runs)} equilibria")
+
+
+def test_charges_and_prefix_sums_match_oracles_on_every_state(monkeypatch):
+    # The criterion-2 runs again, with every charge map checked against a
+    # from-scratch rebuild (the memo's records must equal what the cuts say
+    # now) and every tree view's lazily built sums against an eager build:
+    # den, A and B equal as ints, Af and Bf bit for bit.
+    matrices = {}  # the current run's instance and its Fraction cost matrix
+    checked = Counter()
+    real_charges = duals.compute_charges
+
+    def audited_charges(state, family):
+        got = real_charges(state, family)
+        inst = state.instance
+        if matrices.get("of") is not inst:
+            matrices.update(of=inst, cost=_matrix(inst))
+        records, by_cut = rebuild_charges(matrices["cost"], state.paths,
+                                          family.component_of)
+
+        def flat(recs):
+            return [(r.vertex, r.level, r.cut, r.cost, r.leaf) for r in recs]
+
+        assert flat(got.records) == records
+        assert {k: flat(v) for k, v in got.by_cut.items()} == by_cut
+        checked["charges"] += 1
+        return got
+
+    class AuditedTree(routing._Tree):
+        __slots__ = ()
+
+        def __init__(self, state):
+            super().__init__(state)
+            inst = state.instance
+            den, A, B, Af, Bf = eager_prefix_sums(
+                state.paths, state.usage, inst.costi, inst.costf, inst.denominator)
+            assert (self.den, self.A, self.B) == (den, A, B)
+            for got, want in ((self.Af, Af), (self.Bf, Bf)):
+                assert {x: f.hex() for x, f in got.items()} == {
+                    x: f.hex() for x, f in want.items()}
+            checked["views"] += 1
+
+    monkeypatch.setattr(duals, "compute_charges", audited_charges)
+    monkeypatch.setattr(routing, "_Tree", AuditedTree)
+    for n, seed in EQP_GRID:
+        er = build_random_euclidean(n, seed)
+        res = run_eqp(er.instance, list(er.events))
+        assert res.verdict.ok
+    assert checked["charges"] > len(EQP_GRID) and checked["views"] > len(EQP_GRID)
+    print(f"[charges] PASS — {checked['charges']} charge maps equal the rebuild; "
+          f"{checked['views']} tree views' sums equal an eager build")
 
 
 def _full_state(inst):

@@ -36,7 +36,7 @@ from costshare.duals import (
 )
 from costshare.rationals import pow2
 from conftest import family_for, line_instance, random_metric, random_tree_state
-from oracles import greedy_partition
+from oracles import greedy_partition, rebuild_charges
 
 
 def _line_state(xs, routes, last_mover=None):
@@ -179,6 +179,47 @@ def test_family_window_growth_replays_history():
         assert family.levels[j].members == members
 
 
+def _assert_cuts_never_change(inst, order):
+    """Insert `order`; after each insert, every cut seen so far must hold.
+
+    Records component_of(u, j) for every inserted u and every j within 3 of
+    the window at that time, and rechecks all records after every later
+    insert.  Returns how the window moved: (grew down, grew up).
+    """
+    family = DualFamily(inst)
+    seen: dict = {}
+    down = up = False
+    for v in order:
+        before = (family.jmin, family.jmax)
+        family.insert(v)
+        if before[0] is not None:
+            down |= family.jmin < before[0]
+            up |= family.jmax > before[1]
+        for (u, j), cut in seen.items():
+            assert family.component_of(u, j) == cut, (u, j, v)
+        if family.jmin is not None:
+            for u in family.inserted:
+                for j in range(family.jmin - 3, family.jmax + 4):
+                    seen.setdefault((u, j), family.component_of(u, j))
+    return down, up
+
+
+def test_component_of_never_changes_after_later_inserts():
+    # The charge memo rests on this: partitions never rebalance, and levels
+    # the window grows into replay to the answers synthesized before.
+    assert _assert_cuts_never_change(line_instance(0, 1, 2, 5000), range(4)) == (False, True)
+    assert _assert_cuts_never_change(line_instance(0, 128, 64, 65), range(4)) == (True, False)
+    rng = random.Random(31)
+    moved = set()
+    for _ in range(30):
+        inst = random_metric(rng, rng.randint(3, 9))
+        order = [0] + rng.sample(range(1, inst.n), inst.n - 1)
+        down, up = _assert_cuts_never_change(inst, order)
+        moved |= {"down"} if down else set()
+        moved |= {"up"} if up else set()
+    assert moved == {"down", "up"}
+
+
 def test_family_insert_errors():
     inst = line_instance(0, 5, 9)
     family = DualFamily(inst)
@@ -262,6 +303,40 @@ def test_compute_charges_one_record_per_tree_vertex():
     # 1 and 2 land in the same level-3 component: same cut key
     assert by_vertex[1].cut == by_vertex[2].cut
     assert charges.by_cut[by_vertex[1].cut] == (by_vertex[1], by_vertex[2])
+
+
+def test_charge_memo_builds_each_record_once():
+    state, family = _line_state(
+        (0, 33, 32, 34), {1: (1, 0), 2: (2, 0), 3: (3, 1, 0)}
+    )
+    first = compute_charges(state, family)
+    again = compute_charges(state, family)
+    assert all(a is b for a, b in zip(first.records, again.records))
+    assert family.charge(3, 1, True) is first.records[2]
+    # the leaf flag is part of the key; the level and the cut are not
+    # changed by it
+    nonleaf = family.charge(3, 1, False)
+    assert nonleaf is not first.records[2] and not nonleaf.leaf
+    assert (nonleaf.level, nonleaf.cut) == (first.records[2].level, first.records[2].cut)
+
+
+def test_compute_charges_matches_rebuild_on_random_trees():
+    # Many trees per instance share one family, so its memo answers for
+    # vertices whose parents and leaf flags differ from tree to tree.
+    rng = random.Random(32)
+    for _ in range(12):
+        inst = random_metric(rng, rng.randint(3, 9))
+        matrix = _matrix(inst)
+        family = None
+        for _ in range(8):
+            state = random_tree_state(rng, inst)  # reveals in id order
+            family = family or family_for(state)
+            records, by_cut = rebuild_charges(matrix, state.paths, family.component_of)
+            got = compute_charges(state, family)
+            assert [(r.vertex, r.level, r.cut, r.cost, r.leaf)
+                    for r in got.records] == records
+            assert {k: [(r.vertex, r.level, r.cut, r.cost, r.leaf) for r in v]
+                    for k, v in got.by_cut.items()} == by_cut
 
 
 def test_compute_charges_requires_family_sync():

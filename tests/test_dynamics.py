@@ -33,15 +33,22 @@ from costshare import (
     select_tree_move,
     solution_cost,
     tree_follow_move,
+    verify_equilibrium,
     with_revealed,
 )
+from costshare import duals, routing
 from costshare.duals import (
     BALANCED,
     BALANCED_EQUILIBRIUM,
     LEAF_UNBALANCED,
     NONLEAF_UNBALANCED,
+    charge_level,
 )
+from costshare.dynamics import _class_marker
+from costshare.instances import build_gm, build_random_euclidean, build_sigma
+from costshare.routing import RoutingState
 from conftest import family_for, line_instance
+from oracles import rebuild_charges
 
 
 def _state(inst, routes, counts=None, last_mover=None, reveal=None):
@@ -438,3 +445,78 @@ def test_reveal_keeps_family_in_sync():
     res = run_eqp(inst, events)
     assert list(res.state.revealed) == res.family.inserted == [0, 3, 1, 2]
     res.family.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# what per-event classification builds
+
+
+def test_oneshot_dynamics_builds_no_prefix_sums(monkeypatch):
+    # Classification reads only the tree's shape; under one-shot nothing
+    # else asks a view for its sums until the certify sweep.
+    builds = []
+    real = routing._Tree._build_sums
+    monkeypatch.setattr(routing._Tree, "_build_sums",
+                        lambda view: builds.append(view) or real(view))
+    gm = build_gm(3)
+    res = run_noneqp(gm.instance, list(build_sigma(gm)), verify=False)
+    assert builds == []
+    assert verify_equilibrium(res.state).ok
+    assert builds
+
+
+def test_oneshot_charges_match_rebuild_after_every_event(monkeypatch):
+    gm = build_gm(4)
+    matrix = [[gm.instance.cost(i, j) for j in range(gm.n)] for i in range(gm.n)]
+    checked = []
+    real = duals.compute_charges
+
+    def audited(state, family):
+        got = real(state, family)
+        records, by_cut = rebuild_charges(matrix, state.paths, family.component_of)
+        assert [(r.vertex, r.level, r.cut, r.cost, r.leaf) for r in got.records] == records
+        assert {k: [(r.vertex, r.level, r.cut, r.cost, r.leaf) for r in v]
+                for k, v in got.by_cut.items()} == by_cut
+        checked.append(state)
+        return got
+
+    monkeypatch.setattr(duals, "compute_charges", audited)
+    events = list(build_sigma(gm))
+    run_noneqp(gm.instance, events, verify=False)
+    assert len(checked) == len(events)
+
+
+def _forged(paths, counts, usage):
+    inst = line_instance(0, 5, 9)
+    state = RoutingState(inst, (0, 1, 2), counts, paths, usage)
+    return state, family_for(state)
+
+
+@pytest.mark.parametrize("paths, counts, usage, match", [
+    ({1: (1, 2, 1)}, {1: 1}, {(1, 2): 1}, "cycle"),
+    ({1: (1, 0), 2: (2, 1, 0), 3: (1, 2, 0)}, {1: 1, 2: 1},
+     {(0, 1): 2, (1, 2): 2, (0, 2): 1}, "disagree on the parent of 1"),
+    ({1: (1, 0)}, {1: 1}, {}, "no recorded usage"),
+    ({1: (1, 2, 0)}, {2: 1}, {(1, 2): 1, (0, 2): 1}, "leaves without terminals"),
+    ({1: (1, 0, 2)}, {1: 1}, {(0, 1): 1, (0, 2): 1}, "root has a parent"),
+], ids=["cycle", "conflicting-parent", "zero-usage", "bare-leaf", "root-parent"])
+def test_non_tree_states_raise_at_the_view(paths, counts, usage, match):
+    state, family = _forged(paths, counts, usage)
+    with pytest.raises(EngineInvariantError, match=match):
+        state.view
+    assert _class_marker(state, family) == "non-tree"
+
+
+def test_mover_new_cut_is_the_charge_of_its_new_parent_edge():
+    # The cut a move's record names is read from the family's charge memo;
+    # it must be the cut charge_level(move cost) gives.
+    moves = 0
+    for n, seed in ((25, 0), (50, 1)):
+        er = build_random_euclidean(n, seed)
+        res = run_eqp(er.instance, list(er.events))
+        for ep in res.epochs:
+            for mv in ep.moves:
+                assert mv.mover_new_cut == res.family.component_of(
+                    mv.mover, charge_level(mv.move_cost))
+                moves += 1
+    assert moves > 0

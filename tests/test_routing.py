@@ -33,7 +33,8 @@ from costshare import (
     verify_equilibrium,
     with_revealed,
 )
-from costshare import routing
+from costshare import classify, routing, select_tree_move
+from costshare.duals import BALANCED
 from costshare.instances import build_steiner_gap_fixture
 from costshare.routing import graft_path, has_improving_move, is_legal_improving
 from conftest import (
@@ -50,6 +51,7 @@ from oracles import (
     hypothetical_share,
     recompute_potential,
     reroute_subtree,
+    row_scan_first_improving,
     shared_cost_of,
     tree_parent_map,
     usage_from_paths,
@@ -347,6 +349,38 @@ def test_find_improving_tree_move_is_first_in_id_order():
                 want = (u, v)
                 break
         assert find_improving_tree_move(state) == want
+
+
+def test_single_pass_scan_matches_row_scan_oracle():
+    # Random tree states, most of them not equilibria: the one 2-D nonzero
+    # over the screen must find the pair the row-by-row walk finds first.
+    rng = random.Random(79)
+    found = Counter()
+    for _ in range(60):
+        inst = random_metric(rng, rng.randint(3, 10))
+        state = random_tree_state(rng, inst, shuffled=rng.random() < 0.5)
+        verts, screen = state.screen
+        want = row_scan_first_improving(
+            verts, screen, inst.float_margin, state.view.in_subtree,
+            lambda u, v: is_improving_tree_move(state, u, v))
+        assert find_improving_tree_move(state) == want
+        found[want is None] += 1
+    assert found[False] > 0 and found[True] > 0
+
+
+def test_select_builds_one_screen_per_state(monkeypatch):
+    builds = []
+    real = routing._candidate_screen
+    monkeypatch.setattr(routing, "_candidate_screen",
+                        lambda state: builds.append(state) or real(state))
+    state = add_terminal(add_terminal(_revealed_state(line_instance(0, 10, 9)),
+                                      1, 1, (1, 0)), 2, 1, (2, 0))
+    family = family_for(state)
+    cls = classify(state, family)
+    assert cls.rank == BALANCED  # not an equilibrium: classify scanned
+    assert select_tree_move(state, family, cls=cls) is not None
+    assert select_tree_move(state, family) is not None
+    assert builds == [state]
 
 
 def test_tree_follow_move_matches_reroute_oracle():
@@ -884,7 +918,8 @@ def test_revealing_keeps_the_view_and_rerouting_rebuilds_it():
     inst = line_instance(0, 5, 9, 14)
     state = add_terminal(with_revealed(initial_state(inst), [1, 2]), 1, 1, (1, 0))
     view = state.view
+    screen = state.screen
     more = with_revealed(state, [3])  # the tree does not depend on `revealed`
-    assert more.view is view
+    assert more.view is view and more.screen is screen
     grown = add_terminal(more, 3, 1, (3, 0))
     assert grown.view is not view and 3 in grown.view
