@@ -14,8 +14,9 @@ share prefix sums) reads one object: the state's tree view, `state.view`,
 built on first use and cached on the state.  The view builds the tree's
 shape at once and its prefix sums on their first read, so charging, which
 reads only the shape, never pays for the sums.  The float screen of
-improving moves is cached beside it, as `state.screen`.  No function takes
-a view as an argument, so a view can never be paired with the wrong state.
+improving moves is cached beside it, as `state.screen`, and so is the
+search table its searches share, `state.table`.  No function takes a view
+as an argument, so a view can never be paired with the wrong state.
 
 An arrival into an equilibrium needs no search: its best response grafts
 onto the tree by one edge, and `graft_path` finds that edge with one scan of
@@ -102,6 +103,11 @@ class RoutingState:
         """
         return _candidate_screen(self)
 
+    @cached_property
+    def table(self) -> "_SearchTable":
+        """`_SearchTable(self)`, built on first use and then shared."""
+        return _SearchTable(self)
+
 
 @dataclass(frozen=True)
 class BestResponse:
@@ -145,8 +151,8 @@ def with_revealed(state, new_vertices) -> RoutingState:
     if not added:
         return state
     new = replace(state, revealed=state.revealed + tuple(added))
-    for name in ("view", "screen"):
-        # both are built from paths, counts and usage, never from `revealed`
+    for name in ("view", "screen", "table"):
+        # all are built from paths, counts and usage, never from `revealed`
         if name in state.__dict__:
             new.__dict__[name] = state.__dict__[name]
     return new
@@ -376,21 +382,54 @@ class _Tree:
 # best response search
 
 
+class _SearchTable:
+    """What every `_Search` of a state shares, built once as `state.table`:
+    `nodes` (the used edges' endpoints and the root, plus a target on no
+    path) with index map `pos`; per used edge k (`edge` maps it to k) its
+    nodes ia[k] and ib[k], users[k] and costs[k] = c * D; and the cost
+    block `sub` = costi[nodes][:, nodes]."""
+
+    def __init__(self, state, target=ROOT):
+        costi, usage = state.instance.costi, state.usage
+        self.nodes = nodes = sorted({ROOT, target, *(v for e in usage for v in e)})
+        self.pos = pos = {v: i for i, v in enumerate(nodes)}
+        self.ia = np.array([pos[a] for a, _ in usage], dtype=np.intp)
+        self.ib = np.array([pos[b] for _, b in usage], dtype=np.intp)
+        self.edge = {e: k for k, e in enumerate(usage)}
+        self.users = list(usage.values())
+        ids = np.array(nodes)
+        self.costs = costi[ids[self.ia], ids[self.ib]].tolist()
+        self.sub = costi.take(ids, 0).take(ids, 1)
+
+    @cached_property
+    def adj(self):
+        """{i: [(j, k) for each used edge k at node i]}, built on first use."""
+        adj: dict = {}
+        for k, (i, j) in enumerate(zip(self.ia.tolist(), self.ib.tolist())):
+            adj.setdefault(i, []).append((j, k))
+            adj.setdefault(j, []).append((i, k))
+        return adj
+
+
 class _Search:
     """(cost, fresh)-lexicographic shortest path from one `target` to the root.
 
     A Dijkstra from the root that stops once `target` is settled.  It visits
-    `nodes`, in id order: the used edges' endpoints, the target and the root,
-    minus `excluded`.  No other vertex x lies on a best path from any of
-    them: x would be entered and left by two unused edges, fresh and at full
-    cost, and every instance meets the triangle inequality exactly (closures
-    by construction, Euclidean instances by ceiling rounding, explicit ones
-    by `_check_triangle`), so the direct edge between x's neighbours gives a
-    strictly smaller (cost, fresh) key.
+    `nodes`, in id order: the used edges' endpoints, the target and the root;
+    the `excluded` ones are closed from the start.  No other vertex x lies
+    on a best path from any of them: x would be entered and left by two
+    unused edges, fresh and at full cost, and every instance meets the
+    triangle inequality exactly (closures by construction, Euclidean
+    instances by ceiling rounding, explicit ones by `_check_triangle`), so
+    the direct edge between x's neighbours gives a strictly smaller
+    (cost, fresh) key.  What depends on the state alone comes from its
+    `state.table` (a target on no path, an arrival, gets a table of its
+    own); a search adds its mover's divisors, `den`, clamp and weights.
 
     Shares are ints over `den` = D * lcm{d_e}, d_e being edge e's share
     divisor: N_e on the mover's own edges, N_e + 1 on other used edges, 1 on
-    unused (fresh) ones.  With K = len(nodes) + 1, a path of share s over
+    unused (fresh) ones; the lcm skips the edges at excluded vertices, as
+    no path uses them.  With K = len(nodes) + 1, a path of share s over
     `den` with f fresh edges has key s * K + f.  Each key formed here is a
     simple path plus at most one edge, so f < K and key order is
     (cost, fresh) order; the first smallest key pops in (cost, fresh, id)
@@ -409,55 +448,54 @@ class _Search:
 
     __slots__ = ("nodes", "pos", "dist", "den", "_hits")
 
-    def __init__(self, state, target, *, mover, own_path, excluded=frozenset()):
+    def __init__(self, state, target, *, mover, own_path, excluded=()):
         if ROOT in excluded or target in excluded:
             raise EngineInvariantError(f"search from {target} excludes it or the root")
         inst = state.instance
-        costi = inst.costi
-        nodes = sorted({ROOT, target, *(v for e in state.usage for v in e)} - set(excluded))
-        pos = {v: i for i, v in enumerate(nodes)}
-        self.nodes, self.pos = nodes, pos
+        on_path = target in state.counts or any(target in p for p in state.paths.values())
+        tab = state.table if on_path else _SearchTable(state, target)
+        self.nodes, self.pos = nodes, pos = tab.nodes, tab.pos
         K = len(nodes) + 1
+        shut = {pos[v] for v in excluded}
 
-        own = frozenset(path_edges(own_path)) if own_path else frozenset()
+        divisor = [n + 1 for n in tab.users]
+        fresh = [0] * len(divisor)
         mover_count = state.counts.get(mover, 0)
-        used = {}  # (i, j) -> (divisor, fresh) of each used edge among `nodes`, i < j
-        for (a, b), n in state.usage.items():
-            if a in pos and b in pos:
-                used[pos[a], pos[b]] = (n, int(n == mover_count)) if (a, b) in own else (n + 1, 0)
-        self.den = inst.denominator * math.lcm(*{d for d, _ in used.values()})
+        for e in path_edges(own_path) if own_path else ():
+            k = tab.edge[e]
+            divisor[k] = n = tab.users[k]
+            fresh[k] = int(n == mover_count)
+        self.den = inst.denominator * math.lcm(*{
+            d for d, i, j in zip(divisor, tab.ia.tolist(), tab.ib.tolist())
+            if i not in shut and j not in shut})
         scale = self.den // inst.denominator
         unit = scale * K  # an unused edge of cost c weighs c * unit + 1
-        ids = np.array(nodes)
         t = pos[target]
-        d, f = used.get((0, t), (1, 1))  # the direct edge target -> root
-        top = int(costi[target, ROOT]) * (scale // d) * K + f + 1
+        k = tab.edge.get(edge_key(ROOT, target))  # the direct edge target -> root
+        d, f = (1, 1) if k is None else (divisor[k], fresh[k])
+        top = int(inst.costi[target, ROOT]) * (scale // d) * K + f + 1
         cap = (top - 1) // unit  # an unused edge costlier than cap weighs more than top
-        ia = np.array([i for i, _ in used], dtype=np.intp)
-        ib = np.array([j for _, j in used], dtype=np.intp)
+        # edges at excluded vertices get floored weights that no search reads
         weights = [min(c * (scale // d) * K + f, top)
-                   for c, (d, f) in zip(costi[ids[ia], ids[ib]].tolist(), used.values())]
+                   for c, d, f in zip(tab.costs, divisor, fresh)]
         self.dist = {}
         if 4 * top < 2**63:
-            sub = costi.take(ids, 0).take(ids, 1)
-            # min(unit, top) is unit, unless cap == 0 and all is clamped below
-            block = np.minimum(sub, cap).astype(np.int64) * min(unit, top) + 1
-            block[sub > cap] = top
-            block[ia, ib] = block[ib, ia] = weights
-            self._dense(t, K, 2 * top, block)
+            # min(unit, top) is unit unless cap == 0; either way a cost above
+            # cap, clipped to cap + 1, weighs more than top, and is clamped
+            block = np.minimum(tab.sub, cap + 1).astype(np.int64, copy=False) * min(unit, top) + 1
+            np.minimum(block, top, out=block)
+            block[tab.ia, tab.ib] = block[tab.ib, tab.ia] = weights
+            self._dense(t, K, 2 * top, block, list(shut))
             return
-        overlay: dict = {}  # i -> [(j, weight(i, j)), ...] over the used edges
-        for i, j, w in zip(ia.tolist(), ib.tolist(), weights):
-            overlay.setdefault(i, []).append((j, w))
-            overlay.setdefault(j, []).append((i, w))
-        self._wide(t, K, 2 * top, unit, overlay, lambda i: costi[nodes[i]].take(ids))
+        self._wide(t, K, 2 * top, unit, tab, weights, list(shut))
 
-    def _dense(self, t, K, far, block):
+    def _dense(self, t, K, far, block, closed):
         """Settle on int64 keys: one argmin and one masked minimum per pop."""
         nodes = self.nodes
         tent = np.full(len(nodes), far, dtype=np.int64)  # far once settled
         key = np.full(len(nodes), far, dtype=np.int64)  # far until settled
         is_open = np.ones(len(nodes), dtype=bool)
+        is_open[closed] = False
         tent[0] = 0  # the root has the smallest id
         while True:
             i = int(tent.argmin())
@@ -470,55 +508,60 @@ class _Search:
             np.minimum(tent, block[i] + d, out=tent, where=is_open)
         self._hits = lambda cur: (key + block[cur] == key[cur]).nonzero()[0].tolist()
 
-    def _wide(self, t, K, far, unit, overlay, costs_from):
+    def _wide(self, t, K, far, unit, tab, weights, closed):
         """Settle on Python-int keys, split as q * unit + r with 0 <= r < unit.
 
-        An unused edge of cost c takes key d to q = (d + 1) // unit + c and
-        r = (d + 1) % unit, one r for the whole row: q relaxes row-wide, on
-        int64 if the costs clipped at `skip` (above every open q) fit; ties
-        in q compare r, and only improved entries build exact keys.  The row
-        prices used edges as unused, at or above the exact weight `overlay`
-        relaxes them at; `hits` cannot match a dearer price, as the exact
-        one would then beat an optimal key.
+        q is int64 if the row costs clipped at `skip` (above every open q)
+        fit, r is an object array.  An unused edge of cost c takes key d to
+        q = (d + 1) // unit + c and r = (d + 1) % unit, one r for the whole
+        row: q relaxes row-wide, ties in q compare r, and r is written with
+        one fill.  Exact keys are formed only for the settled vertex and
+        along the used edges (`tab.adj`), relaxed at their exact `weights`;
+        the row prices them as unused, at or above that weight, and `hits`
+        cannot match a dearer price, as the exact one would then beat an
+        optimal key.  A closed vertex has q = skip, so it never pops.
         """
         nodes = self.nodes
         skip = far // unit + 1
-        fits = costs_from(0).dtype == np.int64 and 2 * skip < 2**63
-        cost = (lambda i: np.minimum(costs_from(i), skip)) if fits else (
-            lambda i: costs_from(i).astype(object))
-        tent = np.full(len(nodes), far, dtype=object)
-        key = tent.copy()  # far until settled
-        q = np.full_like(tent, far // unit, dtype=np.int64 if fits else object)  # tent // unit
+        fits = tab.sub.dtype == np.int64 and 2 * skip < 2**63
+        rows, adj = (np.minimum(tab.sub, skip) if fits else tab.sub), tab.adj
+        cost = rows.__getitem__ if fits else (lambda i: rows[i].astype(object))
+        q = np.full(len(nodes), far // unit, dtype=np.int64 if fits else object)
+        r = np.full(len(nodes), far % unit, dtype=object)
+        key = np.full(len(nodes), far, dtype=object)  # far until settled
         kq = np.full_like(q, skip)  # key // unit, skip until settled
         is_open = np.ones(len(nodes), dtype=bool)
-        tent[0] = q[0] = 0
+        is_open[closed] = False
+        q[closed] = skip
+        q[0] = r[0] = 0
         while True:
-            i = min((q == q.min()).nonzero()[0].tolist(), key=tent.__getitem__)
-            d = key[i] = tent[i]
+            ties = (q == q[q.argmin()]).nonzero()[0].tolist()
+            i = ties[0] if len(ties) == 1 else min(ties, key=r.__getitem__)
+            d = key[i] = int(q[i]) * unit + r[i]
             kq[i] = q[i]
             self.dist[nodes[i]] = divmod(d, K)
             if i == t:
                 break
-            q[i] = skip  # closed
+            q[i] = skip
             is_open[i] = False
             qd, rd = divmod(d + 1, unit)
             nq = cost(i) + qd
             better = (nq < q) & is_open
-            for j in ((nq == q) & is_open).nonzero()[0].tolist():
-                better[j] = rd < tent[j] % unit
+            tie = ((nq == q) & is_open).nonzero()[0]
+            if tie.size:
+                better[tie] = r[tie] > rd
             js = better.nonzero()[0]
             q[js] = nq[js]
-            tent[js] = nq[js].astype(object) * unit + rd
-            for j, w in overlay.get(i, ()):
-                if is_open[j] and d + w < tent[j]:
-                    tent[j] = d + w
-                    q[j] = tent[j] // unit
+            r[js] = rd
+            for j, k in adj.get(i, ()):
+                if is_open[j] and d + weights[k] < int(q[j]) * unit + r[j]:
+                    q[j], r[j] = divmod(d + weights[k], unit)
 
         def hits(cur):
             qc, rc = divmod(key[cur] - 1, unit)
             found = [j for j in (kq + cost(cur) == qc).nonzero()[0].tolist()
                      if key[j] % unit == rc]
-            found += [j for j, w in overlay.get(cur, ()) if key[j] + w == key[cur]]
+            found += [j for j, k in adj.get(cur, ()) if key[j] + weights[k] == key[cur]]
             return sorted(found)
 
         self._hits = hits
@@ -614,8 +657,16 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
 
     For an active terminal: compare its best response to its current share.
     For an interior (Steiner) vertex w: terminals routing through w are tried
-    in id order; each keeps its segment below w fixed and searches for a
-    cheaper replacement of the segment above w.
+    in id order; each keeps its segment below w fixed, excluded from the
+    search, and searches for a cheaper replacement of the segment above w.
+
+    If two or more terminals route through w, one bounding search from w
+    runs first, with w's segment above as its own path and nothing excluded.
+    Every edge a terminal's search can use (its prefix below w excluded)
+    costs the same there: N_e above w, N_e + 1 on other used edges, full
+    when unused; and it sees all of that search's vertices and more.  So the
+    bound is at most every terminal's candidate: if it is not below the
+    current share above w, no terminal improves.
     """
     if state.is_active(vertex):
         br = best_response(state, vertex)
@@ -630,7 +681,12 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
             f"vertex {vertex} is neither an active terminal nor on the routing tree"
         )
     above = Fraction(view.A[vertex], view.den)  # current share of the segment above `vertex`
-    for t in view.terminals_through(state, vertex):
+    through = view.terminals_through(state, vertex)
+    if len(through) > 1:
+        bound = _Search(state, vertex, mover=through[0], own_path=view.path_to_root(vertex))
+        if bound.cost_fresh(vertex)[0] >= above:
+            return None
+    for t in through:
         tpath = state.paths[t]
         cut = tpath.index(vertex)
         prefix = tpath[: cut + 1]
@@ -646,10 +702,12 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
 def verify_equilibrium(state) -> EquilibriumVerdict:
     """Full sweep: every active terminal, then every interior tree vertex.
 
-    The interior checks share the state's one tree view.  On a tree, the
-    verdict is compared against the improving tree-move scan; an improving
-    path exists iff an improving tree-follow move does, so disagreement is
-    an engine bug and raises.
+    All checks share the state's one tree view and one search table.  A
+    relay that two or more terminals route through is first checked by one
+    bounding search (see `has_improving_move`).  On a tree, the verdict is
+    compared against the improving tree-move scan; an improving path exists
+    iff an improving tree-follow move does, so disagreement is an engine
+    bug and raises.
     """
     witness = None
     for t in sorted(state.counts):
@@ -729,14 +787,17 @@ def _candidate_screen(state):
 
     A(u) - B(v) - c(u,v) > A(L) - B(L) >= 0 is necessary for u -> v to
     improve, so no improving pair scores below -margin: the screen is
-    conservative and complete.  Read it through `state.screen`.
+    conservative and complete.  The diagonal (u -> u: A(u) - B(u) > 0, but
+    no move) scores -inf.  Read it through `state.screen`.
     """
     view = state.view
     verts = view.order
     a = np.array([view.Af[x] for x in verts])
     b = np.array([view.Bf[x] for x in verts])
     c = state.instance.costf[np.ix_(verts, verts)]
-    return verts, a[:, None] - b[None, :] - c
+    scores = a[:, None] - b[None, :] - c
+    np.fill_diagonal(scores, -np.inf)
+    return verts, scores
 
 
 def find_improving_tree_move(state):

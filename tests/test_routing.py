@@ -20,6 +20,7 @@ from costshare import (
     ROOT,
     add_terminal,
     best_response,
+    build_random_euclidean,
     explicit_metric,
     find_improving_tree_move,
     initial_state,
@@ -27,6 +28,7 @@ from costshare import (
     potential,
     prune_departures,
     run_epoch_eqp,
+    run_eqp,
     shared_cost,
     solution_cost,
     tree_follow_move,
@@ -824,6 +826,33 @@ def test_split_keys_order_exactly_within_one_high_part(monkeypatch, core, termin
         _matrix(inst), state.counts, state.paths, 3)
 
 
+def test_steiner_searches_match_oracle_on_both_kernels(monkeypatch):
+    # A terminal's search from a relay closes the terminal's own vertices
+    # below the relay from the start; it must find the oracle's best
+    # replacement of the segment above.  Prime counts near 10^7 push many
+    # of these searches onto split keys, even with the closed vertices'
+    # edges left out of the lcm, so both kernels close vertices.
+    rng = random.Random(17500)
+    inst = random_metric(rng, 7)
+    matrix = _matrix(inst)
+    primes = [2, 3, 5, 7] + [p for p in range(10**7, 10**7 + 400) if _isprime(p)]
+    ran = _count_kernels(monkeypatch)
+    checked = 0
+    for _ in range(30):
+        state = _prime_loaded(rng, inst, primes)
+        for w, through in _relays(state, least=1):
+            for t in through:
+                tpath = state.paths[t]
+                prefix = tpath[:tpath.index(w)]
+                search = routing._Search(state, w, mover=t, own_path=tpath, excluded=prefix)
+                allowed = set(range(inst.n)) - set(prefix)
+                assert (*search.cost_fresh(w), search.path_from(w)) == enumerate_best_response(
+                    matrix, state.counts, state.paths, t, allowed=allowed, start=w)
+                checked += 1
+    assert ran["_dense"] >= 10 and ran["_wide"] >= 10
+    assert checked >= 40
+
+
 @pytest.mark.parametrize("primes", [None, range(10**4, 10**4 + 300)],
                          ids=["small-counts", "prime-counts"])
 def test_search_breaks_full_ties_on_equal_distances(primes):
@@ -923,3 +952,173 @@ def test_revealing_keeps_the_view_and_rerouting_rebuilds_it():
     assert more.view is view and more.screen is screen
     grown = add_terminal(more, 3, 1, (3, 0))
     assert grown.view is not view and 3 in grown.view
+
+
+def test_revealing_keeps_the_search_table_and_rerouting_rebuilds_it():
+    inst = line_instance(0, 5, 9, 14)
+    state = add_terminal(with_revealed(initial_state(inst), [1, 2]), 1, 1, (1, 0))
+    table = state.table
+    more = with_revealed(state, [3])  # the table does not depend on `revealed`
+    assert more.table is table and 3 not in table.pos
+    grown = add_terminal(more, 3, 1, (3, 0))
+    assert grown.table is not table and 3 in grown.table.pos
+
+
+# ---------------------------------------------------------------------------
+# one sweep per state: the relay bound and the shared search table
+
+
+def _relays(state, least=2):
+    """(w, terminals through w) for each relay w, an interior non-terminal
+    tree vertex, with at least `least` terminals through it."""
+    view = state.view
+    for w in view.order:
+        if w != ROOT and not state.is_active(w):
+            through = view.terminals_through(state, w)
+            if len(through) >= least:
+                yield w, through
+
+
+def test_relay_bound_is_below_every_terminal_candidate():
+    # The bound search prices every edge that a terminal's own search can
+    # use as that search does, and sees all of its vertices, so its exact
+    # cost is at most every terminal's candidate.  Whether or not the bound
+    # prunes the relay, has_improving_move must equal its oracle.
+    rng = random.Random(17400)
+    chains = _primed_chain_states(rng, samples=12)
+    metrics = (random_tree_state(rng, random_metric(rng, rng.randint(5, 8)), max_count=4,
+                                 chain_chance=0.6)
+               for _ in range(40))
+    pruned = Counter()
+    for state in (*chains, *metrics):
+        if len(state.counts) > 2 and rng.random() < 0.5:
+            state = prune_departures(
+                state, rng.sample(sorted(state.counts), rng.randint(1, len(state.counts) - 2)))
+        view = state.view
+        relays = list(_relays(state))
+        for w, through in relays:
+            bound, _ = routing._Search(
+                state, w, mover=through[0], own_path=view.path_to_root(w)).cost_fresh(w)
+            for t in through:
+                tpath = state.paths[t]
+                search = routing._Search(state, w, mover=t, own_path=tpath,
+                                         excluded=tpath[:tpath.index(w)])
+                assert bound <= search.cost_fresh(w)[0]
+            pruned[bound >= Fraction(view.A[w], view.den)] += 1
+        if relays:
+            _assert_searches_match_oracle(state)
+    assert pruned[True] >= 5 and pruned[False] >= 3
+
+
+# Relay 6 with a shortcut below it: from 6, vertex 4 leads to 3, whose
+# crowded edges 3-5-0 are cheap, where 6 -> 0 costs 569/12 in full.
+_SHORTCUT = {
+    (0, 1): "6", (0, 2): "23/2", (0, 3): "69/4", (0, 4): "29/2", (0, 5): "371/12",
+    (0, 6): "569/12", (1, 2): "11/2", (1, 3): "45/4", (1, 4): "17/2", (1, 5): "299/12",
+    (1, 6): "497/12", (2, 3): "23/4", (2, 4): "3", (2, 5): "233/12", (2, 6): "431/12",
+    (3, 4): "11/4", (3, 5): "41/3", (3, 6): "181/6", (4, 5): "197/12", (4, 6): "395/12",
+    (5, 6): "33/2",
+}
+
+
+def _shortcut_state(terminals):
+    inst = explicit_metric(7, {e: Fraction(c) for e, c in _SHORTCUT.items()})
+    state = _revealed_state(inst)
+    for t, (count, path) in terminals.items():
+        state = add_terminal(state, t, count, path)
+    return state
+
+
+@pytest.mark.parametrize("heavy, kernel", [((97, 101, 103), "_dense"),
+                                           ((10000019, 10000357, 10000223), "_wide")],
+                         ids=["dense", "wide"])
+def test_relay_search_keeps_the_terminals_own_prefix_closed(monkeypatch, heavy, kernel):
+    # Terminal 1 routes 1, 4, 6, 0.  Open to every vertex, its replacement
+    # of the segment above 6 would dip into its own vertex 4; closed from
+    # the start, 4 is out of reach and 6 -> 0 stays best.  Heavy counts
+    # near 10^7 put the search on split keys.
+    state = _shortcut_state({1: (3, (1, 4, 6, 0)), 2: (heavy[0], (2, 5, 0)),
+                             3: (heavy[1], (3, 5, 0)), 5: (heavy[2], (5, 0))})
+    matrix = _matrix(state.instance)
+    assert enumerate_best_response(matrix, state.counts, state.paths, 1, start=6)[2][1] == 4
+    ran = _count_kernels(monkeypatch)
+    search = routing._Search(state, 6, mover=1, own_path=state.paths[1], excluded=(1, 4))
+    assert ran == {kernel: 1}
+    assert (*search.cost_fresh(6), search.path_from(6)) == enumerate_best_response(
+        matrix, state.counts, state.paths, 1, allowed={0, 2, 3, 5, 6}, start=6) == (
+        Fraction(569, 36), 1, (6, 0))
+    assert has_improving_move(state, 6) is None
+
+
+def test_relay_bound_searches_below_every_terminal():
+    # Terminals 1 (1, 4, 6, 0) and 2 (2, 6, 0) share relay 6.  Terminal 1
+    # cannot replace its segment above 6 for less, but 2 can, through 1's
+    # vertex 4; a bound that kept 1's vertices closed would miss it.
+    state = _shortcut_state({1: (3, (1, 4, 6, 0)), 2: (1, (2, 6, 0)),
+                             3: (101, (3, 5, 0)), 5: (103, (5, 0))})
+    w = has_improving_move(state, 6)
+    assert (w.kind, w.vertex, w.via_terminal, w.path[:4]) == ("steiner", 6, 2, (2, 6, 4, 3))
+    assert (w.kind, w.vertex, w.via_terminal, w.path, w.current, w.candidate) == (
+        _oracle_witness(_matrix(state.instance), state, 6))
+
+
+def test_shared_relays_cost_one_search_on_settled_states(monkeypatch):
+    # In an equilibrium no terminal through a relay improves, and on these
+    # runs the bound alone shows it: a relay with k >= 2 terminals costs one
+    # search, not k.
+    ran = _count_kernels(monkeypatch)
+    checked = 0
+    for n, seed in [(30, 1), (30, 2), (30, 3), (50, 1), (50, 2)]:
+        run = build_random_euclidean(n, seed, "churn")
+        state = run_eqp(run.instance, run.events, verify=False, accounting=False).state
+        for w, _ in _relays(state):
+            before = ran.total()
+            assert has_improving_move(state, w) is None
+            assert ran.total() - before == 1
+            checked += 1
+    assert checked >= 5
+
+
+def test_sweep_builds_one_search_table_per_state(monkeypatch):
+    builds = []
+    real = routing._SearchTable
+    monkeypatch.setattr(routing, "_SearchTable",
+                        lambda *args: builds.append(args) or real(*args))
+    rng = random.Random(17600)
+    verdicts = set()
+    for _ in range(12):
+        state = random_tree_state(rng, random_metric(rng, rng.randint(4, 8)))
+        builds.clear()
+        verdicts.add(verify_equilibrium(state).ok)
+        assert builds == [(state,)]
+    assert verdicts == {True, False}
+    # a best response off every path builds one table of its own, with the
+    # target in it, and leaves the state's table unbuilt
+    state = add_terminal(_revealed_state(random_metric(rng, 6)), 1, 2, (1, 0))
+    builds.clear()
+    best_response(state, 4)
+    assert builds == [(state, 4)] and "table" not in state.__dict__
+
+
+def test_verify_sweep_runs_under_forwarding_wrappers(monkeypatch):
+    # A call tracer replaces `_Search`, `_Tree` and `has_improving_move` by
+    # plain functions that forward their arguments, and names each
+    # has_improving_move call from exactly (state, vertex).  The sweep must
+    # give the same verdicts under them, so no code may use `_Search` or
+    # `_Tree` as a class at runtime or pass has_improving_move anything else.
+    rng = random.Random(17700)
+    states = [random_tree_state(rng, random_metric(rng, rng.randint(4, 8)))
+              for _ in range(12)]
+    states += [_settle(s) for s in states[:6]]
+    assert any(next(_relays(s), None) for s in states)
+    want = [verify_equilibrium(replace(s)) for s in states]
+    assert {v.ok for v in want} == {True, False}
+    search, tree, improving = routing._Search, routing._Tree, routing.has_improving_move
+    monkeypatch.setattr(routing, "_Search", lambda *args, **kwargs: search(*args, **kwargs))
+    monkeypatch.setattr(routing, "_Tree", lambda *args, **kwargs: tree(*args, **kwargs))
+
+    def named(state, vertex):
+        return improving(state, vertex)
+
+    monkeypatch.setattr(routing, "has_improving_move", named)
+    assert [verify_equilibrium(replace(s)) for s in states] == want
