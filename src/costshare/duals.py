@@ -29,11 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .errors import ClosureViolationError, EngineInvariantError, VerificationError
 from .metric import ROOT, MetricInstance, mst_cost
-from .rationals import ceil_log2_ratio, floor_log2, floor_log2_ratio, pow2, pow2_le
+from .rationals import ceil_log2_ratio, floor_log2, floor_log2_ratio, pow2
 from .routing import RoutingState, find_improving_tree_move, solution_cost
 
 
@@ -196,54 +194,6 @@ class DualFamily:
         if j > self.jmax:
             return tuple(self.inserted)
         return tuple(self.levels[j].members[self.levels[j].of[v]])
-
-    # -- self-checks --------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Exhaustively re-verify every stored level; raises on any breach.
-
-        Float matrices screen the O(k^2) distance comparisons; every pair
-        within the margin of a boundary is settled exactly.
-        """
-        inst = self.instance
-        costi, den = inst.costi, inst.denominator
-        margin = inst.float_margin
-        all_vs = set(self._pos)
-        for j, lp in sorted(self.levels.items()):
-            rf, diam_f = math.ldexp(1.0, j - 1), float(pow2(j))
-            seen: dict = {}
-            for idx, mem in enumerate(lp.members):
-                if not mem or mem[0] != lp.centers[idx]:
-                    raise EngineInvariantError(
-                        f"level {j} component {idx} lost its founding center"
-                    )
-                for v in mem:
-                    if v in seen or lp.of.get(v) != idx:
-                        raise EngineInvariantError(
-                            f"level {j}: vertex {v} is not in exactly one component"
-                        )
-                    seen[v] = idx
-                rows = inst.costf[np.ix_([lp.centers[idx]], mem)][0]
-                for t, v in enumerate(mem):
-                    if rows[t] > rf - margin and pow2_le(
-                            j - 1, int(costi[lp.centers[idx], v]), den):
-                        raise EngineInvariantError(
-                            f"level {j}: member {v} strays >= 2^{j-1} from its center"
-                        )
-                block = inst.costf[np.ix_(mem, mem)]
-                for a, b in zip(*np.nonzero(block > diam_f - margin)):
-                    if a < b and pow2_le(j, int(costi[mem[a], mem[b]]), den):
-                        raise EngineInvariantError(
-                            f"level {j}: component {idx} has diameter >= 2^{j}"
-                        )
-            if set(seen) != all_vs:
-                raise EngineInvariantError(f"level {j} does not partition the vertices")
-            cf = inst.costf[np.ix_(lp.centers, lp.centers)]
-            for a, b in zip(*np.nonzero(cf < rf + margin)):
-                if a < b and not pow2_le(j - 1, int(costi[lp.centers[a], lp.centers[b]]), den):
-                    raise EngineInvariantError(
-                        f"level {j}: centers {lp.centers[a]},{lp.centers[b]} too close"
-                    )
 
 
 def dual_lower_bound(family: DualFamily, level: int) -> Fraction:

@@ -11,12 +11,13 @@ sequence) lexicographically, where a fresh edge is one no *other* agent uses.
 
 Everything that reads the routing tree (parents, Euler intervals, the A/B
 share prefix sums) reads one object: the state's tree view, `state.view`,
-built on first use and cached on the state.  The view builds the tree's
-shape at once and its prefix sums on their first read, so charging, which
-reads only the shape, never pays for the sums.  The float screen of
-improving moves is cached beside it, as `state.screen`, and so is the
-search table its searches share, `state.table`.  No function takes a view
-as an argument, so a view can never be paired with the wrong state.
+cached on the state.  Each event changes the tree by one path (an arrival
+adds one, a departure removes one, a move re-hangs one subtree), so a run
+builds one view in full and derives each later one by the event's delta
+(see `_Tree`).  The float screen of improving moves is cached beside it, as
+`state.screen`, and so is the search table a sweep's searches share,
+`state.table`.  No function takes a view as an argument, so a view can
+never be paired with the wrong state.
 
 An arrival into an equilibrium needs no search: its best response grafts
 onto the tree by one edge, and `graft_path` finds that edge with one scan of
@@ -39,6 +40,7 @@ float margin, settles the rest exactly, and says why that is sound.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -86,10 +88,12 @@ class RoutingState:
 
     @cached_property
     def view(self) -> "_Tree":
-        """This state's tree view, built on first use and then shared.
+        """This state's tree view, shared by every reader of the tree.
 
-        The only place a tree view is built: every reader of the tree goes
-        through here.  The state never changes, so neither does its view.
+        A state made by `add_terminal`, `prune_departures` or
+        `tree_follow_move` from one whose view was read carries a view
+        derived from that one; any other state builds its view in full on
+        first use.  The state never changes, so neither does its view.
         Raises EngineInvariantError (and caches nothing) if the paths are not
         a tree.
         """
@@ -181,7 +185,12 @@ def add_terminal(state, vertex, count, path) -> RoutingState:
         paths[vertex] = path
     for e in path_edges(path):
         usage[e] = usage.get(e, 0) + count
-    return replace(state, counts=counts, paths=paths, usage=usage)
+    new = replace(state, counts=counts, paths=paths, usage=usage)
+    view = state.__dict__.get("view")
+    links = dict(zip(path, path[1:]))
+    if view is not None and all(view.parent.get(x, p) == p for x, p in links.items()):
+        new.__dict__["view"] = view._derive(new, links)
+    return new
 
 
 def prune_departures(state, departing) -> RoutingState:
@@ -200,7 +209,12 @@ def prune_departures(state, departing) -> RoutingState:
     last = state.last_mover
     if last is not None and not any(last in p for p in paths.values()):
         last = None
-    return replace(state, counts=counts, paths=paths, usage=usage, last_mover=last)
+    new = replace(state, counts=counts, paths=paths, usage=usage, last_mover=last)
+    view = state.__dict__.get("view")
+    if view is not None:
+        links = {x: p for t in departing for x, p in zip(state.paths[t], state.paths[t][1:])}
+        new.__dict__["view"] = view._derive(new, links)
+    return new
 
 
 def shared_cost(state, terminal) -> Fraction:
@@ -250,28 +264,40 @@ def potential(state) -> Fraction:
 
 
 class _Tree:
-    """Derived view of a state whose paths form a rooted tree.
+    """Tree view of a state whose paths form a rooted tree.
 
-    The constructor builds the tree's shape, which is all that charging
-    reads: parent/children/depth, Euler intervals (`tin`, `tout`), the
-    preorder `pre`, the sorted `order` and the `leaves`.  It raises
-    EngineInvariantError if the paths do not form a tree (conflicting
-    parents, a root parent edge, a cycle), a tree edge has no recorded
-    usage, or a leaf is not a terminal.
+    A run builds one view in full, `_Tree(state)`, for the first state whose
+    view it reads; `add_terminal`, `prune_departures` and `tree_follow_move`
+    derive each later state's view from its predecessor's by the event's
+    delta (`_derive`).  The full build is the derivation's test oracle.
 
-    The two prefix sums A(x) = sum of c_e/N_e and B(x) = sum of c_e/(N_e+1)
-    along x -> root are built once, by whichever reader first asks for one
-    of `den`, `A`, `B`, `Af`, `Bf` (the improving-move questions and the
-    graft).  The exact A and B are ints over the view's own denominator
-    `den` = D * lcm{N_e, N_e+1 : e a tree edge}, so A(x) is A[x]/den; Af and
-    Bf are their float mirrors.
+    Built at once: the tree's shape, all that charging reads: parent,
+    children (sorted lists), the sorted `order` and the `leaves`.  The full
+    build raises EngineInvariantError if the paths do not form a tree
+    (conflicting parents, a root parent edge, a cycle), a tree edge has no
+    recorded usage, or a leaf is not a terminal.
+
+    Built on first read: the Euler tour (`depth`, intervals `tin`/`tout`,
+    preorder `pre`), which checks that it reaches every vertex; and the
+    prefix sums A(x) = sum of c_e/N_e and B(x) = sum of c_e/(N_e+1) along
+    x -> root (`den`, `A`, `B`, `Af`, `Bf`), which the improving-move
+    questions and the graft read.  The exact A and B are ints over the
+    view's own denominator `den` = D * lcm{N_e, N_e+1 : e a tree edge}, so
+    A(x) is A[x]/den; Af and Bf are their float mirrors.
+
+    With consistent parents and none at the root, a path that ends at the
+    root follows parents to it, so the full build walks the tour at once
+    only if some path does not.  A derived view cannot hold a cycle: an
+    arrival's new vertices form a chain that reaches the tree once and then
+    follows it (a path that leaves the tree again disagrees with a parent,
+    and its state gets no derived view); a departure only removes edges;
+    and a move's target lies outside the mover's subtree.
     """
 
+    _TOUR = frozenset({"depth", "tin", "tout", "pre"})
     _SUMS = frozenset({"den", "A", "B", "Af", "Bf"})
-    __slots__ = (
-        "parent", "children", "depth", "tin", "tout", "pre", "order", "leaves",
-        "_instance", "_users", *_SUMS,
-    )
+    __slots__ = ("parent", "children", "order", "leaves", "_instance", "_users",
+                 *_TOUR, *_SUMS)
 
     def __init__(self, state: RoutingState):
         parent = {}
@@ -293,7 +319,81 @@ class _Tree:
                 raise EngineInvariantError(f"tree edge ({child},{par}) has no recorded usage")
         for kids in children.values():
             kids.sort()
+        self.parent, self.children, self.order = parent, children, sorted(children)
+        self.leaves = {v for v in children if not children[v] and v != ROOT}
+        self._instance, self._users = state.instance, users
+        if any(p[-1:] != (ROOT,) for p in state.paths.values()):
+            self._build_tour()
+        bad = self.leaves - set(state.counts)
+        if bad:
+            raise EngineInvariantError(f"tree leaves without terminals: {sorted(bad)}")
 
+    def _derive(self, state, links) -> "_Tree":
+        """The view of `state`, whose tree differs from this one at `links`.
+
+        `links` maps each vertex whose parent edge the event touched to its
+        parent in `state`.  The edge's user count is read from `state.usage`;
+        a vertex whose edge no one uses any more is dropped.  The dicts are
+        copied, the children lists only where they change: a view never
+        changes after it is made, so the rest are shared.
+        """
+        view = type(self).__new__(type(self))
+        parent, users, children = dict(self.parent), dict(self._users), dict(self.children)
+        usage, own = state.usage, set()  # own: children lists copied already
+
+        def kids(x):
+            if x not in own:
+                children[x] = list(children.get(x, ()))
+                own.add(x)
+            return children[x]
+
+        gone = {x for x, p in links.items() if not usage.get(edge_key(x, p))}
+        touched, grown = set(), False
+        for x, p in links.items():
+            if x in gone:
+                continue
+            users[x] = usage[edge_key(x, p)]
+            old = parent.get(x)
+            if old == p:
+                continue
+            if old is None:
+                kids(x)
+                grown = True
+            else:
+                kids(old).remove(x)
+                touched.add(old)
+            parent[x] = p
+            bisect.insort(kids(p), x)
+            touched.update((x, p))
+        for x in gone:  # its children, if it had any, are gone too
+            p = parent.pop(x)
+            del users[x], children[x]
+            if p not in gone:
+                kids(p).remove(x)
+                touched.add(p)
+        leaves = self.leaves - gone
+        for x in touched - gone - {ROOT}:
+            if children[x]:
+                leaves.discard(x)
+            else:
+                leaves.add(x)
+        view.parent, view.children, view.leaves = parent, children, leaves
+        view.order = sorted(children) if gone or grown else self.order
+        view._instance, view._users = self._instance, users
+        return view
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the tour or the sums, before their first read
+        if name in self._TOUR:
+            self._build_tour()
+        elif name in self._SUMS:
+            self._build_sums()
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
+
+    def _build_tour(self):
+        children = self.children
         depth, tin, tout, pre = {ROOT: 0}, {}, {}, []
         clock = 0
         stack = [(ROOT, False)]
@@ -312,26 +412,7 @@ class _Tree:
                 stack.append((ch, False))
         if len(tin) != len(children):
             raise EngineInvariantError("routing paths contain a cycle")
-
-        self.parent = parent
-        self.children = children
-        self.depth = depth
-        self.tin = tin
-        self.tout = tout
-        self.pre = pre
-        self.order = sorted(children)
-        self.leaves = {v for v in children if not children[v] and v != ROOT}
-        bad = self.leaves - set(state.counts)
-        if bad:
-            raise EngineInvariantError(f"tree leaves without terminals: {sorted(bad)}")
-        self._instance, self._users = state.instance, users
-
-    def __getattr__(self, name):
-        # reached only for an unset slot: the sums, before their first read
-        if name not in self._SUMS:
-            raise AttributeError(name)
-        self._build_sums()
-        return object.__getattribute__(self, name)
+        self.depth, self.tin, self.tout, self.pre = depth, tin, tout, pre
 
     def _build_sums(self):
         inst, users, parent = self._instance, self._users, self.parent
@@ -383,7 +464,7 @@ class _Tree:
 
 
 class _SearchTable:
-    """What every `_Search` of a state shares, built once as `state.table`:
+    """What the searches of a state share, cached as `state.table`:
     `nodes` (the used edges' endpoints and the root, plus a target on no
     path) with index map `pos`; per used edge k (`edge` maps it to k) its
     nodes ia[k] and ib[k], users[k] and costs[k] = c * D; and the cost
@@ -422,9 +503,11 @@ class _Search:
     triangle inequality exactly (closures by construction, Euclidean
     instances by ceiling rounding, explicit ones by `_check_triangle`), so
     the direct edge between x's neighbours gives a strictly smaller
-    (cost, fresh) key.  What depends on the state alone comes from its
-    `state.table` (a target on no path, an arrival, gets a table of its
-    own); a search adds its mover's divisors, `den`, clamp and weights.
+    (cost, fresh) key.  What depends on the state alone comes from
+    `state.table` if the state has it cached and the target is on a path;
+    otherwise the search builds a table for itself alone and caches none,
+    as a state searched once (a one-shot arrival) would never reuse it.  A
+    search adds its mover's divisors, `den`, clamp and weights.
 
     Shares are ints over `den` = D * lcm{d_e}, d_e being edge e's share
     divisor: N_e on the mover's own edges, N_e + 1 on other used edges, 1 on
@@ -452,8 +535,9 @@ class _Search:
         if ROOT in excluded or target in excluded:
             raise EngineInvariantError(f"search from {target} excludes it or the root")
         inst = state.instance
-        on_path = target in state.counts or any(target in p for p in state.paths.values())
-        tab = state.table if on_path else _SearchTable(state, target)
+        tab = state.__dict__.get("table")
+        if tab is None or target not in tab.pos:
+            tab = _SearchTable(state, target)
         self.nodes, self.pos = nodes, pos = tab.nodes, tab.pos
         K = len(nodes) + 1
         shut = {pos[v] for v in excluded}
@@ -702,13 +786,15 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
 def verify_equilibrium(state) -> EquilibriumVerdict:
     """Full sweep: every active terminal, then every interior tree vertex.
 
-    All checks share the state's one tree view and one search table.  A
+    All checks share the state's one tree view and one search table,
+    `state.table`, which the sweep builds before its first search.  A
     relay that two or more terminals route through is first checked by one
     bounding search (see `has_improving_move`).  On a tree, the verdict is
     compared against the improving tree-move scan; an improving path exists
     iff an improving tree-follow move does, so disagreement is an engine
     bug and raises.
     """
+    state.table
     witness = None
     for t in sorted(state.counts):
         witness = has_improving_move(state, t)
@@ -794,7 +880,8 @@ def _candidate_screen(state):
     verts = view.order
     a = np.array([view.Af[x] for x in verts])
     b = np.array([view.Bf[x] for x in verts])
-    c = state.instance.costf[np.ix_(verts, verts)]
+    ids = np.array(verts)
+    c = state.instance.costf.take(ids, 0).take(ids, 1)
     scores = a[:, None] - b[None, :] - c
     np.fill_diagonal(scores, -np.inf)
     return verts, scores
@@ -891,4 +978,9 @@ def tree_follow_move(state, u, v) -> RoutingState:
     for e in [edge_key(u, v)] + path_edges(new_tail):
         usage[e] = usage.get(e, 0) + block
 
-    return replace(state, paths=paths, usage=usage, last_mover=u)
+    new = replace(state, paths=paths, usage=usage, last_mover=u)
+    links = dict(zip(old_above, old_above[1:]))
+    links.update(zip(new_tail, new_tail[1:]))
+    links[u] = v
+    new.__dict__["view"] = view._derive(new, links)
+    return new

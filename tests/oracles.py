@@ -397,3 +397,36 @@ def row_scan_first_improving(verts, screen, margin, in_subtree, improves):
             if score > -margin and v != u and not in_subtree(v, u) and improves(u, v):
                 return u, v
     return None
+
+
+def check_invariants(family):
+    """Re-verify every stored level of a dual family; asserts on any breach.
+
+    Level j partitions the inserted vertices into components, each listed
+    from its founding center; every member lies closer than 2^(j-1) to its
+    center, every component's diameter is below 2^j, and any two centers
+    are at least 2^(j-1) apart.  Compared exactly on the integer costs
+    ``costi`` over their denominator D, pair by pair.
+    """
+    costi, den = family.instance.costi, family.instance.denominator
+
+    def at_least(a, b, j):  # c(a, b) >= 2^j
+        c = int(costi[a][b])
+        return (den << j) <= c if j >= 0 else den <= (c << -j)
+
+    for j, lp in sorted(family.levels.items()):
+        seen = {}
+        for idx, mem in enumerate(lp.members):
+            assert mem and mem[0] == lp.centers[idx], (
+                f"level {j} component {idx} lost its founding center")
+            for v in mem:
+                assert v not in seen and lp.of.get(v) == idx, (
+                    f"level {j}: vertex {v} is not in exactly one component")
+                seen[v] = idx
+                assert not at_least(mem[0], v, j - 1), (
+                    f"level {j}: member {v} strays >= 2^{j - 1} from its center")
+            for a, b in itertools.combinations(mem, 2):
+                assert not at_least(a, b, j), f"level {j}: component {idx} has diameter >= 2^{j}"
+        assert set(seen) == set(family.inserted), f"level {j} does not partition the vertices"
+        for a, b in itertools.combinations(lp.centers, 2):
+            assert at_least(a, b, j - 1), f"level {j}: centers {a},{b} too close"

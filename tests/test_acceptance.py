@@ -11,6 +11,7 @@ import math
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,7 @@ from costshare.routing import graft_path, is_legal_improving
 from conftest import family_for, random_metric, random_tree_state
 from oracles import (
     brute_improving_tree_move,
+    check_invariants,
     eager_prefix_sums,
     enumerate_best_response,
     path_edges,
@@ -262,11 +264,11 @@ def test_criterion_6_structural_property_suite(eqp_runs):
         inst = random_metric(rng, rng.randint(2, 10))
         state = random_tree_state(rng, inst)
         family = family_for(state)  # family_for validates nothing itself...
-        family.check_invariants()
+        check_invariants(family)
         order = [v for v in range(1, inst.n) if v not in state.revealed]
         for v in order:
             family.insert(v)
-            family.check_invariants()
+            check_invariants(family)
         assert family.jmax - family.jmin + 1 <= 2 * inst.n + 64  # window is finite
     for n, seed, res in runs:
         rep = res.accounting
@@ -314,8 +316,11 @@ def test_graft_matches_search_on_every_equilibrium(eqp_runs):
 def test_charges_and_prefix_sums_match_oracles_on_every_state(monkeypatch):
     # The criterion-2 runs again, with every charge map checked against a
     # from-scratch rebuild (the memo's records must equal what the cuts say
-    # now) and every tree view's lazily built sums against an eager build:
-    # den, A and B equal as ints, Af and Bf bit for bit.
+    # now) and every tree view a state reads, built in full or derived from
+    # its predecessor's, against a full build of a fresh copy of the state:
+    # its shape and its lazily built Euler tour field by field, and its
+    # lazily built sums against an eager build: den, A and B equal as ints,
+    # Af and Bf bit for bit.
     matrices = {}  # the current run's instance and its Fraction cost matrix
     checked = Counter()
     real_charges = duals.compute_charges
@@ -336,29 +341,39 @@ def test_charges_and_prefix_sums_match_oracles_on_every_state(monkeypatch):
         checked["charges"] += 1
         return got
 
-    class AuditedTree(routing._Tree):
-        __slots__ = ()
+    cached_view = routing.RoutingState.__dict__["view"]
+    audited = {}  # id -> view, held so that no audited id is reused
 
-        def __init__(self, state):
-            super().__init__(state)
-            inst = state.instance
-            den, A, B, Af, Bf = eager_prefix_sums(
-                state.paths, state.usage, inst.costi, inst.costf, inst.denominator)
-            assert (self.den, self.A, self.B) == (den, A, B)
-            for got, want in ((self.Af, Af), (self.Bf, Bf)):
-                assert {x: f.hex() for x, f in got.items()} == {
-                    x: f.hex() for x, f in want.items()}
-            checked["views"] += 1
+    def audited_view(state):
+        view = cached_view.__get__(state, routing.RoutingState)
+        if id(view) in audited:
+            return view
+        audited[id(view)] = view
+        want = routing._Tree(replace(state))
+        for field in ("parent", "children", "order", "leaves", "_users",
+                      "depth", "tin", "tout", "pre"):
+            assert getattr(view, field) == getattr(want, field), field
+        inst = state.instance
+        den, A, B, Af, Bf = eager_prefix_sums(
+            state.paths, state.usage, inst.costi, inst.costf, inst.denominator)
+        assert (view.den, view.A, view.B) == (den, A, B)
+        for got, want in ((view.Af, Af), (view.Bf, Bf)):
+            assert {x: f.hex() for x, f in got.items()} == {
+                x: f.hex() for x, f in want.items()}
+        checked["views"] += 1
+        return view
 
     monkeypatch.setattr(duals, "compute_charges", audited_charges)
-    monkeypatch.setattr(routing, "_Tree", AuditedTree)
+    monkeypatch.setattr(routing.RoutingState, "view", property(audited_view))
     for n, seed in EQP_GRID:
         er = build_random_euclidean(n, seed)
         res = run_eqp(er.instance, list(er.events))
         assert res.verdict.ok
-    assert checked["charges"] > len(EQP_GRID) and checked["views"] > len(EQP_GRID)
+    assert checked["charges"] > len(EQP_GRID)
+    assert checked["views"] > 10 * len(EQP_GRID)  # one per state, not per run
     print(f"[charges] PASS — {checked['charges']} charge maps equal the rebuild; "
-          f"{checked['views']} tree views' sums equal an eager build")
+          f"{checked['views']} tree views equal a full build, their sums an "
+          "eager one")
 
 
 def _full_state(inst):

@@ -18,6 +18,7 @@ from costshare.dynamics import ArrivalEvent, ArrivalItem
 from costshare.errors import ClosureViolationError
 from costshare.metric import instance_to_dict
 from conftest import line_instance
+from oracles import check_invariants
 
 
 def _read_summary(path):
@@ -54,7 +55,7 @@ def test_gen_poa_snapshot_passes_verify(tmp_path, capsys):
 
     state, family = snapshot_from_jsonable(json.loads(snap.read_text()))
     assert verify_equilibrium(state).ok
-    family.check_invariants()
+    check_invariants(family)
 
 
 def test_verify_rejects_doctored_snapshot(tmp_path, capsys):

@@ -36,7 +36,7 @@ from costshare.duals import (
 )
 from costshare.rationals import pow2
 from conftest import family_for, line_instance, random_metric, random_tree_state
-from oracles import greedy_partition, rebuild_charges
+from oracles import check_invariants, greedy_partition, rebuild_charges
 
 
 def _line_state(xs, routes, last_mover=None):
@@ -93,7 +93,7 @@ def test_partitions_match_greedy_replay(seed):
     matrix = _matrix(inst)
     for v in order:
         family.insert(v)
-        family.check_invariants()
+        check_invariants(family)
         for j, lp in family.levels.items():
             centers, members, of = greedy_partition(
                 matrix, family.inserted, pow2(j - 1)
@@ -119,7 +119,7 @@ def test_partitions_join_exactly_below_the_radius(level, costs):
     n = 9
     inst = explicit_metric(n, {e: rng.choice(costs) for e in combinations(range(n), 2)})
     family = family_for(with_revealed(initial_state(inst), range(1, n)))
-    family.check_invariants()
+    check_invariants(family)
     matrix = _matrix(inst)
     for j, lp in family.levels.items():
         centers, members, of = greedy_partition(matrix, family.inserted, pow2(j - 1))
@@ -171,7 +171,7 @@ def test_family_window_growth_replays_history():
     jmax_before = family.jmax
     family.insert(3)
     assert family.jmax > jmax_before
-    family.check_invariants()
+    check_invariants(family)
     for j in range(jmax_before + 1, family.jmax + 1):
         centers, members, of = greedy_partition(
             _matrix(inst), [0, 1, 2, 3], pow2(j - 1)
@@ -238,11 +238,11 @@ def test_check_invariants_catches_corruption():
     family = DualFamily(inst)
     for v in range(4):
         family.insert(v)
-    family.check_invariants()
+    check_invariants(family)
     lp = family.levels[family.jmax]  # everything in the root's component here
     lp.members[0].remove(lp.members[0][-1])
-    with pytest.raises(EngineInvariantError, match="partition"):
-        family.check_invariants()
+    with pytest.raises(AssertionError, match="partition"):
+        check_invariants(family)
 
 
 def test_component_of_unknown_vertex_raises():

@@ -48,7 +48,7 @@ from costshare.dynamics import _class_marker
 from costshare.instances import build_gm, build_random_euclidean, build_sigma
 from costshare.routing import RoutingState
 from conftest import family_for, line_instance
-from oracles import rebuild_charges
+from oracles import check_invariants, rebuild_charges
 
 
 def _state(inst, routes, counts=None, last_mover=None, reveal=None):
@@ -444,7 +444,7 @@ def test_reveal_keeps_family_in_sync():
     ]
     res = run_eqp(inst, events)
     assert list(res.state.revealed) == res.family.inserted == [0, 3, 1, 2]
-    res.family.check_invariants()
+    check_invariants(res.family)
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +453,19 @@ def test_reveal_keeps_family_in_sync():
 
 def test_oneshot_dynamics_builds_no_prefix_sums(monkeypatch):
     # Classification reads only the tree's shape; under one-shot nothing
-    # else asks a view for its sums until the certify sweep.
-    builds = []
-    real = routing._Tree._build_sums
+    # else asks a view for its Euler tour or its sums until the certify
+    # sweep.
+    builds, tours = [], []
+    real, real_tour = routing._Tree._build_sums, routing._Tree._build_tour
     monkeypatch.setattr(routing._Tree, "_build_sums",
                         lambda view: builds.append(view) or real(view))
+    monkeypatch.setattr(routing._Tree, "_build_tour",
+                        lambda view: tours.append(view) or real_tour(view))
     gm = build_gm(3)
     res = run_noneqp(gm.instance, list(build_sigma(gm)), verify=False)
-    assert builds == []
+    assert builds == [] and tours == []
     assert verify_equilibrium(res.state).ok
-    assert builds
+    assert builds and tours
 
 
 def test_oneshot_charges_match_rebuild_after_every_event(monkeypatch):

@@ -5,7 +5,9 @@ computations against the brute-force oracles: exhaustive path enumeration for
 best responses and explicit subtree rerouting for improving-move checks.
 """
 
+import gc
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -29,6 +31,7 @@ from costshare import (
     prune_departures,
     run_epoch_eqp,
     run_eqp,
+    run_noneqp,
     shared_cost,
     solution_cost,
     tree_follow_move,
@@ -37,7 +40,7 @@ from costshare import (
 )
 from costshare import classify, routing, select_tree_move
 from costshare.duals import BALANCED
-from costshare.instances import build_steiner_gap_fixture
+from costshare.instances import build_gm, build_sigma, build_steiner_gap_fixture
 from costshare.routing import graft_path, has_improving_move, is_legal_improving
 from conftest import (
     big_denominator_metric,
@@ -965,6 +968,116 @@ def test_revealing_keeps_the_search_table_and_rerouting_rebuilds_it():
 
 
 # ---------------------------------------------------------------------------
+# one tree per run: each state's view derived from its predecessor's
+
+
+def _assert_view_is_a_full_build(state):
+    assert "view" in state.__dict__  # cached with the state, not built on this read
+    got, want = state.view, routing._Tree(replace(state))
+    for field in ("parent", "children", "order", "leaves", "_users",
+                  "depth", "tin", "tout", "pre", "den", "A", "B"):
+        assert getattr(got, field) == getattr(want, field), field
+    for field in ("Af", "Bf"):
+        assert {x: f.hex() for x, f in getattr(got, field).items()} == {
+            x: f.hex() for x, f in getattr(want, field).items()}, field
+
+
+def _random_event(rng, state):
+    """(tag, next state) for one random arrival, departure or legal move."""
+    view, n = state.view, state.instance.n
+    kind = rng.choice(("arrive", "arrive", "depart", "move"))
+    if kind == "depart" and state.counts:
+        gone = rng.sample(sorted(state.counts), rng.randint(1, len(state.counts)))
+        return ("depart" if len(gone) == 1 else "departs"), prune_departures(state, gone)
+    moves = [(u, v) for u in view.parent for v in view.order
+             if v != u and not view.in_subtree(v, u)]
+    if kind == "move" and moves:
+        new = tree_follow_move(state, *rng.choice(moves))
+        return ("abandon" if len(new.view.order) < len(view.order) else "move"), new
+    v = rng.randrange(1, n)
+    if v in view:  # a count bump, or a relay that becomes a terminal
+        tag = "bump" if state.is_active(v) else "relay"
+        path = view.path_to_root(v)
+    else:  # a new leaf, sometimes below a chain of new relays
+        off = [x for x in range(1, n) if x not in view and x != v]
+        chain = (v, *rng.sample(off, min(len(off), rng.choice((0, 0, 1, 2)))))
+        tag = "chain" if len(chain) > 1 else "leaf"
+        path = chain + view.path_to_root(rng.choice(view.order))
+    return tag, add_terminal(state, v, rng.randint(1, 3), path)
+
+
+def test_derived_views_equal_a_full_build():
+    # Every transition from a state whose view was read derives the next
+    # view from it: arrivals (new leaves, new relay chains, count bumps,
+    # relays turned terminals), departures of one or several terminals, and
+    # tree-follow moves, some of which abandon relays.  Each derived view,
+    # its lazily built tour and sums included, equals a full build, and so
+    # does its predecessor's after the derivation.
+    rng = random.Random(17800)
+    seen = Counter()
+    for _ in range(60):
+        state = _revealed_state(random_metric(rng, rng.randint(3, 9)))
+        state.view
+        for _ in range(14):
+            prev = state
+            tag, state = _random_event(rng, state)
+            _assert_view_is_a_full_build(state)
+            _assert_view_is_a_full_build(prev)  # the derivation changed no shared part
+            seen[tag] += 1
+    assert min(seen[tag] for tag in (
+        "leaf", "chain", "bump", "relay", "depart", "departs", "move", "abandon")) >= 5, seen
+
+
+def test_a_path_against_the_tree_gets_no_derived_view():
+    # A one-shot arrival may route against the tree.  Its state carries no
+    # view, so reading one builds it in full, which raises as before; a
+    # departure that restores the tree builds one in full again.
+    inst = line_instance(0, 5, 9, 14)
+    state = add_terminal(_revealed_state(inst), 2, 1, (2, 1, 0))
+    state.view
+    worse = add_terminal(state, 3, 1, (3, 1, 2, 0))  # 1's parent is 0 on the tree
+    assert "view" not in worse.__dict__
+    with pytest.raises(EngineInvariantError, match="parent of 1"):
+        worse.view
+    assert "view" not in worse.__dict__
+    healed = prune_departures(worse, [3])
+    assert "view" not in healed.__dict__ and healed.view.parent == {2: 1, 1: 0}
+
+
+def test_a_derived_view_keeps_no_state_alive():
+    rng = random.Random(17900)
+    transition = {"depart": prune_departures, "departs": prune_departures,
+                  "move": tree_follow_move, "abandon": tree_follow_move}
+    seen = set()
+    while len(seen) < 3:
+        state = random_tree_state(rng, random_metric(rng, 7))
+        state.view
+        tag, new = _random_event(rng, state)
+        seen.add(transition.get(tag, add_terminal))
+        old = weakref.ref(state)
+        del state
+        gc.collect()
+        assert old() is None and "view" in new.__dict__
+
+
+@pytest.mark.parametrize("policy", ["oneshot", "eqp"])
+def test_a_run_builds_one_tree_view_in_full(monkeypatch, policy):
+    # Under a forwarding `_Tree` wrapper, as a call tracer installs, a run
+    # builds its first view in full and derives every later one.
+    builds = []
+    tree = routing._Tree
+    monkeypatch.setattr(routing, "_Tree", lambda state: builds.append(state) or tree(state))
+    if policy == "oneshot":
+        gm = build_gm(3)
+        res = run_noneqp(gm.instance, list(build_sigma(gm)), verify=False)
+    else:
+        run = build_random_euclidean(30, 0, "churn")
+        res = run_eqp(run.instance, run.events, verify=False, accounting=False)
+    assert len(res.epochs) > 20 and len(builds) == 1
+    assert verify_equilibrium(res.state).ok and len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
 # one sweep per state: the relay bound and the shared search table
 
 
@@ -1098,6 +1211,23 @@ def test_sweep_builds_one_search_table_per_state(monkeypatch):
     builds.clear()
     best_response(state, 4)
     assert builds == [(state, 4)] and "table" not in state.__dict__
+
+
+def test_on_path_search_caches_no_table(monkeypatch):
+    # A search on a state with no cached table builds one for itself alone;
+    # one with a cached table reads it.
+    builds = []
+    real = routing._SearchTable
+    monkeypatch.setattr(routing, "_SearchTable",
+                        lambda *args: builds.append(args) or real(*args))
+    state = add_terminal(_revealed_state(line_instance(0, 5, 9, 14)), 2, 1, (2, 1, 0))
+    best_response(state, 1)  # a relay on the path
+    best_response(state, 2)  # a terminal
+    assert builds == [(state, 1), (state, 2)] and "table" not in state.__dict__
+    table = state.table
+    builds.clear()
+    best_response(state, 1)
+    assert builds == [] and state.table is table
 
 
 def test_verify_sweep_runs_under_forwarding_wrappers(monkeypatch):
