@@ -50,7 +50,6 @@ from .duals import (
     ChargeMap,
     DualFamily,
     StateClass,
-    charge_level,
     classify,
     compute_charges,
     dual_lower_bound,
@@ -99,7 +98,7 @@ __all__ = [
     "best_response", "verify_equilibrium", "is_improving_tree_move",
     "find_improving_tree_move", "tree_follow_move",
     "DualFamily", "ChargeMap", "StateClass", "AccountingReport",
-    "charge_level", "compute_charges", "classify", "dual_lower_bound",
+    "compute_charges", "classify", "dual_lower_bound",
     "logn_accounting",
     "ArrivalItem", "ArrivalEvent", "DepartureEvent", "check_schedule",
     "schedule_to_jsonable", "schedule_from_jsonable",

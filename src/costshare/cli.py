@@ -446,7 +446,7 @@ def cmd_verify(args) -> int:
     verdict = verify_equilibrium(state)
     if not verdict.ok:
         w = verdict.witness
-        print(f"equilibrium: NO — {w.kind} witness at vertex {w.vertex} "
+        print(f"equilibrium: NO — terminal witness at vertex {w.vertex} "
               f"(current {w.current}, better {w.candidate})")
         return 4
     cls = classify(state, family)

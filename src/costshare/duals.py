@@ -31,15 +31,8 @@ from typing import Optional
 
 from .errors import ClosureViolationError, EngineInvariantError, VerificationError
 from .metric import ROOT, MetricInstance, mst_cost
-from .rationals import ceil_log2_ratio, floor_log2, floor_log2_ratio, pow2
+from .rationals import ceil_log2_ratio, floor_log2_ratio, pow2
 from .routing import RoutingState, find_improving_tree_move, solution_cost
-
-
-def charge_level(cost) -> int:
-    """The level an edge of this cost charges: j with 2^{j+2} <= cost < 2^{j+3}."""
-    if cost.numerator <= 0:  # the sign, without a Fraction comparison
-        raise EngineInvariantError(f"charge_level of non-positive cost {cost}")
-    return floor_log2(cost) - 2
 
 
 class LevelPartition:
@@ -182,18 +175,10 @@ class DualFamily:
         if rec is None:
             den = self.instance.denominator
             c = int(self.instance.costi[u, parent])
-            j = floor_log2_ratio(c, den) - 2  # charge_level(c / den)
+            j = floor_log2_ratio(c, den) - 2  # 2^(j+2) <= c / den < 2^(j+3)
             rec = self._charges[key] = ChargeRecord(
                 u, j, self.component_of(u, j), c, den, leaf)
         return rec
-
-    def component_members(self, v: int, j: int) -> tuple:
-        if self.jmin is None or j < self.jmin:
-            _ = self.component_of(v, j)
-            return (v,)
-        if j > self.jmax:
-            return tuple(self.inserted)
-        return tuple(self.levels[j].members[self.levels[j].of[v]])
 
 
 def dual_lower_bound(family: DualFamily, level: int) -> Fraction:

@@ -2,8 +2,8 @@
 
 All game-relevant quantities are `fractions.Fraction`; these utilities cover
 the places where plain Fraction arithmetic is not quite enough: exact binary
-logarithms (for charge levels and dual windows, also of an integer ratio
-p/q, so that readers of the integer cost matrix build no Fraction), harmonic
+logarithms of an integer ratio p/q (for charge levels and dual windows, so
+that readers of the integer cost matrix build no Fraction), harmonic
 numbers as integer pairs (for the potential), and the "p/q" string
 round-trip used by every serialized artifact.
 """
@@ -46,13 +46,8 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def floor_log2(value: Fraction) -> int:
-    """Largest j with 2**j <= value, computed exactly. Requires value > 0."""
-    return floor_log2_ratio(value.numerator, value.denominator)
-
-
 def floor_log2_ratio(p: int, q: int) -> int:
-    """floor_log2(p/q) for ints p, q > 0; p/q need not be in lowest terms."""
+    """Largest j with 2**j <= p/q for ints p, q > 0, in lowest terms or not."""
     if p <= 0 or q <= 0:  # the sign, without a Fraction comparison
         raise ValueError(f"log2 of a non-positive ratio {p}/{q}")
     # 2**(j-1) < p/q < 2**(j+1), so the answer is j or j - 1
@@ -65,10 +60,6 @@ def pow2_le(j: int, p: int, q: int) -> bool:
     if j >= 0:
         return (q << j) <= p
     return q <= (p << -j)
-
-
-def ceil_log2(value: Fraction) -> int:
-    return ceil_log2_ratio(value.numerator, value.denominator)
 
 
 def ceil_log2_ratio(p: int, q: int) -> int:

@@ -24,7 +24,10 @@ onto the tree by one edge, and `graft_path` finds that edge with one scan of
 the tree view.  The best-response search (`_Search`) serves every other
 routing question, and is the graft's test oracle.  Each search answers one
 vertex: an exact-integer Dijkstra from the root over the vertices some path
-uses, in id order, that stops once that vertex is settled.
+uses, in id order, that stops once that vertex is settled.  The equilibrium
+sweep makes one search per active terminal and none per relay: a relay can
+improve only through a terminal routed through it (see
+`has_improving_move`).
 
 Everything that decides anything is exact.  The hot kernels, `_Search`, the
 tree view (`_Tree`) and `potential`, keep their exact values as plain ints
@@ -33,9 +36,9 @@ of the user-count divisors they meet.  They read costs from the instance's
 integer matrix `costi` (c * D), never from Fractions.  A Fraction is built
 only where a value leaves them, so the public API returns Fractions
 throughout.  Float64 mirrors (`instance.costf`, the A/B prefix arrays)
-screen candidates in `graft_path`, `_candidate_screen` and
-`closest_improving_target`: a screen drops only what loses by more than the
-float margin, settles the rest exactly, and says why that is sound.
+screen improving moves in `_candidate_screen`: the screen drops only what
+loses by more than the float margin, its readers settle the rest exactly,
+and it says why that is sound.
 """
 
 from __future__ import annotations
@@ -124,9 +127,7 @@ class BestResponse:
 class Witness:
     """Evidence that some agent can strictly lower its shared cost."""
 
-    kind: str  # "terminal" or "steiner"
     vertex: int
-    via_terminal: int
     path: Path
     current: Fraction
     candidate: Fraction
@@ -496,14 +497,13 @@ class _Search:
     """(cost, fresh)-lexicographic shortest path from one `target` to the root.
 
     A Dijkstra from the root that stops once `target` is settled.  It visits
-    `nodes`, in id order: the used edges' endpoints, the target and the root;
-    the `excluded` ones are closed from the start.  No other vertex x lies
-    on a best path from any of them: x would be entered and left by two
-    unused edges, fresh and at full cost, and every instance meets the
-    triangle inequality exactly (closures by construction, Euclidean
-    instances by ceiling rounding, explicit ones by `_check_triangle`), so
-    the direct edge between x's neighbours gives a strictly smaller
-    (cost, fresh) key.  What depends on the state alone comes from
+    `nodes`, in id order: the used edges' endpoints, the target and the root.
+    No other vertex x lies on a best path from any of them: x would be
+    entered and left by two unused edges, fresh and at full cost, and every
+    instance meets the triangle inequality exactly (closures by
+    construction, Euclidean instances by ceiling rounding, explicit ones by
+    `_check_triangle`), so the direct edge between x's neighbours gives a
+    strictly smaller (cost, fresh) key.  What depends on the state alone comes from
     `state.table` if the state has it cached and the target is on a path;
     otherwise the search builds a table for itself alone and caches none,
     as a state searched once (a one-shot arrival) would never reuse it.  A
@@ -511,8 +511,7 @@ class _Search:
 
     Shares are ints over `den` = D * lcm{d_e}, d_e being edge e's share
     divisor: N_e on the mover's own edges, N_e + 1 on other used edges, 1 on
-    unused (fresh) ones; the lcm skips the edges at excluded vertices, as
-    no path uses them.  With K = len(nodes) + 1, a path of share s over
+    unused (fresh) ones.  With K = len(nodes) + 1, a path of share s over
     `den` with f fresh edges has key s * K + f.  Each key formed here is a
     simple path plus at most one edge, so f < K and key order is
     (cost, fresh) order; the first smallest key pops in (cost, fresh, id)
@@ -531,16 +530,13 @@ class _Search:
 
     __slots__ = ("nodes", "pos", "dist", "den", "_hits")
 
-    def __init__(self, state, target, *, mover, own_path, excluded=()):
-        if ROOT in excluded or target in excluded:
-            raise EngineInvariantError(f"search from {target} excludes it or the root")
+    def __init__(self, state, target, *, mover, own_path):
         inst = state.instance
         tab = state.__dict__.get("table")
         if tab is None or target not in tab.pos:
             tab = _SearchTable(state, target)
         self.nodes, self.pos = nodes, pos = tab.nodes, tab.pos
         K = len(nodes) + 1
-        shut = {pos[v] for v in excluded}
 
         divisor = [n + 1 for n in tab.users]
         fresh = [0] * len(divisor)
@@ -549,9 +545,7 @@ class _Search:
             k = tab.edge[e]
             divisor[k] = n = tab.users[k]
             fresh[k] = int(n == mover_count)
-        self.den = inst.denominator * math.lcm(*{
-            d for d, i, j in zip(divisor, tab.ia.tolist(), tab.ib.tolist())
-            if i not in shut and j not in shut})
+        self.den = inst.denominator * math.lcm(*set(divisor))
         scale = self.den // inst.denominator
         unit = scale * K  # an unused edge of cost c weighs c * unit + 1
         t = pos[target]
@@ -559,7 +553,6 @@ class _Search:
         d, f = (1, 1) if k is None else (divisor[k], fresh[k])
         top = int(inst.costi[target, ROOT]) * (scale // d) * K + f + 1
         cap = (top - 1) // unit  # an unused edge costlier than cap weighs more than top
-        # edges at excluded vertices get floored weights that no search reads
         weights = [min(c * (scale // d) * K + f, top)
                    for c, d, f in zip(tab.costs, divisor, fresh)]
         self.dist = {}
@@ -569,17 +562,16 @@ class _Search:
             block = np.minimum(tab.sub, cap + 1).astype(np.int64, copy=False) * min(unit, top) + 1
             np.minimum(block, top, out=block)
             block[tab.ia, tab.ib] = block[tab.ib, tab.ia] = weights
-            self._dense(t, K, 2 * top, block, list(shut))
+            self._dense(t, K, 2 * top, block)
             return
-        self._wide(t, K, 2 * top, unit, tab, weights, list(shut))
+        self._wide(t, K, 2 * top, unit, tab, weights)
 
-    def _dense(self, t, K, far, block, closed):
+    def _dense(self, t, K, far, block):
         """Settle on int64 keys: one argmin and one masked minimum per pop."""
         nodes = self.nodes
         tent = np.full(len(nodes), far, dtype=np.int64)  # far once settled
         key = np.full(len(nodes), far, dtype=np.int64)  # far until settled
         is_open = np.ones(len(nodes), dtype=bool)
-        is_open[closed] = False
         tent[0] = 0  # the root has the smallest id
         while True:
             i = int(tent.argmin())
@@ -592,7 +584,7 @@ class _Search:
             np.minimum(tent, block[i] + d, out=tent, where=is_open)
         self._hits = lambda cur: (key + block[cur] == key[cur]).nonzero()[0].tolist()
 
-    def _wide(self, t, K, far, unit, tab, weights, closed):
+    def _wide(self, t, K, far, unit, tab, weights):
         """Settle on Python-int keys, split as q * unit + r with 0 <= r < unit.
 
         q is int64 if the row costs clipped at `skip` (above every open q)
@@ -603,7 +595,7 @@ class _Search:
         along the used edges (`tab.adj`), relaxed at their exact `weights`;
         the row prices them as unused, at or above that weight, and `hits`
         cannot match a dearer price, as the exact one would then beat an
-        optimal key.  A closed vertex has q = skip, so it never pops.
+        optimal key.
         """
         nodes = self.nodes
         skip = far // unit + 1
@@ -615,8 +607,6 @@ class _Search:
         key = np.full(len(nodes), far, dtype=object)  # far until settled
         kq = np.full_like(q, skip)  # key // unit, skip until settled
         is_open = np.ones(len(nodes), dtype=bool)
-        is_open[closed] = False
-        q[closed] = skip
         q[0] = r[0] = 0
         while True:
             ties = (q == q[q.argmin()]).nonzero()[0].tolist()
@@ -718,81 +708,38 @@ def graft_path(state, vertex) -> Path:
         raise EngineInvariantError(f"graft of tree vertex {vertex}")
     if vertex not in set(state.revealed):
         raise EngineInvariantError(f"graft of unrevealed vertex {vertex}")
-    inst = state.instance
+    scale = view.den // state.instance.denominator
     order = view.order
-    # float screen: each key's float mirror (at most a tree depth of correctly
-    # rounded additions) is within half the margin of the exact key, so the
-    # exact argmin scores within the margin of the float minimum
-    keyf = inst.costf[vertex, order] + np.array([view.Bf[w] for w in order])
-    near = np.nonzero(keyf <= keyf.min() + inst.float_margin)[0]
-    crow = inst.costi[vertex]
-    scale = view.den // inst.denominator
-
-    def key(i):
-        w = order[i]
-        return int(crow[w]) * scale + view.B[w], w
-
-    _, w = min(key(int(i)) for i in near)
+    _, w = min((c * scale + view.B[x], x)
+               for c, x in zip(state.instance.costi[vertex, order].tolist(), order))
     return (vertex,) + view.path_to_root(w)
 
 
 def has_improving_move(state, vertex) -> Optional[Witness]:
-    """Witness that `vertex` (terminal or interior) can improve, else None.
+    """Witness that active terminal `vertex` can improve, else None.
 
-    For an active terminal: compare its best response to its current share.
-    For an interior (Steiner) vertex w: terminals routing through w are tried
-    in id order; each keeps its segment below w fixed, excluded from the
-    search, and searches for a cheaper replacement of the segment above w.
-
-    If two or more terminals route through w, one bounding search from w
-    runs first, with w's segment above as its own path and nothing excluded.
-    Every edge a terminal's search can use (its prefix below w excluded)
-    costs the same there: N_e above w, N_e + 1 on other used edges, full
-    when unused; and it sees all of that search's vertices and more.  So the
-    bound is at most every terminal's candidate: if it is not below the
-    current share above w, no terminal improves.
+    Compares its best response to its current share.  A relay (an interior
+    tree vertex that is not a terminal) needs no test of its own: a cheaper
+    segment above a relay for a terminal t routed through it, joined to
+    t's segment below, is one of t's own paths, priced with the same
+    divisors (N_e on t's edges, N_e + 1 on other used ones), so t's best
+    response is at least as cheap and t improves too.
     """
-    if state.is_active(vertex):
-        br = best_response(state, vertex)
-        cur = shared_cost(state, vertex)
-        if br.cost < cur:
-            return Witness("terminal", vertex, vertex, br.path, cur, br.cost)
-        return None
-
-    view = state.view
-    if vertex == ROOT or vertex not in view:
-        raise EngineInvariantError(
-            f"vertex {vertex} is neither an active terminal nor on the routing tree"
-        )
-    above = Fraction(view.A[vertex], view.den)  # current share of the segment above `vertex`
-    through = view.terminals_through(state, vertex)
-    if len(through) > 1:
-        bound = _Search(state, vertex, mover=through[0], own_path=view.path_to_root(vertex))
-        if bound.cost_fresh(vertex)[0] >= above:
-            return None
-    for t in through:
-        tpath = state.paths[t]
-        cut = tpath.index(vertex)
-        prefix = tpath[: cut + 1]
-        search = _Search(state, vertex, mover=t, own_path=tpath, excluded=prefix[:-1])
-        cand, _fresh = search.cost_fresh(vertex)
-        if cand < above:
-            cur = shared_cost(state, t)
-            full = prefix[:-1] + search.path_from(vertex)
-            return Witness("steiner", vertex, t, full, cur, cur - above + cand)
-    return None
+    if not state.is_active(vertex):
+        raise EngineInvariantError(f"improvement test of inactive vertex {vertex}")
+    br = best_response(state, vertex)
+    cur = shared_cost(state, vertex)
+    return Witness(vertex, br.path, cur, br.cost) if br.cost < cur else None
 
 
 def verify_equilibrium(state) -> EquilibriumVerdict:
-    """Full sweep: every active terminal, then every interior tree vertex.
+    """Full sweep: one best-response search per active terminal.
 
-    All checks share the state's one tree view and one search table,
-    `state.table`, which the sweep builds before its first search.  A
-    relay that two or more terminals route through is first checked by one
-    bounding search (see `has_improving_move`).  On a tree, the verdict is
-    compared against the improving tree-move scan; an improving path exists
-    iff an improving tree-follow move does, so disagreement is an engine
-    bug and raises.
+    No relay needs a search (see `has_improving_move`).  The searches share
+    the state's one search table, `state.table`, which the sweep builds
+    before its first search.  On a tree, the verdict is compared against the
+    improving tree-move scan; an improving path exists iff an improving
+    tree-follow move does, so disagreement is an engine bug and raises.
     """
     state.table
     witness = None
@@ -804,13 +751,6 @@ def verify_equilibrium(state) -> EquilibriumVerdict:
         view = state.view
     except EngineInvariantError:
         view = None
-    if witness is None and view is not None:
-        for w in view.order:
-            if w == ROOT or state.is_active(w):
-                continue
-            witness = has_improving_move(state, w)
-            if witness:
-                break
     if witness is None and view is None and state.paths:
         # No terminal can improve, yet the paths are not a tree: impossible
         # (non-tree routings always leave some terminal an improving
@@ -912,33 +852,21 @@ def closest_improving_target(state, u, verts, screen_row, allowed=None):
 
     `verts` and `screen_row` are `state.screen`'s vertex list and u's row
     of its score matrix.  `allowed` optionally restricts the target set;
-    returns None if nothing improves.  Candidates are walked in float-distance
-    order; once a hit is found only candidates within the margin of its
-    distance can still win, and those are settled exactly.
+    returns None if nothing improves.  The screen's survivors are tested in
+    exact (c(u,v), v) order, and the first improving one is returned.
     """
     view = state.view
-    margin = state.instance.float_margin
-    costf = state.instance.costf
+    crow = state.instance.costi[u]
     cands = []
-    for j in np.nonzero(screen_row > -margin)[0]:
+    for j in np.nonzero(screen_row > -state.instance.float_margin)[0]:
         v = verts[int(j)]
         if v == u or view.in_subtree(v, u):
             continue
         if allowed is not None and v not in allowed:
             continue
-        cands.append((costf[u, v], v))
+        cands.append((int(crow[v]), v))
     cands.sort()
-    best = None  # (exact cost over D, v)
-    best_f = None
-    for cf, v in cands:
-        if best is not None and cf > best_f + margin:
-            break
-        if is_improving_tree_move(state, u, v):
-            c = int(state.instance.costi[u, v])
-            if best is None or (c, v) < best:
-                best = (c, v)
-                best_f = cf
-    return None if best is None else best[1]
+    return next((v for _, v in cands if is_improving_tree_move(state, u, v)), None)
 
 
 def tree_follow_move(state, u, v) -> RoutingState:

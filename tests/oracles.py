@@ -325,12 +325,36 @@ def greedy_partition(cost, inserted, radius):
 @functools.lru_cache(maxsize=1 << 14)  # costs repeat across the states of a run
 def floor_log2_exact(value):
     """Largest j with 2^j <= value, by exact Fraction comparisons (value > 0)."""
+    if value <= 0:
+        raise ValueError(f"log2 of a non-positive value {value}")
     j = value.numerator.bit_length() - value.denominator.bit_length()  # a start
     while Fraction(2) ** (j + 1) <= value:
         j += 1
     while Fraction(2) ** j > value:
         j -= 1
     return j
+
+
+def ceil_log2_exact(value):
+    """Smallest j with value <= 2^j (value > 0): -floor_log2_exact(1 / value)."""
+    return -floor_log2_exact(1 / Fraction(value))
+
+
+def charge_level(cost):
+    """The level an edge of this cost charges: j with 2^(j+2) <= cost < 2^(j+3)."""
+    return floor_log2_exact(cost) - 2
+
+
+def component_members(family, v, j):
+    """The vertices of v's level-j component in a dual family: v alone below
+    the family's window, every inserted vertex above it."""
+    if family.jmin is None or j < family.jmin:
+        family.component_of(v, j)  # raises for a vertex never inserted
+        return (v,)
+    if j > family.jmax:
+        return tuple(family.inserted)
+    level = family.levels[j]
+    return tuple(level.members[level.of[v]])
 
 
 def rebuild_charges(cost, paths, component_of):
@@ -346,7 +370,7 @@ def rebuild_charges(cost, paths, component_of):
     records = []
     for u in sorted(parent):
         c = cost[u][parent[u]]
-        j = floor_log2_exact(c) - 2
+        j = charge_level(c)
         records.append((u, j, component_of(u, j), c, u not in has_child))
     by_cut = {}
     for rec in records:

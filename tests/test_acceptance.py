@@ -47,11 +47,11 @@ from costshare.instances import (
     build_steiner_gap_fixture,
 )
 from costshare import duals, routing
-from costshare.rationals import ceil_log2
 from costshare.routing import graft_path, is_legal_improving
 from conftest import family_for, random_metric, random_tree_state
 from oracles import (
     brute_improving_tree_move,
+    ceil_log2_exact,
     check_invariants,
     eager_prefix_sums,
     enumerate_best_response,
@@ -274,7 +274,7 @@ def test_criterion_6_structural_property_suite(eqp_runs):
         rep = res.accounting
         n_rev = len(res.state.revealed)
         assert rep.level_budget == (n_rev.bit_length() - 1) + 2
-        assert rep.levels_charged <= ceil_log2(Fraction(n_rev)) + 6
+        assert rep.levels_charged <= ceil_log2_exact(Fraction(n_rev)) + 6
 
     # (e) the per-level certificate never exceeds the true optimum on the
     # suite corpus (generator instances plus the runs above)

@@ -42,13 +42,12 @@ from costshare.duals import (
     BALANCED_EQUILIBRIUM,
     LEAF_UNBALANCED,
     NONLEAF_UNBALANCED,
-    charge_level,
 )
 from costshare.dynamics import _class_marker
 from costshare.instances import build_gm, build_random_euclidean, build_sigma
 from costshare.routing import RoutingState
 from conftest import family_for, line_instance
-from oracles import check_invariants, rebuild_charges
+from oracles import charge_level, check_invariants, rebuild_charges
 
 
 def _state(inst, routes, counts=None, last_mover=None, reveal=None):

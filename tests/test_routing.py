@@ -373,6 +373,33 @@ def test_single_pass_scan_matches_row_scan_oracle():
     assert found[False] > 0 and found[True] > 0
 
 
+@pytest.mark.parametrize("restricted", [False, True], ids=["all", "allowed"])
+def test_closest_improving_target_matches_oracle(restricted):
+    # The closest improving target by exact cost, ties by id, among every
+    # legal target or an allowed subset, against the witness oracle.  Unit
+    # metrics make every cost a tie, which the id must break.
+    rng = random.Random(80 + restricted)
+    found = Counter()
+    for k in range(40):
+        n = rng.randint(3, 9)
+        inst = (explicit_metric(n, {e: 1 for e in combinations(range(n), 2)}) if k % 4 == 0
+                else random_metric(rng, n))
+        state = random_tree_state(rng, inst)
+        view, matrix = state.view, _matrix(inst)
+        verts, screen = state.screen
+        for i, u in enumerate(verts[1:], 1):  # verts[0] is the root
+            allowed = set(rng.sample(verts, len(verts) // 2)) if restricted else None
+            want = min(((matrix[u][v], v) for v in verts
+                        if v != u and not view.in_subtree(v, u)
+                        and (allowed is None or v in allowed)
+                        and brute_improving_tree_move(matrix, state.counts, state.paths, u, v)),
+                       default=(None, None))[1]
+            got = routing.closest_improving_target(state, u, verts, screen[i], allowed)
+            assert got == want, (u, allowed, state.paths)
+            found[want is None] += 1
+    assert found[False] > 10 and found[True] > 10
+
+
 def test_select_builds_one_screen_per_state(monkeypatch):
     builds = []
     real = routing._candidate_screen
@@ -555,12 +582,11 @@ def test_unsettled_states_produce_witnesses():
         w = verdict.witness
         assert w.candidate < w.current
         matrix = _matrix(inst)
-        if w.kind == "terminal":
-            # The witness path really is available at the claimed price.
-            share, _, _ = enumerate_best_response(
-                matrix, state.counts, state.paths, w.vertex
-            )
-            assert share <= w.candidate < shared_cost(state, w.vertex)
+        # The witness path really is available at the claimed price.
+        share, _, _ = enumerate_best_response(
+            matrix, state.counts, state.paths, w.vertex
+        )
+        assert share <= w.candidate < shared_cost(state, w.vertex)
         found += 1
 
 
@@ -622,7 +648,10 @@ def _primed_chain_states(rng, n=3, samples=12):
 
 
 def _oracle_witness(matrix, state, vertex):
-    """has_improving_move, re-derived with the exhaustive Fraction oracles."""
+    """A terminal's or a relay's improvement, re-derived with the exhaustive
+    Fraction oracles: (kind, vertex, via terminal, path, current, candidate).
+    A relay's is the first terminal through it, in id order, that can swap
+    its segment above the relay for a cheaper one."""
     usage = usage_from_paths(state.paths, state.counts)
     if vertex in state.counts:
         share, _, path = enumerate_best_response(matrix, state.counts, state.paths, vertex)
@@ -667,9 +696,16 @@ def test_potential_matches_oracle_at_large_edge_counts():
     assert max(state.usage.values()) == 50
 
 
+def _as_oracle(w):
+    """A terminal's witness in `_oracle_witness`'s form (None stays None)."""
+    return w and ("terminal", w.vertex, w.vertex, w.path, w.current, w.candidate)
+
+
 def _assert_searches_match_oracle(state):
-    """Every best response and every terminal or Steiner improvement test of
-    `state` equals its exhaustive Fraction oracle; returns the witness kinds."""
+    """Every best response and every terminal improvement test of `state`
+    equals its exhaustive Fraction oracle, and every relay the oracle finds
+    improvable has a terminal through it that improves at least as much (the
+    paper's relay argument); returns the oracle's witness kinds."""
     matrix = _matrix(state.instance)
     view = state.view
     kinds = set()
@@ -679,12 +715,14 @@ def _assert_searches_match_oracle(state):
             matrix, state.counts, state.paths, v)
         if v not in state.counts and v not in view:
             continue
-        w = has_improving_move(state, v)
         want = _oracle_witness(matrix, state, v)
-        assert (w and (w.kind, w.vertex, w.via_terminal, w.path,
-                       w.current, w.candidate)) == want
-        if w:
-            kinds.add(w.kind)
+        if v in state.counts:
+            assert _as_oracle(has_improving_move(state, v)) == want
+        elif want:
+            w = has_improving_move(state, want[2])
+            assert w and w.candidate <= want[5]
+        if want:
+            kinds.add(want[0])
     return kinds
 
 
@@ -829,33 +867,6 @@ def test_split_keys_order_exactly_within_one_high_part(monkeypatch, core, termin
         _matrix(inst), state.counts, state.paths, 3)
 
 
-def test_steiner_searches_match_oracle_on_both_kernels(monkeypatch):
-    # A terminal's search from a relay closes the terminal's own vertices
-    # below the relay from the start; it must find the oracle's best
-    # replacement of the segment above.  Prime counts near 10^7 push many
-    # of these searches onto split keys, even with the closed vertices'
-    # edges left out of the lcm, so both kernels close vertices.
-    rng = random.Random(17500)
-    inst = random_metric(rng, 7)
-    matrix = _matrix(inst)
-    primes = [2, 3, 5, 7] + [p for p in range(10**7, 10**7 + 400) if _isprime(p)]
-    ran = _count_kernels(monkeypatch)
-    checked = 0
-    for _ in range(30):
-        state = _prime_loaded(rng, inst, primes)
-        for w, through in _relays(state, least=1):
-            for t in through:
-                tpath = state.paths[t]
-                prefix = tpath[:tpath.index(w)]
-                search = routing._Search(state, w, mover=t, own_path=tpath, excluded=prefix)
-                allowed = set(range(inst.n)) - set(prefix)
-                assert (*search.cost_fresh(w), search.path_from(w)) == enumerate_best_response(
-                    matrix, state.counts, state.paths, t, allowed=allowed, start=w)
-                checked += 1
-    assert ran["_dense"] >= 10 and ran["_wide"] >= 10
-    assert checked >= 40
-
-
 @pytest.mark.parametrize("primes", [None, range(10**4, 10**4 + 300)],
                          ids=["small-counts", "prime-counts"])
 def test_search_breaks_full_ties_on_equal_distances(primes):
@@ -892,13 +903,10 @@ def test_kernels_match_oracles_on_python_int_costs():
                 assert (got.cost, got.fresh_edges, got.path) == enumerate_best_response(
                     matrix, state.counts, state.paths, v)
             view = state.view
-            sweep = sorted(state.counts) + [
-                w for w in view.order if w != ROOT and w not in state.counts]
-            want = next(filter(None, (_oracle_witness(matrix, state, w) for w in sweep)), None)
+            want = next(filter(None, (_oracle_witness(matrix, state, t)
+                                      for t in sorted(state.counts))), None)
             verdict = verify_equilibrium(state)
-            w = verdict.witness
-            assert (w and (w.kind, w.vertex, w.via_terminal, w.path,
-                           w.current, w.candidate)) == want
+            assert _as_oracle(verdict.witness) == want
             assert potential(state) == recompute_potential(matrix, state.usage)
             if verdict.ok:
                 for v in range(1, inst.n):
@@ -931,9 +939,9 @@ def test_has_improving_move_same_with_and_without_view():
     for _ in range(20):
         inst = random_metric(rng, rng.randint(3, 9))
         state = random_tree_state(rng, inst)
-        view = state.view
-        for v in sorted(set(state.counts) | set(view.order) - {ROOT}):
-            # a fresh copy carries no cached view, so this call builds its own
+        state.view
+        for v in sorted(state.counts):
+            # a fresh copy carries no cached view or table
             assert has_improving_move(replace(state), v) == has_improving_move(state, v)
         assert verify_equilibrium(replace(state)) == verify_equilibrium(state)
 
@@ -1078,7 +1086,7 @@ def test_a_run_builds_one_tree_view_in_full(monkeypatch, policy):
 
 
 # ---------------------------------------------------------------------------
-# one sweep per state: the relay bound and the shared search table
+# one sweep per state: a search per terminal and one shared search table
 
 
 def _relays(state, least=2):
@@ -1090,37 +1098,6 @@ def _relays(state, least=2):
             through = view.terminals_through(state, w)
             if len(through) >= least:
                 yield w, through
-
-
-def test_relay_bound_is_below_every_terminal_candidate():
-    # The bound search prices every edge that a terminal's own search can
-    # use as that search does, and sees all of its vertices, so its exact
-    # cost is at most every terminal's candidate.  Whether or not the bound
-    # prunes the relay, has_improving_move must equal its oracle.
-    rng = random.Random(17400)
-    chains = _primed_chain_states(rng, samples=12)
-    metrics = (random_tree_state(rng, random_metric(rng, rng.randint(5, 8)), max_count=4,
-                                 chain_chance=0.6)
-               for _ in range(40))
-    pruned = Counter()
-    for state in (*chains, *metrics):
-        if len(state.counts) > 2 and rng.random() < 0.5:
-            state = prune_departures(
-                state, rng.sample(sorted(state.counts), rng.randint(1, len(state.counts) - 2)))
-        view = state.view
-        relays = list(_relays(state))
-        for w, through in relays:
-            bound, _ = routing._Search(
-                state, w, mover=through[0], own_path=view.path_to_root(w)).cost_fresh(w)
-            for t in through:
-                tpath = state.paths[t]
-                search = routing._Search(state, w, mover=t, own_path=tpath,
-                                         excluded=tpath[:tpath.index(w)])
-                assert bound <= search.cost_fresh(w)[0]
-            pruned[bound >= Fraction(view.A[w], view.den)] += 1
-        if relays:
-            _assert_searches_match_oracle(state)
-    assert pruned[True] >= 5 and pruned[False] >= 3
 
 
 # Relay 6 with a shortcut below it: from 6, vertex 4 leads to 3, whose
@@ -1142,54 +1119,48 @@ def _shortcut_state(terminals):
     return state
 
 
-@pytest.mark.parametrize("heavy, kernel", [((97, 101, 103), "_dense"),
-                                           ((10000019, 10000357, 10000223), "_wide")],
-                         ids=["dense", "wide"])
-def test_relay_search_keeps_the_terminals_own_prefix_closed(monkeypatch, heavy, kernel):
-    # Terminal 1 routes 1, 4, 6, 0.  Open to every vertex, its replacement
-    # of the segment above 6 would dip into its own vertex 4; closed from
-    # the start, 4 is out of reach and 6 -> 0 stays best.  Heavy counts
-    # near 10^7 put the search on split keys.
-    state = _shortcut_state({1: (3, (1, 4, 6, 0)), 2: (heavy[0], (2, 5, 0)),
-                             3: (heavy[1], (3, 5, 0)), 5: (heavy[2], (5, 0))})
-    matrix = _matrix(state.instance)
-    assert enumerate_best_response(matrix, state.counts, state.paths, 1, start=6)[2][1] == 4
-    ran = _count_kernels(monkeypatch)
-    search = routing._Search(state, 6, mover=1, own_path=state.paths[1], excluded=(1, 4))
-    assert ran == {kernel: 1}
-    assert (*search.cost_fresh(6), search.path_from(6)) == enumerate_best_response(
-        matrix, state.counts, state.paths, 1, allowed={0, 2, 3, 5, 6}, start=6) == (
-        Fraction(569, 36), 1, (6, 0))
-    assert has_improving_move(state, 6) is None
-
-
 def test_relay_bound_searches_below_every_terminal():
     # Terminals 1 (1, 4, 6, 0) and 2 (2, 6, 0) share relay 6.  Terminal 1
     # cannot replace its segment above 6 for less, but 2 can, through 1's
-    # vertex 4; a bound that kept 1's vertices closed would miss it.
+    # vertex 4.  The relay needs no search of its own: terminal 2's best
+    # response improves at least as much as the relay's swap.
     state = _shortcut_state({1: (3, (1, 4, 6, 0)), 2: (1, (2, 6, 0)),
                              3: (101, (3, 5, 0)), 5: (103, (5, 0))})
-    w = has_improving_move(state, 6)
-    assert (w.kind, w.vertex, w.via_terminal, w.path[:4]) == ("steiner", 6, 2, (2, 6, 4, 3))
-    assert (w.kind, w.vertex, w.via_terminal, w.path, w.current, w.candidate) == (
-        _oracle_witness(_matrix(state.instance), state, 6))
+    relay = _oracle_witness(_matrix(state.instance), state, 6)
+    assert relay[:3] == ("steiner", 6, 2) and relay[3][:4] == (2, 6, 4, 3)
+    w = has_improving_move(state, 2)
+    assert w.vertex == 2 and w.candidate <= relay[5] < w.current
+    assert not verify_equilibrium(state).ok
 
 
-def test_shared_relays_cost_one_search_on_settled_states(monkeypatch):
-    # In an equilibrium no terminal through a relay improves, and on these
-    # runs the bound alone shows it: a relay with k >= 2 terminals costs one
-    # search, not k.
-    ran = _count_kernels(monkeypatch)
-    checked = 0
-    for n, seed in [(30, 1), (30, 2), (30, 3), (50, 1), (50, 2)]:
-        run = build_random_euclidean(n, seed, "churn")
-        state = run_eqp(run.instance, run.events, verify=False, accounting=False).state
-        for w, _ in _relays(state):
-            before = ran.total()
-            assert has_improving_move(state, w) is None
-            assert ran.total() - before == 1
-            checked += 1
-    assert checked >= 5
+def test_has_improving_move_refuses_vertices_that_are_not_terminals():
+    state = _shortcut_state({1: (3, (1, 4, 6, 0)), 5: (2, (5, 0))})
+    for v in (ROOT, 4, 6, 2):  # the root, two relays and an off-tree vertex
+        with pytest.raises(EngineInvariantError, match="inactive"):
+            has_improving_move(state, v)
+
+
+@pytest.mark.parametrize("gen", ["steiner-gap", "gm"])
+def test_sweep_makes_one_search_per_terminal(monkeypatch, gen):
+    # The final states of the relay-chain (steiner-gap n=50, under eqp) and
+    # layered one-shot (gm m=4) runs are full of relays, and none of them
+    # costs a search.
+    if gen == "steiner-gap":
+        fx = build_steiner_gap_fixture(50)
+        state = run_eqp(fx.instance, fx.events, verify=False, accounting=False).state
+        want = 1
+    else:
+        gm = build_gm(4)
+        state = run_noneqp(gm.instance, list(build_sigma(gm)), verify=False).state
+        want = 16
+    searches = []
+    search = routing._Search
+    monkeypatch.setattr(routing, "_Search",
+                        lambda *args, **kwargs: searches.append(args) or search(*args, **kwargs))
+    assert verify_equilibrium(state).ok
+    assert len(searches) == len(state.counts) == want
+    assert sorted(target for _, target in searches) == sorted(state.counts)
+    assert next(_relays(state, least=1), None) is not None
 
 
 def test_sweep_builds_one_search_table_per_state(monkeypatch):
