@@ -222,36 +222,29 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
         return None
 
     view = state.view
-    verts, screen = state.screen
-    at = {v: i for i, v in enumerate(verts)}
     costi, den = state.instance.costi, state.instance.denominator
 
     def within(u, v, j):  # c(u, v) < 2^j, exactly
         return not pow2_le(j, int(costi[u, v]), den)
 
-    def closest(u, allowed=None):
-        return closest_improving_target(state, u, verts, screen[at[u]], allowed)
-
     if cls.rank == BALANCED:
-        for u in verts:
-            if u == ROOT:
-                continue
-            tgt = closest(u)
+        for u in view.order[1:]:  # order[0] is the root
+            tgt = closest_improving_target(state, u)
             if tgt is not None:
                 return SelectedMove(u, tgt, "balanced", cls)
         raise EngineInvariantError(
             "classified as having an improving move, but none was found")
 
     if cls.rank == LEAF_UNBALANCED:
-        non_leaves = frozenset(v for v in verts if v not in view.leaves)
+        non_leaves = frozenset(v for v in view.order if v not in view.leaves)
         for u in sorted(view.leaves):
-            tgt = closest(u, allowed=non_leaves)
+            tgt = closest_improving_target(state, u, allowed=non_leaves)
             if tgt is not None:
                 return SelectedMove(u, tgt, "lu-a", cls)
-        for u in verts:
+        for u in view.order:
             if u == ROOT or u in view.leaves:
                 continue
-            tgt = closest(u, allowed=non_leaves)
+            tgt = closest_improving_target(state, u, allowed=non_leaves)
             if tgt is not None:
                 return SelectedMove(u, tgt, "lu-b", cls)
         for cut in sorted(cls.charges.by_cut):
@@ -277,10 +270,8 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
                 f"{chargers_lf}, but no move between them improves",
                 details={"cut": str(cut), "non_leaf": u, "leaves": chargers_lf},
             )
-        for u in verts:
-            if u == ROOT:
-                continue
-            tgt = closest(u)
+        for u in view.order[1:]:  # order[0] is the root
+            tgt = closest_improving_target(state, u)
             if tgt is not None:
                 if u not in view.leaves or tgt not in view.leaves:
                     raise ClosureViolationError(
@@ -308,7 +299,7 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
             f"improving move to the other ({c1} <-> {c2})",
             details={"cut": str(cls.heavy_cut), "chargers": [c1, c2]},
         )
-    tgt = closest(mover)
+    tgt = closest_improving_target(state, mover)
     if tgt is None:
         raise EngineInvariantError(
             f"{mover} improves toward {other} yet has no closest target")

@@ -8,18 +8,10 @@ revealing vertices to the dynamics is the routing state's business.
 
 The distances live in one integer matrix, `costi`, with
 costi[u, v] = c(u, v) * D over the smallest common denominator D
-(`denominator`).  Each constructor computes it on ints alone, and the other
-two representations derive from it:
-
-- `cost(u, v)` builds the exact Fraction costi[u, v] / D on demand: the API
-  and every artifact see only these;
-- the float64 mirror `costf` holds costi / D, each entry correctly rounded,
-  and is used strictly as a conservative pre-filter (see `float_margin`):
-  any comparison the mirror cannot settle by more than the margin is re-done
-  exactly, and nothing is ever decided by floats alone.
-
-The exact kernels in `routing` and `duals` read `costi` directly, so how
-integer costs are stored is decided here alone.
+(`denominator`).  Each constructor computes it on ints alone.  `cost(u, v)`
+builds the exact Fraction costi[u, v] / D on demand: the API and every
+artifact see only these.  The exact kernels in `routing` and `duals` read
+`costi` directly, so how integer costs are stored is decided here alone.
 """
 
 from __future__ import annotations
@@ -34,11 +26,6 @@ from .errors import ConfigError, MetricError
 from .rationals import format_rational, parse_rational
 
 ROOT = 0
-
-#: Relative slack under which float comparisons defer to exact arithmetic.
-#: Path-length sums here accumulate well under 1e-12 relative error, so 1e-9
-#: leaves three orders of magnitude of headroom.
-MARGIN_REL = 1e-9
 
 EUCLIDEAN_GRID = 10**6
 
@@ -55,16 +42,13 @@ class MetricInstance:
     The constructors below have checked that the matrix is a metric.
     """
 
-    __slots__ = ("n", "kind", "meta", "costi", "denominator", "costf", "float_margin")
+    __slots__ = ("n", "kind", "meta", "costi", "denominator")
 
     def __init__(self, costi, denominator, kind, meta):
         self.n = len(costi)
         self.kind = kind
         self.meta = meta
         self.costi, self.denominator = _lowest_terms(costi, denominator)
-        self.costf = _float_mirror(self.costi, self.denominator)
-        scale = float(self.costf.max()) if self.n > 1 else 1.0
-        self.float_margin = MARGIN_REL * max(1.0, scale)
 
     def cost(self, u, v) -> Fraction:
         return Fraction(int(self.costi[u, v]), self.denominator)
@@ -93,26 +77,6 @@ def _lowest_terms(costi, den):
     if costi.dtype == object and costi.max() < 2**63:
         costi = costi.astype(np.int64)
     return costi, den // g
-
-
-def _float_mirror(costi, den) -> np.ndarray:
-    """costi / den in float64, each entry correctly rounded.
-
-    numpy divides in float64, which rounds correctly when both operands are
-    exact there (at most 2**53); Python's int division always does.  Costs
-    so large that a float sum of a few paths could overflow are refused.
-    """
-    top = int(costi.max())
-    if top <= 2**53 and den <= 2**53:
-        return costi / den
-    try:
-        if not math.isfinite(4.0 * len(costi) * (top / den)):
-            raise OverflowError
-        return (costi.astype(object) / den).astype(np.float64)
-    except OverflowError:
-        raise MetricError(
-            f"a distance near 2^{top.bit_length() - den.bit_length()} is too large: "
-            "float64 sums of path lengths would overflow") from None
 
 
 def _need_root(n) -> None:

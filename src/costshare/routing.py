@@ -14,8 +14,8 @@ share prefix sums) reads one object: the state's tree view, `state.view`,
 cached on the state.  Each event changes the tree by one path (an arrival
 adds one, a departure removes one, a move re-hangs one subtree), so a run
 builds one view in full and derives each later one by the event's delta
-(see `_Tree`).  The float screen of improving moves is cached beside it, as
-`state.screen`, and so is the search table a sweep's searches share,
+(see `_Tree`).  The integer screen of improving moves is cached beside it,
+as `state.screen`, and so is the search table a sweep's searches share,
 `state.table`.  No function takes a view as an argument, so a view can
 never be paired with the wrong state.
 
@@ -29,16 +29,13 @@ sweep makes one search per active terminal and none per relay: a relay can
 improve only through a terminal routed through it (see
 `has_improving_move`).
 
-Everything that decides anything is exact.  The hot kernels, `_Search`, the
-tree view (`_Tree`) and `potential`, keep their exact values as plain ints
-over one common denominator: the instance's cost denominator D times the lcm
-of the user-count divisors they meet.  They read costs from the instance's
-integer matrix `costi` (c * D), never from Fractions.  A Fraction is built
-only where a value leaves them, so the public API returns Fractions
-throughout.  Float64 mirrors (`instance.costf`, the A/B prefix arrays)
-screen improving moves in `_candidate_screen`: the screen drops only what
-loses by more than the float margin, its readers settle the rest exactly,
-and it says why that is sound.
+Everything is exact, and no float feeds any comparison.  The hot kernels,
+`_Search`, the tree view (`_Tree`), the screen (`_candidate_screen`) and
+`potential`, keep their exact values as plain ints over one common
+denominator: the instance's cost denominator D times the lcm of the
+user-count divisors they meet.  They read costs from the instance's integer
+matrix `costi` (c * D), never from Fractions.  A Fraction is built only
+where a value leaves them, so the public API returns Fractions throughout.
 """
 
 from __future__ import annotations
@@ -281,10 +278,9 @@ class _Tree:
     Built on first read: the Euler tour (`depth`, intervals `tin`/`tout`,
     preorder `pre`), which checks that it reaches every vertex; and the
     prefix sums A(x) = sum of c_e/N_e and B(x) = sum of c_e/(N_e+1) along
-    x -> root (`den`, `A`, `B`, `Af`, `Bf`), which the improving-move
-    questions and the graft read.  The exact A and B are ints over the
-    view's own denominator `den` = D * lcm{N_e, N_e+1 : e a tree edge}, so
-    A(x) is A[x]/den; Af and Bf are their float mirrors.
+    x -> root (`den`, `A`, `B`), which the improving-move questions and the
+    graft read.  A and B are ints over the view's own denominator
+    `den` = D * lcm{N_e, N_e+1 : e a tree edge}, so A(x) is A[x]/den.
 
     With consistent parents and none at the root, a path that ends at the
     root follows parents to it, so the full build walks the tour at once
@@ -296,7 +292,7 @@ class _Tree:
     """
 
     _TOUR = frozenset({"depth", "tin", "tout", "pre"})
-    _SUMS = frozenset({"den", "A", "B", "Af", "Bf"})
+    _SUMS = frozenset({"den", "A", "B"})
     __slots__ = ("parent", "children", "order", "leaves", "_instance", "_users",
                  *_TOUR, *_SUMS)
 
@@ -417,23 +413,17 @@ class _Tree:
 
     def _build_sums(self):
         inst, users, parent = self._instance, self._users, self.parent
-        costi, costf = inst.costi, inst.costf
+        costi = inst.costi
         den = inst.denominator * math.lcm(*{k for n in users.values() for k in (n, n + 1)})
         scale = den // inst.denominator
         A = {ROOT: 0}
         B = {ROOT: 0}
-        Af = {ROOT: 0.0}
-        Bf = {ROOT: 0.0}
         for ch in self.pre[1:]:  # a parent before its children
             x, n = parent[ch], users[ch]
             c = int(costi[ch, x])
             A[ch] = A[x] + c * (scale // n)
             B[ch] = B[x] + c * (scale // (n + 1))
-            cf = float(costf[ch, x])
-            Af[ch] = Af[x] + cf / n
-            Bf[ch] = Bf[x] + cf / (n + 1)
-        self.den = den
-        self.A, self.B, self.Af, self.Bf = A, B, Af, Bf
+        self.den, self.A, self.B = den, A, B
 
     def __contains__(self, v):
         return v in self.children
@@ -770,6 +760,18 @@ def verify_equilibrium(state) -> EquilibriumVerdict:
 # improving tree-follow moves
 
 
+def _move_fault(view, u, v) -> Optional[str]:
+    """Why u -> v is no tree-follow move, or None if it is one: u needs a
+    parent edge, v must be on the tree and outside u's subtree."""
+    if u == ROOT or u not in view.parent:
+        return f"{u} has no parent edge to swap"
+    if v not in view:
+        return f"move target {v} is not on the tree"
+    if v == u or view.in_subtree(v, u):
+        return f"move target {v} lies in the subtree of {u}"
+    return None
+
+
 def is_improving_tree_move(state, u, v) -> bool:
     """Would rerouting u (and its subtree) onto v strictly help its users?
 
@@ -781,12 +783,9 @@ def is_improving_tree_move(state, u, v) -> bool:
     the witness's path (count unchanged), everything below u moves rigidly.
     """
     view = state.view
-    if u == ROOT or u not in view.parent:
-        raise EngineInvariantError(f"{u} has no parent edge to swap")
-    if v not in view:
-        raise EngineInvariantError(f"move target {v} is not on the tree")
-    if v == u or view.in_subtree(v, u):
-        raise EngineInvariantError(f"move target {v} lies in the subtree of {u}")
+    fault = _move_fault(view, u, v)
+    if fault:
+        raise EngineInvariantError(fault)
     ell = view.lca(u, v)
     inst = state.instance
     lhs = int(inst.costi[u, v]) * (view.den // inst.denominator) + view.B[v] - view.B[ell]
@@ -796,35 +795,42 @@ def is_improving_tree_move(state, u, v) -> bool:
 def is_legal_improving(state, u, v) -> bool:
     """Like is_improving_tree_move, but illegal pairs answer False quietly.
 
-    Illegal means: u is the root or off the tree, v is off the tree, or v
-    lies (weakly) inside u's subtree.  Used where a candidate pair comes from
-    a heuristic and not from an enumerated legal set.
+    Used where a candidate pair comes from a heuristic and not from an
+    enumerated legal set.
     """
-    view = state.view
-    if u == ROOT or u not in view.parent or v not in view:
-        return False
-    if v == u or view.in_subtree(v, u):
-        return False
-    return is_improving_tree_move(state, u, v)
+    return _move_fault(state.view, u, v) is None and is_improving_tree_move(state, u, v)
 
 
 def _candidate_screen(state):
-    """Float pre-screen for improving pairs: (tree vertices, score matrix).
+    """Integer screen of improving moves: a bool matrix over `view.order`.
 
-    A(u) - B(v) - c(u,v) > A(L) - B(L) >= 0 is necessary for u -> v to
-    improve, so no improving pair scores below -margin: the screen is
-    conservative and complete.  The diagonal (u -> u: A(u) - B(u) > 0, but
-    no move) scores -inf.  Read it through `state.screen`.
+    Entry (i, j) is False only if order[i] -> order[j] cannot improve, and
+    the diagonal (no move) is False; read it through `state.screen`.  In
+    ints over `den`, with scale = den // D, an improving move u -> v needs
+    A(u) - B(v) - costi[u, v] * scale > A(L) - B(L) >= 0.  Let F = 2^s,
+    a(x) = floor(A(x) F / scale) and b(x) = ceil(B(x) F / scale); then
+    a(u) - b(v) - F * costi[u, v] > -2, so keeping every pair that scores
+    at least -1 keeps every improving one.  a, b and F * costi are at most
+    top * F < 2^61, with top the larger of max(A) // scale + 1 and the
+    block's largest cost, so the scores fit int64; when top has 61 bits or
+    more, s = 0 and they are Python ints.
     """
     view = state.view
-    verts = view.order
-    a = np.array([view.Af[x] for x in verts])
-    b = np.array([view.Bf[x] for x in verts])
-    ids = np.array(verts)
-    c = state.instance.costf.take(ids, 0).take(ids, 1)
-    scores = a[:, None] - b[None, :] - c
-    np.fill_diagonal(scores, -np.inf)
-    return verts, scores
+    order = view.order
+    ids = np.array(order)
+    block = state.instance.costi.take(ids, 0).take(ids, 1)
+    scale = view.den // state.instance.denominator
+    A, B = view.A, view.B
+    top = max(max(A.values()) // scale + 1, int(block.max()))
+    s = max(0, 61 - top.bit_length())
+    dtype = np.int64 if s else object  # explicit: past 2^63 numpy picks uint64 or float64
+    a = np.array([(A[x] << s) // scale for x in order], dtype=dtype)
+    b = np.array([-(-(B[x] << s) // scale) for x in order], dtype=dtype)
+    block = block.astype(dtype, copy=False)  # `take` copied it: work in place
+    block <<= s
+    mask = np.subtract(a[:, None], block, out=block) >= b - 1
+    np.fill_diagonal(mask, False)
+    return mask
 
 
 def find_improving_tree_move(state):
@@ -834,33 +840,32 @@ def find_improving_tree_move(state):
     is (u, v) id order; row 0, the root, has no parent edge to swap.
     """
     view = state.view
-    if len(view.order) <= 1:
-        return None
-    verts, screen = state.screen
-    rows, cols = np.nonzero(screen[1:] > -state.instance.float_margin)
+    order = view.order
+    rows, cols = np.nonzero(state.screen[1:])
     for i, j in zip(rows.tolist(), cols.tolist()):
-        u, v = verts[i + 1], verts[j]
-        if v == u or view.in_subtree(v, u):
+        u, v = order[i + 1], order[j]
+        if view.in_subtree(v, u):
             continue
         if is_improving_tree_move(state, u, v):
             return u, v
     return None
 
 
-def closest_improving_target(state, u, verts, screen_row, allowed=None):
+def closest_improving_target(state, u, allowed=None):
     """Closest v (exact c(u,v), ties by id) with an improving move u -> v.
 
-    `verts` and `screen_row` are `state.screen`'s vertex list and u's row
-    of its score matrix.  `allowed` optionally restricts the target set;
-    returns None if nothing improves.  The screen's survivors are tested in
-    exact (c(u,v), v) order, and the first improving one is returned.
+    u is a tree vertex other than the root.  `allowed` optionally restricts
+    the target set; returns None if nothing improves.  The survivors of u's
+    row of `state.screen` are tested in exact (c(u,v), v) order, and the
+    first improving one is returned.
     """
     view = state.view
+    order = view.order
     crow = state.instance.costi[u]
     cands = []
-    for j in np.nonzero(screen_row > -state.instance.float_margin)[0]:
-        v = verts[int(j)]
-        if v == u or view.in_subtree(v, u):
+    for j in np.nonzero(state.screen[bisect.bisect_left(order, u)])[0].tolist():
+        v = order[j]
+        if view.in_subtree(v, u):
             continue
         if allowed is not None and v not in allowed:
             continue
@@ -876,12 +881,9 @@ def tree_follow_move(state, u, v) -> RoutingState:
     the subtree's total agent count along the abandoned and adopted segments.
     """
     view = state.view
-    if u == ROOT or u not in view.parent:
-        raise EngineInvariantError(f"{u} has no parent edge to swap")
-    if v not in view:
-        raise EngineInvariantError(f"move target {v} is not on the tree")
-    if v == u or view.in_subtree(v, u):
-        raise EngineInvariantError(f"illegal move {u} -> {v}: target inside the subtree")
+    fault = _move_fault(view, u, v)
+    if fault:
+        raise EngineInvariantError(fault)
 
     movers = view.terminals_through(state, u)
     block = sum(state.counts[t] for t in movers)

@@ -378,47 +378,44 @@ def rebuild_charges(cost, paths, component_of):
     return records, by_cut
 
 
-def eager_prefix_sums(paths, usage, costi, costf, denominator):
-    """(den, A, B, Af, Bf) of a tree routing, as one eager pass builds them.
+def eager_prefix_sums(paths, usage, costi, denominator):
+    """(den, A, B) of a tree routing, as one eager pass builds them.
 
     A(x) and B(x) sum c_e/N_e and c_e/(N_e+1) along x -> root, as ints over
     den = D * lcm{N_e, N_e+1}, with N_e the edge's ``usage`` count and D the
-    cost denominator of the integer costs ``costi``.  Af and Bf add
-    ``costf`` entries divided by N_e and N_e+1 to the parent's float sum,
-    edge by edge from the root down.
+    cost denominator of the integer costs ``costi``.
     """
     parent = tree_parent_map(paths)
     users = {x: usage[tuple(sorted((x, p)))] for x, p in parent.items()}
     den = denominator * math.lcm(*{k for n in users.values() for k in (n, n + 1)})
     scale = den // denominator
-    sums = {ROOT: (0, 0, 0.0, 0.0)}
+    sums = {ROOT: (0, 0)}
 
     def walk(x):
         if x not in sums:
-            a, b, af, bf = walk(parent[x])
-            c, cf, n = int(costi[x][parent[x]]), float(costf[x][parent[x]]), users[x]
-            sums[x] = (a + c * (scale // n), b + c * (scale // (n + 1)),
-                       af + cf / n, bf + cf / (n + 1))
+            a, b = walk(parent[x])
+            c, n = int(costi[x][parent[x]]), users[x]
+            sums[x] = (a + c * (scale // n), b + c * (scale // (n + 1)))
         return sums[x]
 
     for x in parent:
         walk(x)
-    return (den, *({x: s[i] for x, s in sums.items()} for i in range(4)))
+    return (den, *({x: s[i] for x, s in sums.items()} for i in range(2)))
 
 
-def row_scan_first_improving(verts, screen, margin, in_subtree, improves):
-    """First (u, v) by rows of the float screen whose move improves, or None.
+def row_scan_first_improving(order, mask, in_subtree, improves):
+    """First (u, v) by rows of the screen's mask whose move improves, or None.
 
-    Walks ``screen`` row by row (``verts[i]`` is row and column i, the root
-    first and skipped), keeps each row's entries above -margin, drops v == u
-    and targets inside u's subtree, and asks ``improves(u, v)`` in order.
+    Walks ``mask`` row by row (``order[i]`` is row and column i, the root
+    first and skipped), keeps each row's True entries, drops targets inside
+    u's subtree, and asks ``improves(u, v)`` in order.
     """
-    for i, u in enumerate(verts):
+    for i, u in enumerate(order):
         if u == ROOT:
             continue
-        for j, score in enumerate(screen[i]):
-            v = verts[j]
-            if score > -margin and v != u and not in_subtree(v, u) and improves(u, v):
+        for j, kept in enumerate(mask[i]):
+            v = order[j]
+            if kept and not in_subtree(v, u) and improves(u, v):
                 return u, v
     return None
 

@@ -12,11 +12,16 @@ import sys
 
 import pytest
 
-from costshare import schedule_from_jsonable, schedule_to_jsonable, verify_equilibrium
+from costshare import (
+    schedule_from_jsonable,
+    schedule_to_jsonable,
+    solution_cost,
+    verify_equilibrium,
+)
 from costshare.cli import DATA_FILES, main, snapshot_from_jsonable
-from costshare.dynamics import ArrivalEvent, ArrivalItem
+from costshare.dynamics import ArrivalEvent, ArrivalItem, run_eqp, run_noneqp
 from costshare.errors import ClosureViolationError
-from costshare.metric import instance_to_dict
+from costshare.metric import instance_from_dict, instance_to_dict
 from conftest import line_instance
 from oracles import check_invariants
 
@@ -194,12 +199,11 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
-_HUGE = "1" + "0" * 400  # beyond the float64 range
 # well-formed, but no engine instance can hold them
 _UNREPRESENTABLE = [
-    {"kind": "metric", "n": 3, "costs": [[0, 1, _HUGE], [0, 2, _HUGE], [1, 2, "1"]]},
-    {"kind": "euclidean", "points": [["0", "0"], [_HUGE, "0"]]},
-    {"kind": "weighted-graph", "n": 2, "edges": [[0, 1, _HUGE]]},
+    {"kind": "metric", "n": 3, "costs": [[0, 1, "1"], [0, 2, "3"], [1, 2, "1"]]},  # triangle
+    {"kind": "euclidean", "points": [["0", "0"], ["1", "2"], ["1", "2"]]},  # duplicate
+    {"kind": "weighted-graph", "n": 3, "edges": [[0, 1, "1"]]},    # disconnected
     {"kind": "euclidean", "points": []},                           # no root
     {"kind": "weighted-graph", "n": 0, "edges": []},               # no root
 ]
@@ -253,6 +257,34 @@ def test_malformed_instance_exits_2_as_a_process(tmp_path, instance):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+_HUGE = "1" + "0" * 400  # beyond the float64 range
+
+
+@pytest.mark.parametrize("instance, cost", [
+    ({"kind": "metric", "n": 3, "costs": [[0, 1, _HUGE], [0, 2, _HUGE], [1, 2, "1"]]},
+     int(_HUGE) + 1),
+    ({"kind": "euclidean", "points": [["0", "0"], [_HUGE, "0"]]}, int(_HUGE)),
+    ({"kind": "weighted-graph", "n": 2, "edges": [[0, 1, _HUGE]]}, int(_HUGE)),
+], ids=["metric", "euclidean", "weighted-graph"])
+def test_costs_beyond_float_range_run_exactly(tmp_path, capsys, instance, cost):
+    inst = instance_from_dict(instance)
+    events = [ArrivalEvent((ArrivalItem(v, 1),)) for v in range(1, inst.n)]
+    for run in (run_eqp, run_noneqp):
+        res = run(inst, events)
+        assert res.verdict.ok and solution_cost(res.state) == cost
+    ipath, spath = tmp_path / "instance.json", tmp_path / "schedule.json"
+    ipath.write_text(json.dumps(instance))
+    spath.write_text(json.dumps(schedule_to_jsonable(events)))
+    for mode in ("eqp", "noneqp"):
+        out = tmp_path / mode
+        assert main(["run", "--instance", str(ipath), "--schedule", str(spath),
+                     "--mode", mode, "--out", str(out)]) == 0
+        assert _read_summary(out / "summary.csv")["final_cost"] == str(cost)
+        assert main(["replay", str(out)]) == 0
+        assert main(["verify", str(out / "snapshot.json")]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 _PEAK_RSS_GROWTH = """

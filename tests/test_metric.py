@@ -14,9 +14,6 @@ from hypothesis import given, settings, strategies as st
 from costshare import (
     ConfigError,
     MetricError,
-    build_gm,
-    build_random_euclidean,
-    build_steiner_gap_fixture,
     euclidean_instance,
     explicit_metric,
     format_rational,
@@ -297,32 +294,6 @@ def test_closure_with_mixed_denominators_matches_fraction_dijkstra(seed):
     assert inst.denominator == math.lcm(*(c.denominator for row in want for c in row))
 
 
-def _every_kind():
-    rng = random.Random(6)
-    # int64 entries above 2^53 over D = 3: numpy's float division would
-    # round each operand first (1298435936178584516 / 3 is one it misrounds)
-    double_rounding = {(0, 1): Fraction(1298435936178584516, 3),
-                       (0, 2): Fraction(2**60 + 1, 3), (1, 2): Fraction(2**60 + 4, 3)}
-    return [
-        explicit_metric(3, double_rounding),
-        euclidean_instance(_EUCLIDEAN_CASES["non-grid rational"][0]),
-        euclidean_instance(_EUCLIDEAN_CASES["squares on the int path"][0]),
-        build_random_euclidean(40, 3).instance,
-        build_gm(3).instance,
-        build_steiner_gap_fixture(7).instance,
-        random_metric(rng, 9),
-        explicit_metric(3, {(0, 1): Fraction(1, 3), (0, 2): Fraction(1, 2), (1, 2): Fraction(2, 3)}),
-        big_denominator_metric(rng),
-    ]
-
-
-def test_float_mirror_is_bit_identical_to_float_of_cost():
-    for inst in _every_kind():
-        want = np.array([[float(c) for c in row] for row in _matrix(inst)], dtype=np.float64)
-        assert inst.costf.dtype == np.float64
-        assert inst.costf.tobytes() == want.tobytes(), inst
-
-
 @pytest.mark.parametrize("den, unit", [(3, 10**17), (1, 2**70), (10**6 + 3, 2**55)])
 def test_triangle_check_is_exact_below_float_resolution(den, unit):
     # d(0,2) exceeds d(0,1) + d(1,2) by 1/den, far below the float spacing
@@ -341,15 +312,6 @@ def test_instances_need_a_root():
             build()
 
 
-def test_costs_beyond_float_range_are_refused():
-    huge = Fraction(10**400)
-    for build in (lambda: euclidean_instance([(0, 0), (huge, 0)]),
-                  lambda: metric_closure(2, [(0, 1, huge)]),
-                  lambda: explicit_metric(3, {(0, 1): huge, (0, 2): huge, (1, 2): 1})):
-        with pytest.raises(MetricError, match="too large"):
-            build()
-
-
 _BUILD_AT_SCALE = """
 import json, random, resource, sys, time
 from costshare.instances import _random_points
@@ -365,8 +327,8 @@ print(json.dumps({"n": inst.n, "growth_kb": after - before, "seconds": seconds})
 
 
 def test_euclidean_instance_at_scale_builds_in_bounded_memory():
-    # costi and costf take 2 * 8 * 1600^2 bytes, about 41 MB; the build
-    # itself works a block of rows at a time
+    # costi takes 8 * 1600^2 bytes, about 20 MB; the build itself works a
+    # block of rows at a time
     proc = subprocess.run([sys.executable, "-c", _BUILD_AT_SCALE, "1600"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
