@@ -53,15 +53,25 @@ class LevelPartition:
         self.members: list = []
         self.of: dict = {}
 
-    def insert(self, v: int, instance: MetricInstance) -> int:
+    def insert(self, v: int, instance: MetricInstance, least=None) -> int:
+        """Put v in its component; return its index.  `least` (at most
+        costi[v, c] for every center c) settles a forced level without the
+        scan: if it reaches the limit, v founds a component; if the first
+        center is near, the index is 0.  Only the levels between scan."""
         # c(center, v) < 2^(level-1) iff the int costi[center, v] is below
         # ceil(D * 2^(level-1))
         den, j = instance.denominator, self.level - 1
         limit = den << j if j >= 0 else -(-den >> -j)
-        near = (instance.costi[v, self.centers] < limit).nonzero()[0]
-        idx = int(near[0]) if len(near) else len(self.centers)
-        if idx == len(self.centers):
-            self.centers.append(v)
+        centers = self.centers
+        if least is not None and least >= limit:
+            idx = len(centers)
+        elif centers and int(instance.costi[v, centers[0]]) < limit:
+            idx = 0
+        else:
+            near = (instance.costi[v, centers] < limit).nonzero()[0]
+            idx = int(near[0]) if len(near) else len(centers)
+        if idx == len(centers):
+            centers.append(v)
             self.members.append([])
         self.members[idx].append(v)
         self.of[v] = idx
@@ -116,6 +126,7 @@ class DualFamily:
             raise EngineInvariantError(f"vertex {v} outside instance range")
         if not self.inserted and v != ROOT:
             raise EngineInvariantError("the first inserted vertex must be the root")
+        lo_d = None
         if self.inserted:
             row = self.instance.costi[v, self.inserted]
             lo_d, hi_d = int(row.min()), int(row.max())
@@ -144,7 +155,7 @@ class DualFamily:
                 self.levels[j] = lp
             self.jmin, self.jmax = lo, hi
         for lp in self.levels.values():
-            lp.insert(v, self.instance)
+            lp.insert(v, self.instance, lo_d)
 
     # -- queries ----------------------------------------------------------
 

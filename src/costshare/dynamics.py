@@ -213,9 +213,11 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
       other one goes; either way to its closest improving target.
 
     Within each rule, "smallest id" and then "closest target (ties by id)"
-    make the choice deterministic.  Returns None only on balanced
-    equilibria.  A rule whose backing claim fails raises
-    ClosureViolationError with the evidence.
+    make the choice deterministic.  The id-order walks visit only the
+    vertices whose row of `state.screen` keeps a target: any other vertex
+    has no improving move.  Returns None only on balanced equilibria.  A
+    rule whose backing claim fails raises ClosureViolationError with the
+    evidence.
     """
     cls = cls or classify(state, family)
     if cls.rank == BALANCED_EQUILIBRIUM:
@@ -227,8 +229,10 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
     def within(u, v, j):  # c(u, v) < 2^j, exactly
         return not pow2_le(j, int(costi[u, v]), den)
 
+    # the vertices whose screen row keeps a target, in id order; row 0 is the root
+    movers = [view.order[i] for i in (state.screen[1:].any(axis=1).nonzero()[0] + 1).tolist()]
     if cls.rank == BALANCED:
-        for u in view.order[1:]:  # order[0] is the root
+        for u in movers:
             tgt = closest_improving_target(state, u)
             if tgt is not None:
                 return SelectedMove(u, tgt, "balanced", cls)
@@ -237,13 +241,11 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
 
     if cls.rank == LEAF_UNBALANCED:
         non_leaves = frozenset(v for v in view.order if v not in view.leaves)
-        for u in sorted(view.leaves):
+        for u in [u for u in movers if u in view.leaves]:
             tgt = closest_improving_target(state, u, allowed=non_leaves)
             if tgt is not None:
                 return SelectedMove(u, tgt, "lu-a", cls)
-        for u in view.order:
-            if u == ROOT or u in view.leaves:
-                continue
+        for u in [u for u in movers if u not in view.leaves]:
             tgt = closest_improving_target(state, u, allowed=non_leaves)
             if tgt is not None:
                 return SelectedMove(u, tgt, "lu-b", cls)
@@ -270,7 +272,7 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
                 f"{chargers_lf}, but no move between them improves",
                 details={"cut": str(cut), "non_leaf": u, "leaves": chargers_lf},
             )
-        for u in view.order[1:]:  # order[0] is the root
+        for u in movers:
             tgt = closest_improving_target(state, u)
             if tgt is not None:
                 if u not in view.leaves or tgt not in view.leaves:

@@ -82,13 +82,18 @@ def harmonic(n: int) -> tuple[int, int]:
     """(P_n, L_n) with H_n = 1 + 1/2 + ... + 1/n = P_n / L_n, memoized.
 
     L_n = lcm(1..n), so every H_k with k <= n is an integer over L_n:
-    H_k = P_k * (L_n // L_k) / L_n.  The pair is not reduced.
+    H_k = P_k * (L_n // L_k) / L_n.  The pair is not reduced.  L_k grows
+    past L_{k-1} only at a prime power k = p^e, by the factor p; at every
+    other k, L_k is L_{k-1} (the same int object) and P_k = P_{k-1} + L_k // k.
     """
     if n < 0:
         raise ValueError("harmonic number of a negative index")
     while len(_LCM) <= n:
         k = len(_LCM)
-        lcm = math.lcm(_LCM[-1], k)
-        _HNUM.append(_HNUM[-1] * (lcm // _LCM[-1]) + lcm // k)
+        lcm, hnum = _LCM[-1], _HNUM[-1]
+        step = k // math.gcd(lcm, k)  # p at k = p^e, else 1
+        if step > 1:
+            lcm, hnum = lcm * step, hnum * step
+        _HNUM.append(hnum + lcm // k)
         _LCM.append(lcm)
     return _HNUM[n], _LCM[n]

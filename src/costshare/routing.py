@@ -814,6 +814,10 @@ def _candidate_screen(state):
     top * F < 2^61, with top the larger of max(A) // scale + 1 and the
     block's largest cost, so the scores fit int64; when top has 61 bits or
     more, s = 0 and they are Python ints.
+
+    Each vertex's own parent p is False too: there L = p, so the test's
+    left side is c * scale + B(p) - B(p) = c * scale, with c = costi[u, p],
+    and its right side A(u) - A(p) = c * (scale // N) is no larger.
     """
     view = state.view
     order = view.order
@@ -830,6 +834,7 @@ def _candidate_screen(state):
     block <<= s
     mask = np.subtract(a[:, None], block, out=block) >= b - 1
     np.fill_diagonal(mask, False)
+    mask[np.arange(1, len(order)), np.searchsorted(ids, [view.parent[x] for x in order[1:]])] = False
     return mask
 
 
@@ -854,13 +859,15 @@ def find_improving_tree_move(state):
 def closest_improving_target(state, u, allowed=None):
     """Closest v (exact c(u,v), ties by id) with an improving move u -> v.
 
-    u is a tree vertex other than the root.  `allowed` optionally restricts
-    the target set; returns None if nothing improves.  The survivors of u's
-    row of `state.screen` are tested in exact (c(u,v), v) order, and the
-    first improving one is returned.
+    u is a tree vertex other than the root (EngineInvariantError if not).
+    `allowed` optionally restricts the target set; returns None if nothing
+    improves.  The survivors of u's row of `state.screen` are tested in
+    exact (c(u,v), v) order, and the first improving one is returned.
     """
     view = state.view
     order = view.order
+    if u not in view.parent:  # the root has no parent either
+        raise EngineInvariantError(f"{u} is not a tree vertex below the root")
     crow = state.instance.costi[u]
     cands = []
     for j in np.nonzero(state.screen[bisect.bisect_left(order, u)])[0].tolist():

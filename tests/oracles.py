@@ -294,6 +294,14 @@ def recompute_potential(cost, usage):
     return total
 
 
+def harmonic_fractions(kmax):
+    """[H_0, H_1, ..., H_kmax], each summed as plain Fractions."""
+    out = [Fraction(0)]
+    for k in range(1, kmax + 1):
+        out.append(out[-1] + Fraction(1, k))
+    return out
+
+
 def shared_cost_of(cost, usage, path):
     total = Fraction(0)
     for a, b in zip(path, path[1:]):

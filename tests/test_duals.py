@@ -6,6 +6,7 @@ component membership can be placed deliberately.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 from itertools import combinations
@@ -108,6 +109,48 @@ def test_partitions_match_greedy_replay(seed):
             assert lp.centers == centers
             assert lp.members == members
             assert lp.of == of
+
+
+@pytest.mark.parametrize("kind", ["random", "unit", "python-int"])
+def test_partition_shortcuts_match_a_plain_scan(kind):
+    # An insert settles a level without scanning when its least distance to
+    # the earlier vertices reaches the radius (v founds a component) or its
+    # first center is near (index 0).  Every level must equal the exact
+    # first-fit scan, after every insert.  Unit metrics put every distance
+    # at the radius of level 1; random metrics scaled by (2^64 + 1)/2^64
+    # have a denominator past int64, so their costi holds Python ints.
+    rng = random.Random(660 + len(kind))
+    settled = Counter()
+    for _ in range(12):
+        n = rng.randint(2, 9)
+        if kind == "unit":
+            inst = explicit_metric(n, {e: 1 for e in combinations(range(n), 2)})
+        elif kind == "python-int":
+            base, q = random_metric(rng, n), Fraction(2**64 + 1, 2**64)
+            inst = explicit_metric(n, {(a, b): base.cost(a, b) * q
+                                       for a, b in combinations(range(n), 2)})
+            assert inst.costi.dtype == object
+        else:
+            inst = random_metric(rng, n)
+        matrix = _matrix(inst)
+        family = DualFamily(inst)
+        for i, v in enumerate([0] + rng.sample(range(1, n), n - 1)):
+            family.insert(v)
+            earlier = family.inserted[:i]
+            for j, lp in family.levels.items():
+                radius = pow2(j - 1)
+                centers, members, of = greedy_partition(matrix, family.inserted, radius)
+                assert (lp.centers, lp.members, lp.of) == (centers, members, of), (j, v)
+                if min(matrix[v][w] for w in earlier) >= radius:
+                    settled["far"] += 1
+                elif matrix[v][centers[0]] < radius:
+                    settled["first"] += 1
+                else:
+                    settled["scan"] += 1
+    if kind == "unit":
+        assert set(settled) == {"far"}, settled
+    else:
+        assert min(settled[k] for k in ("far", "first", "scan")) > 0, settled
 
 
 _P = 999983  # a prime, so D * 2^j is not an integer for any j < 0

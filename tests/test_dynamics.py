@@ -6,9 +6,12 @@ the intended rule fires; the comments give the arithmetic that kills the
 higher-priority rules.
 """
 
+import random
+from collections import Counter
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from costshare import (
@@ -46,7 +49,7 @@ from costshare.duals import (
 from costshare.dynamics import _class_marker
 from costshare.instances import build_gm, build_random_euclidean, build_sigma
 from costshare.routing import RoutingState
-from conftest import family_for, line_instance
+from conftest import family_for, line_instance, random_metric, random_tree_state
 from oracles import charge_level, check_invariants, rebuild_charges
 
 
@@ -237,6 +240,75 @@ def test_select_nlu_raises_when_neither_charger_improves():
     state, family = _nlu_state(counts={3: 50, 4: 50})
     with pytest.raises(ClosureViolationError, match="neither charger"):
         select_tree_move(state, family)
+
+
+def _first_improving(state, movers, allowed=None):
+    for u in movers:
+        tgt = routing.closest_improving_target(state, u, allowed)
+        if tgt is not None:
+            return u, tgt
+    return None
+
+
+def _walk_every_row(state, cls):
+    """The rules' id-order walks over every non-root vertex, no row skipped:
+    {tag: (mover, target) or None} for the rules this class tries."""
+    view = state.view
+    rows = view.order[1:]
+    if cls.rank == BALANCED:
+        return {"balanced": _first_improving(state, rows)}
+    non_leaves = frozenset(v for v in view.order if v not in view.leaves)
+    return {"lu-a": _first_improving(state, sorted(view.leaves), non_leaves),
+            "lu-b": _first_improving(state, [u for u in rows if u not in view.leaves],
+                                     non_leaves),
+            "lu-d": _first_improving(state, rows)}
+
+
+def test_select_matches_a_walk_over_every_row():
+    # Selection walks only the rows of the screen that keep a target.  The
+    # oracle walks every row of the same state under a screen that keeps
+    # every pair, so each legal target goes to the exact test; a rule fires
+    # only if the walks of the rules before it find nothing.  The pinned
+    # states of every rule, then random trees with a random last mover.
+    rng = random.Random(91)
+    cases = [
+        _state(line_instance(0, 10, 9, 11), {1: (1, 0), 2: (2, 0), 3: (3, 0)}),
+        _state(line_instance(0, 20, 18, 17, 21),
+               {1: (1, 0), 2: (2, 0), 3: (3, 0), 4: (4, 1, 0)}),
+        _state(line_instance(0, 100, 200, 80, 90, 18, 17),
+               {2: (2, 1, 0), 4: (4, 3, 0), 5: (5, 0), 6: (6, 0)}, counts={2: 2, 4: 3}),
+        _state(euclidean_instance([(0, 0), (33, 0), (32, 0), (34, 0), (73, 0),
+                                   (Fraction(-829, 4), 0)]),
+               {2: (2, 0), 3: (3, 1, 4, 5, 0)}, counts={3: 16}),
+        _state(line_instance(0, 18, 17), {1: (1, 0), 2: (2, 0)}),
+        _nlu_state(),
+        _nlu_state(counts={3: 50}),
+    ]
+    for _ in range(200):
+        state = random_tree_state(rng, random_metric(rng, rng.randint(3, 9)),
+                                  max_count=rng.choice((1, 3, 9)))
+        state = dc_replace(state, last_mover=rng.choice(state.view.order[1:]))
+        cases.append((state, family_for(state)))
+    tags = Counter()
+    for state, family in cases:
+        try:
+            cls = classify(state, family)
+        except ClosureViolationError:
+            continue
+        every = dc_replace(state)
+        every.__dict__["screen"] = np.ones((len(state.view.order),) * 2, dtype=bool)
+        sel = select_tree_move(state, family, cls=cls)
+        tag = sel and sel.tag
+        tags[tag] += 1
+        if tag is None or tag == "nlu":
+            want = select_tree_move(every, family, cls=cls)
+            assert (sel and (sel.mover, sel.target)) == (want and (want.mover, want.target))
+            continue
+        walks = _walk_every_row(every, cls)  # lu-c walks the cuts, not rows
+        rules = ["balanced"] if cls.rank == BALANCED else ["lu-a", "lu-b", "lu-c", "lu-d"]
+        assert not any(walks.get(r) for r in rules[:rules.index(tag)]), (tag, walks)
+        assert walks.get(tag, (sel.mover, sel.target)) == (sel.mover, sel.target), (tag, walks)
+    assert {"balanced", "lu-a", "lu-b", "lu-c", "lu-d", "nlu", None} <= set(tags), tags
 
 
 def test_selected_moves_lower_potential_and_declass():

@@ -34,6 +34,7 @@ from oracles import (
     euclidean_costs,
     floor_log2_exact,
     floyd_warshall,
+    harmonic_fractions,
     sqrt_ceil_grid,
 )
 
@@ -106,6 +107,18 @@ def test_harmonic_small_values():
     assert Fraction(*harmonic(0)) == 0
     assert Fraction(*harmonic(1)) == 1
     assert Fraction(*harmonic(3)) == Fraction(11, 6)
+
+
+def test_harmonic_matches_plain_fraction_sums():
+    # L_k grows only at a prime power k; elsewhere the memo reuses L_{k-1}'s
+    # int object.
+    for k, want in enumerate(harmonic_fractions(400)):
+        P, L = harmonic(k)
+        assert Fraction(P, L) == want and L == math.lcm(*range(1, k + 1))
+        if k >= 2:
+            primes = {d for d in range(2, k + 1) if k % d == 0
+                      and all(d % e for e in range(2, d))}
+            assert (L is harmonic(k - 1)[1]) == (len(primes) > 1), k
 
 
 @given(st.integers(min_value=1, max_value=400))

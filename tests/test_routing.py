@@ -402,11 +402,12 @@ def test_closest_improving_target_matches_oracle(restricted):
 
 def _assert_screen_keeps_every_improving_pair(state):
     """Number of improving pairs; each must survive the screen, and no
-    diagonal entry may."""
+    diagonal entry may, nor any vertex's own parent."""
     view, matrix, mask = state.view, _matrix(state.instance), state.screen
     assert not mask.diagonal().any()
     kept = 0
     for i, u in enumerate(view.order[1:], 1):  # order[0] is the root
+        assert not mask[i, view.order.index(view.parent[u])], (u, state.paths)
         for j, v in enumerate(view.order):
             if not view.in_subtree(v, u) and brute_improving_tree_move(
                     matrix, state.counts, state.paths, u, v):
@@ -454,6 +455,35 @@ def test_integer_screen_keeps_a_pair_that_scores_minus_one():
     assert score == -1 and is_improving_tree_move(state, 1, 2)
     assert state.screen[1, 2]
     _assert_screen_keeps_every_improving_pair(state)  # 2 -> 1 improves too
+
+
+def test_eqp_never_tests_a_move_onto_the_own_parent(monkeypatch):
+    # A move of u onto its own parent keeps the same edge at the same price,
+    # so the screen drops it and no exact test may see it, in the moves or
+    # in the final verification.
+    seen = Counter()
+    real = routing.is_improving_tree_move
+
+    def counted(state, u, v):
+        seen[state.view.parent.get(u) == v] += 1
+        return real(state, u, v)
+
+    monkeypatch.setattr(routing, "is_improving_tree_move", counted)
+    for seed in range(3):
+        er = build_random_euclidean(30, seed)
+        res = run_eqp(er.instance, list(er.events))
+        assert res.verdict.ok and any(ep.moves for ep in res.epochs)
+    assert seen[False] > 0 and not seen[True], seen
+
+
+def test_closest_improving_target_refuses_the_root_and_off_tree_vertices():
+    er = build_random_euclidean(30, 0)
+    state = run_eqp(er.instance, list(er.events), verify=False, accounting=False).state
+    off = [v for v in state.revealed if v not in state.view]
+    assert off
+    for u in (ROOT, off[0], max(state.view.order) + 1):
+        with pytest.raises(EngineInvariantError, match="not a tree vertex below the root"):
+            routing.closest_improving_target(state, u)
 
 
 def test_select_builds_one_screen_per_state(monkeypatch):
