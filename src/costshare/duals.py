@@ -256,7 +256,8 @@ class StateClass:
     """Tightest of the four nested charge-structure classes a state fits.
 
     rank 0: every cut charged at most once and no improving move exists.
-    rank 1: every cut charged at most once.
+    rank 1: every cut charged at most once; `improving` is the first
+            improving pair in (u, v) id order if the scan ran.
     rank 2: every cut has at most one non-leaf charger (leaves unlimited).
     rank 3: exactly one cut has two non-leaf chargers, one of whom made the
             most recent move; all other cuts as in rank 2.
@@ -267,6 +268,7 @@ class StateClass:
     charges: ChargeMap
     heavy_cut: Optional[tuple] = None
     heavy_chargers: Optional[tuple] = None  # (last mover, the other one)
+    improving: Optional[tuple] = None
 
     @property
     def name(self) -> str:
@@ -294,9 +296,10 @@ def classify(state: RoutingState, family: DualFamily, *,
         if all(len(recs) <= 1 for recs in charges.by_cut.values()):
             if not decide_equilibrium:
                 return StateClass(BALANCED, charges)
-            if find_improving_tree_move(state) is None:
+            pair = find_improving_tree_move(state)
+            if pair is None:
                 return StateClass(BALANCED_EQUILIBRIUM, charges)
-            return StateClass(BALANCED, charges)
+            return StateClass(BALANCED, charges, improving=pair)
         return StateClass(LEAF_UNBALANCED, charges)
 
     if len(crowded) > 1:

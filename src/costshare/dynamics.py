@@ -197,8 +197,8 @@ class SelectedMove:
 def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
     """Pick the next tree-follow move by the class-driven priority rules.
 
-    balanced: the smallest-id vertex with an improving move goes to its
-      closest improving target.
+    balanced: the smallest-id vertex with an improving move, the u of
+      `cls.improving`, goes to its closest improving target.
     leaf-unbalanced, tried in order:
       (a) smallest leaf with an improving move to a non-leaf goes to the
           closest such target;
@@ -222,6 +222,12 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
     cls = cls or classify(state, family)
     if cls.rank == BALANCED_EQUILIBRIUM:
         return None
+    if cls.rank == BALANCED:
+        if cls.improving is None:
+            raise EngineInvariantError(
+                "classified as having an improving move, but none was found")
+        u = cls.improving[0]
+        return SelectedMove(u, closest_improving_target(state, u), "balanced", cls)
 
     view = state.view
     costi, den = state.instance.costi, state.instance.denominator
@@ -231,13 +237,6 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
 
     # the vertices whose screen row keeps a target, in id order; row 0 is the root
     movers = [view.order[i] for i in (state.screen[1:].any(axis=1).nonzero()[0] + 1).tolist()]
-    if cls.rank == BALANCED:
-        for u in movers:
-            tgt = closest_improving_target(state, u)
-            if tgt is not None:
-                return SelectedMove(u, tgt, "balanced", cls)
-        raise EngineInvariantError(
-            "classified as having an improving move, but none was found")
 
     if cls.rank == LEAF_UNBALANCED:
         non_leaves = frozenset(v for v in view.order if v not in view.leaves)

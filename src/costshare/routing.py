@@ -9,8 +9,8 @@ Cost sharing is Shapley: an edge of cost c used by N agents costs c/N to each.
 Best responses minimize (shared cost, number of fresh edges, vertex-id
 sequence) lexicographically, where a fresh edge is one no *other* agent uses.
 
-Everything that reads the routing tree (parents, Euler intervals, the A/B
-share prefix sums) reads one object: the state's tree view, `state.view`,
+Everything that reads the routing tree (parents, children, the A/B share
+prefix sums) reads one object: the state's tree view, `state.view`,
 cached on the state.  Each event changes the tree by one path (an arrival
 adds one, a departure removes one, a move re-hangs one subtree), so a run
 builds one view in full and derives each later one by the event's delta
@@ -272,29 +272,29 @@ class _Tree:
     Built at once: the tree's shape, all that charging reads: parent,
     children (sorted lists), the sorted `order` and the `leaves`.  The full
     build raises EngineInvariantError if the paths do not form a tree
-    (conflicting parents, a root parent edge, a cycle), a tree edge has no
-    recorded usage, or a leaf is not a terminal.
+    (conflicting parents, a root parent edge, a path that ends off the
+    root, as on a cycle), a tree edge has no recorded usage, or a leaf is
+    not a terminal.
 
-    Built on first read: the Euler tour (`depth`, intervals `tin`/`tout`,
-    preorder `pre`), which checks that it reaches every vertex; and the
-    prefix sums A(x) = sum of c_e/N_e and B(x) = sum of c_e/(N_e+1) along
-    x -> root (`den`, `A`, `B`), which the improving-move questions and the
-    graft read.  A and B are ints over the view's own denominator
-    `den` = D * lcm{N_e, N_e+1 : e a tree edge}, so A(x) is A[x]/den.
+    Built on first read: the prefix sums A(x) = sum of c_e/N_e and B(x) =
+    sum of c_e/(N_e+1) along x -> root (`den`, `A`, `B`), which the
+    improving-move questions and the graft read.  A and B are ints over the
+    view's own denominator `den` = D * lcm{N_e, N_e+1 : e a tree edge}, so
+    A(x) is A[x]/den.
 
-    With consistent parents and none at the root, a path that ends at the
-    root follows parents to it, so the full build walks the tour at once
-    only if some path does not.  A derived view cannot hold a cycle: an
-    arrival's new vertices form a chain that reaches the tree once and then
-    follows it (a path that leaves the tree again disagrees with a parent,
-    and its state gets no derived view); a departure only removes edges;
-    and a move's target lies outside the mover's subtree.
+    Subtree and lca questions walk the parent links (`in_subtree`, `lca`)
+    or the children lists (`subtree`).  The walks end, as every vertex
+    reaches the root by its parents: in a full build each vertex lies on a
+    path that ends at the root, and with consistent parents and none at
+    the root, that path is its parent walk.  A derived view cannot hold a
+    cycle: an arrival's new vertices form a chain that reaches the tree
+    once and then follows it (a path that leaves the tree again disagrees
+    with a parent, and its state gets no derived view); a departure only
+    removes edges; and a move's target lies outside the mover's subtree.
     """
 
-    _TOUR = frozenset({"depth", "tin", "tout", "pre"})
     _SUMS = frozenset({"den", "A", "B"})
-    __slots__ = ("parent", "children", "order", "leaves", "_instance", "_users",
-                 *_TOUR, *_SUMS)
+    __slots__ = ("parent", "children", "order", "leaves", "_instance", "_users", *_SUMS)
 
     def __init__(self, state: RoutingState):
         parent = {}
@@ -306,6 +306,10 @@ class _Tree:
                     )
         if ROOT in parent:
             raise EngineInvariantError("the root has a parent edge")
+        for path in state.paths.values():
+            if path[-1:] != (ROOT,):
+                raise EngineInvariantError(
+                    f"routing path {path} does not end at the root: a cycle or a cut-off path")
         children: dict = {v: [] for v in parent}
         children[ROOT] = []
         users = {}
@@ -319,8 +323,6 @@ class _Tree:
         self.parent, self.children, self.order = parent, children, sorted(children)
         self.leaves = {v for v in children if not children[v] and v != ROOT}
         self._instance, self._users = state.instance, users
-        if any(p[-1:] != (ROOT,) for p in state.paths.values()):
-            self._build_tour()
         bad = self.leaves - set(state.counts)
         if bad:
             raise EngineInvariantError(f"tree leaves without terminals: {sorted(bad)}")
@@ -380,65 +382,53 @@ class _Tree:
         return view
 
     def __getattr__(self, name):
-        # reached only for an unset slot: the tour or the sums, before their first read
-        if name in self._TOUR:
-            self._build_tour()
-        elif name in self._SUMS:
-            self._build_sums()
-        else:
+        # reached only for an unset slot: the sums, before their first read
+        if name not in self._SUMS:
             raise AttributeError(name)
+        self._build_sums()
         return object.__getattribute__(self, name)
 
-    def _build_tour(self):
-        children = self.children
-        depth, tin, tout, pre = {ROOT: 0}, {}, {}, []
-        clock = 0
-        stack = [(ROOT, False)]
-        while stack:
-            x, closing = stack.pop()
-            if closing:
-                tout[x] = clock
-                clock += 1
-                continue
-            tin[x] = clock
-            clock += 1
-            pre.append(x)
-            stack.append((x, True))
-            for ch in reversed(children[x]):
-                depth[ch] = depth[x] + 1
-                stack.append((ch, False))
-        if len(tin) != len(children):
-            raise EngineInvariantError("routing paths contain a cycle")
-        self.depth, self.tin, self.tout, self.pre = depth, tin, tout, pre
-
     def _build_sums(self):
-        inst, users, parent = self._instance, self._users, self.parent
+        inst, users, children = self._instance, self._users, self.children
         costi = inst.costi
         den = inst.denominator * math.lcm(*{k for n in users.values() for k in (n, n + 1)})
         scale = den // inst.denominator
-        A = {ROOT: 0}
-        B = {ROOT: 0}
-        for ch in self.pre[1:]:  # a parent before its children
-            x, n = parent[ch], users[ch]
-            c = int(costi[ch, x])
-            A[ch] = A[x] + c * (scale // n)
-            B[ch] = B[x] + c * (scale // (n + 1))
+        A, B, stack = {ROOT: 0}, {ROOT: 0}, [ROOT]
+        while stack:  # a parent is filled before its children
+            x = stack.pop()
+            for ch in children[x]:
+                n, c = users[ch], int(costi[ch, x])
+                A[ch] = A[x] + c * (scale // n)
+                B[ch] = B[x] + c * (scale // (n + 1))
+            stack += children[x]
         self.den, self.A, self.B = den, A, B
 
     def __contains__(self, v):
         return v in self.children
 
     def in_subtree(self, x, u) -> bool:
-        return self.tin[u] <= self.tin[x] and self.tout[x] <= self.tout[u]
+        """Is tree vertex x in u's subtree (x == u included)?"""
+        while x != u:
+            if x == ROOT:
+                return False
+            x = self.parent[x]
+        return True
 
     def lca(self, a, b) -> int:
-        while self.depth[a] > self.depth[b]:
-            a = self.parent[a]
-        while self.depth[b] > self.depth[a]:
+        """The first vertex that the root paths of a and b share."""
+        above = set(self.path_to_root(a))
+        while b not in above:
             b = self.parent[b]
-        while a != b:
-            a, b = self.parent[a], self.parent[b]
-        return a
+        return b
+
+    def subtree(self, u) -> set:
+        """The vertices of u's subtree, u included."""
+        below, stack = {u}, [u]
+        while stack:
+            kids = self.children[stack.pop()]
+            below.update(kids)
+            stack += kids
+        return below
 
     def path_to_root(self, v) -> Path:
         seq = [v]
@@ -447,7 +437,7 @@ class _Tree:
         return tuple(seq)
 
     def terminals_through(self, state, u):
-        return sorted(t for t in state.counts if self.in_subtree(t, u))
+        return sorted(t for t in self.subtree(u) if t in state.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +757,7 @@ def _move_fault(view, u, v) -> Optional[str]:
         return f"{u} has no parent edge to swap"
     if v not in view:
         return f"move target {v} is not on the tree"
-    if v == u or view.in_subtree(v, u):
+    if view.in_subtree(v, u):
         return f"move target {v} lies in the subtree of {u}"
     return None
 
@@ -775,7 +765,8 @@ def _move_fault(view, u, v) -> Optional[str]:
 def is_improving_tree_move(state, u, v) -> bool:
     """Would rerouting u (and its subtree) onto v strictly help its users?
 
-    Exact O(depth) test via the prefix sums: with L = lca(u, v),
+    Exact test via the prefix sums, linear in the root path lengths of u and v:
+    with L = lca(u, v),
         c(u,v) + B(v) - B(L)  <  A(u) - A(L),
     compared as ints over the view's denominator.
     This is the hypothetical saving of any witness terminal in u's subtree:
@@ -869,10 +860,11 @@ def closest_improving_target(state, u, allowed=None):
     if u not in view.parent:  # the root has no parent either
         raise EngineInvariantError(f"{u} is not a tree vertex below the root")
     crow = state.instance.costi[u]
+    below = view.subtree(u)
     cands = []
     for j in np.nonzero(state.screen[bisect.bisect_left(order, u)])[0].tolist():
         v = order[j]
-        if view.in_subtree(v, u):
+        if v in below:
             continue
         if allowed is not None and v not in allowed:
             continue

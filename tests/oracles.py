@@ -240,6 +240,26 @@ def tree_parent_map(paths):
     return parent
 
 
+def subtree_from_paths(paths, u):
+    """u's subtree read off the paths: u and every x that some path holds
+    before u."""
+    below = {u}
+    for path in paths.values():
+        if u in path:
+            below.update(path[:path.index(u)])
+    return below
+
+
+def lca_from_paths(paths, a, b):
+    """The first vertex that the root paths of a and b share, each root path
+    being the tail from that vertex of a path holding it (0 alone for 0)."""
+    def root_path(x):
+        return next((p[p.index(x):] for p in paths.values() if x in p), (0,))
+
+    above = set(root_path(b))
+    return next(x for x in root_path(a) if x in above)
+
+
 def reroute_subtree(paths, u, v):
     """Recompute all paths after u swaps its parent edge for (u, v).
 

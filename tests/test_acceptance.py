@@ -318,8 +318,8 @@ def test_charges_and_prefix_sums_match_oracles_on_every_state(monkeypatch):
     # from-scratch rebuild (the memo's records must equal what the cuts say
     # now) and every tree view a state reads, built in full or derived from
     # its predecessor's, against a full build of a fresh copy of the state:
-    # its shape and its lazily built Euler tour field by field, and its
-    # lazily built sums against an eager build: den, A and B equal as ints.
+    # its shape field by field, and its lazily built sums against an eager
+    # build: den, A and B equal as ints.
     matrices = {}  # the current run's instance and its Fraction cost matrix
     checked = Counter()
     real_charges = duals.compute_charges
@@ -349,8 +349,7 @@ def test_charges_and_prefix_sums_match_oracles_on_every_state(monkeypatch):
             return view
         audited[id(view)] = view
         want = routing._Tree(replace(state))
-        for field in ("parent", "children", "order", "leaves", "_users",
-                      "depth", "tin", "tout", "pre"):
+        for field in ("parent", "children", "order", "leaves", "_users"):
             assert getattr(view, field) == getattr(want, field), field
         inst = state.instance
         assert (view.den, view.A, view.B) == eager_prefix_sums(

@@ -39,7 +39,7 @@ from costshare import (
     verify_equilibrium,
     with_revealed,
 )
-from costshare import duals, routing
+from costshare import duals, dynamics, routing
 from costshare.duals import (
     BALANCED,
     BALANCED_EQUILIBRIUM,
@@ -311,6 +311,37 @@ def test_select_matches_a_walk_over_every_row():
     assert {"balanced", "lu-a", "lu-b", "lu-c", "lu-d", "nlu", None} <= set(tags), tags
 
 
+def test_balanced_rule_moves_the_classified_pairs_vertex(monkeypatch):
+    # At rank 1 classify keeps the first improving pair in (u, v) id order.
+    # The balanced rule moves its u, the smallest-id vertex that some legal
+    # target improves, and asks for one closest target only.
+    rng = random.Random(92)
+    asked = []
+    real = routing.closest_improving_target
+    monkeypatch.setattr(dynamics, "closest_improving_target",
+                        lambda state, u, **kw: asked.append(u) or real(state, u, **kw))
+    balanced = 0
+    for _ in range(200):
+        state = random_tree_state(rng, random_metric(rng, rng.randint(3, 9)),
+                                  max_count=rng.choice((1, 3, 9)))
+        family = family_for(state)
+        try:
+            cls = classify(state, family)
+        except ClosureViolationError:
+            continue
+        if cls.rank != BALANCED:
+            assert cls.improving is None
+            continue
+        order = state.view.order
+        first = next(u for u in order[1:]
+                     if any(routing.is_legal_improving(state, u, v) for v in order))
+        asked.clear()
+        sel = select_tree_move(state, family, cls=cls)
+        assert (cls.improving[0], sel.tag, sel.mover, asked) == (first, "balanced", first, [first])
+        balanced += 1
+    assert balanced >= 20, balanced
+
+
 def test_selected_moves_lower_potential_and_declass():
     # Applying each rule's selected move must drop the potential; the three
     # "resolving" rules must also leave the special structure resolved.
@@ -524,19 +555,16 @@ def test_reveal_keeps_family_in_sync():
 
 def test_oneshot_dynamics_builds_no_prefix_sums(monkeypatch):
     # Classification reads only the tree's shape; under one-shot nothing
-    # else asks a view for its Euler tour or its sums until the certify
-    # sweep.
-    builds, tours = [], []
-    real, real_tour = routing._Tree._build_sums, routing._Tree._build_tour
+    # else asks a view for its sums until the certify sweep.
+    builds = []
+    real = routing._Tree._build_sums
     monkeypatch.setattr(routing._Tree, "_build_sums",
                         lambda view: builds.append(view) or real(view))
-    monkeypatch.setattr(routing._Tree, "_build_tour",
-                        lambda view: tours.append(view) or real_tour(view))
     gm = build_gm(3)
     res = run_noneqp(gm.instance, list(build_sigma(gm)), verify=False)
-    assert builds == [] and tours == []
+    assert builds == []
     assert verify_equilibrium(res.state).ok
-    assert builds and tours
+    assert builds
 
 
 def test_oneshot_charges_match_rebuild_after_every_event(monkeypatch):
@@ -573,7 +601,10 @@ def _forged(paths, counts, usage):
     ({1: (1, 0)}, {1: 1}, {}, "no recorded usage"),
     ({1: (1, 2, 0)}, {2: 1}, {(1, 2): 1, (0, 2): 1}, "leaves without terminals"),
     ({1: (1, 0, 2)}, {1: 1}, {(0, 1): 1, (0, 2): 1}, "root has a parent"),
-], ids=["cycle", "conflicting-parent", "zero-usage", "bare-leaf", "root-parent"])
+    ({1: (1, 0), 2: (2, 1)}, {1: 1, 2: 1}, {(0, 1): 1, (1, 2): 1},
+     "does not end at the root"),
+], ids=["cycle", "conflicting-parent", "zero-usage", "bare-leaf", "root-parent",
+        "path-off-the-root"])
 def test_non_tree_states_raise_at_the_view(paths, counts, usage, match):
     state, family = _forged(paths, counts, usage)
     with pytest.raises(EngineInvariantError, match=match):

@@ -55,10 +55,12 @@ from oracles import (
     brute_improving_tree_move,
     enumerate_best_response,
     hypothetical_share,
+    lca_from_paths,
     recompute_potential,
     reroute_subtree,
     row_scan_first_improving,
     shared_cost_of,
+    subtree_from_paths,
     tree_parent_map,
     usage_from_paths,
 )
@@ -1069,8 +1071,7 @@ def test_revealing_keeps_the_search_table_and_rerouting_rebuilds_it():
 def _assert_view_is_a_full_build(state):
     assert "view" in state.__dict__  # cached with the state, not built on this read
     got, want = state.view, routing._Tree(replace(state))
-    for field in ("parent", "children", "order", "leaves", "_users",
-                  "depth", "tin", "tout", "pre", "den", "A", "B"):
+    for field in ("parent", "children", "order", "leaves", "_users", "den", "A", "B"):
         assert getattr(got, field) == getattr(want, field), field
 
 
@@ -1103,7 +1104,7 @@ def test_derived_views_equal_a_full_build():
     # view from it: arrivals (new leaves, new relay chains, count bumps,
     # relays turned terminals), departures of one or several terminals, and
     # tree-follow moves, some of which abandon relays.  Each derived view,
-    # its lazily built tour and sums included, equals a full build, and so
+    # its lazily built sums included, equals a full build, and so
     # does its predecessor's after the derivation.
     rng = random.Random(17800)
     seen = Counter()
@@ -1118,6 +1119,35 @@ def test_derived_views_equal_a_full_build():
             seen[tag] += 1
     assert min(seen[tag] for tag in (
         "leaf", "chain", "bump", "relay", "depart", "departs", "move", "abandon")) >= 5, seen
+
+
+def _assert_walks_match_the_paths(state):
+    view, paths = state.view, state.paths
+    for u in view.order:
+        below = subtree_from_paths(paths, u)
+        assert view.subtree(u) == below, u
+        assert view.terminals_through(state, u) == sorted(below & set(state.counts)), u
+        for x in view.order:
+            assert view.in_subtree(x, u) == (x in below), (x, u)
+            assert view.lca(u, x) == lca_from_paths(paths, u, x), (u, x)
+
+
+def test_subtree_and_lca_walks_match_definitions_on_the_paths():
+    # in_subtree, subtree, terminals_through and lca, against definitions
+    # read from the paths alone, on random tree states and on the views
+    # derived from them by arrivals, departures and moves.
+    rng = random.Random(18100)
+    seen = Counter()
+    for _ in range(40):
+        state = random_tree_state(rng, random_metric(rng, rng.randint(2, 9)))
+        _assert_walks_match_the_paths(state)
+        seen["full"] += 1
+        for _ in range(6):
+            tag, state = _random_event(rng, state)
+            assert "view" in state.__dict__
+            _assert_walks_match_the_paths(state)
+            seen[tag] += 1
+    assert min(seen[tag] for tag in ("full", "leaf", "chain", "depart", "move")) >= 5, seen
 
 
 def test_a_path_against_the_tree_gets_no_derived_view():
