@@ -54,6 +54,7 @@ from .instances import (
     build_random_euclidean,
     build_sigma,
     build_steiner_gap_fixture,
+    check_gm_m,
 )
 from .metric import ROOT, _int, _ints, instance_from_dict, instance_to_dict
 from .rationals import format_rational
@@ -243,6 +244,7 @@ def _summary_row(cfg, result, report, final_class) -> dict:
 
 
 def _build_gm(cfg):
+    check_gm_m(cfg["m"])
     gm = build_gm(cfg["m"])
     paths = {f"{j},{k}": list(p) for (j, k), p in sorted(gm.canonical_paths.items())}
     return (gm.instance, build_sigma(gm), {"paths.json": paths},

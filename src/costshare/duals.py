@@ -14,12 +14,11 @@ most once the per-level charges telescope into a logarithmic bound on the
 tree's cost relative to the minimum spanning tree.
 
 Partitions are built greedily in revelation order and never rebalanced, so
-every query is reproducible from the insertion sequence alone.  Levels are
-materialized only inside a window where the answer is not forced: below it
-every vertex is its own component, above it everything shares one component,
-and those answers are synthesized rather than stored.  So a vertex's
-component at each level is fixed once it is inserted, and so is the charge
-of each (vertex, parent) edge: the family builds each charge once.
+every query is reproducible from the insertion sequence alone.  A level is
+built on its first query, by replaying that sequence, and is kept up to date
+from then on.  So a vertex's component at each level is fixed once it is
+inserted, and so is the charge of each (vertex, parent) edge: the family
+builds each charge once.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Optional
 
 from .errors import ClosureViolationError, EngineInvariantError, VerificationError
 from .metric import ROOT, MetricInstance, mst_cost
-from .rationals import ceil_log2_ratio, floor_log2_ratio, pow2
+from .rationals import floor_log2_ratio, pow2
 from .routing import RoutingState, find_improving_tree_move, solution_cost
 
 
@@ -82,102 +81,57 @@ class DualFamily:
     """All levels' partitions over the vertices inserted so far.
 
     Vertices must be inserted in revelation order, root first, and are never
-    removed (a departed terminal still shapes the partitions).  The stored
-    window [jmin, jmax] covers every level where the partition is not forced;
-    it is derived from the min/max positive pairwise distance and extended by
-    replaying the insertion history whenever new distances widen it.  The
-    extremes are kept as ints over the instance denominator D.
-
-    `component_of(u, j)` never changes once u is inserted, for any j:
-    - inside the window, a level's `of` entries are only ever appended;
-    - a level below the window, j < jmin, answers (j, position of u).  All
-      distances so far are at least the smallest one, 2^(jmin+4) or more,
-      far above the level's radius 2^(j-1).  So when the window grows down
-      to j, the replay makes every vertex so far found its own component,
-      in insertion order: index = position;
-    - a level above the window, j > jmax, answers (j, 0).  All distances so
-      far are at most the largest one, at most 2^(jmax-1), below the radius
-      2^(j-1).  So when the window grows up to j, the replay puts every
-      vertex so far into the root's component, index 0.
-    So `charge` memoizes one ChargeRecord per (vertex, parent, leaf).
+    removed (a departed terminal still shapes the partitions).  Level j is
+    built on its first query by replaying `inserted`, and every later insert
+    extends it, so each stored level is the first-fit partition of the
+    insertion history and its `of` entries are only ever appended: once u is
+    inserted, `component_of(u, j)` never changes.  So `charge` memoizes one
+    ChargeRecord per (vertex, parent, leaf).
     """
 
-    __slots__ = ("instance", "inserted", "_pos", "levels", "jmin", "jmax",
-                 "_minpos", "_maxd", "_charges")
+    __slots__ = ("instance", "inserted", "_seen", "levels", "_charges")
 
     def __init__(self, instance: MetricInstance):
         self.instance = instance
         self.inserted: list = []
-        self._pos: dict = {}
-        self.levels: dict = {}
-        self.jmin: Optional[int] = None
-        self.jmax: Optional[int] = None
-        self._minpos: Optional[int] = None
-        self._maxd: Optional[int] = None
+        self._seen: set = set()
+        self.levels: dict = {}  # level -> LevelPartition, built on first query
         self._charges: dict = {}  # (vertex, parent, leaf) -> ChargeRecord
 
     def __contains__(self, v) -> bool:
-        return v in self._pos
+        return v in self._seen
 
     def insert(self, v: int) -> None:
-        if v in self._pos:
+        if v in self._seen:
             raise EngineInvariantError(f"vertex {v} inserted into the duals twice")
         if not 0 <= v < self.instance.n:
             raise EngineInvariantError(f"vertex {v} outside instance range")
         if not self.inserted and v != ROOT:
             raise EngineInvariantError("the first inserted vertex must be the root")
-        lo_d = None
-        if self.inserted:
-            row = self.instance.costi[v, self.inserted]
-            lo_d, hi_d = int(row.min()), int(row.max())
-            if self._minpos is None or lo_d < self._minpos:
-                self._minpos = lo_d
-            if self._maxd is None or hi_d > self._maxd:
-                self._maxd = hi_d
-        self._pos[v] = len(self.inserted)
+        least = int(self.instance.costi[v, self.inserted].min()) if self.inserted else None
+        self._seen.add(v)
         self.inserted.append(v)
-
-        if self._minpos is not None:
-            den = self.instance.denominator
-            lo = floor_log2_ratio(self._minpos, den) - 4
-            hi = ceil_log2_ratio(self._maxd, den) + 1
-            if self.jmin is None:
-                new = range(lo, hi + 1)
-            else:
-                if lo > self.jmin or hi < self.jmax:
-                    raise EngineInvariantError("dual level window shrank")
-                new = [*range(lo, self.jmin), *range(self.jmax + 1, hi + 1)]
-            for j in new:
-                # replay history so the level looks as if maintained all along
-                lp = LevelPartition(j)
-                for w in self.inserted[:-1]:
-                    lp.insert(w, self.instance)
-                self.levels[j] = lp
-            self.jmin, self.jmax = lo, hi
         for lp in self.levels.values():
-            lp.insert(v, self.instance, lo_d)
+            lp.insert(v, self.instance, least)
+
+    def _level(self, j: int) -> LevelPartition:
+        lp = self.levels.get(j)
+        if lp is None:
+            lp = self.levels[j] = LevelPartition(j)
+            for w in self.inserted:
+                lp.insert(w, self.instance)
+        return lp
 
     # -- queries ----------------------------------------------------------
 
     def num_components(self, j: int) -> int:
-        if not self.inserted:
-            return 0
-        if self.jmin is None or j < self.jmin:
-            return len(self.inserted)  # all singletons: nothing is close enough
-        if j > self.jmax:
-            return 1  # everything joins the root's component
-        return len(self.levels[j].centers)
+        return len(self._level(j).centers)
 
     def component_of(self, v: int, j: int) -> tuple:
         """Stable cut key (level, component index) of v's level-j component."""
-        pos = self._pos.get(v)
-        if pos is None:
+        if v not in self._seen:
             raise EngineInvariantError(f"vertex {v} was never inserted into the duals")
-        if self.jmin is None or j < self.jmin:
-            return (j, pos)
-        if j > self.jmax:
-            return (j, 0)
-        return (j, self.levels[j].of[v])
+        return (j, self._level(j).of[v])
 
     def charge(self, u: int, parent: int, leaf: bool) -> "ChargeRecord":
         """The charge of tree vertex u with this parent edge, built once."""

@@ -95,9 +95,6 @@ class GmFamily:
     final_cost: Fraction  # cost of the union of all canonical paths
     mst_upper: Fraction   # 3 m^2, a hand bound on the all-vertex MST
 
-    def vertex_id(self, layer: int, j: int, k: int) -> int:
-        return gm_vertex_id(self.m, layer, j, k)
-
 
 def _gm_path_label(m: int, layer: int, j: int, k: int):
     # Labels alternate down from the top: (j, k) at layer m, swapped every
@@ -164,6 +161,15 @@ def build_gm(m: int) -> GmFamily:
 GM_MAX_M = 5
 
 
+def check_gm_m(m: int) -> None:
+    """Raise ConfigError for m > GM_MAX_M; cheap, so callers check before
+    `build_gm`, whose closure grows as (m^3)^2 in time and memory."""
+    if m > GM_MAX_M:
+        raise ConfigError(
+            f"the layered schedule supports m <= {GM_MAX_M}, got m={m}: beyond "
+            "that its pinned paths are not all best responses")
+
+
 def build_sigma(gm: GmFamily) -> tuple:
     """The adversarial schedule for a GmFamily (m <= GM_MAX_M).
 
@@ -175,10 +181,7 @@ def build_sigma(gm: GmFamily) -> tuple:
     search ever disagrees.  Raises ConfigError for m > GM_MAX_M.
     """
     m = gm.m
-    if m > GM_MAX_M:
-        raise ConfigError(
-            f"the layered schedule supports m <= {GM_MAX_M}, got m={m}: beyond "
-            "that its pinned paths are not all best responses")
+    check_gm_m(m)
     events = []
     for _phase in range(m):
         for j in range(1, m + 1):

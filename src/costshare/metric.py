@@ -53,9 +53,6 @@ class MetricInstance:
     def cost(self, u, v) -> Fraction:
         return Fraction(int(self.costi[u, v]), self.denominator)
 
-    def vertices(self):
-        return range(self.n)
-
     def __repr__(self):
         return f"MetricInstance(n={self.n}, kind={self.kind!r})"
 
@@ -119,6 +116,8 @@ def metric_closure(n, weighted_edges) -> MetricInstance:
         if c <= 0:
             raise ConfigError(f"edge ({u},{v}) has non-positive cost {c}")
         edges.append((u, v, c))
+    if len(edges) < n - 1:  # refused before the n adjacency lists exist
+        raise MetricError("weighted graph is disconnected; closure undefined")
 
     den = math.lcm(*(c.denominator for _, _, c in edges))
     adj = [[] for _ in range(n)]

@@ -1,11 +1,11 @@
 """Small exact-arithmetic helpers shared across the engine.
 
 All game-relevant quantities are `fractions.Fraction`; these utilities cover
-the places where plain Fraction arithmetic is not quite enough: exact binary
-logarithms of an integer ratio p/q (for charge levels and dual windows, so
-that readers of the integer cost matrix build no Fraction), harmonic
-numbers as integer pairs (for the potential), and the "p/q" string
-round-trip used by every serialized artifact.
+the places where plain Fraction arithmetic is not quite enough: the exact
+floor log2 of an integer ratio p/q (for charge levels, so that readers of
+the integer cost matrix build no Fraction), harmonic numbers as integer
+pairs (for the potential), and the "p/q" string round-trip used by every
+serialized artifact.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ def pow2_le(j: int, p: int, q: int) -> bool:
     if j >= 0:
         return (q << j) <= p
     return q <= (p << -j)
-
-
-def ceil_log2_ratio(p: int, q: int) -> int:
-    """Smallest j with p/q <= 2**j: ceil(log2 x) = -floor(log2(1/x))."""
-    return -floor_log2_ratio(q, p)
 
 
 def pow2(j: int) -> Fraction:

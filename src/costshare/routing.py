@@ -487,10 +487,10 @@ class _Search:
     `state.table` if the state has it cached and the target is on a path;
     otherwise the search builds a table for itself alone and caches none,
     as a state searched once (a one-shot arrival) would never reuse it.  A
-    search adds its mover's divisors, `den`, clamp and weights.
+    search adds its target's divisors, `den`, clamp and weights.
 
     Shares are ints over `den` = D * lcm{d_e}, d_e being edge e's share
-    divisor: N_e on the mover's own edges, N_e + 1 on other used edges, 1 on
+    divisor: N_e on the target's own path, N_e + 1 on other used edges, 1 on
     unused (fresh) ones.  With K = len(nodes) + 1, a path of share s over
     `den` with f fresh edges has key s * K + f.  Each key formed here is a
     simple path plus at most one edge, so f < K and key order is
@@ -510,7 +510,7 @@ class _Search:
 
     __slots__ = ("nodes", "pos", "dist", "den", "_hits")
 
-    def __init__(self, state, target, *, mover, own_path):
+    def __init__(self, state, target):
         inst = state.instance
         tab = state.__dict__.get("table")
         if tab is None or target not in tab.pos:
@@ -520,11 +520,11 @@ class _Search:
 
         divisor = [n + 1 for n in tab.users]
         fresh = [0] * len(divisor)
-        mover_count = state.counts.get(mover, 0)
+        own_path, own_count = state.paths.get(target), state.counts.get(target, 0)
         for e in path_edges(own_path) if own_path else ():
             k = tab.edge[e]
             divisor[k] = n = tab.users[k]
-            fresh[k] = int(n == mover_count)
+            fresh[k] = int(n == own_count)
         self.den = inst.denominator * math.lcm(*set(divisor))
         scale = self.den // inst.denominator
         unit = scale * K  # an unused edge of cost c weighs c * unit + 1
@@ -657,7 +657,7 @@ def best_response(state, vertex) -> BestResponse:
         raise EngineInvariantError("the root does not route")
     if vertex not in set(state.revealed):
         raise EngineInvariantError(f"best response for unrevealed vertex {vertex}")
-    search = _Search(state, vertex, mover=vertex, own_path=state.paths.get(vertex))
+    search = _Search(state, vertex)
     cost, fresh = search.cost_fresh(vertex)
     return BestResponse(search.path_from(vertex), cost, fresh)
 

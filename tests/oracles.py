@@ -373,16 +373,24 @@ def charge_level(cost):
     return floor_log2_exact(cost) - 2
 
 
+def distance_levels(instance, vertices, pad=0):
+    """Levels floor(log2 m) - 4 - pad through ceil(log2 M) + 1 + pad, with m
+    and M the least and greatest distance among `vertices` (no levels for
+    fewer than two).  First-fit over the vertices is forced outside
+    floor(log2 m) + 2 .. ceil(log2 M) + 1: below, the radius 2^(j-1) is at
+    most m and every vertex is its own component; above, the radius exceeds
+    M and every vertex joins the first."""
+    dists = [instance.cost(a, b) for a, b in itertools.combinations(vertices, 2)]
+    if not dists:
+        return range(0)
+    return range(floor_log2_exact(min(dists)) - 4 - pad,
+                  ceil_log2_exact(max(dists)) + 2 + pad)
+
+
 def component_members(family, v, j):
-    """The vertices of v's level-j component in a dual family: v alone below
-    the family's window, every inserted vertex above it."""
-    if family.jmin is None or j < family.jmin:
-        family.component_of(v, j)  # raises for a vertex never inserted
-        return (v,)
-    if j > family.jmax:
-        return tuple(family.inserted)
-    level = family.levels[j]
-    return tuple(level.members[level.of[v]])
+    """The vertices of v's level-j component in a dual family."""
+    _, idx = family.component_of(v, j)  # raises for a vertex never inserted
+    return tuple(family.levels[j].members[idx])
 
 
 def rebuild_charges(cost, paths, component_of):
@@ -451,6 +459,10 @@ def row_scan_first_improving(order, mask, in_subtree, improves):
 def check_invariants(family):
     """Re-verify every stored level of a dual family; asserts on any breach.
 
+    First queries every level of `distance_levels` over the inserted
+    vertices, so the levels where first-fit is not forced are always among
+    those checked, even in a family nobody has queried yet.
+
     Level j partitions the inserted vertices into components, each listed
     from its founding center; every member lies closer than 2^(j-1) to its
     center, every component's diameter is below 2^j, and any two centers
@@ -463,6 +475,8 @@ def check_invariants(family):
         c = int(costi[a][b])
         return (den << j) <= c if j >= 0 else den <= (c << -j)
 
+    for j in distance_levels(family.instance, family.inserted):
+        family.num_components(j)
     for j, lp in sorted(family.levels.items()):
         seen = {}
         for idx, mem in enumerate(lp.members):

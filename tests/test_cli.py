@@ -51,6 +51,19 @@ def test_gen_gm_refuses_unsupported_m(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["gen", "run"])
+def test_gm_m_is_refused_before_the_family_is_built(tmp_path, capsys, monkeypatch, command):
+    # build_gm grows as (m^3)^2 in time and memory, so a large --m must be
+    # refused before it runs
+    def unbuildable(m):
+        raise AssertionError(f"build_gm({m}) called")
+
+    monkeypatch.setattr("costshare.cli.build_gm", unbuildable)
+    assert main([command, "--gen", "gm", "--m", "1000", "--out", str(tmp_path / "out")]) == 2
+    assert "m <= 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_poa_snapshot_passes_verify(tmp_path, capsys):
     assert main(["gen", "--gen", "poa", "--n", "5", "--out", str(tmp_path)]) == 0
     snap = tmp_path / "snapshot.json"

@@ -37,11 +37,10 @@ from costshare.duals import (
 from costshare.rationals import pow2
 from conftest import family_for, line_instance, random_metric, random_tree_state
 from oracles import (
-    ceil_log2_exact,
     charge_level,
     check_invariants,
     component_members,
-    floor_log2_exact,
+    distance_levels,
     greedy_partition,
     rebuild_charges,
 )
@@ -113,12 +112,14 @@ def test_partitions_match_greedy_replay(seed):
 
 @pytest.mark.parametrize("kind", ["random", "unit", "python-int"])
 def test_partition_shortcuts_match_a_plain_scan(kind):
-    # An insert settles a level without scanning when its least distance to
-    # the earlier vertices reaches the radius (v founds a component) or its
-    # first center is near (index 0).  Every level must equal the exact
-    # first-fit scan, after every insert.  Unit metrics put every distance
-    # at the radius of level 1; random metrics scaled by (2^64 + 1)/2^64
-    # have a denominator past int64, so their costi holds Python ints.
+    # An insert settles a stored level without scanning when its least
+    # distance to the earlier vertices reaches the radius (v founds a
+    # component) or its first center is near (index 0).  The levels are
+    # queried before the inserts, so every insert extends them; each must
+    # equal the exact first-fit scan, after every insert.  Unit metrics put
+    # every distance at the radius of level 1; random metrics scaled by
+    # (2^64 + 1)/2^64 have a denominator past int64, so their costi holds
+    # Python ints.
     rng = random.Random(660 + len(kind))
     settled = Counter()
     for _ in range(12):
@@ -134,13 +135,18 @@ def test_partition_shortcuts_match_a_plain_scan(kind):
             inst = random_metric(rng, n)
         matrix = _matrix(inst)
         family = DualFamily(inst)
+        levels = distance_levels(inst, range(n))
+        assert [family.num_components(j) for j in levels] == [0] * len(levels)
         for i, v in enumerate([0] + rng.sample(range(1, n), n - 1)):
             family.insert(v)
             earlier = family.inserted[:i]
+            assert sorted(family.levels) == list(levels)
             for j, lp in family.levels.items():
                 radius = pow2(j - 1)
                 centers, members, of = greedy_partition(matrix, family.inserted, radius)
                 assert (lp.centers, lp.members, lp.of) == (centers, members, of), (j, v)
+                if not earlier:
+                    continue  # the root founds every level's first component
                 if min(matrix[v][w] for w in earlier) >= radius:
                     settled["far"] += 1
                 elif matrix[v][centers[0]] < radius:
@@ -177,53 +183,74 @@ def test_partitions_join_exactly_below_the_radius(level, costs):
     assert level in family.levels
 
 
-def test_family_window_tracks_distance_extremes():
+def test_family_builds_a_level_on_its_first_query():
+    # Inserts create no level; a query builds its level by replaying the
+    # insertion history, and later inserts extend every stored level.
     rng = random.Random(8)
     inst = random_metric(rng, 8)
+    matrix = _matrix(inst)
     family = DualFamily(inst)
-    family.insert(0)
-    assert family.jmin is None  # one vertex: no pairwise distances yet
-    dists = []
-    for v in range(1, 8):
+    for v in range(4):
         family.insert(v)
-        dists += [inst.cost(u, v) for u in range(v)]
-        assert family.jmin == floor_log2_exact(min(dists)) - 4
-        assert family.jmax == ceil_log2_exact(max(dists)) + 1
-        assert sorted(family.levels) == list(range(family.jmin, family.jmax + 1))
+    assert family.levels == {}
+    queried = list(distance_levels(inst, range(4)))
+    for j in queried:
+        family.component_of(3, j)
+    for v in range(4, 8):
+        family.insert(v)
+        assert sorted(family.levels) == queried
+        for j, lp in family.levels.items():
+            centers, members, of = greedy_partition(matrix, family.inserted, pow2(j - 1))
+            assert (lp.centers, lp.members, lp.of) == (centers, members, of), (j, v)
+    late = [j for j in distance_levels(inst, range(8), pad=2) if j not in queried]
+    assert late
+    for j in late:
+        family.num_components(j)
+        centers, members, of = greedy_partition(matrix, family.inserted, pow2(j - 1))
+        lp = family.levels[j]
+        assert (lp.centers, lp.members, lp.of) == (centers, members, of), j
 
 
-def test_family_synthesizes_levels_outside_window():
+def test_levels_far_from_every_distance_are_forced():
+    # Far below the smallest distance every vertex is its own component;
+    # far above the largest, every vertex shares the root's.
     inst = line_instance(0, 5, 9)
     family = DualFamily(inst)
     for v in range(3):
         family.insert(v)
-    below, above = family.jmin - 3, family.jmax + 2
+    span = distance_levels(inst, range(3))
+    below, above = span.start - 3, span.stop + 1
     assert family.num_components(below) == 3
     assert family.num_components(above) == 1
-    # distinct singleton cuts below the window, one shared cut above it
-    assert len({family.component_of(v, below) for v in range(3)}) == 3
+    assert [family.component_of(v, below) for v in range(3)] == [(below, i) for i in range(3)]
     assert {family.component_of(v, above) for v in range(3)} == {(above, 0)}
     assert component_members(family, 1, below) == (1,)
-    assert set(component_members(family, 1, above)) == {0, 1, 2}
+    assert component_members(family, 1, above) == (0, 1, 2)
+    for j in (below, above):
+        assert family.levels[j].members == greedy_partition(
+            _matrix(inst), [0, 1, 2], pow2(j - 1))[1]
 
 
-def test_family_window_growth_replays_history():
+def test_a_level_first_read_late_replays_history():
     # Vertices 0..2 are a tight cluster; 3 is far away and arrives last,
-    # stretching the window upward.  The new high levels must look as if
-    # they had been maintained from the start: the whole cluster shares
-    # one component there.
+    # widening the distance span upward.  The new high levels, first read
+    # after 3 arrives, must look as if they had been kept from the start:
+    # the whole cluster shares one component there.
     inst = line_instance(0, 1, 2, 5000)
     family = DualFamily(inst)
     for v in range(3):
         family.insert(v)
-    jmax_before = family.jmax
+    early = distance_levels(inst, range(3))
+    for j in early:
+        family.num_components(j)
     family.insert(3)
-    assert family.jmax > jmax_before
+    late = [j for j in distance_levels(inst, range(4)) if j >= early.stop]
+    assert late
+    for j in late:
+        assert family.component_of(1, j) == family.component_of(2, j)
     check_invariants(family)
-    for j in range(jmax_before + 1, family.jmax + 1):
-        centers, members, of = greedy_partition(
-            _matrix(inst), [0, 1, 2, 3], pow2(j - 1)
-        )
+    for j in [*early, *late]:
+        centers, members, of = greedy_partition(_matrix(inst), [0, 1, 2, 3], pow2(j - 1))
         assert family.levels[j].members == members
 
 
@@ -231,30 +258,32 @@ def _assert_cuts_never_change(inst, order):
     """Insert `order`; after each insert, every cut seen so far must hold.
 
     Records component_of(u, j) for every inserted u and every j within 3 of
-    the window at that time, and rechecks all records after every later
-    insert.  Returns how the window moved: (grew down, grew up).
+    the distance span (`distance_levels`) of the vertices inserted so far,
+    and rechecks all records after every later insert.  Levels the span
+    grows into are first read after later inserts.  Returns how the span
+    moved: (grew down, grew up).
     """
     family = DualFamily(inst)
     seen: dict = {}
     down = up = False
+    span = range(0)
     for v in order:
-        before = (family.jmin, family.jmax)
         family.insert(v)
-        if before[0] is not None:
-            down |= family.jmin < before[0]
-            up |= family.jmax > before[1]
         for (u, j), cut in seen.items():
             assert family.component_of(u, j) == cut, (u, j, v)
-        if family.jmin is not None:
-            for u in family.inserted:
-                for j in range(family.jmin - 3, family.jmax + 4):
-                    seen.setdefault((u, j), family.component_of(u, j))
+        before, span = span, distance_levels(inst, family.inserted, pad=3)
+        if before:
+            down |= span.start < before.start
+            up |= span.stop > before.stop
+        for u in family.inserted:
+            for j in span:
+                seen.setdefault((u, j), family.component_of(u, j))
     return down, up
 
 
 def test_component_of_never_changes_after_later_inserts():
-    # The charge memo rests on this: partitions never rebalance, and levels
-    # the window grows into replay to the answers synthesized before.
+    # The charge memo rests on this: partitions never rebalance, and a level
+    # first read late replays to the answers it would have given before.
     assert _assert_cuts_never_change(line_instance(0, 1, 2, 5000), range(4)) == (False, True)
     assert _assert_cuts_never_change(line_instance(0, 128, 64, 65), range(4)) == (True, False)
     rng = random.Random(31)
@@ -287,7 +316,9 @@ def test_check_invariants_catches_corruption():
     for v in range(4):
         family.insert(v)
     check_invariants(family)
-    lp = family.levels[family.jmax]  # everything in the root's component here
+    top = distance_levels(inst, range(4)).stop
+    assert family.num_components(top) == 1  # everything in the root's component
+    lp = family.levels[top]
     lp.members[0].remove(lp.members[0][-1])
     with pytest.raises(AssertionError, match="partition"):
         check_invariants(family)
@@ -312,7 +343,7 @@ def test_dual_lower_bound_formula_and_degenerate_cases():
     assert dual_lower_bound(family, 3) == 0  # single vertex, single component
     family.insert(1)
     family.insert(2)
-    for j in range(family.jmin, family.jmax + 1):
+    for j in distance_levels(inst, range(3)):
         k = family.num_components(j)
         want = 0 if k <= 1 else pow2(j - 1) * (k - 1)
         assert dual_lower_bound(family, j) == want
@@ -328,7 +359,7 @@ def test_dual_lower_bound_below_mst_on_engine_instances(seed):
     for v in range(inst.n):
         family.insert(v)
     opt = mst_cost(inst, range(inst.n))
-    for j in range(family.jmin - 2, family.jmax + 3):
+    for j in distance_levels(inst, range(inst.n), pad=2):
         assert dual_lower_bound(family, j) <= opt
 
 

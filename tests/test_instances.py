@@ -78,7 +78,7 @@ def test_gm_canonical_paths_partition_the_unit_edges(m):
     seen_edges = []
     seen_vertices = []
     for (j, k), path in gm.canonical_paths.items():
-        assert path[0] == gm.vertex_id(m, j, k)  # starts at the top layer
+        assert path[0] == gm_vertex_id(m, m, j, k)  # starts at the top layer
         assert path[-1] == 0
         assert len(path) == m + 2
         seen_vertices.extend(path[:-1])

@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from costshare import (
     parse_rational,
 )
 from costshare.metric import EUCLIDEAN_GRID
-from costshare.rationals import ceil_log2_ratio, floor_log2_ratio, harmonic, pow2
+from costshare.rationals import floor_log2_ratio, harmonic, pow2
 from conftest import big_denominator_metric, random_metric
 from oracles import (
     brute_mst,
@@ -93,7 +94,6 @@ def test_log2_known_values():
 def test_log2_of_an_unreduced_ratio(x, k):
     p, q = x.numerator * k, x.denominator * k
     assert floor_log2_ratio(p, q) == floor_log2_exact(x)
-    assert ceil_log2_ratio(p, q) == ceil_log2_exact(x)
 
 
 def test_floor_log2_rejects_nonpositive():
@@ -175,6 +175,21 @@ def test_metric_closure_rejects_bad_edges():
         metric_closure(2, [(0, 1, Fraction(0))])
     with pytest.raises(MetricError, match="disconnected"):
         metric_closure(3, [(0, 1, Fraction(1))])
+    with pytest.raises(MetricError, match="disconnected"):  # n - 1 edges, 3 isolated
+        metric_closure(4, [(0, 1, Fraction(1)), (1, 2, Fraction(1)), (0, 2, Fraction(1))])
+
+
+def test_metric_closure_refuses_too_few_edges_at_input_size():
+    # fewer than n - 1 edges cannot connect n vertices: refused before any
+    # per-vertex list exists (2 * 10^5 empty lists alone take about 11 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MetricError, match="disconnected"):
+            metric_closure(200_000, [(0, 1, Fraction(1))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 1024, peak
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -816,7 +816,7 @@ def _assert_searches_match_oracle(state):
 
 
 def _search(state, v):
-    return routing._Search(state, v, mover=v, own_path=state.paths.get(v))
+    return routing._Search(state, v)
 
 
 def test_kernel_matches_oracle_on_large_coprime_counts():
