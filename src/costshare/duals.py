@@ -19,6 +19,11 @@ built on its first query, by replaying that sequence, and is kept up to date
 from then on.  So a vertex's component at each level is fixed once it is
 inserted, and so is the charge of each (vertex, parent) edge: the family
 builds each charge once.
+
+A state's charge map changes only where its tree does, so the family keeps
+the map it built last and patches it for the next state, at the vertices
+whose parent edge or leaf flag changed (`compute_charges`).  A run builds
+one map in full; the full build is the patch's test oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import ClosureViolationError, EngineInvariantError, VerificationError
@@ -86,10 +92,11 @@ class DualFamily:
     extends it, so each stored level is the first-fit partition of the
     insertion history and its `of` entries are only ever appended: once u is
     inserted, `component_of(u, j)` never changes.  So `charge` memoizes one
-    ChargeRecord per (vertex, parent, leaf).
+    ChargeRecord per (vertex, parent, leaf), and `last_charges`, the map
+    `compute_charges` built last, stays valid for its view.
     """
 
-    __slots__ = ("instance", "inserted", "_seen", "levels", "_charges")
+    __slots__ = ("instance", "inserted", "_seen", "levels", "_charges", "last_charges")
 
     def __init__(self, instance: MetricInstance):
         self.instance = instance
@@ -97,6 +104,7 @@ class DualFamily:
         self._seen: set = set()
         self.levels: dict = {}  # level -> LevelPartition, built on first query
         self._charges: dict = {}  # (vertex, parent, leaf) -> ChargeRecord
+        self.last_charges: Optional[ChargeMap] = None
 
     def __contains__(self, v) -> bool:
         return v in self._seen
@@ -172,28 +180,80 @@ class ChargeRecord:
         return Fraction(self.costi, self.den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargeMap:
-    records: tuple
-    by_cut: dict  # cut key -> tuple of ChargeRecords, insertion-ordered
+    """The charges of one tree view, one per non-root vertex.
+
+    `load`: cut -> (chargers, non-leaf chargers); `crowded` and `heavy`
+    count the cuts with two or more of each.  Built on first read:
+    `records` in vertex-id order and `by_cut`, cut -> its records, the cuts
+    in the order of their first record.
+    """
+
+    view: object
+    family: DualFamily
+    load: dict
+    crowded: int
+    heavy: int
+
+    @cached_property
+    def records(self) -> tuple:
+        view, charge = self.view, self.family.charge
+        return tuple(charge(u, view.parent[u], u in view.leaves)
+                     for u in view.order[1:])  # [0] is the root
+
+    @cached_property
+    def by_cut(self) -> dict:
+        by_cut: dict = {}
+        for rec in self.records:
+            by_cut.setdefault(rec.cut, []).append(rec)
+        return {k: tuple(v) for k, v in by_cut.items()}
+
+
+def _count(load, tally, rec, step) -> None:
+    """Add (step 1) or take out (step -1) one charge, keeping tally =
+    [crowded, heavy] in step with `load`."""
+    old = load.get(rec.cut, (0, 0))
+    new = load[rec.cut] = (old[0] + step, old[1] + (not rec.leaf) * step)
+    for i in (0, 1):
+        tally[i] += (new[i] >= 2) - (old[i] >= 2)
+    if not new[0]:
+        del load[rec.cut]
+
+
+def _charge(family, view, vertices, base=None) -> ChargeMap:
+    """The charge map of `view`: that of `base`, a view that differs from
+    it only at `vertices` (their parent edges or leaf flags), with their
+    old charges out and their new ones in; with no base, the charges of
+    `vertices` alone."""
+    old = base.view if base else None
+    load, tally = (dict(base.load), [base.crowded, base.heavy]) if base else ({}, [0, 0])
+    for u in vertices:
+        if old is not None and u in old.parent:
+            _count(load, tally, family.charge(u, old.parent[u], u in old.leaves), -1)
+        if u in view.parent:
+            _count(load, tally, family.charge(u, view.parent[u], u in view.leaves), 1)
+    return ChargeMap(view, family, load, *tally)
 
 
 def compute_charges(state: RoutingState, family: DualFamily) -> ChargeMap:
-    """Charge every tree vertex's parent edge to its cut, indexed by cut.
+    """Charge every tree vertex's parent edge to its cut.
 
-    Reads only the tree's shape (parents and leaves), never its prefix
-    sums; each record is one lookup in the family's charge memo
-    (`DualFamily.charge`), which builds it on the edge's first charge.
+    Reads only the tree's shape, each charge one lookup in the family's
+    memo (`DualFamily.charge`).  A view derived from that of the family's
+    last map gets that map patched where they differ (`changed_since`),
+    any other view a full build.
     """
     if set(family.inserted) != set(state.revealed):
         raise EngineInvariantError("dual family out of sync with revealed vertices")
-    view = state.view
-    parent, leaves, charge = view.parent, view.leaves, family.charge
-    records = [charge(u, parent[u], u in leaves) for u in view.order[1:]]  # [0] is the root
-    by_cut: dict = {}
-    for rec in records:
-        by_cut.setdefault(rec.cut, []).append(rec)
-    return ChargeMap(tuple(records), {k: tuple(v) for k, v in by_cut.items()})
+    view, last = state.view, family.last_charges
+    if last is not None and last.view is view:
+        return last
+    changed = None if last is None else view.changed_since(last.view)
+    if changed is None:  # a full build, over every non-root vertex
+        last, changed = None, view.order[1:]
+    family.last_charges = charges = _charge(family, view, changed, last)
+    return charges
 
 
 BALANCED_EQUILIBRIUM, BALANCED, LEAF_UNBALANCED, NONLEAF_UNBALANCED = range(4)
@@ -239,23 +299,18 @@ def classify(state: RoutingState, family: DualFamily, *,
     upper bounds matter.
     """
     charges = compute_charges(state, family)
+    if not charges.heavy:
+        if charges.crowded:
+            return StateClass(LEAF_UNBALANCED, charges)
+        if not decide_equilibrium:
+            return StateClass(BALANCED, charges)
+        pair = find_improving_tree_move(state)
+        if pair is None:
+            return StateClass(BALANCED_EQUILIBRIUM, charges)
+        return StateClass(BALANCED, charges, improving=pair)
 
-    crowded = {}  # cut -> non-leaf charger vertices, when there are >= 2
-    for cut, recs in charges.by_cut.items():
-        nonleaf = [r.vertex for r in recs if not r.leaf]
-        if len(nonleaf) >= 2:
-            crowded[cut] = nonleaf
-
-    if not crowded:
-        if all(len(recs) <= 1 for recs in charges.by_cut.values()):
-            if not decide_equilibrium:
-                return StateClass(BALANCED, charges)
-            pair = find_improving_tree_move(state)
-            if pair is None:
-                return StateClass(BALANCED_EQUILIBRIUM, charges)
-            return StateClass(BALANCED, charges, improving=pair)
-        return StateClass(LEAF_UNBALANCED, charges)
-
+    crowded = {cut: [r.vertex for r in recs if not r.leaf]  # the heavy cuts
+               for cut, recs in charges.by_cut.items() if charges.load[cut][1] >= 2}
     if len(crowded) > 1:
         raise ClosureViolationError(
             "multiple cuts with two or more non-leaf chargers",

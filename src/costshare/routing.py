@@ -9,29 +9,21 @@ Cost sharing is Shapley: an edge of cost c used by N agents costs c/N to each.
 Best responses minimize (shared cost, number of fresh edges, vertex-id
 sequence) lexicographically, where a fresh edge is one no *other* agent uses.
 
-Everything that reads the routing tree (parents, children, the A/B share
-prefix sums) reads one object: the state's tree view, `state.view`,
-cached on the state.  Each event changes the tree by one path (an arrival
-adds one, a departure removes one, a move re-hangs one subtree), so a run
-builds one view in full and derives each later one by the event's delta
-(see `_Tree`).  The integer screen of improving moves is cached beside it,
-as `state.screen`, and so is the search table a sweep's searches share,
-`state.table`.  No function takes a view as an argument, so a view can
+Each event changes the user counts along one path (an arrival adds one, a
+departure removes one, a move re-hangs one subtree).  So `add_terminal`,
+`prune_departures` and `tree_follow_move` carry each per-state quantity
+over from their input by the event's delta: the tree view (`state.view`,
+see `_Tree`) and the solution cost and potential (`state.totals`).  A run
+builds each in full once, for its first state that reads it; the full
+builds, `_Tree(state)` and `_totals(state)`, are the derivations' test
+oracles.  Cached beside them and built on first use: the integer screen of
+improving moves (`state.screen`) and the table a sweep's searches share
+(`state.table`).  No function takes a view as an argument, so a view can
 never be paired with the wrong state.
-
-An arrival into an equilibrium needs no search: its best response grafts
-onto the tree by one edge, and `graft_path` finds that edge with one scan of
-the tree view.  The best-response search (`_Search`) serves every other
-routing question, and is the graft's test oracle.  Each search answers one
-vertex: an exact-integer Dijkstra from the root over the vertices some path
-uses, in id order, that stops once that vertex is settled.  The equilibrium
-sweep makes one search per active terminal and none per relay: a relay can
-improve only through a terminal routed through it (see
-`has_improving_move`).
 
 Everything is exact, and no float feeds any comparison.  The hot kernels,
 `_Search`, the tree view (`_Tree`), the screen (`_candidate_screen`) and
-`potential`, keep their exact values as plain ints over one common
+`state.totals`, keep their exact values as plain ints over one common
 denominator: the instance's cost denominator D times the lcm of the
 user-count divisors they meet.  They read costs from the instance's integer
 matrix `costi` (c * D), never from Fractions.  A Fraction is built only
@@ -42,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -88,29 +81,26 @@ class RoutingState:
 
     @cached_property
     def view(self) -> "_Tree":
-        """This state's tree view, shared by every reader of the tree.
-
-        A state made by `add_terminal`, `prune_departures` or
-        `tree_follow_move` from one whose view was read carries a view
-        derived from that one; any other state builds its view in full on
-        first use.  The state never changes, so neither does its view.
-        Raises EngineInvariantError (and caches nothing) if the paths are not
-        a tree.
-        """
+        """This state's tree view, carried from the state it came from or
+        built in full on first use.  Raises EngineInvariantError (and caches
+        nothing) if the paths are not a tree."""
         return _Tree(self)
 
     @cached_property
     def screen(self):
-        """`_candidate_screen(self)`, built on first use and then shared.
-
-        Classification and move selection read the same screen of a state.
-        """
+        """`_candidate_screen(self)`, built on first use and then shared."""
         return _candidate_screen(self)
 
     @cached_property
     def table(self) -> "_SearchTable":
         """`_SearchTable(self)`, built on first use and then shared."""
         return _SearchTable(self)
+
+    @cached_property
+    def totals(self) -> tuple:
+        """(C, P, L): the solution cost is C / D and the potential P / (D * L),
+        D the instance's cost denominator; carried like `view` (`_recounted`)."""
+        return _totals(self)
 
 
 @dataclass(frozen=True)
@@ -153,7 +143,7 @@ def with_revealed(state, new_vertices) -> RoutingState:
     if not added:
         return state
     new = replace(state, revealed=state.revealed + tuple(added))
-    for name in ("view", "screen", "table"):
+    for name in ("view", "screen", "table", "totals"):
         # all are built from paths, counts and usage, never from `revealed`
         if name in state.__dict__:
             new.__dict__[name] = state.__dict__[name]
@@ -171,7 +161,6 @@ def add_terminal(state, vertex, count, path) -> RoutingState:
         raise EngineInvariantError("arrival path routes through unrevealed vertices")
     counts = dict(state.counts)
     paths = dict(state.paths)
-    usage = dict(state.usage)
     if vertex in counts:
         if paths[vertex] != path:
             raise EngineInvariantError(
@@ -181,9 +170,8 @@ def add_terminal(state, vertex, count, path) -> RoutingState:
     else:
         counts[vertex] = count
         paths[vertex] = path
-    for e in path_edges(path):
-        usage[e] = usage.get(e, 0) + count
-    new = replace(state, counts=counts, paths=paths, usage=usage)
+    new = _recounted(state, dict.fromkeys(path_edges(path), count),
+                     counts=counts, paths=paths)
     view = state.__dict__.get("view")
     links = dict(zip(path, path[1:]))
     if view is not None and all(view.parent.get(x, p) == p for x, p in links.items()):
@@ -198,16 +186,14 @@ def prune_departures(state, departing) -> RoutingState:
         raise EngineInvariantError(f"departure of inactive vertices {sorted(missing)}")
     counts = {t: k for t, k in state.counts.items() if t not in departing}
     paths = {t: p for t, p in state.paths.items() if t not in departing}
-    # Recompute from scratch: the surviving paths are the authority.
-    usage: dict = {}
-    for t, p in paths.items():
-        k = counts[t]
-        for e in path_edges(p):
-            usage[e] = usage.get(e, 0) + k
+    deltas: dict = {}
+    for t in departing:
+        for e in path_edges(state.paths[t]):
+            deltas[e] = deltas.get(e, 0) - state.counts[t]
     last = state.last_mover
     if last is not None and not any(last in p for p in paths.values()):
         last = None
-    new = replace(state, counts=counts, paths=paths, usage=usage, last_mover=last)
+    new = _recounted(state, deltas, counts=counts, paths=paths, last_mover=last)
     view = state.__dict__.get("view")
     if view is not None:
         links = {x: p for t in departing for x, p in zip(state.paths[t], state.paths[t][1:])}
@@ -227,9 +213,7 @@ def shared_cost(state, terminal) -> Fraction:
 
 def solution_cost(state) -> Fraction:
     """Total cost of all edges in use (each edge once, however many users)."""
-    inst = state.instance
-    costi = inst.costi
-    return Fraction(sum(int(costi[a, b]) for a, b in state.usage), inst.denominator)
+    return Fraction(state.totals[0], state.instance.denominator)
 
 
 def potential(state) -> Fraction:
@@ -237,24 +221,62 @@ def potential(state) -> Fraction:
 
     Strictly decreases under every improving move — single agents or whole
     subtree blocks, which decompose into single-agent improving moves.
-
-    Summed as one int over D * lcm(1..N_top), with D the instance's cost
-    denominator and N_top the largest edge count, and divided once at the
-    end.  `harmonic` gives H(N) = P_N / L_N with L_N = lcm(1..N); edges are
-    grouped by count and added in increasing count, the running sum scaled
-    by L_N' // L_N on the way from count N to N'.
+    Read from `state.totals`, an int over D * lcm(1..N_top) with N_top the
+    largest edge count the run has met so far.
     """
-    inst = state.instance
-    costi = inst.costi
-    by_count: dict = {}
-    for (a, b), n in state.usage.items():
-        by_count[n] = by_count.get(n, 0) + int(costi[a, b])
+    _, num, lcm = state.totals
+    return Fraction(num, state.instance.denominator * lcm)
+
+
+def _harmonic_sum(by_count) -> tuple:
+    """(S, L): the sum over counts N of by_count[N] * H(N) is S / L, with
+    L = lcm(1..max N).  `harmonic` gives H(N) = P_N / L_N; the counts are
+    added in increasing order, the running sum scaled by L_N' // L_N on the
+    way from N to N'."""
     total, lcm = 0, 1
     for n in sorted(by_count):
         p, lcm_n = harmonic(n)
         total = total * (lcm_n // lcm) + by_count[n] * p
         lcm = lcm_n
-    return Fraction(total, inst.denominator * lcm)
+    return total, lcm
+
+
+def _totals(state) -> tuple:
+    """`state.totals` in full, from every used edge."""
+    costi = state.instance.costi
+    cost, by_count = 0, {}
+    for (a, b), n in state.usage.items():
+        c = int(costi[a, b])
+        cost += c
+        by_count[n] = by_count.get(n, 0) + c
+    return (cost, *_harmonic_sum(by_count))
+
+
+def _recounted(state, deltas, **fields) -> RoutingState:
+    """`state` with `fields` replaced and each edge e's user count moved by
+    deltas[e], carrying its totals, if built, by the same delta: an edge
+    whose count goes from N to N' adds c_e * (H(N') - H(N)) to the
+    potential, and c_e to the cost as it comes into use (-c_e as it falls
+    out).  The potential's denominator only grows within a run."""
+    usage, costi = dict(state.usage), state.instance.costi
+    cost, by_count = 0, {}  # the delta's
+    for e, k in deltas.items():
+        before, c = usage.get(e, 0), int(costi[e])
+        if before + k:
+            usage[e] = before + k
+        else:
+            del usage[e]
+        cost += c * ((before + k > 0) - (before > 0))
+        by_count[before] = by_count.get(before, 0) - c
+        by_count[before + k] = by_count.get(before + k, 0) + c
+    new = replace(state, usage=usage, **fields)
+    if "totals" in state.__dict__:
+        old_cost, num, lcm = state.totals
+        step, lcm_step = _harmonic_sum(by_count)
+        if lcm_step > lcm:
+            num, lcm = num * (lcm_step // lcm), lcm_step
+        new.__dict__["totals"] = (old_cost + cost, num + step * (lcm // lcm_step), lcm)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +286,9 @@ def potential(state) -> Fraction:
 class _Tree:
     """Tree view of a state whose paths form a rooted tree.
 
-    A run builds one view in full, `_Tree(state)`, for the first state whose
-    view it reads; `add_terminal`, `prune_departures` and `tree_follow_move`
-    derive each later state's view from its predecessor's by the event's
-    delta (`_derive`).  The full build is the derivation's test oracle.
+    Built in full, `_Tree(state)`, or derived from the previous state's
+    view (`_derive`), which it then references weakly, with the vertices
+    whose charge the step may change (`changed_since`).
 
     Built at once: the tree's shape, all that charging reads: parent,
     children (sorted lists), the sorted `order` and the `leaves`.  The full
@@ -294,7 +315,8 @@ class _Tree:
     """
 
     _SUMS = frozenset({"den", "A", "B"})
-    __slots__ = ("parent", "children", "order", "leaves", "_instance", "_users", *_SUMS)
+    __slots__ = ("parent", "children", "order", "leaves", "_instance", "_users",
+                 "_base", "_changed", "__weakref__", *_SUMS)
 
     def __init__(self, state: RoutingState):
         parent = {}
@@ -323,6 +345,7 @@ class _Tree:
         self.parent, self.children, self.order = parent, children, sorted(children)
         self.leaves = {v for v in children if not children[v] and v != ROOT}
         self._instance, self._users = state.instance, users
+        self._base = self._changed = None
         bad = self.leaves - set(state.counts)
         if bad:
             raise EngineInvariantError(f"tree leaves without terminals: {sorted(bad)}")
@@ -347,7 +370,7 @@ class _Tree:
             return children[x]
 
         gone = {x for x, p in links.items() if not usage.get(edge_key(x, p))}
-        touched, grown = set(), False
+        touched, moved, grown = set(), set(), False
         for x, p in links.items():
             if x in gone:
                 continue
@@ -364,6 +387,7 @@ class _Tree:
             parent[x] = p
             bisect.insort(kids(p), x)
             touched.update((x, p))
+            moved.add(x)
         for x in gone:  # its children, if it had any, are gone too
             p = parent.pop(x)
             del users[x], children[x]
@@ -379,7 +403,15 @@ class _Tree:
         view.parent, view.children, view.leaves = parent, children, leaves
         view.order = sorted(children) if gone or grown else self.order
         view._instance, view._users = self._instance, users
+        # a charge reads the parent edge and the leaf flag
+        view._base, view._changed = weakref.ref(self), moved | gone | (leaves ^ self.leaves)
         return view
+
+    def changed_since(self, base):
+        """The vertices whose parent edge or leaf flag differs from `base`'s,
+        those on one view only included, if this view was derived from
+        `base`; else None."""
+        return self._changed if self._base is not None and self._base() is base else None
 
     def __getattr__(self, name):
         # reached only for an unset slot: the sums, before their first read
@@ -829,21 +861,26 @@ def _candidate_screen(state):
     return mask
 
 
+_SCAN_BLOCK = 1 << 14  # screen entries per nonzero in find_improving_tree_move
+
+
 def find_improving_tree_move(state):
     """First (u, v) in id order whose tree-follow move improves, or None.
 
-    One 2-D nonzero lists the screen's survivors in row-major order, which
-    is (u, v) id order; row 0, the root, has no parent edge to swap.
+    Walks the screen's rows in id order, about `_SCAN_BLOCK` entries at a
+    time, and stops at the first improving pair: a block's nonzero lists its
+    survivors in row-major order, which is (u, v) id order.  Row 0, the
+    root, has no parent edge to swap.
     """
-    view = state.view
+    view, screen = state.view, state.screen
     order = view.order
-    rows, cols = np.nonzero(state.screen[1:])
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        u, v = order[i + 1], order[j]
-        if view.in_subtree(v, u):
-            continue
-        if is_improving_tree_move(state, u, v):
-            return u, v
+    step = max(1, _SCAN_BLOCK // len(order))
+    for start in range(1, len(order), step):
+        rows, cols = np.nonzero(screen[start:start + step])
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            u, v = order[start + i], order[j]
+            if not view.in_subtree(v, u) and is_improving_tree_move(state, u, v):
+                return u, v
     return None
 
 
@@ -897,17 +934,10 @@ def tree_follow_move(state, u, v) -> RoutingState:
         cut = p.index(u)
         paths[t] = p[: cut + 1] + new_tail
 
-    usage = dict(state.usage)
-    for e in path_edges(old_above):
-        left = usage[e] - block
-        if left:
-            usage[e] = left
-        else:
-            del usage[e]
+    deltas = dict.fromkeys(path_edges(old_above), -block)
     for e in [edge_key(u, v)] + path_edges(new_tail):
-        usage[e] = usage.get(e, 0) + block
-
-    new = replace(state, paths=paths, usage=usage, last_mover=u)
+        deltas[e] = deltas.get(e, 0) + block  # 0 above the lca
+    new = _recounted(state, deltas, paths=paths, last_mover=u)
     links = dict(zip(old_above, old_above[1:]))
     links.update(zip(new_tail, new_tail[1:]))
     links[u] = v

@@ -15,6 +15,8 @@ from costshare import (
     explicit_metric,
     initial_state,
     metric_closure,
+    prune_departures,
+    tree_follow_move,
     with_revealed,
 )
 
@@ -109,3 +111,27 @@ def family_for(state) -> DualFamily:
     for v in state.revealed:
         family.insert(v)
     return family
+
+
+def random_event(rng, state):
+    """(tag, next state) for one random arrival, departure or legal move."""
+    view, n = state.view, state.instance.n
+    kind = rng.choice(("arrive", "arrive", "depart", "move"))
+    if kind == "depart" and state.counts:
+        gone = rng.sample(sorted(state.counts), rng.randint(1, len(state.counts)))
+        return ("depart" if len(gone) == 1 else "departs"), prune_departures(state, gone)
+    moves = [(u, v) for u in view.parent for v in view.order
+             if v != u and not view.in_subtree(v, u)]
+    if kind == "move" and moves:
+        new = tree_follow_move(state, *rng.choice(moves))
+        return ("abandon" if len(new.view.order) < len(view.order) else "move"), new
+    v = rng.randrange(1, n)
+    if v in view:  # a count bump, or a relay that becomes a terminal
+        tag = "bump" if state.is_active(v) else "relay"
+        path = view.path_to_root(v)
+    else:  # a new leaf, sometimes below a chain of new relays
+        off = [x for x in range(1, n) if x not in view and x != v]
+        chain = (v, *rng.sample(off, min(len(off), rng.choice((0, 0, 1, 2)))))
+        tag = "chain" if len(chain) > 1 else "leaf"
+        path = chain + view.path_to_root(rng.choice(view.order))
+    return tag, add_terminal(state, v, rng.randint(1, 3), path)

@@ -307,11 +307,8 @@ def brute_improving_tree_move(cost, counts, paths, u, v):
 
 def recompute_potential(cost, usage):
     """Rosenthal potential: sum over edges of c_e * (1 + 1/2 + ... + 1/N_e)."""
-    total = Fraction(0)
-    for (a, b), n in usage.items():
-        c = cost[a][b]
-        total += sum((c / i for i in range(1, n + 1)), Fraction(0))
-    return total
+    return sum((cost[a][b] * _harmonic_fraction(n) for (a, b), n in usage.items()),
+               Fraction(0))
 
 
 def harmonic_fractions(kmax):
@@ -320,6 +317,17 @@ def harmonic_fractions(kmax):
     for k in range(1, kmax + 1):
         out.append(out[-1] + Fraction(1, k))
     return out
+
+
+_HARMONIC = [Fraction(0)]  # H_k as summed by harmonic_fractions, kept across calls
+
+
+def _harmonic_fraction(n):
+    """H_n as a plain Fraction sum, extended on demand and kept, so that
+    edge counts in the thousands cost one summation per run, not per edge."""
+    if n >= len(_HARMONIC):
+        _HARMONIC[:] = harmonic_fractions(n)
+    return _HARMONIC[n]
 
 
 def shared_cost_of(cost, usage, path):

@@ -1,0 +1,277 @@
+"""Per-state quantities carried from state to state by each event's delta.
+
+Every state's potential, solution cost and dual charge map is derived from
+its predecessor's.  The tests here check each state a run reads against a
+rebuild from the state's plain fields (the oracles), and count the full
+builds a run makes.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from costshare import (
+    ArrivalEvent,
+    ArrivalItem,
+    DepartureEvent,
+    DualFamily,
+    ROOT,
+    add_terminal,
+    build_random_euclidean,
+    explicit_metric,
+    initial_state,
+    logn_accounting,
+    potential,
+    run_eqp,
+    run_noneqp,
+    solution_cost,
+    verify_equilibrium,
+    with_revealed,
+)
+from costshare import duals, dynamics, routing
+from costshare.duals import classify, compute_charges
+from costshare.instances import build_gm, build_sigma, build_steiner_gap_fixture
+from conftest import family_for, random_event, random_metric
+from oracles import rebuild_charges, recompute_potential
+
+
+def _matrix(inst):
+    return [[inst.cost(i, j) for j in range(inst.n)] for i in range(inst.n)]
+
+
+class _Oracle:
+    """Checks states of one instance against rebuilds from their plain fields."""
+
+    def __init__(self, inst):
+        self.inst, self.matrix = inst, _matrix(inst)
+        self.checked = Counter()
+
+    def totals(self, state):
+        assert potential(state) == recompute_potential(self.matrix, state.usage)
+        assert solution_cost(state) == sum(
+            (self.matrix[a][b] for a, b in state.usage), Fraction(0))
+        self.checked["totals"] += 1
+
+    def charges(self, state, family, got):
+        def flat(recs):
+            return [(r.vertex, r.level, r.cut, r.cost, r.leaf) for r in recs]
+
+        records, by_cut = rebuild_charges(self.matrix, state.paths, family.component_of)
+        assert flat(got.records) == records
+        # the order of by_cut reaches ClosureViolationError.details
+        assert [(k, flat(v)) for k, v in got.by_cut.items()] == list(by_cut.items())
+        load = {k: (len(v), sum(not rec[4] for rec in v)) for k, v in by_cut.items()}
+        assert got.load == load
+        assert got.crowded == sum(n >= 2 for n, _ in load.values())
+        assert got.heavy == sum(nonleaf >= 2 for _, nonleaf in load.values())
+        self.checked["charges"] += 1
+
+
+def _shuffled_family(state, rng):
+    """A family over the state's revealed vertices, root first, the rest in
+    random order: its partitions, and so its cuts, differ from the run's."""
+    rest = [v for v in state.revealed if v != ROOT]
+    rng.shuffle(rest)
+    family = DualFamily(state.instance)
+    for v in (ROOT, *rest):
+        family.insert(v)
+    return family
+
+
+def test_carried_quantities_match_rebuilds_on_random_transitions():
+    # Random arrivals (new leaves, relay chains, multi-agent count bumps,
+    # relays turned terminals), departures of one or several terminals and
+    # tree-follow moves, some abandoning relays, on explicit metrics.  Some
+    # steps apply two events before the next read, as a sequential
+    # multi-item arrival does, so the next map is built in full.  Every
+    # state read is checked against the oracles, its charge map under two
+    # families whose cuts differ.
+    rng = random.Random(18300)
+    seen = Counter()
+    for _ in range(50):
+        inst = random_metric(rng, rng.randint(3, 12))
+        state = with_revealed(initial_state(inst), range(1, inst.n))
+        oracle = _Oracle(inst)
+        families = (family_for(state), _shuffled_family(state, rng))
+        state.view
+        for _ in range(14):
+            tag, state = random_event(rng, state)
+            seen[tag] += 1
+            if rng.random() < 0.3:
+                tag, state = random_event(rng, state)
+                seen["two"] += 1
+            oracle.totals(state)
+            for family in families:
+                oracle.charges(state, family, compute_charges(state, family))
+        assert oracle.checked["charges"] == 2 * oracle.checked["totals"]
+    assert min(seen[tag] for tag in (
+        "leaf", "chain", "bump", "relay", "depart", "departs", "move", "abandon",
+        "two")) >= 10, seen
+
+
+def _random_schedule(rng, n, length, oneshot):
+    """Arrivals of one to three items (counts 1 to 30) and departures of one
+    or several terminals.  One-shot arrivals avoid active vertices, whose
+    best response could leave their own path."""
+    active, events = set(), []
+    for _ in range(length):
+        if active and rng.random() < 0.3:
+            gone = rng.sample(sorted(active), rng.randint(1, len(active)))
+            active.difference_update(gone)
+            events.append(DepartureEvent(tuple(gone)))
+            continue
+        pool = [v for v in range(1, n) if not (oneshot and v in active)]
+        if pool:
+            items = rng.sample(pool, min(len(pool), rng.choice((1, 1, 2, 3))))
+            events.append(ArrivalEvent(tuple(
+                ArrivalItem(v, rng.choice((1, 2, 3, 10, 30))) for v in items)))
+            active.update(items)
+    return events
+
+
+def _audit_runs(monkeypatch):
+    """Route every potential, solution cost and charge map the runners read
+    through the oracles; returns the dict whose "oracle" entry, set per run,
+    does the checking."""
+    audit = {}
+    real_charges = duals.compute_charges
+    real_potential, real_cost = dynamics.potential, dynamics.solution_cost
+
+    def charges(state, family):
+        got = real_charges(state, family)
+        audit["oracle"].charges(state, family, got)
+        return got
+
+    def totals(real):
+        def read(state):
+            audit["oracle"].totals(state)
+            return real(state)
+        return read
+
+    monkeypatch.setattr(duals, "compute_charges", charges)
+    monkeypatch.setattr(dynamics, "potential", totals(real_potential))
+    monkeypatch.setattr(dynamics, "solution_cost", totals(real_cost))
+    return audit
+
+
+# Crowds at 2, then at 1, pull single agents off the paths of others: 3 rides
+# 2's crowd, 4 rides 3, and once 2 and 3 have left, a newcomer at relay 3
+# prefers 1's crowd to 4's path, so the one-shot state is no tree until it
+# departs again.
+_OFF_TREE = (
+    {(0, 1): 8, (0, 2): 10, (0, 3): 11, (0, 4): 12, (1, 2): 5, (1, 3): 3,
+     (1, 4): 5, (2, 3): 2, (2, 4): 4, (3, 4): 2},
+    [ArrivalEvent((ArrivalItem(2, 30),)), ArrivalEvent((ArrivalItem(3, 1),)),
+     ArrivalEvent((ArrivalItem(4, 1),)), DepartureEvent((2, 3)),
+     ArrivalEvent((ArrivalItem(1, 30),)), ArrivalEvent((ArrivalItem(3, 1),)),
+     DepartureEvent((3,)), ArrivalEvent((ArrivalItem(2, 2), ArrivalItem(3, 1)))],
+)
+
+
+def test_carried_quantities_match_rebuilds_in_random_runs(monkeypatch):
+    # Random schedules on explicit metrics under both policies: multi-item
+    # arrivals (sequential under eqp, snapshot under one-shot), multi-terminal
+    # departures and the moves eqp makes; and a one-shot run whose states
+    # leave the tree and return to it.  The runners' every read of the
+    # potential, the solution cost and the charge map is checked.
+    audit = _audit_runs(monkeypatch)
+    rng = random.Random(18400)
+    classes, checked = Counter(), Counter()
+    costs, events = _OFF_TREE
+    runs = [(explicit_metric(5, costs), events, True)]
+    for k in range(40):
+        inst = random_metric(rng, rng.randint(4, 12))
+        runs.append((inst, _random_schedule(rng, inst.n, 14, k % 2 == 1), k % 2 == 1))
+    for inst, events, oneshot in runs:
+        audit["oracle"] = _Oracle(inst)
+        if oneshot:
+            res = run_noneqp(inst, events, verify=False, batch_order="snapshot")
+        else:
+            res = run_eqp(inst, events)
+        classes.update(ep.post_class for ep in res.epochs)
+        classes["moves"] += sum(len(ep.moves) for ep in res.epochs)
+        checked.update(audit["oracle"].checked)
+    assert classes["non-tree"] >= 1 and classes["moves"] >= 5, classes
+    assert checked["charges"] >= 200 and checked["totals"] >= 400, checked
+
+
+@pytest.mark.parametrize("gen", ["gm", "steiner-gap", "euclid"])
+def test_carried_quantities_match_rebuilds_on_the_workloads(monkeypatch, gen):
+    # gm m=2..5 one-shot, steiner-gap n=50 (edge counts in the thousands)
+    # and the euclid n=120 panel under eqp: every state the runner reads.
+    audit = _audit_runs(monkeypatch)
+    checked = Counter()
+    if gen == "gm":
+        runs = []
+        for m in (2, 3, 4, 5):
+            gm = build_gm(m)
+            runs.append((gm.instance, lambda gm=gm: run_noneqp(
+                gm.instance, list(build_sigma(gm)), verify=False)))
+    elif gen == "steiner-gap":
+        fx = build_steiner_gap_fixture(50)
+        runs = [(fx.instance, lambda: run_eqp(fx.instance, fx.events, verify=False))]
+    else:
+        runs = []
+        for seed in range(8):
+            er = build_random_euclidean(120, seed)
+            runs.append((er.instance, lambda er=er: run_eqp(
+                er.instance, er.events, verify=False)))
+    for inst, run in runs:
+        audit["oracle"] = _Oracle(inst)
+        res = run()
+        assert audit["oracle"].checked["charges"] >= len(res.epochs)
+        checked.update(audit["oracle"].checked)
+    assert checked["totals"] >= checked["charges"] > 50 * len(runs)
+
+
+@pytest.mark.parametrize("policy", ["oneshot", "eqp"])
+def test_a_run_builds_each_carried_quantity_in_full_once(monkeypatch, policy):
+    # Under forwarding wrappers, as a call tracer installs them (`_Tree`
+    # included), a run builds its totals (the potential and the solution
+    # cost), its charge map and its tree view in full once, for its first
+    # state, and carries every later one, through the final sweep and the
+    # accounting.  A derivation that falls back, say because with_revealed
+    # dropped a cache, builds again and fails this.
+    builds = Counter()
+    for owner, name in ((routing, "_totals"), (routing, "_Tree")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name:
+                            builds.update([_name]) or _real(*args))
+    charge = duals._charge
+    monkeypatch.setattr(duals, "_charge", lambda family, view, vertices, base=None:
+                        builds.update(["_charge"] if base is None else [])
+                        or charge(family, view, vertices, base))
+    if policy == "oneshot":
+        gm = build_gm(3)
+        res = run_noneqp(gm.instance, list(build_sigma(gm)), verify=False)
+    else:
+        run = build_random_euclidean(30, 0, "churn")
+        res = run_eqp(run.instance, run.events, verify=False, accounting=False)
+        assert any(ep.moves for ep in res.epochs)
+        assert any(ep.kind == "depart" for ep in res.epochs)
+    once = {"_totals": 1, "_charge": 1, "_Tree": 1}
+    assert len(res.epochs) > 20 and builds == once
+    assert verify_equilibrium(res.state).ok
+    logn_accounting(res.state, res.family)
+    classify(res.state, res.family)
+    assert builds == once
+
+
+def test_a_view_not_derived_from_the_last_charged_one_is_charged_in_full(monkeypatch):
+    # The family patches its last map only for a view derived from that
+    # map's view in one step; two steps back it builds the map in full.
+    inst = random_metric(random.Random(18600), 6)
+    base = with_revealed(initial_state(inst), range(1, inst.n))
+    family = family_for(base)
+    compute_charges(base, family)
+    one = add_terminal(base, 1, 1, (1, ROOT))
+    two = add_terminal(one, 2, 1, (2, 1, ROOT))
+    assert two.view.changed_since(one.view) == {1, 2}  # 2 is new, 1 no leaf
+    assert two.view.changed_since(base.view) is None
+    bases = []
+    real = duals._charge
+    monkeypatch.setattr(duals, "_charge", lambda *args: bases.append(args[3]) or real(*args))
+    assert compute_charges(two, family) is family.last_charges and bases == [None]
+    assert compute_charges(two, family) is family.last_charges and bases == [None]

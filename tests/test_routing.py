@@ -47,6 +47,7 @@ from conftest import (
     big_denominator_metric,
     family_for,
     line_instance,
+    random_event,
     random_metric,
     random_tree_state,
 )
@@ -360,8 +361,8 @@ def test_find_improving_tree_move_is_first_in_id_order():
 
 
 def test_single_pass_scan_matches_row_scan_oracle():
-    # Random tree states, most of them not equilibria: the one 2-D nonzero
-    # over the screen must find the pair the row-by-row walk finds first.
+    # Random tree states, most of them not equilibria: the block walk over
+    # the screen must find the pair the row-by-row walk finds first.
     rng = random.Random(79)
     found = Counter()
     for _ in range(60):
@@ -372,6 +373,29 @@ def test_single_pass_scan_matches_row_scan_oracle():
             lambda u, v: is_improving_tree_move(state, u, v))
         assert find_improving_tree_move(state) == want
         found[want is None] += 1
+    assert found[False] > 0 and found[True] > 0
+
+
+def test_block_scan_stops_at_the_first_improving_pair(monkeypatch):
+    # Blocks of one row and of a few rows: the walk finds the row scan's
+    # pair and asks the exact test of the same pairs in the same order, so
+    # of none after the first improving one.
+    rng = random.Random(83)
+    real = routing.is_improving_tree_move
+    found = Counter()
+    for block in (1, 20, 50):
+        monkeypatch.setattr(routing, "_SCAN_BLOCK", block)
+        for _ in range(30):
+            state = random_tree_state(rng, random_metric(rng, rng.randint(3, 10)))
+            view, asked, tested = state.view, [], []
+            want = row_scan_first_improving(
+                view.order, state.screen, view.in_subtree,
+                lambda u, v: asked.append((u, v)) or real(state, u, v))
+            monkeypatch.setattr(routing, "is_improving_tree_move",
+                                lambda s, u, v: tested.append((u, v)) or real(s, u, v))
+            assert routing.find_improving_tree_move(state) == want and tested == asked
+            monkeypatch.setattr(routing, "is_improving_tree_move", real)
+            found[want is None] += 1
     assert found[False] > 0 and found[True] > 0
 
 
@@ -1075,30 +1099,6 @@ def _assert_view_is_a_full_build(state):
         assert getattr(got, field) == getattr(want, field), field
 
 
-def _random_event(rng, state):
-    """(tag, next state) for one random arrival, departure or legal move."""
-    view, n = state.view, state.instance.n
-    kind = rng.choice(("arrive", "arrive", "depart", "move"))
-    if kind == "depart" and state.counts:
-        gone = rng.sample(sorted(state.counts), rng.randint(1, len(state.counts)))
-        return ("depart" if len(gone) == 1 else "departs"), prune_departures(state, gone)
-    moves = [(u, v) for u in view.parent for v in view.order
-             if v != u and not view.in_subtree(v, u)]
-    if kind == "move" and moves:
-        new = tree_follow_move(state, *rng.choice(moves))
-        return ("abandon" if len(new.view.order) < len(view.order) else "move"), new
-    v = rng.randrange(1, n)
-    if v in view:  # a count bump, or a relay that becomes a terminal
-        tag = "bump" if state.is_active(v) else "relay"
-        path = view.path_to_root(v)
-    else:  # a new leaf, sometimes below a chain of new relays
-        off = [x for x in range(1, n) if x not in view and x != v]
-        chain = (v, *rng.sample(off, min(len(off), rng.choice((0, 0, 1, 2)))))
-        tag = "chain" if len(chain) > 1 else "leaf"
-        path = chain + view.path_to_root(rng.choice(view.order))
-    return tag, add_terminal(state, v, rng.randint(1, 3), path)
-
-
 def test_derived_views_equal_a_full_build():
     # Every transition from a state whose view was read derives the next
     # view from it: arrivals (new leaves, new relay chains, count bumps,
@@ -1113,7 +1113,7 @@ def test_derived_views_equal_a_full_build():
         state.view
         for _ in range(14):
             prev = state
-            tag, state = _random_event(rng, state)
+            tag, state = random_event(rng, state)
             _assert_view_is_a_full_build(state)
             _assert_view_is_a_full_build(prev)  # the derivation changed no shared part
             seen[tag] += 1
@@ -1143,7 +1143,7 @@ def test_subtree_and_lca_walks_match_definitions_on_the_paths():
         _assert_walks_match_the_paths(state)
         seen["full"] += 1
         for _ in range(6):
-            tag, state = _random_event(rng, state)
+            tag, state = random_event(rng, state)
             assert "view" in state.__dict__
             _assert_walks_match_the_paths(state)
             seen[tag] += 1
@@ -1174,7 +1174,7 @@ def test_a_derived_view_keeps_no_state_alive():
     while len(seen) < 3:
         state = random_tree_state(rng, random_metric(rng, 7))
         state.view
-        tag, new = _random_event(rng, state)
+        tag, new = random_event(rng, state)
         seen.add(transition.get(tag, add_terminal))
         old = weakref.ref(state)
         del state
