@@ -102,14 +102,14 @@ def _load_json(path):
 # snapshot (state + dual family) serialization
 
 
-def snapshot_to_jsonable(state, family) -> dict:
+def snapshot_to_jsonable(state) -> dict:
     return {
         "instance": instance_to_dict(state.instance),
         "revealed": list(state.revealed),
         "terminals": [[v, state.counts[v], list(state.paths[v])]
                       for v in sorted(state.counts)],
         "last_mover": state.last_mover,
-        "insertion_order": list(family.inserted),
+        "insertion_order": list(state.revealed),  # a run's family inserts these, in order
     }
 
 
@@ -260,11 +260,7 @@ def _build_euclidean(cfg):
 
 def _build_poa(cfg):
     fx = build_poa_fixture(cfg["n"])
-    family = DualFamily(fx.instance)
-    for v in fx.bad_state.revealed:
-        family.insert(v)
-    return (fx.instance, None,
-            {"snapshot.json": snapshot_to_jsonable(fx.bad_state, family)},
+    return (fx.instance, None, {"snapshot.json": snapshot_to_jsonable(fx.bad_state)},
             f"poa n={cfg['n']}: bad equilibrium of cost {fx.bad_cost} vs "
             f"optimum {fx.opt_cost}")
 
@@ -415,8 +411,7 @@ def _run_into(cfg, out: Path) -> dict:
     with open(out / "events.jsonl", "w") as fh:
         for row in _event_lines(result, cfg["mode"]):
             fh.write(_dumps(row) + "\n")
-    _write_json(out / "snapshot.json",
-                snapshot_to_jsonable(result.state, result.family))
+    _write_json(out / "snapshot.json", snapshot_to_jsonable(result.state))
     _write_json(out / "accounting.json", _accounting_jsonable(report))
     _write_csv(out / "accounting.csv",
                ("level", "charges", "charged_cost", "components", "dual_bound"),

@@ -50,12 +50,11 @@ class LevelPartition:
     apart, which caps the component diameter below 2^level.
     """
 
-    __slots__ = ("level", "centers", "members", "of")
+    __slots__ = ("level", "centers", "of")
 
     def __init__(self, level: int):
         self.level = level
         self.centers: list = []
-        self.members: list = []
         self.of: dict = {}
 
     def insert(self, v: int, instance: MetricInstance, least=None) -> int:
@@ -77,8 +76,6 @@ class LevelPartition:
             idx = int(near[0]) if len(near) else len(centers)
         if idx == len(centers):
             centers.append(v)
-            self.members.append([])
-        self.members[idx].append(v)
         self.of[v] = idx
         return idx
 
@@ -244,7 +241,9 @@ def compute_charges(state: RoutingState, family: DualFamily) -> ChargeMap:
     last map gets that map patched where they differ (`changed_since`),
     any other view a full build.
     """
-    if set(family.inserted) != set(state.revealed):
+    # as sets; both sides are free of duplicates
+    if not (len(family.inserted) == len(state.revealed)
+            and family._seen.issuperset(state.revealed)):
         raise EngineInvariantError("dual family out of sync with revealed vertices")
     view, last = state.view, family.last_charges
     if last is not None and last.view is view:

@@ -429,9 +429,7 @@ def _reveal_for_event(state, family, event):
 
 def _arrival_path(state, item, *, adopt_tree_paths, into_equilibrium=False):
     v = item.vertex
-    if adopt_tree_paths and state.is_active(v):
-        path = state.paths[v]
-    elif adopt_tree_paths and v in state.view:
+    if adopt_tree_paths and v in state.view:  # an active v's own path, too
         path = state.view.path_to_root(v)
     elif into_equilibrium:
         path = graft_path(state, v)

@@ -243,7 +243,6 @@ class SteinerGapFixture:
     instance: MetricInstance
     events: tuple
     n: int
-    chain: tuple              # (root, w_1, ..., w_{2n-1}, u)
     expected_cost: Fraction   # n: the primed chain survives the departures
     terminal_mst: Fraction    # 1: MST of the surviving terminals {root, u}
     revealed_mst: Fraction    # n: MST over everything ever revealed
@@ -275,7 +274,6 @@ def build_steiner_gap_fixture(n: int) -> SteinerGapFixture:
 
     return SteinerGapFixture(
         instance=inst, events=tuple(events), n=n,
-        chain=tuple(range(u + 1)),
         expected_cost=Fraction(n),
         terminal_mst=Fraction(1),
         revealed_mst=Fraction(n),
@@ -297,7 +295,6 @@ class EuclideanRun:
     events: tuple
     n: int
     seed: int
-    profile: str
 
 
 def _random_points(rng: random.Random, n: int):
@@ -342,7 +339,7 @@ def build_random_euclidean(n: int, seed: int, profile: str = "churn") -> Euclide
     if profile == "arrivals":
         for v in order:
             arrive(v)
-        return EuclideanRun(inst, tuple(events), n, seed, profile)
+        return EuclideanRun(inst, tuple(events), n, seed)
 
     active = set()
     inactive = order[:]  # never-arrived plus departed, in rotation order
@@ -364,4 +361,4 @@ def build_random_euclidean(n: int, seed: int, profile: str = "churn") -> Euclide
             events.append(DepartureEvent(tuple(leaving)))
             active -= set(leaving)
             inactive.extend(leaving)
-    return EuclideanRun(inst, tuple(events), n, seed, profile)
+    return EuclideanRun(inst, tuple(events), n, seed)

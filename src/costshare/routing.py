@@ -9,15 +9,18 @@ Cost sharing is Shapley: an edge of cost c used by N agents costs c/N to each.
 Best responses minimize (shared cost, number of fresh edges, vertex-id
 sequence) lexicographically, where a fresh edge is one no *other* agent uses.
 
-Each event changes the user counts along one path (an arrival adds one, a
-departure removes one, a move re-hangs one subtree).  So `add_terminal`,
-`prune_departures` and `tree_follow_move` carry each per-state quantity
-over from their input by the event's delta: the tree view (`state.view`,
-see `_Tree`) and the solution cost and potential (`state.totals`).  A run
-builds each in full once, for its first state that reads it; the full
-builds, `_Tree(state)` and `_totals(state)`, are the derivations' test
-oracles.  Cached beside them and built on first use: the integer screen of
-improving moves (`state.screen`) and the table a sweep's searches share
+Each event is a list of segments (path, k), k more users (k < 0: fewer)
+on every edge of a root path: an arrival's path, each departing
+terminal's path, or, for a move of u's subtree, u's old root path and its
+new one (the paper's exchange).  `add_terminal`, `prune_departures` and
+`tree_follow_move` name their segments, and one step, `_rerouted`, carries
+each per-state quantity over from the input state by them: the tree view
+(`state.view`, see `_Tree`) and the solution cost and potential
+(`state.totals`).  A run builds each in full once, for its first state
+that reads it; the full builds, `_Tree(state)` and `_totals(state)`, are
+the derivations' test oracles, and both refuse paths that are no tree.
+Cached beside them and built on first use: the integer screen of improving
+moves (`state.screen`) and the table a sweep's searches share
 (`state.table`).  No function takes a view as an argument, so a view can
 never be paired with the wrong state.
 
@@ -99,7 +102,7 @@ class RoutingState:
     @cached_property
     def totals(self) -> tuple:
         """(C, P, L): the solution cost is C / D and the potential P / (D * L),
-        D the instance's cost denominator; carried like `view` (`_recounted`)."""
+        D the instance's cost denominator; carried like `view` (`_rerouted`)."""
         return _totals(self)
 
 
@@ -170,13 +173,7 @@ def add_terminal(state, vertex, count, path) -> RoutingState:
     else:
         counts[vertex] = count
         paths[vertex] = path
-    new = _recounted(state, dict.fromkeys(path_edges(path), count),
-                     counts=counts, paths=paths)
-    view = state.__dict__.get("view")
-    links = dict(zip(path, path[1:]))
-    if view is not None and all(view.parent.get(x, p) == p for x, p in links.items()):
-        new.__dict__["view"] = view._derive(new, links)
-    return new
+    return _rerouted(state, [(path, count)], counts=counts, paths=paths)
 
 
 def prune_departures(state, departing) -> RoutingState:
@@ -186,19 +183,11 @@ def prune_departures(state, departing) -> RoutingState:
         raise EngineInvariantError(f"departure of inactive vertices {sorted(missing)}")
     counts = {t: k for t, k in state.counts.items() if t not in departing}
     paths = {t: p for t, p in state.paths.items() if t not in departing}
-    deltas: dict = {}
-    for t in departing:
-        for e in path_edges(state.paths[t]):
-            deltas[e] = deltas.get(e, 0) - state.counts[t]
     last = state.last_mover
     if last is not None and not any(last in p for p in paths.values()):
         last = None
-    new = _recounted(state, deltas, counts=counts, paths=paths, last_mover=last)
-    view = state.__dict__.get("view")
-    if view is not None:
-        links = {x: p for t in departing for x, p in zip(state.paths[t], state.paths[t][1:])}
-        new.__dict__["view"] = view._derive(new, links)
-    return new
+    return _rerouted(state, [(state.paths[t], -state.counts[t]) for t in departing],
+                     counts=counts, paths=paths, last_mover=last)
 
 
 def shared_cost(state, terminal) -> Fraction:
@@ -252,12 +241,19 @@ def _totals(state) -> tuple:
     return (cost, *_harmonic_sum(by_count))
 
 
-def _recounted(state, deltas, **fields) -> RoutingState:
-    """`state` with `fields` replaced and each edge e's user count moved by
-    deltas[e], carrying its totals, if built, by the same delta: an edge
-    whose count goes from N to N' adds c_e * (H(N') - H(N)) to the
-    potential, and c_e to the cost as it comes into use (-c_e as it falls
-    out).  The potential's denominator only grows within a run."""
+def _rerouted(state, segments, **fields) -> RoutingState:
+    """`state` after one event, `fields` replaced: each segment (path, k)
+    gives every edge of `path` k more users and links each of its vertices
+    to the next, a later segment's link winning.  The totals, if built, move
+    by the same delta: an edge going from N to N' users adds c_e * (H(N') -
+    H(N)) to the potential, and c_e to the cost as it comes into use (-c_e
+    as it falls out), over a denominator that only grows within a run.  The
+    view, if built, is derived at the links, unless they form no tree."""
+    deltas, links = {}, {}
+    for path, k in segments:
+        for e in path_edges(path):
+            deltas[e] = deltas.get(e, 0) + k
+        links.update(zip(path, path[1:]))
     usage, costi = dict(state.usage), state.instance.costi
     cost, by_count = 0, {}  # the delta's
     for e, k in deltas.items():
@@ -276,6 +272,9 @@ def _recounted(state, deltas, **fields) -> RoutingState:
         if lcm_step > lcm:
             num, lcm = num * (lcm_step // lcm), lcm_step
         new.__dict__["totals"] = (old_cost + cost, num + step * (lcm // lcm_step), lcm)
+    view = state.__dict__.get("view")
+    if view is not None and (view := view._derive(new, links)) is not None:
+        new.__dict__["view"] = view
     return new
 
 
@@ -287,8 +286,10 @@ class _Tree:
     """Tree view of a state whose paths form a rooted tree.
 
     Built in full, `_Tree(state)`, or derived from the previous state's
-    view (`_derive`), which it then references weakly, with the vertices
-    whose charge the step may change (`changed_since`).
+    view (`_derive`, called by `_rerouted` alone), which it then references
+    weakly, with the vertices whose charge the step may change
+    (`changed_since`).  Both refuse the same non-trees: the full build
+    raises, the derivation returns None.
 
     Built at once: the tree's shape, all that charging reads: parent,
     children (sorted lists), the sorted `order` and the `leaves`.  The full
@@ -309,8 +310,8 @@ class _Tree:
     path that ends at the root, and with consistent parents and none at
     the root, that path is its parent walk.  A derived view cannot hold a
     cycle: an arrival's new vertices form a chain that reaches the tree
-    once and then follows it (a path that leaves the tree again disagrees
-    with a parent, and its state gets no derived view); a departure only
+    once and then follows it (a path that leaves the tree again gives a
+    vertex a second parent, which `_derive` refuses); a departure only
     removes edges; and a move's target lies outside the mover's subtree.
     """
 
@@ -350,8 +351,10 @@ class _Tree:
         if bad:
             raise EngineInvariantError(f"tree leaves without terminals: {sorted(bad)}")
 
-    def _derive(self, state, links) -> "_Tree":
-        """The view of `state`, whose tree differs from this one at `links`.
+    def _derive(self, state, links) -> Optional["_Tree"]:
+        """The view of `state`, whose tree differs from this one at `links`,
+        or None if a linked vertex still uses its edge to another parent:
+        the paths then disagree on its parent, and `state` is no tree.
 
         `links` maps each vertex whose parent edge the event touched to its
         parent in `state`.  The edge's user count is read from `state.usage`;
@@ -381,6 +384,8 @@ class _Tree:
             if old is None:
                 kids(x)
                 grown = True
+            elif usage.get(edge_key(x, old)):  # two parents: not a tree
+                return None
             else:
                 kids(old).remove(x)
                 touched.add(old)
@@ -467,9 +472,6 @@ class _Tree:
         while seq[-1] != ROOT:
             seq.append(self.parent[seq[-1]])
         return tuple(seq)
-
-    def terminals_through(self, state, u):
-        return sorted(t for t in self.subtree(u) if t in state.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -921,25 +923,16 @@ def tree_follow_move(state, u, v) -> RoutingState:
     if fault:
         raise EngineInvariantError(fault)
 
-    movers = view.terminals_through(state, u)
-    block = sum(state.counts[t] for t in movers)
-    if block <= 0:
-        raise EngineInvariantError(f"subtree of {u} carries no agents")
     old_above = view.path_to_root(u)  # (u, parent, ..., 0)
     new_tail = view.path_to_root(v)  # (v, ..., 0)
-
-    paths = dict(state.paths)
-    for t in movers:
-        p = paths[t]
-        cut = p.index(u)
-        paths[t] = p[: cut + 1] + new_tail
-
-    deltas = dict.fromkeys(path_edges(old_above), -block)
-    for e in [edge_key(u, v)] + path_edges(new_tail):
-        deltas[e] = deltas.get(e, 0) + block  # 0 above the lca
-    new = _recounted(state, deltas, paths=paths, last_mover=u)
-    links = dict(zip(old_above, old_above[1:]))
-    links.update(zip(new_tail, new_tail[1:]))
-    links[u] = v
-    new.__dict__["view"] = view._derive(new, links)
-    return new
+    paths, block = dict(state.paths), 0
+    for t in view.subtree(u):
+        if t in state.counts:
+            block += state.counts[t]
+            paths[t] = paths[t][: paths[t].index(u) + 1] + new_tail
+    if block <= 0:
+        raise EngineInvariantError(f"subtree of {u} carries no agents")
+    # the exchange: the block leaves u's old root path for its new one;
+    # above the lca the two segments cancel
+    return _rerouted(state, [(old_above, -block), ((u,) + new_tail, block)],
+                     paths=paths, last_mover=u)

@@ -395,10 +395,19 @@ def distance_levels(instance, vertices, pad=0):
                   ceil_log2_exact(max(dists)) + 2 + pad)
 
 
+def level_members(lp):
+    """Each component's vertices in a stored level, in insertion order, as
+    its `of` map lists them (that map is filled in insertion order)."""
+    members = [[] for _ in lp.centers]
+    for v, idx in lp.of.items():
+        members[idx].append(v)
+    return members
+
+
 def component_members(family, v, j):
     """The vertices of v's level-j component in a dual family."""
     _, idx = family.component_of(v, j)  # raises for a vertex never inserted
-    return tuple(family.levels[j].members[idx])
+    return tuple(level_members(family.levels[j])[idx])
 
 
 def rebuild_charges(cost, paths, component_of):
@@ -471,8 +480,8 @@ def check_invariants(family):
     vertices, so the levels where first-fit is not forced are always among
     those checked, even in a family nobody has queried yet.
 
-    Level j partitions the inserted vertices into components, each listed
-    from its founding center; every member lies closer than 2^(j-1) to its
+    Level j partitions the inserted vertices into components (read from
+    its `of` map, `level_members`), each listed from its founding center; every member lies closer than 2^(j-1) to its
     center, every component's diameter is below 2^j, and any two centers
     are at least 2^(j-1) apart.  Compared exactly on the integer costs
     ``costi`` over their denominator D, pair by pair.
@@ -487,7 +496,7 @@ def check_invariants(family):
         family.num_components(j)
     for j, lp in sorted(family.levels.items()):
         seen = {}
-        for idx, mem in enumerate(lp.members):
+        for idx, mem in enumerate(level_members(lp)):
             assert mem and mem[0] == lp.centers[idx], (
                 f"level {j} component {idx} lost its founding center")
             for v in mem:

@@ -25,7 +25,7 @@ from costshare import (
     schedule_to_jsonable,
 )
 from costshare.cli import main, snapshot_to_jsonable
-from conftest import family_for, line_instance
+from conftest import line_instance
 
 INSTANCE = instance_to_dict(line_instance(0, 4, 9, 15, 20))
 SCHEDULE = schedule_to_jsonable([
@@ -35,7 +35,7 @@ SCHEDULE = schedule_to_jsonable([
     ArrivalEvent((ArrivalItem(1, 3),)),
 ])
 _POA = build_poa_fixture(3)
-SNAPSHOT = snapshot_to_jsonable(_POA.bad_state, family_for(_POA.bad_state))
+SNAPSHOT = snapshot_to_jsonable(_POA.bad_state)
 
 
 

@@ -42,6 +42,7 @@ from oracles import (
     component_members,
     distance_levels,
     greedy_partition,
+    level_members,
     rebuild_charges,
 )
 
@@ -106,7 +107,7 @@ def test_partitions_match_greedy_replay(seed):
                 matrix, family.inserted, pow2(j - 1)
             )
             assert lp.centers == centers
-            assert lp.members == members
+            assert level_members(lp) == members
             assert lp.of == of
 
 
@@ -144,7 +145,7 @@ def test_partition_shortcuts_match_a_plain_scan(kind):
             for j, lp in family.levels.items():
                 radius = pow2(j - 1)
                 centers, members, of = greedy_partition(matrix, family.inserted, radius)
-                assert (lp.centers, lp.members, lp.of) == (centers, members, of), (j, v)
+                assert (lp.centers, level_members(lp), lp.of) == (centers, members, of), (j, v)
                 if not earlier:
                     continue  # the root founds every level's first component
                 if min(matrix[v][w] for w in earlier) >= radius:
@@ -179,7 +180,7 @@ def test_partitions_join_exactly_below_the_radius(level, costs):
     matrix = _matrix(inst)
     for j, lp in family.levels.items():
         centers, members, of = greedy_partition(matrix, family.inserted, pow2(j - 1))
-        assert (lp.centers, lp.members, lp.of) == (centers, members, of)
+        assert (lp.centers, level_members(lp), lp.of) == (centers, members, of)
     assert level in family.levels
 
 
@@ -201,14 +202,14 @@ def test_family_builds_a_level_on_its_first_query():
         assert sorted(family.levels) == queried
         for j, lp in family.levels.items():
             centers, members, of = greedy_partition(matrix, family.inserted, pow2(j - 1))
-            assert (lp.centers, lp.members, lp.of) == (centers, members, of), (j, v)
+            assert (lp.centers, level_members(lp), lp.of) == (centers, members, of), (j, v)
     late = [j for j in distance_levels(inst, range(8), pad=2) if j not in queried]
     assert late
     for j in late:
         family.num_components(j)
         centers, members, of = greedy_partition(matrix, family.inserted, pow2(j - 1))
         lp = family.levels[j]
-        assert (lp.centers, lp.members, lp.of) == (centers, members, of), j
+        assert (lp.centers, level_members(lp), lp.of) == (centers, members, of), j
 
 
 def test_levels_far_from_every_distance_are_forced():
@@ -227,7 +228,7 @@ def test_levels_far_from_every_distance_are_forced():
     assert component_members(family, 1, below) == (1,)
     assert component_members(family, 1, above) == (0, 1, 2)
     for j in (below, above):
-        assert family.levels[j].members == greedy_partition(
+        assert level_members(family.levels[j]) == greedy_partition(
             _matrix(inst), [0, 1, 2], pow2(j - 1))[1]
 
 
@@ -251,7 +252,7 @@ def test_a_level_first_read_late_replays_history():
     check_invariants(family)
     for j in [*early, *late]:
         centers, members, of = greedy_partition(_matrix(inst), [0, 1, 2, 3], pow2(j - 1))
-        assert family.levels[j].members == members
+        assert level_members(family.levels[j]) == members
 
 
 def _assert_cuts_never_change(inst, order):
@@ -319,7 +320,7 @@ def test_check_invariants_catches_corruption():
     top = distance_levels(inst, range(4)).stop
     assert family.num_components(top) == 1  # everything in the root's component
     lp = family.levels[top]
-    lp.members[0].remove(lp.members[0][-1])
+    del lp.of[family.inserted[-1]]  # the last vertex leaves its component
     with pytest.raises(AssertionError, match="partition"):
         check_invariants(family)
 
@@ -419,7 +420,9 @@ def test_compute_charges_matches_rebuild_on_random_trees():
 
 
 def test_compute_charges_requires_family_sync():
-    inst = line_instance(0, 5, 9)
+    # The family must hold the revealed vertices, as a set: its order may
+    # differ (`_shuffled_family` in test_carried.py relies on that).
+    inst = line_instance(0, 5, 9, 14)
     state = with_revealed(initial_state(inst), [1, 2])
     state = add_terminal(state, 1, 1, (1, 0))
     family = DualFamily(inst)
@@ -427,6 +430,16 @@ def test_compute_charges_requires_family_sync():
     family.insert(1)  # vertex 2 missing
     with pytest.raises(EngineInvariantError, match="out of sync"):
         compute_charges(state, family)
+    family.insert(2)
+    compute_charges(state, family)  # in sync
+    family.insert(3)  # one vertex too many
+    with pytest.raises(EngineInvariantError, match="out of sync"):
+        compute_charges(state, family)
+    other = DualFamily(inst)
+    for v in (0, 1, 3):  # as many vertices, not the same ones
+        other.insert(v)
+    with pytest.raises(EngineInvariantError, match="out of sync"):
+        compute_charges(state, other)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
-"""No definition in `src/costshare` that no source code uses.
+"""No definition in `src/costshare` that no source code uses, and no data
+that nothing reads.
 
 Parses every module with `ast`.  A module-level function or class must be
 named by some other source code (outside its own definition) or listed in a
 module's `__all__`; a method that is not a dunder must be read as an
 attribute somewhere in the source.  Tests and the benchmark do not count as
-users: code that only they call belongs with them.
+users of code: code that only they call belongs with them.
+
+Every dataclass field and `__slots__` entry of a source class that is not a
+dunder must be read as an attribute somewhere in the source, the tests or
+the benchmark.  Here tests do count as readers, as a fixture's fields hold
+the expectations that tests check.  The rules go by name alone: a read of
+`x.n` counts for every field named `n`.
 """
 
 import ast
@@ -13,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "costshare"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "costshare"
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -54,12 +62,48 @@ def unused_methods(modules):
             and node.name not in attrs]
 
 
+def _fields(cls):
+    """A class's dataclass fields and `__slots__` entries, dunders left out."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    dataclass = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+    for node in cls.body:
+        if dataclass and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            for elt in getattr(node.value, "elts", ()):
+                if isinstance(elt, ast.Constant) and not elt.value.startswith("__"):
+                    yield elt.value
+
+
+def unused_fields(modules, readers):
+    """'module: Class.field' of each field of a class in `modules` that no
+    attribute read in `modules` or `readers` (more parsed modules) names."""
+    reads = {sub.attr for tree in [*modules.values(), *readers]
+             for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    return [f"{name}: {cls.name}.{field}"
+            for name, tree in modules.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for field in _fields(cls) if field not in reads]
+
+
+def _parse(paths):
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
 def test_every_src_definition_is_used():
-    modules = {path.name: ast.parse(path.read_text(), str(path))
-               for path in sorted(SRC.glob("*.py"))}
+    modules = _parse(sorted(SRC.glob("*.py")))
     assert len(modules) > 5
     assert unused_definitions(modules) == []
     assert unused_methods(modules) == []
+
+
+def test_every_src_field_is_read():
+    readers = [ast.parse(path.read_text(), str(path)) for folder in ("tests", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(readers) > 10
+    assert unused_fields(_parse(sorted(SRC.glob("*.py"))), readers) == []
 
 
 @pytest.mark.parametrize("source, definitions, methods", [
@@ -74,3 +118,20 @@ def test_the_rules_on_small_modules(source, definitions, methods):
     modules = {"m": ast.parse(source)}
     assert unused_definitions(modules) == definitions
     assert unused_methods(modules) == methods
+
+
+_POINT = "from dataclasses import dataclass\n\n@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n"
+
+
+@pytest.mark.parametrize("source, reader, fields", [
+    (_POINT + "\ndef norm(p):\n    return p.x\n", "", ["m: P.y"]),
+    (_POINT + "\ndef norm(p):\n    return p.x\n", "def test(p):\n    assert p.y\n", []),
+    (_POINT + "\ndef move(p):\n    p.x = p.y = 0\n", "", ["m: P.x", "m: P.y"]),
+    ("class C:\n    x: int\n", "", []),
+    ("class S:\n    __slots__ = ('a', 'b', '__weakref__')\n\n    def __init__(self):\n"
+     "        self.a = self.b = 0\n\n    def get(self):\n        return self.a\n",
+     "", ["m: S.b"]),
+], ids=["dataclass", "read-by-a-test", "written-only", "plain-class", "slots"])
+def test_the_field_rule_on_small_modules(source, reader, fields):
+    modules = {"m": ast.parse(source)}
+    assert unused_fields(modules, [ast.parse(reader)]) == fields

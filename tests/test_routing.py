@@ -1126,16 +1126,15 @@ def _assert_walks_match_the_paths(state):
     for u in view.order:
         below = subtree_from_paths(paths, u)
         assert view.subtree(u) == below, u
-        assert view.terminals_through(state, u) == sorted(below & set(state.counts)), u
         for x in view.order:
             assert view.in_subtree(x, u) == (x in below), (x, u)
             assert view.lca(u, x) == lca_from_paths(paths, u, x), (u, x)
 
 
 def test_subtree_and_lca_walks_match_definitions_on_the_paths():
-    # in_subtree, subtree, terminals_through and lca, against definitions
-    # read from the paths alone, on random tree states and on the views
-    # derived from them by arrivals, departures and moves.
+    # in_subtree, subtree and lca, against definitions read from the paths
+    # alone, on random tree states and on the views derived from them by
+    # arrivals, departures and moves.
     rng = random.Random(18100)
     seen = Counter()
     for _ in range(40):
@@ -1164,6 +1163,67 @@ def test_a_path_against_the_tree_gets_no_derived_view():
     assert "view" not in worse.__dict__
     healed = prune_departures(worse, [3])
     assert "view" not in healed.__dict__ and healed.view.parent == {2: 1, 1: 0}
+
+
+def _arrival_against_the_tree(rng, state):
+    """(tag, path) of an arrival at a random inactive vertex whose path may
+    run against the tree: a random simple path to the root, or a detour
+    that takes a tree edge backwards, or that leaves the tree at a and
+    re-enters it at b.  None if no inactive vertex is left."""
+    view, n = state.view, state.instance.n
+    idle = [x for x in range(1, n) if not state.is_active(x)]
+    if not idle:
+        return None
+    v = rng.choice(idle)
+    kind = rng.choice(("random", "reversed", "reenter"))
+    if kind == "reversed" and view.parent:  # x -> p on the tree, p -> x on the path
+        x = rng.choice(sorted(view.parent))
+        p = view.parent[x]
+        if p != ROOT and v not in (x, p):
+            return "reversed", (v, p, x, ROOT)
+    if kind == "reenter":  # a, an off-tree o, then b's root path
+        a, b = rng.sample(view.order, 2) if len(view.order) > 2 else (ROOT, ROOT)
+        off = [o for o in range(1, n) if o not in view and o != v]
+        tail = view.path_to_root(b)
+        if a != ROOT and off and a not in tail and v not in (a, *tail):
+            return "reenter", (v, a, rng.choice(off)) + tail
+    rest = [x for x in range(1, n) if x != v]
+    return "random", (v, *rng.sample(rest, rng.randint(0, min(3, len(rest)))), ROOT)
+
+
+def test_a_derived_view_exists_iff_the_full_build_succeeds():
+    # From tree states whose view was read: arrivals along paths that may
+    # run against the tree, mixed with tree arrivals, departures and moves.
+    # A state gets a derived view exactly when a full build of it succeeds,
+    # and then the two agree.
+    rng = random.Random(18300)
+    seen = Counter()
+    for _ in range(150):
+        state = random_tree_state(rng, random_metric(rng, rng.randint(3, 9)))
+        state.view
+        for _ in range(8):
+            against = rng.random() < 0.5 and _arrival_against_the_tree(rng, state)
+            if against:
+                tag, path = against
+                new = add_terminal(state, path[0], rng.randint(1, 3), path)
+            else:
+                tag, new = random_event(rng, state)
+            try:
+                routing._Tree(replace(new))
+                tree = True
+            except EngineInvariantError as exc:
+                assert "parent of" in str(exc), exc
+                tree = False
+            assert ("view" in new.__dict__) == tree, (tag, new.paths)
+            seen[tag, tree] += 1
+            if not tree:
+                break
+            _assert_view_is_a_full_build(new)
+            state = new
+    for tag in ("random", "reversed", "reenter"):
+        assert seen[tag, False] >= 5, seen
+    assert seen["random", True] >= 5, seen
+    assert min(seen[tag, True] for tag in ("leaf", "chain", "depart", "move")) >= 5, seen
 
 
 def test_a_derived_view_keeps_no_state_alive():
@@ -1209,7 +1269,7 @@ def _relays(state, least=2):
     view = state.view
     for w in view.order:
         if w != ROOT and not state.is_active(w):
-            through = view.terminals_through(state, w)
+            through = sorted(t for t in view.subtree(w) if state.is_active(t))
             if len(through) >= least:
                 yield w, through
 
