@@ -9,20 +9,17 @@ Cost sharing is Shapley: an edge of cost c used by N agents costs c/N to each.
 Best responses minimize (shared cost, number of fresh edges, vertex-id
 sequence) lexicographically, where a fresh edge is one no *other* agent uses.
 
-Each event is a list of segments (path, k), k more users (k < 0: fewer)
-on every edge of a root path: an arrival's path, each departing
-terminal's path, or, for a move of u's subtree, u's old root path and its
-new one (the paper's exchange).  `add_terminal`, `prune_departures` and
-`tree_follow_move` name their segments, and one step, `_rerouted`, carries
-each per-state quantity over from the input state by them: the tree view
-(`state.view`, see `_Tree`) and the solution cost and potential
-(`state.totals`).  A run builds each in full once, for its first state
-that reads it; the full builds, `_Tree(state)` and `_totals(state)`, are
-the derivations' test oracles, and both refuse paths that are no tree.
-Cached beside them and built on first use: the integer screen of improving
-moves (`state.screen`) and the table a sweep's searches share
-(`state.table`).  No function takes a view as an argument, so a view can
-never be paired with the wrong state.
+Each event is a list of segments (path, k): k more users (k < 0: fewer)
+on every edge of a root path, an arrival's, a departing terminal's, or a
+moving subtree's old and new one (the paper's exchange).  One step,
+`_rerouted`, carries the tree view (`state.view`) and the solution cost and
+potential (`state.totals`) over by them; a run builds each in full, by the
+test oracles `_Tree(state)` and `_totals(state)`, for the first state that
+reads it.  Built on first use and cached: the improving-move screen
+(`state.screen`) and the table a sweep's searches share (`state.table`).
+No function takes a view as an argument, so a view can never be paired
+with the wrong state.  The equilibrium sweep searches the tree's leaves
+alone unless one of them improves.
 
 Everything is exact, and no float feeds any comparison.  The hot kernels,
 `_Search`, the tree view (`_Tree`), the screen (`_candidate_screen`) and
@@ -730,15 +727,8 @@ def graft_path(state, vertex) -> Path:
 
 
 def has_improving_move(state, vertex) -> Optional[Witness]:
-    """Witness that active terminal `vertex` can improve, else None.
-
-    Compares its best response to its current share.  A relay (an interior
-    tree vertex that is not a terminal) needs no test of its own: a cheaper
-    segment above a relay for a terminal t routed through it, joined to
-    t's segment below, is one of t's own paths, priced with the same
-    divisors (N_e on t's edges, N_e + 1 on other used ones), so t's best
-    response is at least as cheap and t improves too.
-    """
+    """Witness that active terminal `vertex` can improve, else None: its
+    best response against its current share."""
     if not state.is_active(vertex):
         raise EngineInvariantError(f"improvement test of inactive vertex {vertex}")
     br = best_response(state, vertex)
@@ -747,28 +737,42 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
 
 
 def verify_equilibrium(state) -> EquilibriumVerdict:
-    """Full sweep: one best-response search per active terminal.
+    """Sweep: a best-response search per tree leaf, in id order, and if one
+    improves, per interior terminal below it (per terminal on a non-tree),
+    so the witness is the first improving terminal in id order.
 
-    No relay needs a search (see `has_improving_move`).  The searches share
-    the state's one search table, `state.table`, which the sweep builds
-    before its first search.  On a tree, the verdict is compared against the
-    improving tree-move scan; an improving path exists iff an improving
-    tree-follow move does, so disagreement is an engine bug and raises.
+    On a tree, terminal t improves if a tree vertex x above it does, relay
+    or terminal.  Price paths from x with x's divisors as a terminal's: N_e
+    on x's root path, N_e + 1 on other used edges, 1 on unused ones; off
+    t's segment S from t up to x they are t's.  Let Q be a path from x to
+    the root cheaper than x's root path.  If Q avoids S below x, S then Q
+    is one of t's paths, cheaper than S then x's root path, t's own.  Else
+    let z be Q's last vertex on S: t's segment up to z, then Q's suffix
+    from z, costs less than t's path, as Q's prefix up to z costs >= 0.  So
+    no relay needs a search, and, every leaf being a terminal (`_Tree`),
+    if no leaf improves, no terminal does.
+
+    The searches share `state.table`, built before the first.  On a tree
+    the verdict is compared against the improving tree-move scan; an
+    improving path exists iff an improving tree-follow move does, so
+    disagreement is an engine bug and raises.
     """
+    def first(terminals):
+        return next(filter(None, (has_improving_move(state, t) for t in terminals)), None)
+
     state.table
-    witness = None
-    for t in sorted(state.counts):
-        witness = has_improving_move(state, t)
-        if witness:
-            break
     try:
         view = state.view
     except EngineInvariantError:
         view = None
+    if view is None:
+        witness = first(sorted(state.counts))
+    elif witness := first(sorted(view.leaves)):  # the leaves before it do not improve
+        witness = first(t for t in sorted(state.counts)
+                        if t < witness.vertex and t not in view.leaves) or witness
     if witness is None and view is None and state.paths:
-        # No terminal can improve, yet the paths are not a tree: impossible
-        # (non-tree routings always leave some terminal an improving
-        # segment swap -- the downward-closure argument).
+        # impossible: a non-tree routing always leaves some terminal an
+        # improving segment swap (the downward-closure argument)
         raise EngineInvariantError("equilibrium verdict on a non-tree routing")
     if view is not None:
         pair = find_improving_tree_move(state)
@@ -818,11 +822,7 @@ def is_improving_tree_move(state, u, v) -> bool:
 
 
 def is_legal_improving(state, u, v) -> bool:
-    """Like is_improving_tree_move, but illegal pairs answer False quietly.
-
-    Used where a candidate pair comes from a heuristic and not from an
-    enumerated legal set.
-    """
+    """`is_improving_tree_move`, answering False for an illegal pair."""
     return _move_fault(state.view, u, v) is None and is_improving_tree_move(state, u, v)
 
 
@@ -915,8 +915,7 @@ def closest_improving_target(state, u, allowed=None):
 def tree_follow_move(state, u, v) -> RoutingState:
     """Atomic reroute: u swaps its parent edge for (u, v); its subtree follows.
 
-    Terminals outside u's subtree are untouched.  Usage counts are updated by
-    the subtree's total agent count along the abandoned and adopted segments.
+    Terminals outside u's subtree are untouched.
     """
     view = state.view
     fault = _move_fault(view, u, v)

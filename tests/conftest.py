@@ -9,6 +9,9 @@ from itertools import combinations
 import random
 
 from costshare import (
+    ArrivalEvent,
+    ArrivalItem,
+    DepartureEvent,
     DualFamily,
     add_terminal,
     euclidean_instance,
@@ -135,3 +138,23 @@ def random_event(rng, state):
         tag = "chain" if len(chain) > 1 else "leaf"
         path = chain + view.path_to_root(rng.choice(view.order))
     return tag, add_terminal(state, v, rng.randint(1, 3), path)
+
+
+def random_schedule(rng, n, length, oneshot):
+    """Arrivals of one to three items (counts 1 to 30) and departures of one
+    or several terminals.  One-shot arrivals avoid active vertices, whose
+    best response could leave their own path."""
+    active, events = set(), []
+    for _ in range(length):
+        if active and rng.random() < 0.3:
+            gone = rng.sample(sorted(active), rng.randint(1, len(active)))
+            active.difference_update(gone)
+            events.append(DepartureEvent(tuple(gone)))
+            continue
+        pool = [v for v in range(1, n) if not (oneshot and v in active)]
+        if pool:
+            items = rng.sample(pool, min(len(pool), rng.choice((1, 1, 2, 3))))
+            events.append(ArrivalEvent(tuple(
+                ArrivalItem(v, rng.choice((1, 2, 3, 10, 30))) for v in items)))
+            active.update(items)
+    return events

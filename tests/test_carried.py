@@ -33,7 +33,7 @@ from costshare import (
 from costshare import duals, dynamics, routing
 from costshare.duals import classify, compute_charges
 from costshare.instances import build_gm, build_sigma, build_steiner_gap_fixture
-from conftest import family_for, random_event, random_metric
+from conftest import family_for, random_event, random_metric, random_schedule
 from oracles import rebuild_charges, recompute_potential
 
 
@@ -111,26 +111,6 @@ def test_carried_quantities_match_rebuilds_on_random_transitions():
         "two")) >= 10, seen
 
 
-def _random_schedule(rng, n, length, oneshot):
-    """Arrivals of one to three items (counts 1 to 30) and departures of one
-    or several terminals.  One-shot arrivals avoid active vertices, whose
-    best response could leave their own path."""
-    active, events = set(), []
-    for _ in range(length):
-        if active and rng.random() < 0.3:
-            gone = rng.sample(sorted(active), rng.randint(1, len(active)))
-            active.difference_update(gone)
-            events.append(DepartureEvent(tuple(gone)))
-            continue
-        pool = [v for v in range(1, n) if not (oneshot and v in active)]
-        if pool:
-            items = rng.sample(pool, min(len(pool), rng.choice((1, 1, 2, 3))))
-            events.append(ArrivalEvent(tuple(
-                ArrivalItem(v, rng.choice((1, 2, 3, 10, 30))) for v in items)))
-            active.update(items)
-    return events
-
-
 def _audit_runs(monkeypatch):
     """Route every potential, solution cost and charge map the runners read
     through the oracles; returns the dict whose "oracle" entry, set per run,
@@ -183,7 +163,7 @@ def test_carried_quantities_match_rebuilds_in_random_runs(monkeypatch):
     runs = [(explicit_metric(5, costs), events, True)]
     for k in range(40):
         inst = random_metric(rng, rng.randint(4, 12))
-        runs.append((inst, _random_schedule(rng, inst.n, 14, k % 2 == 1), k % 2 == 1))
+        runs.append((inst, random_schedule(rng, inst.n, 14, k % 2 == 1), k % 2 == 1))
     for inst, events, oneshot in runs:
         audit["oracle"] = _Oracle(inst)
         if oneshot:

@@ -9,19 +9,25 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from costshare import (
+    add_terminal,
+    explicit_metric,
+    initial_state,
     schedule_from_jsonable,
     schedule_to_jsonable,
     solution_cost,
     verify_equilibrium,
+    with_revealed,
 )
-from costshare.cli import DATA_FILES, main, snapshot_from_jsonable
+from costshare.cli import DATA_FILES, main, snapshot_from_jsonable, snapshot_to_jsonable
 from costshare.dynamics import ArrivalEvent, ArrivalItem, run_eqp, run_noneqp
 from costshare.errors import ClosureViolationError
 from costshare.metric import instance_from_dict, instance_to_dict
+from costshare.routing import Witness, has_improving_move
 from conftest import line_instance
 from oracles import check_invariants
 
@@ -84,6 +90,25 @@ def test_verify_rejects_doctored_snapshot(tmp_path, capsys):
     doctored.write_text(json.dumps(snap))
     assert main(["verify", str(doctored)]) == 4
     assert "equilibrium: NO" in capsys.readouterr().out
+
+
+def test_verify_names_the_first_improving_terminal_not_the_first_leaf(tmp_path, capsys):
+    # Terminal 1 rides (1, 2, 0) at 1/2 + 1/2 and improves by (1, 0) at
+    # 9/10; leaf 3 below it improves too.  The sweep searches leaf 3 first,
+    # yet the witness is the smallest improving terminal, interior 1.
+    inst = explicit_metric(4, {
+        (0, 1): Fraction(9, 10), (0, 2): Fraction(1), (0, 3): Fraction(19, 10),
+        (1, 2): Fraction(1), (1, 3): Fraction(1), (2, 3): Fraction(2),
+    })
+    state = with_revealed(initial_state(inst), range(1, 4))
+    state = add_terminal(add_terminal(state, 1, 1, (1, 2, 0)), 3, 1, (3, 1, 2, 0))
+    assert state.view.leaves == {3} and has_improving_move(state, 3)
+    assert verify_equilibrium(state).witness == Witness(1, (1, 0), Fraction(1), Fraction(9, 10))
+    snap = tmp_path / "snapshot.json"
+    snap.write_text(json.dumps(snapshot_to_jsonable(state)))
+    assert main(["verify", str(snap)]) == 4
+    assert capsys.readouterr().out == (
+        "equilibrium: NO — terminal witness at vertex 1 (current 1, better 9/10)\n")
 
 
 # ---------------------------------------------------------------------------

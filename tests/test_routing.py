@@ -39,7 +39,7 @@ from costshare import (
     verify_equilibrium,
     with_revealed,
 )
-from costshare import classify, routing, select_tree_move
+from costshare import classify, dynamics, routing, select_tree_move
 from costshare.duals import BALANCED
 from costshare.instances import build_gm, build_sigma, build_steiner_gap_fixture
 from costshare.routing import graft_path, has_improving_move, is_legal_improving
@@ -49,6 +49,7 @@ from conftest import (
     line_instance,
     random_event,
     random_metric,
+    random_schedule,
     random_tree_state,
 )
 from oracles import (
@@ -682,6 +683,37 @@ def test_graft_settles_exact_ties_floats_cannot():
     assert graft_path(state, 3) == (3, 0) == best_response(state, 3).path
 
 
+def test_a_grafted_newcomer_has_no_improving_move(monkeypatch):
+    # `graft_path`'s argument, checked rather than assumed: in the state
+    # right after an eqp arrival grafts a newcomer onto an equilibrium, no
+    # move of the newcomer improves, whatever its agent count.
+    last, rows = [None], Counter()
+    graft, add = dynamics.graft_path, dynamics.add_terminal
+
+    def grafting(state, vertex):
+        last[0] = (state, vertex)
+        return graft(state, vertex)
+
+    def adding(state, vertex, count, path):
+        new = add(state, vertex, count, path)
+        if last[0] is not None and last[0][0] is state and last[0][1] == vertex:
+            assert not any(is_legal_improving(new, vertex, v) for v in new.view.order)
+            rows["states"] += 1
+            rows["entries"] += len(new.view.order) - 1
+        return new
+
+    monkeypatch.setattr(dynamics, "graft_path", grafting)
+    monkeypatch.setattr(dynamics, "add_terminal", adding)
+    rng = random.Random(19100)
+    for _ in range(30):
+        inst = random_metric(rng, rng.randint(4, 12))
+        run_eqp(inst, random_schedule(rng, inst.n, 14, False), accounting=False)
+    explicit = rows["states"]
+    run = build_random_euclidean(120, 0)
+    run_eqp(run.instance, run.events, verify=False, accounting=False)
+    assert explicit >= 150 and rows["states"] - explicit >= 100, rows
+
+
 def test_unsettled_states_produce_witnesses():
     rng = random.Random(13500)
     found = 0
@@ -1260,7 +1292,7 @@ def test_a_run_builds_one_tree_view_in_full(monkeypatch, policy):
 
 
 # ---------------------------------------------------------------------------
-# one sweep per state: a search per terminal and one shared search table
+# one sweep per state: a search per leaf and one shared search table
 
 
 def _relays(state, least=2):
@@ -1314,26 +1346,77 @@ def test_has_improving_move_refuses_vertices_that_are_not_terminals():
             has_improving_move(state, v)
 
 
-@pytest.mark.parametrize("gen", ["steiner-gap", "gm"])
-def test_sweep_makes_one_search_per_terminal(monkeypatch, gen):
+def _lemma_states(rng, count):
+    """Random tree states, with the settled version of every fourth and a
+    big-denominator state after every third."""
+    for k in range(count):
+        state = random_tree_state(rng, random_metric(rng, rng.randint(4, 9)), max_count=3)
+        yield state
+        if k % 4 == 0:
+            yield _settle(state)
+        if k % 3 == 0:
+            yield random_tree_state(rng, big_denominator_metric(rng, rng.randint(4, 6)))
+
+
+def test_an_interior_terminal_improves_only_if_every_terminal_below_it_does(monkeypatch):
+    # The exchange argument in `verify_equilibrium`'s docstring, which lets
+    # the sweep search the leaves alone; the verdict and the witness are
+    # still those of a sweep over every terminal in id order, and no
+    # terminal is searched twice.
+    searched = []
+    search = routing._Search
+    monkeypatch.setattr(routing, "_Search",
+                        lambda *args: searched.append(args[1]) or search(*args))
+    rng = random.Random(19000)
+    interior = oracled = 0
+    for state in _lemma_states(rng, 500):
+        view = state.view
+        improving = {t for t in state.counts if has_improving_move(state, t)}
+        for t in improving - view.leaves:
+            assert view.subtree(t) & state.counts.keys() <= improving
+            interior += 1
+        searched.clear()
+        verdict = verify_equilibrium(state)
+        assert len(searched) == len(set(searched))
+        assert verdict.witness == (has_improving_move(state, min(improving)) if improving else None)
+        if state.instance.n <= 7:  # the exhaustive oracle, where it is quick
+            matrix = _matrix(state.instance)
+            want = next(filter(None, (_oracle_witness(matrix, state, t)
+                                      for t in sorted(state.counts))), None)
+            assert verdict.ok == (want is None)
+            if want is not None:
+                w = verdict.witness
+                assert (w.vertex, w.path, w.current, w.candidate) == (want[1], *want[3:])
+            oracled += 1
+    assert interior >= 50 and oracled >= 500, (interior, oracled)
+
+
+@pytest.mark.parametrize("gen", ["steiner-gap", "gm", "euclid"])
+def test_sweep_makes_one_search_per_leaf(monkeypatch, gen):
     # The final states of the relay-chain (steiner-gap n=50, under eqp) and
     # layered one-shot (gm m=4) runs are full of relays, and none of them
-    # costs a search.
+    # costs a search; their leaves are all their terminals.  The euclid n=120
+    # churn run (seed 0) ends with 57 leaves among 107 terminals, and an
+    # equilibrium costs a search per leaf alone.
     if gen == "steiner-gap":
         fx = build_steiner_gap_fixture(50)
         state = run_eqp(fx.instance, fx.events, verify=False, accounting=False).state
-        want = 1
-    else:
+        want = (1, 1)
+    elif gen == "gm":
         gm = build_gm(4)
         state = run_noneqp(gm.instance, list(build_sigma(gm)), verify=False).state
-        want = 16
+        want = (16, 16)
+    else:
+        run = build_random_euclidean(120, 0)
+        state = run_eqp(run.instance, run.events, verify=False, accounting=False).state
+        want = (57, 107)
     searches = []
     search = routing._Search
     monkeypatch.setattr(routing, "_Search",
                         lambda *args, **kwargs: searches.append(args) or search(*args, **kwargs))
     assert verify_equilibrium(state).ok
-    assert len(searches) == len(state.counts) == want
-    assert sorted(target for _, target in searches) == sorted(state.counts)
+    assert (len(state.view.leaves), len(state.counts)) == want
+    assert [target for _, target in searches] == sorted(state.view.leaves)
     assert next(_relays(state, least=1), None) is not None
 
 
