@@ -18,8 +18,8 @@ test oracles `_Tree(state)` and `_totals(state)`, for the first state that
 reads it.  Built on first use and cached: the improving-move screen
 (`state.screen`) and the table a sweep's searches share (`state.table`).
 No function takes a view as an argument, so a view can never be paired
-with the wrong state.  The equilibrium sweep searches the tree's leaves
-alone unless one of them improves.
+with the wrong state.  The equilibrium sweep decides the tree's leaves
+alone unless one of them improves, each by an A* over one shared bound.
 
 Everything is exact, and no float feeds any comparison.  The hot kernels,
 `_Search`, the tree view (`_Tree`), the screen (`_candidate_screen`) and
@@ -289,11 +289,7 @@ class _Tree:
     raises, the derivation returns None.
 
     Built at once: the tree's shape, all that charging reads: parent,
-    children (sorted lists), the sorted `order` and the `leaves`.  The full
-    build raises EngineInvariantError if the paths do not form a tree
-    (conflicting parents, a root parent edge, a path that ends off the
-    root, as on a cycle), a tree edge has no recorded usage, or a leaf is
-    not a terminal.
+    children (sorted lists), the sorted `order` and the `leaves`.
 
     Built on first read: the prefix sums A(x) = sum of c_e/N_e and B(x) =
     sum of c_e/(N_e+1) along x -> root (`den`, `A`, `B`), which the
@@ -736,10 +732,73 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
     return Witness(vertex, br.path, cur, br.cost) if br.cost < cur else None
 
 
+class _Verdicts:
+    """One sweep's verdicts, "can terminal t strictly improve?": the first by
+    `has_improving_move`, each later one by `decide`, an A* over the bound
+    that the second builds (`verify_equilibrium`)."""
+
+    def __init__(self, state):
+        self.state, self.first = state, None
+
+    def improves(self, t) -> bool:
+        if self.first is None:
+            self.first = (t, has_improving_move(self.state, t))
+            return self.first[1] is not None
+        return self.decide(t)
+
+    def decide(self, t) -> bool:
+        own, cur = self._own(t)
+        return self._astar(self.state.table.pos[t], own, cur, self._bound)[0] < cur
+
+    @cached_property
+    def _prices(self):
+        """(c / (N + 1), c / N) per used edge over den = D * lcm{N_e, N_e + 1 :
+        e used}, den // D and the largest cost between nodes."""
+        tab = self.state.table
+        scale = math.lcm(*{k for n in tab.users for k in (n, n + 1)})
+        return ([c * (scale // (n + 1)) for c, n in zip(tab.costs, tab.users)],
+                [c * (scale // n) for c, n in zip(tab.costs, tab.users)], scale, int(tab.sub.max()))
+
+    def _own(self, t):
+        """(t's path edges, cur(t) over den)."""
+        own = {self.state.table.edge[e] for e in path_edges(self.state.paths[t])}
+        return own, sum(self._prices[1][k] for k in own)
+
+    @cached_property
+    def _bound(self):
+        """h, clamped at the largest current share."""
+        top = max(self._own(t)[1] for t in self.state.paths)
+        return self._astar(0, set(), top, np.zeros(len(self.state.table.nodes), dtype=object))
+
+    def _astar(self, source, own, stop, h):
+        """Keys of an exact A* from node `source` over `state.table`'s nodes,
+        clamped at `stop`: g + h for each node popped, g its least weight
+        from `source` with the edges in `own` at c / N, the other used ones
+        at c / (N + 1) and unused ones at c; `stop` for the rest.  Pops end
+        when the root (index 0, if not the source) pops or the least open
+        key reaches `stop`.  Keys stay below 4 * stop: int64 if that fits."""
+        tab, (lo, hi, scale, top) = self.state.table, self._prices
+        dtype = np.int64 if 4 * stop < 2**63 else object
+        cap = min(stop // scale + 1, top)  # a cost past cap weighs >= stop
+        h = np.minimum(h, stop).astype(dtype)
+        tent = np.full(len(h), stop, dtype=dtype)  # stop once popped
+        keys, is_open = tent.copy(), np.ones(len(h), dtype=bool)
+        tent[source] = h[source]
+        while (d := tent[i := int(tent.argmin())]) < stop:
+            keys[i], tent[i], is_open[i] = d, stop, False
+            if i == 0 != source:
+                break
+            row = np.minimum(tab.sub[i], cap).astype(dtype, copy=False) * min(scale, stop)
+            for j, k in tab.adj.get(i, ()):
+                row[j] = min(hi[k] if k in own else lo[k], stop)
+            np.minimum(tent, row + (d - h[i]) + h, out=tent, where=is_open)
+        return keys
+
+
 def verify_equilibrium(state) -> EquilibriumVerdict:
-    """Sweep: a best-response search per tree leaf, in id order, and if one
-    improves, per interior terminal below it (per terminal on a non-tree),
-    so the witness is the first improving terminal in id order.
+    """Sweep: a verdict per tree leaf, in id order, and if one improves, per
+    interior terminal below it (per terminal on a non-tree), so the witness,
+    a best-response search, is the first improving terminal in id order.
 
     On a tree, terminal t improves if a tree vertex x above it does, relay
     or terminal.  Price paths from x with x's divisors as a terminal's: N_e
@@ -752,24 +811,39 @@ def verify_equilibrium(state) -> EquilibriumVerdict:
     no relay needs a search, and, every leaf being a terminal (`_Tree`),
     if no leaf improves, no terminal does.
 
-    The searches share `state.table`, built before the first.  On a tree
-    the verdict is compared against the improving tree-move scan; an
-    improving path exists iff an improving tree-follow move does, so
+    The first verdict is `has_improving_move`; each later one is an A* from
+    t to the root over `state.table`'s nodes (`_Verdicts`), in ints over den =
+    D * lcm{N_e, N_e + 1 : e used}.  t's prices w_t are c_e / N_e on its
+    path, c_e / (N_e + 1) on other used edges, c_e on unused ones; the lower
+    prices w_lo are c_e / (N_e + 1) on every used edge, c_e on unused ones,
+    so w_lo <= w_t on every edge.  The bound h(x), built once per sweep, is
+    x's least w_lo-distance to the root over the same nodes, off which no
+    best path runs (`_Search`).  So h(x) <= w_lo(x, y) + h(y) <= w_t(x, y) +
+    h(y) and h(root) = 0: h is consistent, and keys g + h never fall along
+    the pops.  If the least open key reaches cur(t), every path from t costs
+    at least cur(t), so t has no strict improvement, exact ties included;
+    if the root pops first, its key is a cheaper path's cost.  Keys,
+    weights and h are clamped at cur(t), which changes no key below it and
+    keeps h consistent.
+
+    On a tree the verdict is compared against the improving tree-move scan;
+    an improving path exists iff an improving tree-follow move does, so
     disagreement is an engine bug and raises.
     """
-    def first(terminals):
-        return next(filter(None, (has_improving_move(state, t) for t in terminals)), None)
-
     state.table
     try:
         view = state.view
     except EngineInvariantError:
         view = None
+    verdicts = _Verdicts(state)
     if view is None:
-        witness = first(sorted(state.counts))
-    elif witness := first(sorted(view.leaves)):  # the leaves before it do not improve
-        witness = first(t for t in sorted(state.counts)
-                        if t < witness.vertex and t not in view.leaves) or witness
+        t = next(filter(verdicts.improves, sorted(state.counts)), None)
+    elif (t := next(filter(verdicts.improves, sorted(view.leaves)), None)) is not None:
+        # the leaves before t do not improve
+        t = next(filter(verdicts.improves, (u for u in sorted(state.counts)
+                                            if u < t and u not in view.leaves)), t)
+    first = verdicts.first
+    witness = None if t is None else first[1] if first[0] == t else has_improving_move(state, t)
     if witness is None and view is None and state.paths:
         # impossible: a non-tree routing always leaves some terminal an
         # improving segment swap (the downward-closure argument)

@@ -158,3 +158,17 @@ def random_schedule(rng, n, length, oneshot):
                 ArrivalItem(v, rng.choice((1, 2, 3, 10, 30))) for v in items)))
             active.update(items)
     return events
+
+
+# Crowds at 2, then at 1, pull single agents off the paths of others: 3 rides
+# 2's crowd, 4 rides 3, and once 2 and 3 have left, a newcomer at relay 3
+# prefers 1's crowd to 4's path, so the one-shot state is no tree until it
+# departs again.
+OFF_TREE = (
+    {(0, 1): 8, (0, 2): 10, (0, 3): 11, (0, 4): 12, (1, 2): 5, (1, 3): 3,
+     (1, 4): 5, (2, 3): 2, (2, 4): 4, (3, 4): 2},
+    [ArrivalEvent((ArrivalItem(2, 30),)), ArrivalEvent((ArrivalItem(3, 1),)),
+     ArrivalEvent((ArrivalItem(4, 1),)), DepartureEvent((2, 3)),
+     ArrivalEvent((ArrivalItem(1, 30),)), ArrivalEvent((ArrivalItem(3, 1),)),
+     DepartureEvent((3,)), ArrivalEvent((ArrivalItem(2, 2), ArrivalItem(3, 1)))],
+)

@@ -33,7 +33,7 @@ from costshare import (
 from costshare import duals, dynamics, routing
 from costshare.duals import classify, compute_charges
 from costshare.instances import build_gm, build_sigma, build_steiner_gap_fixture
-from conftest import family_for, random_event, random_metric, random_schedule
+from conftest import OFF_TREE, family_for, random_event, random_metric, random_schedule
 from oracles import rebuild_charges, recompute_potential
 
 
@@ -136,20 +136,6 @@ def _audit_runs(monkeypatch):
     return audit
 
 
-# Crowds at 2, then at 1, pull single agents off the paths of others: 3 rides
-# 2's crowd, 4 rides 3, and once 2 and 3 have left, a newcomer at relay 3
-# prefers 1's crowd to 4's path, so the one-shot state is no tree until it
-# departs again.
-_OFF_TREE = (
-    {(0, 1): 8, (0, 2): 10, (0, 3): 11, (0, 4): 12, (1, 2): 5, (1, 3): 3,
-     (1, 4): 5, (2, 3): 2, (2, 4): 4, (3, 4): 2},
-    [ArrivalEvent((ArrivalItem(2, 30),)), ArrivalEvent((ArrivalItem(3, 1),)),
-     ArrivalEvent((ArrivalItem(4, 1),)), DepartureEvent((2, 3)),
-     ArrivalEvent((ArrivalItem(1, 30),)), ArrivalEvent((ArrivalItem(3, 1),)),
-     DepartureEvent((3,)), ArrivalEvent((ArrivalItem(2, 2), ArrivalItem(3, 1)))],
-)
-
-
 def test_carried_quantities_match_rebuilds_in_random_runs(monkeypatch):
     # Random schedules on explicit metrics under both policies: multi-item
     # arrivals (sequential under eqp, snapshot under one-shot), multi-terminal
@@ -159,7 +145,7 @@ def test_carried_quantities_match_rebuilds_in_random_runs(monkeypatch):
     audit = _audit_runs(monkeypatch)
     rng = random.Random(18400)
     classes, checked = Counter(), Counter()
-    costs, events = _OFF_TREE
+    costs, events = OFF_TREE
     runs = [(explicit_metric(5, costs), events, True)]
     for k in range(40):
         inst = random_metric(rng, rng.randint(4, 12))

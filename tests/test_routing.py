@@ -44,6 +44,7 @@ from costshare.duals import BALANCED
 from costshare.instances import build_gm, build_sigma, build_steiner_gap_fixture
 from costshare.routing import graft_path, has_improving_move, is_legal_improving
 from conftest import (
+    OFF_TREE,
     big_denominator_metric,
     family_for,
     line_instance,
@@ -1358,15 +1359,40 @@ def _lemma_states(rng, count):
             yield random_tree_state(rng, big_denominator_metric(rng, rng.randint(4, 6)))
 
 
+def _record_verdicts(monkeypatch):
+    """(searched, decided, bounds): the target of every `_Search`, the
+    terminal of every sweep verdict, the first verdict's search included, in
+    order, and one entry per shared bound built."""
+    searched, decided, bounds = [], [], []
+    search, decide, astar = routing._Search, routing._Verdicts.decide, routing._Verdicts._astar
+
+    def searching(state, target):
+        if not decided:  # the sweep's first verdict
+            decided.append(target)
+        searched.append(target)
+        return search(state, target)
+
+    def deciding(verdicts, t):
+        decided.append(t)
+        return decide(verdicts, t)
+
+    def running(verdicts, source, *args):
+        if source == 0:  # from the root: the bound
+            bounds.append(verdicts.state)
+        return astar(verdicts, source, *args)
+
+    monkeypatch.setattr(routing, "_Search", searching)
+    monkeypatch.setattr(routing._Verdicts, "decide", deciding)
+    monkeypatch.setattr(routing._Verdicts, "_astar", running)
+    return searched, decided, bounds
+
+
 def test_an_interior_terminal_improves_only_if_every_terminal_below_it_does(monkeypatch):
     # The exchange argument in `verify_equilibrium`'s docstring, which lets
-    # the sweep search the leaves alone; the verdict and the witness are
+    # the sweep decide the leaves alone; the verdict and the witness are
     # still those of a sweep over every terminal in id order, and no
-    # terminal is searched twice.
-    searched = []
-    search = routing._Search
-    monkeypatch.setattr(routing, "_Search",
-                        lambda *args: searched.append(args[1]) or search(*args))
+    # terminal is decided twice.
+    _, decided, _ = _record_verdicts(monkeypatch)
     rng = random.Random(19000)
     interior = oracled = 0
     for state in _lemma_states(rng, 500):
@@ -1375,9 +1401,9 @@ def test_an_interior_terminal_improves_only_if_every_terminal_below_it_does(monk
         for t in improving - view.leaves:
             assert view.subtree(t) & state.counts.keys() <= improving
             interior += 1
-        searched.clear()
+        decided.clear()
         verdict = verify_equilibrium(state)
-        assert len(searched) == len(set(searched))
+        assert len(decided) == len(set(decided))
         assert verdict.witness == (has_improving_move(state, min(improving)) if improving else None)
         if state.instance.n <= 7:  # the exhaustive oracle, where it is quick
             matrix = _matrix(state.instance)
@@ -1392,32 +1418,112 @@ def test_an_interior_terminal_improves_only_if_every_terminal_below_it_does(monk
 
 
 @pytest.mark.parametrize("gen", ["steiner-gap", "gm", "euclid"])
-def test_sweep_makes_one_search_per_leaf(monkeypatch, gen):
+def test_sweep_makes_one_verdict_per_leaf(monkeypatch, gen):
     # The final states of the relay-chain (steiner-gap n=50, under eqp) and
     # layered one-shot (gm m=4) runs are full of relays, and none of them
-    # costs a search; their leaves are all their terminals.  The euclid n=120
-    # churn run (seed 0) ends with 57 leaves among 107 terminals, and an
-    # equilibrium costs a search per leaf alone.
+    # costs a verdict; their leaves are all their terminals.  The euclid n=120
+    # churn run (seed 0) ends with 57 leaves among 107 terminals.  An
+    # equilibrium costs a verdict per leaf: a search for the first, an A*
+    # over the shared bound for each later one, so a sweep of one verdict
+    # builds no bound.
     if gen == "steiner-gap":
         fx = build_steiner_gap_fixture(50)
         state = run_eqp(fx.instance, fx.events, verify=False, accounting=False).state
-        want = (1, 1)
+        want = (1, 1, 0)
     elif gen == "gm":
         gm = build_gm(4)
         state = run_noneqp(gm.instance, list(build_sigma(gm)), verify=False).state
-        want = (16, 16)
+        want = (16, 16, 1)
     else:
         run = build_random_euclidean(120, 0)
         state = run_eqp(run.instance, run.events, verify=False, accounting=False).state
-        want = (57, 107)
-    searches = []
-    search = routing._Search
-    monkeypatch.setattr(routing, "_Search",
-                        lambda *args, **kwargs: searches.append(args) or search(*args, **kwargs))
+        want = (57, 107, 1)
+    searched, decided, bounds = _record_verdicts(monkeypatch)
     assert verify_equilibrium(state).ok
-    assert (len(state.view.leaves), len(state.counts)) == want
-    assert [target for _, target in searches] == sorted(state.view.leaves)
+    assert (len(state.view.leaves), len(state.counts), len(bounds)) == want
+    assert decided == sorted(state.view.leaves) and searched == decided[:1]
     assert next(_relays(state, least=1), None) is not None
+
+
+def test_a_failing_sweep_makes_at_most_two_searches(monkeypatch):
+    # The first verdict and the witness: every later verdict, up to and past
+    # the first improving terminal, is an A*, and the witness is searched
+    # only if the first verdict was not its own.
+    searched, decided, _ = _record_verdicts(monkeypatch)
+    rng = random.Random(5)
+    counts = Counter()
+    for _ in range(300):
+        state = random_tree_state(rng, random_metric(rng, rng.randint(4, 9)))
+        searched.clear()
+        decided.clear()
+        verdict = verify_equilibrium(state)
+        assert searched[0] == decided[0] and len(decided) == len(set(decided))
+        if verdict.ok:
+            assert searched == decided[:1]
+        else:
+            assert searched in ([verdict.witness.vertex], [decided[0], verdict.witness.vertex])
+            assert verdict.witness.vertex in decided
+        counts[verdict.ok] += 1
+        counts[verdict.ok, "searches"] += len(searched)
+    assert (counts[False], counts[False, "searches"], counts[True, "searches"]) == (222, 283, 78)
+
+
+def _verdict_states(monkeypatch):
+    """Random tree, settled and big-denominator states; states whose random
+    simple paths form no tree; every state classified in the one-shot run
+    `OFF_TREE`, which leaves the tree, in 40 random runs on explicit metrics
+    under each policy, in the euclid n=120 churn run (seed 0), gm m=3
+    one-shot and steiner-gap n=20."""
+    rng = random.Random(20000)
+    states = list(_lemma_states(rng, 150))
+    for _ in range(60):
+        state = _revealed_state(random_metric(rng, rng.randint(4, 8)))
+        for t in rng.sample(range(1, state.instance.n), 3):
+            via = rng.sample([v for v in range(1, state.instance.n) if v != t], rng.randint(0, 2))
+            state = add_terminal(state, t, rng.randint(1, 3), (t, *via, ROOT))
+        states.append(state)
+    classify = dynamics.classify
+    monkeypatch.setattr(dynamics, "classify",
+                        lambda state, *args, **kwargs: states.append(state)
+                        or classify(state, *args, **kwargs))
+    costs, events = OFF_TREE
+    run_noneqp(explicit_metric(5, costs), events, verify=False, batch_order="snapshot")
+    for k in range(80):
+        inst = random_metric(rng, rng.randint(4, 12))
+        events = random_schedule(rng, inst.n, 14, k % 2 == 1)
+        if k % 2:
+            run_noneqp(inst, events, verify=False, batch_order="snapshot")
+        else:
+            run_eqp(inst, events, verify=False, accounting=False)
+    run = build_random_euclidean(120, 0)
+    run_eqp(run.instance, run.events, verify=False, accounting=False)
+    gm = build_gm(3)
+    run_noneqp(gm.instance, list(build_sigma(gm)), verify=False)
+    fx = build_steiner_gap_fixture(20)
+    run_eqp(fx.instance, fx.events, verify=False, accounting=False)
+    return states
+
+
+def test_every_astar_verdict_matches_a_best_response_search(monkeypatch):
+    # `verify_equilibrium`'s later verdicts, one A* each over the shared
+    # bound, say "improves" exactly when a best-response search does, exact
+    # ties (best == current) included.
+    tally = Counter()
+    for state in _verdict_states(monkeypatch):
+        verdicts = routing._Verdicts(state)
+        for t in sorted(state.counts):
+            witness = has_improving_move(state, t)
+            assert verdicts.decide(t) == (witness is not None), (state.paths, t)
+            if witness is not None:
+                tally["improves"] += 1
+            elif best_response(state, t).cost == shared_cost(state, t):
+                tally["tie"] += 1
+        try:
+            state.view
+        except EngineInvariantError:
+            tally["non-tree states"] += 1
+    assert tally["tie"] >= 1000 and tally["improves"] >= 200, tally
+    assert tally["non-tree states"] >= 20, tally
 
 
 def test_sweep_builds_one_search_table_per_state(monkeypatch):
