@@ -250,22 +250,23 @@ def explicit_metric(n, pair_costs) -> MetricInstance:
 
 
 def mst_cost(instance, vertex_subset) -> Fraction:
-    """Exact minimum spanning tree cost over a subset of vertices (Prim on ints)."""
+    """Exact minimum spanning tree cost over a subset of vertices: Prim on
+    the subset's integer block, in `costi`'s dtype; ties may go either way."""
     nodes = sorted(set(vertex_subset))
     if any(not 0 <= v < instance.n for v in nodes):
         raise ConfigError(f"subset {nodes} out of range for n={instance.n}")
     if len(nodes) <= 1:
         return Fraction(0)
-    rows = instance.costi[np.ix_(nodes, nodes)].tolist()
-    best = dict(enumerate(rows[0][1:], start=1))  # subset index -> cheapest link
-    total = 0
-    while best:
-        v = min(best, key=lambda x: (best[x], x))
-        total += best.pop(v)
-        row = rows[v]
-        for u in best:
-            if row[u] < best[u]:
-                best[u] = row[u]
+    block = instance.costi[np.ix_(nodes, nodes)]
+    left = np.arange(1, len(nodes))  # the open vertices: the first k
+    best = block[0, 1:].copy()  # each one's cheapest link to the tree
+    total, k = 0, len(left)
+    while k:
+        i = int(best[:k].argmin())
+        total += int(best[i])
+        v, k = left[i], k - 1
+        left[i], best[i] = left[k], best[k]  # the last open one takes i's place
+        np.minimum(best[:k], block[v, left[:k]], out=best[:k])
     return Fraction(total, instance.denominator)
 
 

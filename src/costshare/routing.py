@@ -12,14 +12,17 @@ sequence) lexicographically, where a fresh edge is one no *other* agent uses.
 Each event is a list of segments (path, k): k more users (k < 0: fewer)
 on every edge of a root path, an arrival's, a departing terminal's, or a
 moving subtree's old and new one (the paper's exchange).  One step,
-`_rerouted`, carries the tree view (`state.view`) and the solution cost and
-potential (`state.totals`) over by them; a run builds each in full, by the
-test oracles `_Tree(state)` and `_totals(state)`, for the first state that
-reads it.  Built on first use and cached: the improving-move screen
-(`state.screen`) and the table a sweep's searches share (`state.table`).
-No function takes a view as an argument, so a view can never be paired
-with the wrong state.  The equilibrium sweep decides the tree's leaves
-alone unless one of them improves, each by an A* over one shared bound.
+`_rerouted`, carries over by them the tree view (`state.view`) with its
+prefix sums, the table every search of a state reads (`state.table`), and
+the solution cost and potential (`state.totals`); a run builds each in
+full, by the test oracles `_Tree(state)`, `_SearchTable(state)` and
+`_totals(state)`, for the first state that reads it (the table again after
+an event that drops an edge).  Built on first use and cached: the
+improving-move screen (`state.screen`), which reuses the last screen's
+bounds where the sums stayed.  No function takes a view as an argument,
+so a view can never be paired with the wrong state.  The equilibrium
+sweep decides the tree's leaves alone unless one of them improves, each by
+an A* over one shared bound.
 
 Everything is exact, and no float feeds any comparison.  The hot kernels,
 `_Search`, the tree view (`_Tree`), the screen (`_candidate_screen`) and
@@ -93,7 +96,7 @@ class RoutingState:
 
     @cached_property
     def table(self) -> "_SearchTable":
-        """`_SearchTable(self)`, built on first use and then shared."""
+        """`_SearchTable(self)`, carried like `view` or built on first use."""
         return _SearchTable(self)
 
     @cached_property
@@ -245,7 +248,8 @@ def _rerouted(state, segments, **fields) -> RoutingState:
     by the same delta: an edge going from N to N' users adds c_e * (H(N') -
     H(N)) to the potential, and c_e to the cost as it comes into use (-c_e
     as it falls out), over a denominator that only grows within a run.  The
-    view, if built, is derived at the links, unless they form no tree."""
+    view, if built, is derived at the links, unless they form no tree; the
+    search table, if built, unless the event drops an edge."""
     deltas, links = {}, {}
     for path, k in segments:
         for e in path_edges(path):
@@ -272,6 +276,9 @@ def _rerouted(state, segments, **fields) -> RoutingState:
     view = state.__dict__.get("view")
     if view is not None and (view := view._derive(new, links)) is not None:
         new.__dict__["view"] = view
+    table, added = state.__dict__.get("table"), [e for e in deltas if e not in state.usage]
+    if table is not None and len(usage) == len(state.usage) + len(added):  # none dropped
+        new.__dict__["table"] = table._derive(usage, added, costi)
     return new
 
 
@@ -291,11 +298,18 @@ class _Tree:
     Built at once: the tree's shape, all that charging reads: parent,
     children (sorted lists), the sorted `order` and the `leaves`.
 
-    Built on first read: the prefix sums A(x) = sum of c_e/N_e and B(x) =
-    sum of c_e/(N_e+1) along x -> root (`den`, `A`, `B`), which the
-    improving-move questions and the graft read.  A and B are ints over the
-    view's own denominator `den` = D * lcm{N_e, N_e+1 : e a tree edge}, so
-    A(x) is A[x]/den.
+    The prefix sums A(x) = sum of c_e/N_e and B(x) = sum of c_e/(N_e+1)
+    along x -> root (`den`, `A`, `B`), which the improving-move questions
+    and the graft read, are ints over `den` = D * M, M a common multiple
+    of the `_divisors` {N_e, N_e+1}: A(x) is A[x]/den.  A full build makes
+    them on first read, M their lcm.  A view derived from one with sums
+    carries them (`_carry_sums`).  Let R be the vertices whose parent edge
+    changed its parent or its count: a vertex off R's subtrees keeps its
+    root path, each edge with its count, so its exact A and B, and only
+    R's subtrees are recomputed.  M grows to its lcm with the divisors of
+    R's edges that `_divisors` lacks, the kept ints scaled to match; so
+    every tree edge's divisors are in the set, an edge off R keeping the
+    count it had in the base, and M is a multiple of each.
 
     Subtree and lca questions walk the parent links (`in_subtree`, `lca`)
     or the children lists (`subtree`).  The walks end, as every vertex
@@ -310,7 +324,7 @@ class _Tree:
 
     _SUMS = frozenset({"den", "A", "B"})
     __slots__ = ("parent", "children", "order", "leaves", "_instance", "_users",
-                 "_base", "_changed", "__weakref__", *_SUMS)
+                 "_base", "_changed", "_divisors", "_ab", "_fresh", "__weakref__", *_SUMS)
 
     def __init__(self, state: RoutingState):
         parent = {}
@@ -339,7 +353,7 @@ class _Tree:
         self.parent, self.children, self.order = parent, children, sorted(children)
         self.leaves = {v for v in children if not children[v] and v != ROOT}
         self._instance, self._users = state.instance, users
-        self._base = self._changed = None
+        self._base = self._changed = self._divisors = self._ab = self._fresh = None
         bad = self.leaves - set(state.counts)
         if bad:
             raise EngineInvariantError(f"tree leaves without terminals: {sorted(bad)}")
@@ -366,13 +380,15 @@ class _Tree:
             return children[x]
 
         gone = {x for x, p in links.items() if not usage.get(edge_key(x, p))}
-        touched, moved, grown = set(), set(), False
+        touched, moved, recounted, grown = set(), set(), set(), False
         for x, p in links.items():
             if x in gone:
                 continue
             users[x] = usage[edge_key(x, p)]
             old = parent.get(x)
             if old == p:
+                if users[x] != self._users[x]:
+                    recounted.add(x)
                 continue
             if old is None:
                 kids(x)
@@ -403,7 +419,39 @@ class _Tree:
         view._instance, view._users = self._instance, users
         # a charge reads the parent edge and the leaf flag
         view._base, view._changed = weakref.ref(self), moved | gone | (leaves ^ self.leaves)
+        view._divisors = view._ab = view._fresh = None
+        if self._divisors is not None:
+            view._carry_sums(self, moved | recounted, gone)
         return view
+
+    def _carry_sums(self, base, changed, gone):
+        """Derive the sums from `base`'s, `changed` being R (see the class)."""
+        users, parent = self._users, self.parent
+        new = {k for x in changed for k in (users[x], users[x] + 1)} - base._divisors
+        scale = base.den // self._instance.denominator
+        grow = math.lcm(*(k // math.gcd(scale, k) for k in new))
+        self.den, self._divisors = base.den * grow, base._divisors | new
+        tops = []  # the vertices of R with no vertex of R above them
+        for x in changed:
+            y = parent[x]
+            while y != ROOT and y not in changed:
+                y = parent[y]
+            if y == ROOT:
+                tops.append(x)
+        A = {parent[x]: base.A[parent[x]] * grow for x in tops}
+        B = {parent[x]: base.B[parent[x]] * grow for x in tops}
+        self._fill(A, B, tops)
+        self.A, self.B = A, B
+        if len(A) < len(self.children):  # the vertices off R's subtrees keep theirs
+            for name, fresh in (("A", A), ("B", B)):
+                old = getattr(base, name)
+                kept = {x: v * grow for x, v in old.items() if x not in fresh} if grow > 1 else dict(old)
+                kept.update(fresh)
+                for x in gone:
+                    del kept[x]
+                setattr(self, name, kept)
+            if base._ab is not None:  # the screen's a and b, stale on `_fresh`
+                self._ab, self._fresh = base._ab, (base._fresh - gone) | A.keys()
 
     def changed_since(self, base):
         """The vertices whose parent edge or leaf flag differs from `base`'s,
@@ -419,19 +467,23 @@ class _Tree:
         return object.__getattribute__(self, name)
 
     def _build_sums(self):
-        inst, users, children = self._instance, self._users, self.children
-        costi = inst.costi
-        den = inst.denominator * math.lcm(*{k for n in users.values() for k in (n, n + 1)})
-        scale = den // inst.denominator
-        A, B, stack = {ROOT: 0}, {ROOT: 0}, [ROOT]
-        while stack:  # a parent is filled before its children
+        self._divisors = {k for n in self._users.values() for k in (n, n + 1)}
+        self.den = self._instance.denominator * math.lcm(*self._divisors)
+        self.A, self.B = {ROOT: 0}, {ROOT: 0}
+        self._fill(self.A, self.B, list(self.children[ROOT]))
+
+    def _fill(self, A, B, stack):
+        """Set A and B on the subtrees of the vertices in `stack`, top down,
+        each vertex from its parent's entry, final already."""
+        parent, users, children = self.parent, self._users, self.children
+        costi, scale = self._instance.costi, self.den // self._instance.denominator
+        while stack:
             x = stack.pop()
-            for ch in children[x]:
-                n, c = users[ch], int(costi[ch, x])
-                A[ch] = A[x] + c * (scale // n)
-                B[ch] = B[x] + c * (scale // (n + 1))
+            p, n = parent[x], users[x]
+            c = int(costi[x, p])
+            A[x] = A[p] + c * (scale // n)
+            B[x] = B[p] + c * (scale // (n + 1))
             stack += children[x]
-        self.den, self.A, self.B = den, A, B
 
     def __contains__(self, v):
         return v in self.children
@@ -473,14 +525,20 @@ class _Tree:
 
 class _SearchTable:
     """What the searches of a state share, cached as `state.table`:
-    `nodes` (the used edges' endpoints and the root, plus a target on no
-    path) with index map `pos`; per used edge k (`edge` maps it to k) its
-    nodes ia[k] and ib[k], users[k] and costs[k] = c * D; and the cost
-    block `sub` = costi[nodes][:, nodes]."""
+    `nodes` (the used edges' endpoints and the root) with index map `pos`;
+    per used edge k, in `usage` order (`edge` maps it to k), its nodes ia[k]
+    and ib[k], users[k] and costs[k] = c * D; and the cost block `sub` =
+    costi[nodes][:, nodes].
 
-    def __init__(self, state, target=ROOT):
+    Built in full, `_SearchTable(state)`, or derived from the previous
+    state's (`_derive`, called by `_rerouted` alone) when the event drops
+    no edge: its new edges then follow the old ones in `usage`, and its
+    new endpoints are inserted by `_grown`, as is a search's target off
+    the nodes (`_Search`).  A table never changes after it is made."""
+
+    def __init__(self, state):
         costi, usage = state.instance.costi, state.usage
-        self.nodes = nodes = sorted({ROOT, target, *(v for e in usage for v in e)})
+        self.nodes = nodes = sorted({ROOT, *(v for e in usage for v in e)})
         self.pos = pos = {v: i for i, v in enumerate(nodes)}
         self.ia = np.array([pos[a] for a, _ in usage], dtype=np.intp)
         self.ib = np.array([pos[b] for _, b in usage], dtype=np.intp)
@@ -489,6 +547,32 @@ class _SearchTable:
         ids = np.array(nodes)
         self.costs = costi[ids[self.ia], ids[self.ib]].tolist()
         self.sub = costi.take(ids, 0).take(ids, 1)
+
+    def _grown(self, extra, costi):
+        """A copy with the sorted vertices `extra`, none of them a node,
+        inserted into `nodes`: `pos`, `sub`, `ia` and `ib` follow."""
+        tab = type(self).__new__(type(self))
+        tab.__dict__ = {k: v for k, v in self.__dict__.items() if k != "adj"}
+        if extra:
+            at = [bisect.bisect_left(self.nodes, v) for v in extra]
+            tab.nodes = nodes = sorted(self.nodes + extra)
+            tab.pos = {v: i for i, v in enumerate(nodes)}
+            tab.ia, tab.ib = (x + np.searchsorted(at, x, side="right") for x in (self.ia, self.ib))
+            ids = np.array(nodes)
+            tab.sub = costi.take(ids, 0).take(ids, 1)
+        return tab
+
+    def _derive(self, usage, added, costi):
+        """The table of the state whose `usage` keeps every edge of this
+        one's, with new counts, and appends the edges `added`."""
+        tab = self._grown(sorted({v for e in added for v in e} - self.pos.keys()), costi)
+        if added:
+            ends = np.array([(tab.pos[a], tab.pos[b]) for a, b in added], dtype=np.intp)
+            tab.ia, tab.ib = np.concatenate((tab.ia, ends[:, 0])), np.concatenate((tab.ib, ends[:, 1]))
+            tab.edge = {**self.edge, **{e: k for k, e in enumerate(added, len(self.users))}}
+            tab.costs = self.costs + [int(costi[e]) for e in added]
+        tab.users = list(usage.values())
+        return tab
 
     @cached_property
     def adj(self):
@@ -510,10 +594,9 @@ class _Search:
     instance meets the triangle inequality exactly (closures by
     construction, Euclidean instances by ceiling rounding, explicit ones by
     `_check_triangle`), so the direct edge between x's neighbours gives a
-    strictly smaller (cost, fresh) key.  What depends on the state alone comes from
-    `state.table` if the state has it cached and the target is on a path;
-    otherwise the search builds a table for itself alone and caches none,
-    as a state searched once (a one-shot arrival) would never reuse it.  A
+    strictly smaller (cost, fresh) key.  What depends on the state alone
+    comes from `state.table`, which the search caches; a target on no path
+    is read from a copy of it grown by that node, which is not cached.  A
     search adds its target's divisors, `den`, clamp and weights.
 
     Shares are ints over `den` = D * lcm{d_e}, d_e being edge e's share
@@ -530,18 +613,17 @@ class _Search:
     target -> root.  Settled keys are at most the target's, below `top`; a
     path through a clamped edge weighs at least `top`, clamped or exact.  So
     the clamp changes no settled key and no continuation `path_from` takes,
-    and relaxed keys stay below 2 * top, an unsettled vertex's key.  When
-    4 * top < 2**63 keys and weights are int64 (`_dense`); otherwise keys
-    are Python ints, split so that work along a row stays on int64 (`_wide`).
+    and relaxed keys stay below 2 * top, an unsettled vertex's key.  Keys
+    and weights are int64 when 4 * top < 2**63 and Python ints otherwise.
     """
 
     __slots__ = ("nodes", "pos", "dist", "den", "_hits")
 
     def __init__(self, state, target):
         inst = state.instance
-        tab = state.__dict__.get("table")
-        if tab is None or target not in tab.pos:
-            tab = _SearchTable(state, target)
+        tab = state.table
+        if target not in tab.pos:
+            tab = tab._grown([target], inst.costi)
         self.nodes, self.pos = nodes, pos = tab.nodes, tab.pos
         K = len(nodes) + 1
 
@@ -552,7 +634,7 @@ class _Search:
             k = tab.edge[e]
             divisor[k] = n = tab.users[k]
             fresh[k] = int(n == own_count)
-        self.den = inst.denominator * math.lcm(*set(divisor))
+        self.den = inst.denominator * math.lcm(*(divisors := set(divisor)))
         scale = self.den // inst.denominator
         unit = scale * K  # an unused edge of cost c weighs c * unit + 1
         t = pos[target]
@@ -560,24 +642,25 @@ class _Search:
         d, f = (1, 1) if k is None else (divisor[k], fresh[k])
         top = int(inst.costi[target, ROOT]) * (scale // d) * K + f + 1
         cap = (top - 1) // unit  # an unused edge costlier than cap weighs more than top
-        weights = [min(c * (scale // d) * K + f, top)
+        per = {d: scale // d * K for d in divisors}
+        weights = [w if (w := c * per[d] + f) < top else top
                    for c, d, f in zip(tab.costs, divisor, fresh)]
         self.dist = {}
-        if 4 * top < 2**63:
-            # min(unit, top) is unit unless cap == 0; either way a cost above
-            # cap, clipped to cap + 1, weighs more than top, and is clamped
-            block = np.minimum(tab.sub, cap + 1).astype(np.int64, copy=False) * min(unit, top) + 1
-            np.minimum(block, top, out=block)
-            block[tab.ia, tab.ib] = block[tab.ib, tab.ia] = weights
-            self._dense(t, K, 2 * top, block)
-            return
-        self._wide(t, K, 2 * top, unit, tab, weights)
+        dtype = np.int64 if 4 * top < 2**63 else object
+        # min(unit, top) is unit unless cap == 0; either way a cost above
+        # cap, clipped to cap + 1, weighs more than top, and is clamped
+        sub = tab.sub if dtype is np.int64 else tab.sub.astype(object)
+        block = np.minimum(sub, cap + 1).astype(dtype, copy=False) * min(unit, top) + 1
+        np.minimum(block, top, out=block)
+        block[tab.ia, tab.ib] = block[tab.ib, tab.ia] = weights
+        self._dense(t, K, 2 * top, block)
 
     def _dense(self, t, K, far, block):
-        """Settle on int64 keys: one argmin and one masked minimum per pop."""
+        """Settle on keys of `block`'s dtype: one argmin and one masked
+        minimum per pop."""
         nodes = self.nodes
-        tent = np.full(len(nodes), far, dtype=np.int64)  # far once settled
-        key = np.full(len(nodes), far, dtype=np.int64)  # far until settled
+        tent = np.full(len(nodes), far, dtype=block.dtype)  # far once settled
+        key = np.full(len(nodes), far, dtype=block.dtype)  # far until settled
         is_open = np.ones(len(nodes), dtype=bool)
         tent[0] = 0  # the root has the smallest id
         while True:
@@ -590,62 +673,6 @@ class _Search:
             is_open[i] = False
             np.minimum(tent, block[i] + d, out=tent, where=is_open)
         self._hits = lambda cur: (key + block[cur] == key[cur]).nonzero()[0].tolist()
-
-    def _wide(self, t, K, far, unit, tab, weights):
-        """Settle on Python-int keys, split as q * unit + r with 0 <= r < unit.
-
-        q is int64 if the row costs clipped at `skip` (above every open q)
-        fit, r is an object array.  An unused edge of cost c takes key d to
-        q = (d + 1) // unit + c and r = (d + 1) % unit, one r for the whole
-        row: q relaxes row-wide, ties in q compare r, and r is written with
-        one fill.  Exact keys are formed only for the settled vertex and
-        along the used edges (`tab.adj`), relaxed at their exact `weights`;
-        the row prices them as unused, at or above that weight, and `hits`
-        cannot match a dearer price, as the exact one would then beat an
-        optimal key.
-        """
-        nodes = self.nodes
-        skip = far // unit + 1
-        fits = tab.sub.dtype == np.int64 and 2 * skip < 2**63
-        rows, adj = (np.minimum(tab.sub, skip) if fits else tab.sub), tab.adj
-        cost = rows.__getitem__ if fits else (lambda i: rows[i].astype(object))
-        q = np.full(len(nodes), far // unit, dtype=np.int64 if fits else object)
-        r = np.full(len(nodes), far % unit, dtype=object)
-        key = np.full(len(nodes), far, dtype=object)  # far until settled
-        kq = np.full_like(q, skip)  # key // unit, skip until settled
-        is_open = np.ones(len(nodes), dtype=bool)
-        q[0] = r[0] = 0
-        while True:
-            ties = (q == q[q.argmin()]).nonzero()[0].tolist()
-            i = ties[0] if len(ties) == 1 else min(ties, key=r.__getitem__)
-            d = key[i] = int(q[i]) * unit + r[i]
-            kq[i] = q[i]
-            self.dist[nodes[i]] = divmod(d, K)
-            if i == t:
-                break
-            q[i] = skip
-            is_open[i] = False
-            qd, rd = divmod(d + 1, unit)
-            nq = cost(i) + qd
-            better = (nq < q) & is_open
-            tie = ((nq == q) & is_open).nonzero()[0]
-            if tie.size:
-                better[tie] = r[tie] > rd
-            js = better.nonzero()[0]
-            q[js] = nq[js]
-            r[js] = rd
-            for j, k in adj.get(i, ()):
-                if is_open[j] and d + weights[k] < int(q[j]) * unit + r[j]:
-                    q[j], r[j] = divmod(d + weights[k], unit)
-
-        def hits(cur):
-            qc, rc = divmod(key[cur] - 1, unit)
-            found = [j for j in (kq + cost(cur) == qc).nonzero()[0].tolist()
-                     if key[j] % unit == rc]
-            found += [j for j, k in adj.get(cur, ()) if key[j] + weights[k] == key[cur]]
-            return sorted(found)
-
-        self._hits = hits
 
     def cost_fresh(self, v):
         """(exact Fraction share, fresh edges) of settled v's best path to the root."""
@@ -747,7 +774,7 @@ class _Verdicts:
         return self.decide(t)
 
     def decide(self, t) -> bool:
-        own, cur = self._own(t)
+        own, cur = self._own[t]
         return self._astar(self.state.table.pos[t], own, cur, self._bound)[0] < cur
 
     @cached_property
@@ -759,15 +786,19 @@ class _Verdicts:
         return ([c * (scale // (n + 1)) for c, n in zip(tab.costs, tab.users)],
                 [c * (scale // n) for c, n in zip(tab.costs, tab.users)], scale, int(tab.sub.max()))
 
-    def _own(self, t):
-        """(t's path edges, cur(t) over den)."""
-        own = {self.state.table.edge[e] for e in path_edges(self.state.paths[t])}
-        return own, sum(self._prices[1][k] for k in own)
+    @cached_property
+    def _own(self):
+        """{t: (t's path edges, cur(t) over den)} for every terminal t."""
+        edge, hi, own = self.state.table.edge, self._prices[1], {}
+        for t, path in self.state.paths.items():
+            ks = {edge[e] for e in path_edges(path)}
+            own[t] = ks, sum(hi[k] for k in ks)
+        return own
 
     @cached_property
     def _bound(self):
         """h, clamped at the largest current share."""
-        top = max(self._own(t)[1] for t in self.state.paths)
+        top = max(cur for _, cur in self._own.values())
         return self._astar(0, set(), top, np.zeros(len(self.state.table.nodes), dtype=object))
 
     def _astar(self, source, own, stop, h):
@@ -830,7 +861,6 @@ def verify_equilibrium(state) -> EquilibriumVerdict:
     an improving path exists iff an improving tree-follow move does, so
     disagreement is an engine bug and raises.
     """
-    state.table
     try:
         view = state.view
     except EngineInvariantError:
@@ -912,7 +942,11 @@ def _candidate_screen(state):
     at least -1 keeps every improving one.  a, b and F * costi are at most
     top * F < 2^61, with top the larger of max(A) // scale + 1 and the
     block's largest cost, so the scores fit int64; when top has 61 bits or
-    more, s = 0 and they are Python ints.
+    more, s = 0 and they are Python ints.  a(x) = floor(F D A[x]/den) is
+    set by the exact prefix A[x]/den and s alone, so a view keeps a and b
+    over its ids (`_ab`) for the next view's screen, which recomputes them
+    only where its sums were recomputed (`_fresh`), or everywhere if s
+    changed.
 
     Each vertex's own parent p is False too: there L = p, so the test's
     left side is c * scale + B(p) - B(p) = c * scale, with c = costi[u, p],
@@ -926,9 +960,18 @@ def _candidate_screen(state):
     A, B = view.A, view.B
     top = max(max(A.values()) // scale + 1, int(block.max()))
     s = max(0, 61 - top.bit_length())
+    carry = view._ab is not None and view._ab[0] == s and len(view._fresh) < len(order)
+    redo = sorted(view._fresh) if carry else order
+    fa, fb = [(A[x] << s) // scale for x in redo], [-(-(B[x] << s) // scale) for x in redo]
     dtype = np.int64 if s else object  # explicit: past 2^63 numpy picks uint64 or float64
-    a = np.array([(A[x] << s) // scale for x in order], dtype=dtype)
-    b = np.array([-(-(B[x] << s) // scale) for x in order], dtype=dtype)
+    if carry:  # gather the kept a and b by vertex id, then set the redone ones
+        _, kept, a, b = view._ab
+        at = np.searchsorted(kept, ids).clip(max=len(kept) - 1)
+        a, b, at = a[at], b[at], np.searchsorted(ids, redo)
+        a[at], b[at] = fa, fb
+    else:
+        a, b = np.array(fa, dtype=dtype), np.array(fb, dtype=dtype)
+    view._ab, view._fresh = (s, ids, a, b), set()
     block = block.astype(dtype, copy=False)  # `take` copied it: work in place
     block <<= s
     mask = np.subtract(a[:, None], block, out=block) >= b - 1

@@ -320,8 +320,9 @@ def test_charges_and_prefix_sums_match_oracles_on_every_state(monkeypatch):
     # from-scratch rebuild (the memo's records must equal what the cuts say
     # now) and every tree view a state reads, built in full or derived from
     # its predecessor's, against a full build of a fresh copy of the state:
-    # its shape field by field, and its lazily built sums against an eager
-    # build: den, A and B equal as ints.
+    # its shape field by field, and its sums, built or carried, against an
+    # eager build: A/den and B/den equal as values, as a carried den may be
+    # any common multiple of the divisors.
     matrices = {}  # the current run's instance and its Fraction cost matrix
     checked = Counter()
     real_charges = duals.compute_charges
@@ -354,8 +355,10 @@ def test_charges_and_prefix_sums_match_oracles_on_every_state(monkeypatch):
         for field in ("parent", "children", "order", "leaves", "_users"):
             assert getattr(view, field) == getattr(want, field), field
         inst = state.instance
-        assert (view.den, view.A, view.B) == eager_prefix_sums(
-            state.paths, state.usage, inst.costi, inst.denominator)
+        den, *want = eager_prefix_sums(state.paths, state.usage, inst.costi, inst.denominator)
+        for got, sums in zip((view.A, view.B), want):
+            assert {x: Fraction(v, view.den) for x, v in got.items()} == {
+                x: Fraction(v, den) for x, v in sums.items()}
         checked["views"] += 1
         return view
 

@@ -6,10 +6,13 @@ rebuild from the state's plain fields (the oracles), and count the full
 builds a run makes.
 """
 
+import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from costshare import (
@@ -196,12 +199,13 @@ def test_carried_quantities_match_rebuilds_on_the_workloads(monkeypatch, gen):
 def test_a_run_builds_each_carried_quantity_in_full_once(monkeypatch, policy):
     # Under forwarding wrappers, as a call tracer installs them (`_Tree`
     # included), a run builds its totals (the potential and the solution
-    # cost), its charge map and its tree view in full once, for its first
-    # state, and carries every later one, through the final sweep and the
-    # accounting.  A derivation that falls back, say because with_revealed
-    # dropped a cache, builds again and fails this.
+    # cost), its charge map, its tree view and its search table in full
+    # once, for the first state that reads each, and carries every later
+    # one, through the final sweep and the accounting.  A derivation that
+    # falls back, say because with_revealed dropped a cache, builds again
+    # and fails this.
     builds = Counter()
-    for owner, name in ((routing, "_totals"), (routing, "_Tree")):
+    for owner, name in ((routing, "_totals"), (routing, "_Tree"), (routing, "_SearchTable")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name:
                             builds.update([_name]) or _real(*args))
@@ -217,12 +221,13 @@ def test_a_run_builds_each_carried_quantity_in_full_once(monkeypatch, policy):
         res = run_eqp(run.instance, run.events, verify=False, accounting=False)
         assert any(ep.moves for ep in res.epochs)
         assert any(ep.kind == "depart" for ep in res.epochs)
-    once = {"_totals": 1, "_charge": 1, "_Tree": 1}
-    assert len(res.epochs) > 20 and builds == once
+    once, table = {"_totals": 1, "_charge": 1, "_Tree": 1}, {"_SearchTable": 1}
+    # one-shot arrivals search; an eqp run searches first in its final sweep
+    assert len(res.epochs) > 20 and builds == (once | table if policy == "oneshot" else once)
     assert verify_equilibrium(res.state).ok
     logn_accounting(res.state, res.family)
     classify(res.state, res.family)
-    assert builds == once
+    assert builds == once | table
 
 
 def test_a_view_not_derived_from_the_last_charged_one_is_charged_in_full(monkeypatch):
@@ -241,3 +246,123 @@ def test_a_view_not_derived_from_the_last_charged_one_is_charged_in_full(monkeyp
     monkeypatch.setattr(duals, "_charge", lambda *args: bases.append(args[3]) or real(*args))
     assert compute_charges(two, family) is family.last_charges and bases == [None]
     assert compute_charges(two, family) is family.last_charges and bases == [None]
+
+
+# ---------------------------------------------------------------------------
+# the search table and the view's prefix sums, carried by `_rerouted`
+
+
+def _record_reroutes(monkeypatch, check):
+    """Call check(state, new) on every step `_rerouted` makes."""
+    real = routing._rerouted
+
+    def rerouted(state, segments, **fields):
+        new = real(state, segments, **fields)
+        check(state, new)
+        return new
+
+    monkeypatch.setattr(routing, "_rerouted", rerouted)
+
+
+def _assert_table_is_a_full_build(state):
+    got, want = state.table, routing._SearchTable(replace(state))
+    assert got.nodes == sorted({ROOT, *(v for e in state.usage for v in e)})
+    for field in ("nodes", "pos", "edge", "users", "costs", "adj"):
+        assert getattr(got, field) == getattr(want, field), field
+    for field in ("ia", "ib", "sub"):
+        mine, full = getattr(got, field), getattr(want, field)
+        assert mine.dtype == full.dtype and np.array_equal(mine, full), field
+
+
+def test_derived_search_tables_equal_a_full_build(monkeypatch):
+    # One-shot runs search every arrival, so each state caches its table and
+    # the next one derives its own: gm m=2..5, and random explicit schedules
+    # under both batch orders, whose multi-item arrivals search one state
+    # several times and whose departures may drop edges.  Every derived
+    # table equals a full build field by field, and a step derives one
+    # exactly when its predecessor had one and the step drops no edge.
+    tally = Counter()
+
+    def check(state, new):
+        if "table" not in state.__dict__:
+            assert "table" not in new.__dict__
+            return
+        dropped = any(e not in new.usage for e in state.usage)
+        assert ("table" in new.__dict__) != dropped, (state.usage, new.usage)
+        if dropped:
+            tally["dropped"] += 1
+            return
+        _assert_table_is_a_full_build(new)
+        tally["derived"] += 1
+        tally["grown"] += len(new.table.nodes) > len(state.table.nodes)
+
+    _record_reroutes(monkeypatch, check)
+    for m in (2, 3, 4, 5):
+        gm = build_gm(m)
+        run_noneqp(gm.instance, list(build_sigma(gm)), verify=False)
+    assert tally["derived"] >= 1400 and tally["grown"] >= 200, tally
+    rng = random.Random(18700)
+    for k in range(40):
+        inst = random_metric(rng, rng.randint(4, 12))
+        events = random_schedule(rng, inst.n, 14, True)
+        run_noneqp(inst, events, verify=False,
+                   batch_order="snapshot" if k % 2 else "sequential")
+    assert tally["dropped"] >= 50 and tally["derived"] >= 1500, tally
+
+
+def _value(sums, den):
+    return {x: Fraction(v, den) for x, v in sums.items()}
+
+
+def test_carried_prefix_sums_equal_a_full_build(monkeypatch):
+    # eqp runs carry each view's sums from the last one: euclid n=30 churn
+    # (moves and departures), steiner-gap n=20 (relay chains, where every
+    # arrival changes every edge) and random explicit schedules.  Every
+    # carried A/den and B/den equals a full build's, den grows in some
+    # steps and stays in others, and each screen's a and b, carried where
+    # the sums were, equal their definition.
+    tally = Counter()
+
+    def check(state, new):
+        old = state.__dict__.get("view")
+        view = new.__dict__.get("view")
+        if old is None or old._divisors is None or view is None:
+            return
+        want = routing._Tree(replace(new))
+        assert _value(view.A, view.den) == _value(want.A, want.den)
+        assert _value(view.B, view.den) == _value(want.B, want.den)
+        scale = view.den // new.instance.denominator
+        assert view.den % new.instance.denominator == 0
+        assert all(scale % k == 0 for k in want._divisors)
+        tally["carried"] += 1
+        tally["grew" if view.den != old.den else "kept"] += 1
+
+    real_screen = routing._candidate_screen
+
+    def screen(state):
+        view = state.view
+        tally["screen carried"] += view._ab is not None and len(view._fresh) < len(view.order)
+        mask = real_screen(state)
+        s, ids, a, b = view._ab
+        unit = state.instance.denominator * 2**s
+        assert ids.tolist() == view.order
+        for x, ax, bx in zip(view.order, a.tolist(), b.tolist()):
+            assert ax == math.floor(Fraction(view.A[x], view.den) * unit)
+            assert bx == math.ceil(Fraction(view.B[x], view.den) * unit)
+        assert np.array_equal(mask, real_screen(replace(state)))
+        tally["screens"] += 1
+        return mask
+
+    _record_reroutes(monkeypatch, check)
+    monkeypatch.setattr(routing, "_candidate_screen", screen)
+    run = build_random_euclidean(30, 0, "churn")
+    res = run_eqp(run.instance, run.events, verify=False, accounting=False)
+    assert any(ep.moves for ep in res.epochs)
+    fx = build_steiner_gap_fixture(20)
+    run_eqp(fx.instance, fx.events, verify=False, accounting=False)
+    rng = random.Random(18800)
+    for _ in range(20):
+        inst = random_metric(rng, rng.randint(4, 10))
+        run_eqp(inst, random_schedule(rng, inst.n, 14, False))
+    assert tally["carried"] >= 400 and tally["grew"] >= 100 and tally["kept"] >= 100, tally
+    assert tally["screen carried"] >= 100, tally

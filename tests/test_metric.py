@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -399,6 +400,22 @@ def test_mst_matches_spanning_tree_enumeration(seed):
     subset = rng.sample(range(inst.n), k)
     matrix = [[inst.cost(i, j) for j in range(inst.n)] for i in range(inst.n)]
     assert mst_cost(inst, subset) == brute_mst(matrix, subset)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mst_matches_spanning_tree_enumeration_on_python_int_costs(seed):
+    # costs past int64 (an object-dtype `costi`), and a metric of costs 1
+    # and 2 alone, where nearly every Prim step picks among ties
+    rng = random.Random(2100 + seed)
+    big = big_denominator_metric(rng, rng.randint(4, 6))
+    assert big.costi.dtype == object
+    n = rng.randint(3, 7)
+    ties = explicit_metric(n, {e: rng.randint(1, 2) for e in combinations(range(n), 2)})
+    for inst in (big, ties):
+        matrix = [[inst.cost(i, j) for j in range(inst.n)] for i in range(inst.n)]
+        for k in range(2, inst.n + 1):
+            subset = rng.sample(range(inst.n), k)
+            assert mst_cost(inst, subset) == brute_mst(matrix, subset)
 
 
 def test_mst_degenerate_subsets():

@@ -924,14 +924,17 @@ def _prime_loaded(rng, inst, primes):
 
 
 def _count_kernels(monkeypatch):
-    """Counter of the searches that settle on int64 keys ("_dense") and on
-    Python-int keys ("_wide"), from here to the end of the test."""
+    """Counter of the searches that settle on int64 keys ("int64") and on
+    Python-int keys ("object"), by the dtype of the weight block the
+    kernel runs on, from here to the end of the test."""
     ran = Counter()
-    for name in ("_dense", "_wide"):
-        def counted(self, *args, _run=getattr(routing._Search, name), _name=name):
-            ran[_name] += 1
-            return _run(self, *args)
-        monkeypatch.setattr(routing._Search, name, counted)
+    real = routing._Search._dense
+
+    def counted(self, t, K, far, block):
+        ran["object" if block.dtype == object else str(block.dtype)] += 1
+        return real(self, t, K, far, block)
+
+    monkeypatch.setattr(routing._Search, "_dense", counted)
     return ran
 
 
@@ -949,12 +952,12 @@ def test_search_runs_python_int_keys_past_int64(monkeypatch):
     kinds = set()
     for _ in range(10):
         kinds |= _assert_searches_match_oracle(_prime_loaded(rng, inst, primes))
-    assert ran["_wide"] >= 20 and ran["_dense"] >= 20
+    assert ran["object"] >= 20 and ran["int64"] >= 20
     assert kinds == {"terminal", "steiner"}
 
 
-@pytest.mark.parametrize("far, low, kernel", [(2**42, 1000, "_dense"),
-                                               (2**63 - 5, 10**6, "_wide")],
+@pytest.mark.parametrize("far, low, kernel", [(2**42, 1000, "int64"),
+                                               (2**63 - 5, 10**6, "object")],
                          ids=["dense", "wide"])
 def test_search_clamps_edges_far_beyond_the_direct_edge(monkeypatch, far, low, kernel):
     # Vertices 0-3 sit within 4 of each other, 4-6 likewise, and the two
@@ -996,9 +999,9 @@ def test_search_clamps_edges_far_beyond_the_direct_edge(monkeypatch, far, low, k
 ], ids=["relax", "pop"])
 def test_split_keys_order_exactly_within_one_high_part(monkeypatch, core, terminals, want):
     # Four more vertices, 10 from everything, hold prime counts near 10^6,
-    # which push the search for 3 onto split keys, q * unit + r.  There q
-    # is the integer part of the cost (D is 1), so keys sharing a q must
-    # compare on r.
+    # which push the search for 3 past int64, onto Python-int keys.  Keys
+    # that share their integer part of the cost (D is 1) must still
+    # compare exactly on the rest.
     n = max(max(e) for e in core) + 5
     inst = explicit_metric(n, {e: core.get(e, 10) for e in combinations(range(n), 2)})
     state = with_revealed(initial_state(inst), range(1, n))
@@ -1008,7 +1011,7 @@ def test_split_keys_order_exactly_within_one_high_part(monkeypatch, core, termin
         state = add_terminal(state, x, p, (x, 0))
     ran = _count_kernels(monkeypatch)
     got = best_response(state, 3)
-    assert ran["_wide"] == 1
+    assert ran["object"] == 1
     assert (got.cost, got.fresh_edges, got.path) == want == enumerate_best_response(
         _matrix(inst), state.counts, state.paths, 3)
 
@@ -1018,7 +1021,7 @@ def test_split_keys_order_exactly_within_one_high_part(monkeypatch, core, termin
 def test_search_breaks_full_ties_on_equal_distances(primes):
     # Every distance is 1, so every pop is a tie; the result must be the
     # oracle's, whatever order the vertices were revealed in.  Prime counts
-    # push the keys past int64, where the ties fall on the split keys.
+    # push the keys past int64, where the ties fall on Python-int keys.
     rng = random.Random(17300)
     n = 7
     inst = explicit_metric(n, {e: 1 for e in combinations(range(n), 2)})
@@ -1125,11 +1128,21 @@ def test_revealing_keeps_the_search_table_and_rerouting_rebuilds_it():
 # one tree per run: each state's view derived from its predecessor's
 
 
+def _sum_values(view):
+    """The view's A and B as exact values, whatever its `den`."""
+    return [{x: Fraction(v, view.den) for x, v in sums.items()} for sums in (view.A, view.B)]
+
+
 def _assert_view_is_a_full_build(state):
     assert "view" in state.__dict__  # cached with the state, not built on this read
     got, want = state.view, routing._Tree(replace(state))
-    for field in ("parent", "children", "order", "leaves", "_users", "den", "A", "B"):
+    for field in ("parent", "children", "order", "leaves", "_users"):
         assert getattr(got, field) == getattr(want, field), field
+    # a carried den is a common multiple of the divisors, maybe not the least
+    assert _sum_values(got) == _sum_values(want)
+    scale, rest = divmod(got.den, state.instance.denominator)
+    assert rest == 0 and got._divisors >= want._divisors
+    assert all(scale % k == 0 for k in got._divisors)
 
 
 def test_derived_views_equal_a_full_build():
@@ -1539,29 +1552,35 @@ def test_sweep_builds_one_search_table_per_state(monkeypatch):
         verdicts.add(verify_equilibrium(state).ok)
         assert builds == [(state,)]
     assert verdicts == {True, False}
-    # a best response off every path builds one table of its own, with the
-    # target in it, and leaves the state's table unbuilt
+    # a best response off every path builds the state's table, and reads it
+    # grown by the target
     state = add_terminal(_revealed_state(random_metric(rng, 6)), 1, 2, (1, 0))
     builds.clear()
     best_response(state, 4)
-    assert builds == [(state, 4)] and "table" not in state.__dict__
+    assert builds == [(state,)] and 4 not in state.table.pos
 
 
-def test_on_path_search_caches_no_table(monkeypatch):
-    # A search on a state with no cached table builds one for itself alone;
-    # one with a cached table reads it.
+def test_a_search_caches_the_state_table_and_no_grown_copy(monkeypatch):
+    # A search reads `state.table`, so the state's first search builds and
+    # caches it and later ones reuse it.  A target off every path is read
+    # from a copy grown by it, which is never cached: the next state's
+    # table, derived from the cached one, holds the nodes paths use alone.
     builds = []
     real = routing._SearchTable
     monkeypatch.setattr(routing, "_SearchTable",
                         lambda *args: builds.append(args) or real(*args))
-    state = add_terminal(_revealed_state(line_instance(0, 5, 9, 14)), 2, 1, (2, 1, 0))
+    state = add_terminal(_revealed_state(line_instance(0, 5, 9, 14, 20)), 2, 1, (2, 1, 0))
     best_response(state, 1)  # a relay on the path
     best_response(state, 2)  # a terminal
-    assert builds == [(state, 1), (state, 2)] and "table" not in state.__dict__
     table = state.table
-    builds.clear()
-    best_response(state, 1)
-    assert builds == [] and state.table is table
+    assert builds == [(state,)] and table.nodes == [0, 1, 2]
+    path = best_response(state, 3).path  # off every path
+    assert builds == [(state,)] and state.table is table and 3 not in table.pos
+    assert path == (3, 2, 1, 0)
+    grown = add_terminal(state, 3, 1, path)
+    assert grown.table.nodes == [0, 1, 2, 3] and 3 not in table.pos
+    best_response(grown, 4)
+    assert builds == [(state,)] and grown.table.nodes == [0, 1, 2, 3]
 
 
 def test_verify_sweep_runs_under_forwarding_wrappers(monkeypatch):
