@@ -94,7 +94,7 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an int past the digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -5,13 +5,15 @@ the places where plain Fraction arithmetic is not quite enough: the exact
 floor log2 of an integer ratio p/q (for charge levels, so that readers of
 the integer cost matrix build no Fraction), harmonic numbers as integer
 pairs (for the potential), and the "p/q" string round-trip used by every
-serialized artifact.
+serialized artifact, with Python's int/str digit limit lifted for it alone.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -36,14 +38,27 @@ def parse_rational(text: str | int) -> Fraction:
     if not _RATIONAL.fullmatch(body):
         raise ConfigError(f"bad rational {text!r}: expected integer 'p' or 'p/q'")
     try:
-        return Fraction(body)
+        return _any_digits(Fraction, body)
     except ZeroDivisionError as exc:
         raise ConfigError(f"bad rational {text!r}: {exc}") from None
 
 
 def format_rational(value: Fraction) -> str:
     """Inverse of parse_rational: "p" for integers, "p/q" otherwise."""
-    return str(Fraction(value))
+    return _any_digits(str, Fraction(value))
+
+
+def _any_digits(convert, value):
+    """convert(value), Python's int/str digit limit lifted for it alone."""
+    try:
+        return convert(value)
+    except ValueError:  # past the limit, so this Python has one
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def floor_log2_ratio(p: int, q: int) -> int:
@@ -69,26 +84,30 @@ def pow2(j: int) -> Fraction:
     return Fraction(1, 1 << (-j))
 
 
-_LCM = [1]  # L_k = lcm(1..k)
-_HNUM = [0]  # P_k = H_k * L_k, an integer
+_BLOCK = 64  # indices per big-int update of `harmonic`
+_HARMONIC, _ASKED = {0: (0, 1)}, [0]  # n -> (P_n, L_n) for each n asked; its keys, sorted
 
 
 def harmonic(n: int) -> tuple[int, int]:
     """(P_n, L_n) with H_n = 1 + 1/2 + ... + 1/n = P_n / L_n, memoized.
 
     L_n = lcm(1..n), so every H_k with k <= n is an integer over L_n:
-    H_k = P_k * (L_n // L_k) / L_n.  The pair is not reduced.  L_k grows
-    past L_{k-1} only at a prime power k = p^e, by the factor p; at every
-    other k, L_k is L_{k-1} (the same int object) and P_k = P_{k-1} + L_k // k.
+    H_k = P_k * (L_n // L_k) / L_n.  The pair is not reduced.  The memo keeps
+    the asked n alone; a new n goes on from the largest asked n' < n by blocks
+    [a+1, b] of at most `_BLOCK` indices, one big-int update each: over the
+    block's small lcm q, H_b = H_a + sum(q // j) / q, L_b = L_a * q // gcd(L_a, q).
     """
     if n < 0:
         raise ValueError("harmonic number of a negative index")
-    while len(_LCM) <= n:
-        k = len(_LCM)
-        lcm, hnum = _LCM[-1], _HNUM[-1]
-        step = k // math.gcd(lcm, k)  # p at k = p^e, else 1
-        if step > 1:
-            lcm, hnum = lcm * step, hnum * step
-        _HNUM.append(hnum + lcm // k)
-        _LCM.append(lcm)
-    return _HNUM[n], _LCM[n]
+    if n not in _HARMONIC:
+        start = _ASKED[bisect.bisect(_ASKED, n) - 1]
+        hnum, lcm = _HARMONIC[start]
+        for a in range(start, n, _BLOCK):
+            block = range(a + 1, min(a + _BLOCK, n) + 1)
+            q = math.lcm(*block)
+            step = q // math.gcd(lcm, q)
+            lcm *= step
+            hnum = hnum * step + sum(q // j for j in block) * (lcm // q)
+        bisect.insort(_ASKED, n)
+        _HARMONIC[n] = hnum, lcm
+    return _HARMONIC[n]

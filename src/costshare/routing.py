@@ -218,12 +218,13 @@ def potential(state) -> Fraction:
 
 
 def _harmonic_sum(by_count) -> tuple:
-    """(S, L): the sum over counts N of by_count[N] * H(N) is S / L, with
-    L = lcm(1..max N).  `harmonic` gives H(N) = P_N / L_N; the counts are
-    added in increasing order, the running sum scaled by L_N' // L_N on the
-    way from N to N'."""
+    """(S, L): sum of by_count[N] * H(N) = S / L, L = lcm(1..max N) over the
+    N with a nonzero coefficient, the only ones added (`_totals` has no 0).
+    A 0 needs a -c_e: an edge held N before the event, so L_N divides the L
+    `_rerouted` carries (a multiple of L_N for every N an edge holds), and
+    skipping N leaves its carried num and L bit-identical."""
     total, lcm = 0, 1
-    for n in sorted(by_count):
+    for n in sorted(n for n, c in by_count.items() if c):
         p, lcm_n = harmonic(n)
         total = total * (lcm_n // lcm) + by_count[n] * p
         lcm = lcm_n

@@ -36,6 +36,7 @@ from costshare import (
 from costshare import duals, dynamics, routing
 from costshare.duals import classify, compute_charges
 from costshare.instances import build_gm, build_sigma, build_steiner_gap_fixture
+from costshare.rationals import harmonic
 from conftest import OFF_TREE, family_for, random_event, random_metric, random_schedule
 from oracles import rebuild_charges, recompute_potential
 
@@ -366,3 +367,52 @@ def test_carried_prefix_sums_equal_a_full_build(monkeypatch):
         run_eqp(inst, random_schedule(rng, inst.n, 14, False))
     assert tally["carried"] >= 400 and tally["grew"] >= 100 and tally["kept"] >= 100, tally
     assert tally["screen carried"] >= 100, tally
+
+
+# ---------------------------------------------------------------------------
+# the potential's counts whose coefficient is 0
+
+
+def _harmonic_sum_of_every_count(by_count):
+    """`routing._harmonic_sum` walking every count, zero coefficients too."""
+    total, lcm = 0, 1
+    for n in sorted(by_count):
+        p, lcm_n = harmonic(n)
+        total = total * (lcm_n // lcm) + by_count[n] * p
+        lcm = lcm_n
+    return total, lcm
+
+
+def test_harmonic_sum_is_the_same_without_its_zero_coefficients():
+    rng = random.Random(22000)
+    for _ in range(300):
+        by_count = {rng.randrange(300): rng.randrange(-3, 4) for _ in range(rng.randrange(1, 9))}
+        nonzero = {n: c for n, c in by_count.items() if c}
+        S, L = routing._harmonic_sum(by_count)
+        assert (S, L) == routing._harmonic_sum(nonzero)
+        assert L == harmonic(max(nonzero, default=0))[1]
+        assert Fraction(S, L) == Fraction(*_harmonic_sum_of_every_count(by_count))
+
+
+def test_skipped_zero_coefficients_leave_the_carried_totals_bit_identical(monkeypatch):
+    # `_harmonic_sum`'s docstring proves that skipping the counts whose
+    # coefficient is 0 changes no carried (cost, num, L) int.  Each state's
+    # totals equal those a sum over every count gives, on the relay chain
+    # (one edge's +c and the next one's -c cancel at every arrival), a
+    # Euclidean churn run and random explicit schedules.
+    zeros, totals = Counter(), []
+    _record_reroutes(monkeypatch, lambda state, new: totals.append(new.__dict__.get("totals")))
+    for summed in (routing._harmonic_sum, _harmonic_sum_of_every_count):
+        monkeypatch.setattr(routing, "_harmonic_sum", lambda by_count, summed=summed: zeros.update(
+            n for n, c in by_count.items() if not c) or summed(by_count))
+        fx = build_steiner_gap_fixture(12)
+        run_eqp(fx.instance, fx.events, verify=False, accounting=False)
+        er = build_random_euclidean(30, 0, "churn")
+        run_eqp(er.instance, er.events, verify=False, accounting=False)
+        rng = random.Random(22100)
+        for _ in range(10):
+            inst = random_metric(rng, rng.randint(4, 10))
+            run_eqp(inst, random_schedule(rng, inst.n, 14, False), verify=False)
+    skipped, walked = totals[:len(totals) // 2], totals[len(totals) // 2:]
+    assert sum(zeros.values()) >= 400 and max(zeros) >= 100, zeros
+    assert sum(t is not None for t in skipped) > 100 and skipped == walked

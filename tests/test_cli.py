@@ -279,6 +279,21 @@ def test_malformed_instance_exits_2_without_traceback(tmp_path, capsys, instance
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "metric", "n": ' + "1" * 5000 + ', "costs": []}',  # an int past the digit limit
+    b"\xff\xfe{}",                                                  # not UTF-8
+], ids=["vast-int", "not-utf8"])
+def test_unreadable_json_exits_2_without_traceback(tmp_path, capsys, text):
+    ipath = tmp_path / "instance.json"
+    (ipath.write_bytes if isinstance(text, bytes) else ipath.write_text)(text)
+    spath = tmp_path / "schedule.json"
+    spath.write_text(json.dumps(schedule_to_jsonable([])))
+    rc = main(["run", "--instance", str(ipath), "--schedule", str(spath),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("instance", [
     {"kind": "euclidean"},
     {"kind": "metric", "n": 2, "costs": [[0, 1]]},
@@ -403,6 +418,30 @@ def test_replay_round_trip_then_divergence(tmp_path, capsys):
     events.write_text(events.read_text()[:-2] + "9\n")
     assert main(["replay", str(out)]) == 4
     assert "events.jsonl" in capsys.readouterr().out
+
+
+def test_a_potential_past_the_int_digit_limit_is_written_and_replayed(tmp_path, capsys):
+    # steiner-gap n=100 puts 20,000 agents on the chain's first edge, so
+    # the late epochs' potentials, over lcm(1..N), pass 4,300 digits, which
+    # Python refuses to print by default.
+    out = tmp_path / "run"
+    assert main(["run", "--gen", "steiner-gap", "--n", "100", "--out", str(out)]) == 0
+    assert main(["replay", str(out)]) == 0
+    assert "byte-identical" in capsys.readouterr().out
+    phis = [json.loads(line)["phi"] for line in (out / "events.jsonl").read_text().splitlines()]
+    assert len(phis) == 201 and max(map(len, phis)) > 2 * 4300
+
+
+def test_a_cost_past_the_int_digit_limit_is_read_and_written(tmp_path, capsys):
+    ipath, spath = tmp_path / "instance.json", tmp_path / "schedule.json"
+    ipath.write_text(json.dumps({"kind": "weighted-graph", "n": 2, "edges": [[0, 1, "1" * 5000]]}))
+    spath.write_text(json.dumps(schedule_to_jsonable([ArrivalEvent((ArrivalItem(1, 2),))])))
+    out = tmp_path / "run"
+    assert main(["run", "--instance", str(ipath), "--schedule", str(spath),
+                 "--out", str(out)]) == 0
+    assert _read_summary(out / "summary.csv")["final_cost"] == "1" * 5000
+    assert main(["replay", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("meta", [

@@ -26,6 +26,7 @@ from costshare import (
     metric,
     parse_rational,
 )
+import costshare.rationals
 from costshare.metric import EUCLIDEAN_GRID
 from costshare.rationals import floor_log2_ratio, harmonic, pow2
 from conftest import big_denominator_metric, random_metric
@@ -55,6 +56,17 @@ positive_rationals = st.fractions(
 @given(rationals)
 def test_rational_string_round_trip(x):
     assert parse_rational(format_rational(x)) == x
+
+
+def test_rational_round_trip_past_the_int_digit_limit():
+    # Python refuses int/str conversions past 4,300 digits by default; the
+    # round trip lifts that limit around its own conversion alone.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before, ones = limit(), (10**5000 - 1) // 9  # 5,000 digits, all 1
+    for x in (Fraction(10**5000 + 1, 3), Fraction(-7, 10**5000 - 1), Fraction(ones)):
+        assert parse_rational(format_rational(x)) == x
+    assert parse_rational("1" * 5000) == ones
+    assert limit() == before
 
 
 def test_parse_rational_accepts_ints_and_strings():
@@ -111,15 +123,57 @@ def test_harmonic_small_values():
 
 
 def test_harmonic_matches_plain_fraction_sums():
-    # L_k grows only at a prime power k; elsewhere the memo reuses L_{k-1}'s
-    # int object.
+    # L_k grows past L_{k-1} exactly at a prime power k.
     for k, want in enumerate(harmonic_fractions(400)):
         P, L = harmonic(k)
         assert Fraction(P, L) == want and L == math.lcm(*range(1, k + 1))
         if k >= 2:
             primes = {d for d in range(2, k + 1) if k % d == 0
                       and all(d % e for e in range(2, d))}
-            assert (L is harmonic(k - 1)[1]) == (len(primes) > 1), k
+            assert (L == harmonic(k - 1)[1]) == (len(primes) > 1), k
+
+
+def _empty_memo(monkeypatch):
+    """Give `harmonic` an empty memo; the test's end restores the module's."""
+    monkeypatch.setattr(costshare.rationals, "_HARMONIC", {0: (0, 1)})
+    monkeypatch.setattr(costshare.rationals, "_ASKED", [0])
+
+
+def test_harmonic_pairs_do_not_depend_on_the_order_asked(monkeypatch):
+    # Each n is reached from the largest n' < n asked before, in blocks of
+    # 64, so the block edges fall differently for every order; the pairs
+    # must not.  The shuffled range also asks each n below, at and above
+    # every block edge of a cold start.
+    _empty_memo(monkeypatch)
+    got = {n: harmonic(n) for n in (20000, 37, 19999, 64, 65, 128)}
+    assert got[20000][1] == math.lcm(*range(1, 20001))
+    assert Fraction(*got[20000]) - Fraction(*got[19999]) == Fraction(1, 20000)
+    shuffled = list(range(6001))
+    random.Random(22).shuffle(shuffled)
+    got |= {n: harmonic(n) for n in shuffled}
+    _empty_memo(monkeypatch)
+    for n in range(6001):  # ascending, each from the last
+        assert harmonic(n) == got[n], n
+    for n in (19999, 20000):  # far past 6000, then from one below
+        assert harmonic(n) == got[n], n
+    lcm = 1
+    for n, want in enumerate(harmonic_fractions(6000)):
+        lcm = math.lcm(lcm, max(n, 1))
+        assert got[n][1] == lcm and Fraction(*got[n]) == want, n
+
+
+def test_harmonic_memo_keeps_only_the_asked_pairs(monkeypatch):
+    # The memo holds the asked n alone, so a cold harmonic(20000) peaks at
+    # a few copies of one 29,000-bit pair, not at every P_k below it.
+    _empty_memo(monkeypatch)
+    tracemalloc.start()
+    try:
+        harmonic(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert costshare.rationals._ASKED == [0, 20000]
 
 
 @given(st.integers(min_value=1, max_value=400))
