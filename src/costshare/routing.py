@@ -13,24 +13,26 @@ Each event is a list of segments (path, k): k more users (k < 0: fewer)
 on every edge of a root path, an arrival's, a departing terminal's, or a
 moving subtree's old and new one (the paper's exchange).  One step,
 `_rerouted`, carries over by them the tree view (`state.view`) with its
-prefix sums, the table every search of a state reads (`state.table`), and
+share bounds, the table every search of a state reads (`state.table`), and
 the solution cost and potential (`state.totals`); a run builds each in
 full, by the test oracles `_Tree(state)`, `_SearchTable(state)` and
 `_totals(state)`, for the first state that reads it (the table again after
 an event that drops an edge).  Built on first use and cached: the
-improving-move screen (`state.screen`), which reuses the last screen's
-bounds where the sums stayed.  No function takes a view as an argument,
-so a view can never be paired with the wrong state.  The equilibrium
-sweep decides the tree's leaves alone unless one of them improves, each by
-an A* over one shared bound.
+improving-move screen (`state.screen`).  No function takes a view as an
+argument, so a view can never be paired with the wrong state.  The
+equilibrium sweep decides the tree's leaves alone unless one of them
+improves, each by an A* over one shared bound.
 
-Everything is exact, and no float feeds any comparison.  The hot kernels,
-`_Search`, the tree view (`_Tree`), the screen (`_candidate_screen`) and
-`state.totals`, keep their exact values as plain ints over one common
+Everything is exact, and no float feeds any comparison.  `_Search` and
+`state.totals` keep their exact values as plain ints over one common
 denominator: the instance's cost denominator D times the lcm of the
-user-count divisors they meet.  They read costs from the instance's integer
-matrix `costi` (c * D), never from Fractions.  A Fraction is built only
-where a value leaves them, so the public API returns Fractions throughout.
+user-count divisors they meet.  The tree view keeps fixed-point bounds on
+its share sums, rounded so that the screen, the graft and the move test
+can decide from them alone wherever they prove the answer; each falls
+back to the view's exact sums, built on demand, where they cannot.  All
+read costs from the instance's integer matrix `costi` (c * D), never from
+Fractions.  A Fraction is built only where a value leaves them, so the
+public API returns Fractions throughout.
 """
 
 from __future__ import annotations
@@ -299,18 +301,22 @@ class _Tree:
     Built at once: the tree's shape, all that charging reads: parent,
     children (sorted lists), the sorted `order` and the `leaves`.
 
-    The prefix sums A(x) = sum of c_e/N_e and B(x) = sum of c_e/(N_e+1)
-    along x -> root (`den`, `A`, `B`), which the improving-move questions
-    and the graft read, are ints over `den` = D * M, M a common multiple
-    of the `_divisors` {N_e, N_e+1}: A(x) is A[x]/den.  A full build makes
-    them on first read, M their lcm.  A view derived from one with sums
-    carries them (`_carry_sums`).  Let R be the vertices whose parent edge
-    changed its parent or its count: a vertex off R's subtrees keeps its
-    root path, each edge with its count, so its exact A and B, and only
-    R's subtrees are recomputed.  M grows to its lcm with the divisors of
-    R's edges that `_divisors` lacks, the kept ints scaled to match; so
-    every tree edge's divisors are in the set, an edge off R keeping the
-    count it had in the base, and M is a multiple of each.
+    The share bounds a and b (`bounds`), which the screen, the graft and
+    the move test read, are ints over F = 2^s, one shift per instance: s =
+    max(0, 61 - bitlen(n * max costi)).  With A(x) = sum of c_e/N_e and
+    B(x) = sum of c_e/(N_e+1) along x -> root, c_e = costi (c * D), a(x) =
+    a(p) + ceil(F c/N) and b(x) = b(p) + floor(F c/(N+1)) over x's parent
+    edge (c, N), so F A(x) <= a(x) < F A(x) + depth(x) and F B(x) -
+    depth(x) < b(x) <= F B(x).  A root path has at most n - 1 edges; if s
+    > 0, each F c < 2^61 / n, so every bound is below 2^61 + n.  A full
+    build makes them on first read.  A view derived from one with bounds
+    carries them (`_carry_sums`): let R be the vertices whose parent edge
+    changed its parent or its count; a vertex off R's subtrees keeps its
+    root path, each edge with its count, so its bounds, and only R's
+    subtrees are recomputed; F is fixed, so nothing rescales.  The exact
+    sums, A(x) M and B(x) M with M the lcm of the view's divisors {N_e,
+    N_e+1}, are built where a bound cannot decide (`exact`), memoised per
+    vertex with the view, never carried.
 
     Subtree and lca questions walk the parent links (`in_subtree`, `lca`)
     or the children lists (`subtree`).  The walks end, as every vertex
@@ -323,9 +329,8 @@ class _Tree:
     removes edges; and a move's target lies outside the mover's subtree.
     """
 
-    _SUMS = frozenset({"den", "A", "B"})
     __slots__ = ("parent", "children", "order", "leaves", "_instance", "_users",
-                 "_base", "_changed", "_divisors", "_ab", "_fresh", "__weakref__", *_SUMS)
+                 "_base", "_changed", "_bounds", "_exact", "__weakref__")
 
     def __init__(self, state: RoutingState):
         parent = {}
@@ -354,7 +359,7 @@ class _Tree:
         self.parent, self.children, self.order = parent, children, sorted(children)
         self.leaves = {v for v in children if not children[v] and v != ROOT}
         self._instance, self._users = state.instance, users
-        self._base = self._changed = self._divisors = self._ab = self._fresh = None
+        self._base = self._changed = self._bounds = self._exact = None
         bad = self.leaves - set(state.counts)
         if bad:
             raise EngineInvariantError(f"tree leaves without terminals: {sorted(bad)}")
@@ -420,18 +425,14 @@ class _Tree:
         view._instance, view._users = self._instance, users
         # a charge reads the parent edge and the leaf flag
         view._base, view._changed = weakref.ref(self), moved | gone | (leaves ^ self.leaves)
-        view._divisors = view._ab = view._fresh = None
-        if self._divisors is not None:
+        view._bounds = view._exact = None
+        if self._bounds is not None:
             view._carry_sums(self, moved | recounted, gone)
         return view
 
     def _carry_sums(self, base, changed, gone):
-        """Derive the sums from `base`'s, `changed` being R (see the class)."""
-        users, parent = self._users, self.parent
-        new = {k for x in changed for k in (users[x], users[x] + 1)} - base._divisors
-        scale = base.den // self._instance.denominator
-        grow = math.lcm(*(k // math.gcd(scale, k) for k in new))
-        self.den, self._divisors = base.den * grow, base._divisors | new
+        """Derive the bounds from `base`'s, `changed` being R (see the class)."""
+        parent = self.parent
         tops = []  # the vertices of R with no vertex of R above them
         for x in changed:
             y = parent[x]
@@ -439,20 +440,14 @@ class _Tree:
                 y = parent[y]
             if y == ROOT:
                 tops.append(x)
-        A = {parent[x]: base.A[parent[x]] * grow for x in tops}
-        B = {parent[x]: base.B[parent[x]] * grow for x in tops}
-        self._fill(A, B, tops)
-        self.A, self.B = A, B
-        if len(A) < len(self.children):  # the vertices off R's subtrees keep theirs
-            for name, fresh in (("A", A), ("B", B)):
-                old = getattr(base, name)
-                kept = {x: v * grow for x, v in old.items() if x not in fresh} if grow > 1 else dict(old)
-                kept.update(fresh)
-                for x in gone:
-                    del kept[x]
-                setattr(self, name, kept)
-            if base._ab is not None:  # the screen's a and b, stale on `_fresh`
-                self._ab, self._fresh = base._ab, (base._fresh - gone) | A.keys()
+        s, *old = base._bounds
+        a, b = ({parent[x]: sums[parent[x]] for x in tops} for sums in old)
+        self._fill(s, a, b, tops)
+        if len(a) < len(self.children):  # the vertices off R's subtrees keep theirs
+            a, b = ({**kept, **fresh} for kept, fresh in zip(old, (a, b)))
+            for x in gone:
+                del a[x], b[x]
+        self._bounds = s, a, b
 
     def changed_since(self, base):
         """The vertices whose parent edge or leaf flag differs from `base`'s,
@@ -460,31 +455,47 @@ class _Tree:
         `base`; else None."""
         return self._changed if self._base is not None and self._base() is base else None
 
-    def __getattr__(self, name):
-        # reached only for an unset slot: the sums, before their first read
-        if name not in self._SUMS:
-            raise AttributeError(name)
-        self._build_sums()
-        return object.__getattribute__(self, name)
+    def bounds(self) -> tuple:
+        """(s, a, b), carried or built in full on first read."""
+        if self._bounds is None:
+            self._build_sums()
+        return self._bounds
 
     def _build_sums(self):
-        self._divisors = {k for n in self._users.values() for k in (n, n + 1)}
-        self.den = self._instance.denominator * math.lcm(*self._divisors)
-        self.A, self.B = {ROOT: 0}, {ROOT: 0}
-        self._fill(self.A, self.B, list(self.children[ROOT]))
+        inst = self._instance
+        s = max(0, 61 - (inst.n * int(inst.costi.max())).bit_length())
+        self._bounds = s, {ROOT: 0}, {ROOT: 0}
+        self._fill(*self._bounds, list(self.children[ROOT]))
 
-    def _fill(self, A, B, stack):
-        """Set A and B on the subtrees of the vertices in `stack`, top down,
+    def _fill(self, s, a, b, stack):
+        """Set a and b on the subtrees of the vertices in `stack`, top down,
         each vertex from its parent's entry, final already."""
         parent, users, children = self.parent, self._users, self.children
-        costi, scale = self._instance.costi, self.den // self._instance.denominator
+        costi = self._instance.costi
         while stack:
             x = stack.pop()
             p, n = parent[x], users[x]
-            c = int(costi[x, p])
-            A[x] = A[p] + c * (scale // n)
-            B[x] = B[p] + c * (scale // (n + 1))
+            c = costi.item(x, p) << s
+            a[x] = a[p] - (-c // n)
+            b[x] = b[p] + c // (n + 1)
             stack += children[x]
+
+    def exact(self, x) -> tuple:
+        """(M, A(x) M, B(x) M), M the lcm of the view's divisors {N_e,
+        N_e+1}: built on first need, then memoised per vertex."""
+        if self._exact is None:
+            divisors = {k for n in self._users.values() for k in (n, n + 1)}
+            self._exact = math.lcm(*divisors), {ROOT: (0, 0)}
+        M, memo = self._exact
+        up = []
+        while x not in memo:
+            up.append(x)
+            x = self.parent[x]
+        A, B = memo[x]
+        for y in reversed(up):
+            c, n = self._instance.costi.item(y, self.parent[y]), self._users[y]
+            memo[y] = A, B = A + c * (M // n), B + c * (M // (n + 1))
+        return M, A, B
 
     def __contains__(self, v):
         return v in self.children
@@ -737,17 +748,25 @@ def graft_path(state, vertex) -> Path:
       has at least two fresh edges, where the graft has one.
 
     So the graft argmin is the unique optimum by (cost, fresh, id sequence).
+    The scan reads the view's bounds: g(w) = F c(vertex, w) + b(w) <= F
+    (c(vertex, w) + B(w)) < g(w) + |tree|.  With m the least g, the true
+    least key is below m + |tree|, so the argmin and all its exact ties
+    have g(w) < m + |tree|; more than one such w are settled by exact keys.
     """
     view = state.view
     if vertex == ROOT or vertex in view:
         raise EngineInvariantError(f"graft of tree vertex {vertex}")
     if vertex not in set(state.revealed):
         raise EngineInvariantError(f"graft of unrevealed vertex {vertex}")
-    scale = view.den // state.instance.denominator
-    order = view.order
-    _, w = min((c * scale + view.B[x], x)
-               for c, x in zip(state.instance.costi[vertex, order].tolist(), order))
-    return (vertex,) + view.path_to_root(w)
+    (s, _, b), order = view.bounds(), view.order
+    costs = state.instance.costi[vertex, order].tolist()
+    g = [(c << s) + b[x] for c, x in zip(costs, order)]
+    end = min(g) + len(order)
+    near = [(c, x) for c, x, gx in zip(costs, order, g) if gx < end]
+    if near[1:]:  # settled by exact keys, ties by id
+        M = view.exact(ROOT)[0]
+        near = [(c * M + view.exact(x)[2], x) for c, x in near]
+    return (vertex,) + view.path_to_root(min(near)[1])
 
 
 def has_improving_move(state, vertex) -> Optional[Witness]:
@@ -908,22 +927,28 @@ def _move_fault(view, u, v) -> Optional[str]:
 def is_improving_tree_move(state, u, v) -> bool:
     """Would rerouting u (and its subtree) onto v strictly help its users?
 
-    Exact test via the prefix sums, linear in the root path lengths of u and v:
-    with L = lca(u, v),
-        c(u,v) + B(v) - B(L)  <  A(u) - A(L),
-    compared as ints over the view's denominator.
+    Exact test, linear in the root path lengths of u and v: with L =
+    lca(u, v),
+        c(u,v) + B(v) - B(L)  <  A(u) - A(L).
     This is the hypothetical saving of any witness terminal in u's subtree:
     edges on v -> L are newly adopted (count+1), edges on L -> root stay on
     the witness's path (count unchanged), everything below u moves rigidly.
+    The view's bounds answer first: a(u) - a(L) sums the rounded-up terms
+    of u -> L and b(v) - b(L) the rounded-down ones of v -> L, so T = a(u)
+    - a(L) - F c(u,v) - b(v) + b(L) is at least F times the saving, and T
+    <= 0 proves no improvement.  Otherwise the test compares the exact
+    sums over M (`_Tree.exact`).
     """
     view = state.view
     fault = _move_fault(view, u, v)
     if fault:
         raise EngineInvariantError(fault)
     ell = view.lca(u, v)
-    inst = state.instance
-    lhs = int(inst.costi[u, v]) * (view.den // inst.denominator) + view.B[v] - view.B[ell]
-    return lhs < view.A[u] - view.A[ell]
+    (s, a, b), c = view.bounds(), state.instance.costi.item(u, v)
+    if a[u] - a[ell] - (c << s) - b[v] + b[ell] <= 0:
+        return False
+    (M, Au, _), (_, Al, Bl), (_, _, Bv) = view.exact(u), view.exact(ell), view.exact(v)
+    return c * M + Bv - Bl < Au - Al
 
 
 def is_legal_improving(state, u, v) -> bool:
@@ -935,47 +960,24 @@ def _candidate_screen(state):
     """Integer screen of improving moves: a bool matrix over `view.order`.
 
     Entry (i, j) is False only if order[i] -> order[j] cannot improve, and
-    the diagonal (no move) is False; read it through `state.screen`.  In
-    ints over `den`, with scale = den // D, an improving move u -> v needs
-    A(u) - B(v) - costi[u, v] * scale > A(L) - B(L) >= 0.  Let F = 2^s,
-    a(x) = floor(A(x) F / scale) and b(x) = ceil(B(x) F / scale); then
-    a(u) - b(v) - F * costi[u, v] > -2, so keeping every pair that scores
-    at least -1 keeps every improving one.  a, b and F * costi are at most
-    top * F < 2^61, with top the larger of max(A) // scale + 1 and the
-    block's largest cost, so the scores fit int64; when top has 61 bits or
-    more, s = 0 and they are Python ints.  a(x) = floor(F D A[x]/den) is
-    set by the exact prefix A[x]/den and s alone, so a view keeps a and b
-    over its ids (`_ab`) for the next view's screen, which recomputes them
-    only where its sums were recomputed (`_fresh`), or everywhere if s
-    changed.
+    the diagonal (no move) is False; read it through `state.screen`.  An
+    improving move u -> v has A(u) - B(v) - c(u, v) > A(L) - B(L) >= 0, so
+    with the view's bounds (`_Tree`), a(u) >= F A(u) and b(v) <= F B(v), it
+    keeps a(u) - F c(u, v) > b(v).  If s > 0, each bound is below 2^61 + n
+    and F c < 2^61 / n, so the scores fit int64; else they are Python ints.
 
     Each vertex's own parent p is False too: there L = p, so the test's
-    left side is c * scale + B(p) - B(p) = c * scale, with c = costi[u, p],
-    and its right side A(u) - A(p) = c * (scale // N) is no larger.
+    left side is c + B(p) - B(p) = c, and its right side A(u) - A(p) = c / N
+    is no larger.
     """
     view = state.view
-    order = view.order
+    (s, a, b), order = view.bounds(), view.order
     ids = np.array(order)
-    block = state.instance.costi.take(ids, 0).take(ids, 1)
-    scale = view.den // state.instance.denominator
-    A, B = view.A, view.B
-    top = max(max(A.values()) // scale + 1, int(block.max()))
-    s = max(0, 61 - top.bit_length())
-    carry = view._ab is not None and view._ab[0] == s and len(view._fresh) < len(order)
-    redo = sorted(view._fresh) if carry else order
-    fa, fb = [(A[x] << s) // scale for x in redo], [-(-(B[x] << s) // scale) for x in redo]
     dtype = np.int64 if s else object  # explicit: past 2^63 numpy picks uint64 or float64
-    if carry:  # gather the kept a and b by vertex id, then set the redone ones
-        _, kept, a, b = view._ab
-        at = np.searchsorted(kept, ids).clip(max=len(kept) - 1)
-        a, b, at = a[at], b[at], np.searchsorted(ids, redo)
-        a[at], b[at] = fa, fb
-    else:
-        a, b = np.array(fa, dtype=dtype), np.array(fb, dtype=dtype)
-    view._ab, view._fresh = (s, ids, a, b), set()
-    block = block.astype(dtype, copy=False)  # `take` copied it: work in place
-    block <<= s
-    mask = np.subtract(a[:, None], block, out=block) >= b - 1
+    block = state.instance.costi.take(ids, 0).take(ids, 1).astype(dtype, copy=False)
+    block <<= s  # `take` copied it: work in place
+    av, bv = (np.array([d[x] for x in order], dtype=dtype) for d in (a, b))
+    mask = np.subtract(av[:, None], block, out=block) > bv
     np.fill_diagonal(mask, False)
     mask[np.arange(1, len(order)), np.searchsorted(ids, [view.parent[x] for x in order[1:]])] = False
     return mask

@@ -354,11 +354,14 @@ def test_charges_and_prefix_sums_match_oracles_on_every_state(monkeypatch):
         want = routing._Tree(replace(state))
         for field in ("parent", "children", "order", "leaves", "_users"):
             assert getattr(view, field) == getattr(want, field), field
+        assert view.bounds() == want.bounds()  # carried or not, int for int
         inst = state.instance
-        den, *want = eager_prefix_sums(state.paths, state.usage, inst.costi, inst.denominator)
-        for got, sums in zip((view.A, view.B), want):
-            assert {x: Fraction(v, view.den) for x, v in got.items()} == {
-                x: Fraction(v, den) for x, v in sums.items()}
+        den, A, B = eager_prefix_sums(state.paths, state.usage, inst.costi, inst.denominator)
+        for x in want.order:
+            big, Ax, Bx = view.exact(x)
+            big *= inst.denominator
+            assert Fraction(Ax, big) == Fraction(A[x], den)
+            assert Fraction(Bx, big) == Fraction(B[x], den)
         checked["views"] += 1
         return view
 

@@ -56,6 +56,7 @@ from conftest import (
 from oracles import (
     audit_state,
     brute_improving_tree_move,
+    eager_prefix_sums,
     enumerate_best_response,
     hypothetical_share,
     lca_from_paths,
@@ -469,20 +470,166 @@ def test_integer_screen_keeps_every_improving_pair():
 
 def test_integer_screen_keeps_a_pair_that_scores_minus_one():
     # Two agents each at 1 and 2, on their own root edges; the costs pass
-    # 2^61, so the screen's shift is 0.  1 -> 2 saves A(1) - B(2) - c(1,2) =
-    # (3m+1)/2 - (3m+1)/3 - m/2 = 1/6 for even m, yet scores
-    # floor((3m+1)/2) - ceil((3m+1)/3) - m/2 = -1: a bound of 0 would drop
-    # it.  a(1) = 3m/2 lies between 2^63 and 2^64 and is no float64, so
-    # numpy, left to pick a's dtype next to a(root) = 0, would round it off.
+    # 2^61, so the view's shift is 0.  1 -> 2 saves A(1) - B(2) - c(1,2) =
+    # (3m+1)/2 - (3m+1)/3 - m/2 = 1/6 for even m.  Rounded the wrong way
+    # (A down, B up) it would score floor((3m+1)/2) - ceil((3m+1)/3) - m/2
+    # = -1 and a cut at 0 would drop it; the view rounds A up and B down,
+    # so the pair scores a(1) - c - b(2) = 1.  a(1) = 3m/2 + 1 lies between
+    # 2^63 and 2^64 and is no float64, so numpy, left to pick a's dtype next
+    # to a(root) = 0, would round it off.
     m = 3 * 2**61 + 2
     inst = explicit_metric(3, {(0, 1): 3 * m + 1, (0, 2): 3 * m + 1, (1, 2): m // 2})
     state = add_terminal(add_terminal(_revealed_state(inst), 1, 2, (1, 0)), 2, 2, (2, 0))
     view = state.view
-    score = (math.floor(Fraction(view.A[1], view.den))
-             - math.ceil(Fraction(view.B[2], view.den)) - inst.cost(1, 2))
-    assert score == -1 and is_improving_tree_move(state, 1, 2)
+    (big, A1, _), (_, _, B2) = view.exact(1), view.exact(2)
+    s, a, b = view.bounds()
+    assert s == 0 and 2**63 < a[1] < 2**64
+    assert math.floor(Fraction(A1, big)) - math.ceil(Fraction(B2, big)) - inst.cost(1, 2) == -1
+    assert a[1] - m // 2 - b[2] == 1 and is_improving_tree_move(state, 1, 2)
     assert state.screen[1, 2]
     _assert_screen_keeps_every_improving_pair(state)  # 2 -> 1 improves too
+
+
+def _assert_bounds_band(state, matrix):
+    """The view's bounds against the oracle's exact sums: F A(x) <= a(x) <
+    F A(x) + depth(x) and F B(x) - depth(x) < b(x) <= F B(x) (both exact at
+    the root), every bound below 2^61 + n when s > 0, and every improving
+    pair kept by the screen.  Returns the shift and the improving pairs."""
+    view, inst = state.view, state.instance
+    s, a, b = view.bounds()
+    den, A, B = eager_prefix_sums(state.paths, state.usage, inst.costi, inst.denominator)
+    unit = Fraction(inst.denominator << s, den)  # an oracle int over den, in units of 1/F
+    parent = tree_parent_map(state.paths)
+    for x in view.order:
+        depth, y = 0, x
+        while y != ROOT:
+            depth, y = depth + 1, parent[y]
+        fa, fb = A[x] * unit, B[x] * unit
+        assert fa <= a[x] < fa + depth or a[x] == fa == 0, (x, s)
+        assert fb - depth < b[x] <= fb or b[x] == fb == 0, (x, s)
+    if s:
+        assert max(a.values()) < 2**61 + inst.n
+    # an improving u -> v has A(u) - c(u, v) - B(v) > A(L) - B(L) >= 0, so
+    # only pairs passing that exact filter go to the brute-force oracle
+    order, scale = view.order, den // inst.denominator
+    ids = np.array(order)
+    cost = inst.costi.take(ids, 0).take(ids, 1).astype(object) * scale
+    gain = np.array([A[x] for x in order], dtype=object)[:, None] - cost - np.array(
+        [B[x] for x in order], dtype=object)
+    improving = set()
+    for i, j in zip(*np.nonzero(gain > 0)):
+        u, v = order[i], order[j]
+        if u != ROOT and not view.in_subtree(v, u) and brute_improving_tree_move(
+                matrix, state.counts, state.paths, u, v):
+            assert state.screen[i, j], (u, v)
+            improving.add((u, v))
+    return s, improving
+
+
+def test_share_bounds_bracket_the_exact_sums_on_every_view(monkeypatch):
+    # Every view of random explicit runs (multi-agent arrivals and
+    # departures), of random chain states with large coprime counts, of
+    # euclid n=120 churn (seed 0) and of the layered family at m = 3; then
+    # instances whose shift is 0 (costs near 10^400, and n * max costi just
+    # below 2^61) and 1 (n * max costi just below 2^60, scores at the int64
+    # edge).  Each view's bounds bracket the exact sums and every improving
+    # pair survives the screen.
+    tally, matrices = Counter(), {}
+    real = routing._rerouted
+
+    def rerouted(state, segments, **fields):
+        new = real(state, segments, **fields)
+        if "view" in new.__dict__:
+            inst = new.instance
+            if id(inst) not in matrices:  # the instance is kept, so its id is not reused
+                matrices[id(inst)] = inst, _matrix(inst)
+            s, improving = _assert_bounds_band(new, matrices[id(inst)][1])
+            tally["views", s > 0] += 1
+            tally["improving"] += len(improving)
+        return new
+
+    monkeypatch.setattr(routing, "_rerouted", rerouted)
+    rng = random.Random(23000)
+    for _ in range(30):
+        inst = random_metric(rng, rng.randint(4, 12))
+        run_eqp(inst, random_schedule(rng, inst.n, 12, False), verify=False, accounting=False)
+    for state in _primed_chain_states(rng, samples=6):
+        _assert_bounds_band(state, _matrix(state.instance))
+        tally["primed"] += 1
+    run = build_random_euclidean(120, 0, "churn")
+    run_eqp(run.instance, run.events, verify=False, accounting=False)
+    gm = build_gm(3)
+    run_noneqp(gm.instance, list(build_sigma(gm)), verify=False)
+    big = Counter()
+    for k in range(24):
+        n = rng.randint(4, 9)
+        if k % 3 == 0:
+            base = random_metric(rng, n)
+            inst = explicit_metric(n, {(a, b): base.cost(a, b) * 10**400
+                                       for a, b in combinations(range(n), 2)})
+        else:  # costs in [K/2, K] meet every triangle
+            top = (2 ** (61 - k % 3 + 1) - 1) // n
+            inst = explicit_metric(n, {e: rng.randint(top // 2, top)
+                                       for e in combinations(range(n), 2)})
+        state = random_tree_state(rng, inst, max_count=30)
+        s, improving = _assert_bounds_band(state, _matrix(inst))
+        assert s == (0 if k % 3 == 0 else k % 3 - 1), (k, s)
+        big[s] += 1
+        for _ in range(3):
+            state = random_event(rng, state)[1]
+            big["improving"] += len(_assert_bounds_band(state, _matrix(inst))[1])
+    assert tally["views", True] >= 500 and tally["primed"] == 6, tally
+    assert tally["improving"] >= 1000 and big[0] == 16 and big[1] == 8, (tally, big)
+    assert big["improving"] >= 10, big
+
+
+def test_graft_settles_a_tie_the_bounds_misorder():
+    # A chain 2 -> 1 -> 0 with two agents at 2: B(2) = 1/3 + 2/3 = 1 and
+    # B(1) = 1/3.  Newcomer 3 grafts at the root for c(3,0) = 2, or at 2
+    # for c(3,2) + B(2) = 2: an exact tie that the root's smaller id wins.
+    # Each third rounds down, so b(2) = F - 1 and the bounds alone put 2
+    # first; both lie in the window, and the exact keys settle it.
+    inst = explicit_metric(4, {(0, 1): 1, (1, 2): 2, (0, 2): 2,
+                               (0, 3): 2, (1, 3): 2, (2, 3): 1})
+    state = add_terminal(_revealed_state(inst), 2, 2, (2, 1, 0))
+    assert verify_equilibrium(state).ok
+    s, _, b = state.view.bounds()
+    F = 1 << s
+    g = {w: (int(inst.costi[3, w]) << s) + b[w] for w in state.view.order}
+    assert b[2] == F - 1 and g[2] == 2 * F - 1 < g[0] == 2 * F < g[1]
+    assert g[0] < min(g.values()) + len(state.view.order) <= g[1]
+    assert graft_path(state, 3) == (3, 0) == best_response(state, 3).path
+    assert enumerate_best_response(_matrix(inst), state.counts, state.paths, 3)[2] == (3, 0)
+
+
+def test_exact_ties_reach_the_exact_move_test(monkeypatch):
+    # The layered family's final state at m = 4 is an equilibrium whose
+    # screen keeps 48 pairs, every one an exact tie by the oracle's sums:
+    # each bound is positive, so each test reads the exact sums, and none
+    # improves.
+    gm = build_gm(4)
+    state = run_noneqp(gm.instance, list(build_sigma(gm)), verify=False).state
+    inst, paths = state.instance, state.paths
+    den, A, B = eager_prefix_sums(paths, state.usage, inst.costi, inst.denominator)
+    reads, tests = [0], Counter()
+    real_exact, real_test = routing._Tree.exact, routing.is_improving_tree_move
+
+    def exact(view, x):
+        reads[0] += 1
+        return real_exact(view, x)
+
+    def counted(state, u, v):
+        before = reads[0]
+        got = real_test(state, u, v)
+        ell = lca_from_paths(paths, u, v)
+        saving = A[u] - A[ell] - int(inst.costi[u, v]) * (den // inst.denominator) - B[v] + B[ell]
+        tests[saving == 0, reads[0] > before, got] += 1
+        return got
+
+    monkeypatch.setattr(routing._Tree, "exact", exact)
+    monkeypatch.setattr(routing, "is_improving_tree_move", counted)
+    assert verify_equilibrium(state).ok
+    assert tests == {(True, True, False): 48}, tests
 
 
 def test_eqp_never_tests_a_move_onto_the_own_parent(monkeypatch):
@@ -678,7 +825,8 @@ def test_graft_settles_exact_ties_floats_cannot():
     state = add_terminal(add_terminal(_revealed_state(inst), 1, 4, (1, 0)), 2, 1, (2, 1, 0))
     assert verify_equilibrium(state).ok
     view = state.view
-    assert inst.cost(3, 1) + Fraction(view.B[1], view.den) == inst.cost(3, 0)
+    big, _, B1 = view.exact(1)
+    assert inst.cost(3, 1) + Fraction(B1, big * inst.denominator) == inst.cost(3, 0)
     share = float(inst.cost(0, 1)) / (state.usage[0, 1] + 1)  # B(1), summed in floats
     assert float(inst.cost(3, 1)) + share < float(inst.cost(3, 0))
     assert graft_path(state, 3) == (3, 0) == best_response(state, 3).path
@@ -880,7 +1028,7 @@ def test_kernel_matches_oracle_on_large_coprime_counts():
     rng = random.Random(1)
     kinds, dens = set(), []
     for state in _primed_chain_states(rng):
-        dens.append(state.view.den)
+        dens.append(state.instance.denominator * state.view.exact(ROOT)[0])
         kinds |= _assert_searches_match_oracle(state)
     assert kinds == {"terminal", "steiner"}
     assert max(dens) > 10**12
@@ -1078,8 +1226,10 @@ def test_tree_prefix_sums_over_den_match_oracle(seed):
         path = [x]
         while path[-1] != ROOT:
             path.append(parent[path[-1]])
-        assert Fraction(view.A[x], view.den) == shared_cost_of(matrix, usage, path)
-        assert Fraction(view.B[x], view.den) == hypothetical_share(
+        big, A, B = view.exact(x)
+        den = big * inst.denominator
+        assert Fraction(A, den) == shared_cost_of(matrix, usage, path)
+        assert Fraction(B, den) == hypothetical_share(
             matrix, usage, state.counts, None, path)
 
 
@@ -1128,21 +1278,14 @@ def test_revealing_keeps_the_search_table_and_rerouting_rebuilds_it():
 # one tree per run: each state's view derived from its predecessor's
 
 
-def _sum_values(view):
-    """The view's A and B as exact values, whatever its `den`."""
-    return [{x: Fraction(v, view.den) for x, v in sums.items()} for sums in (view.A, view.B)]
-
-
 def _assert_view_is_a_full_build(state):
     assert "view" in state.__dict__  # cached with the state, not built on this read
     got, want = state.view, routing._Tree(replace(state))
     for field in ("parent", "children", "order", "leaves", "_users"):
         assert getattr(got, field) == getattr(want, field), field
-    # a carried den is a common multiple of the divisors, maybe not the least
-    assert _sum_values(got) == _sum_values(want)
-    scale, rest = divmod(got.den, state.instance.denominator)
-    assert rest == 0 and got._divisors >= want._divisors
-    assert all(scale % k == 0 for k in got._divisors)
+    # carried or built, the bounds are the same ints, and so are the exact sums
+    assert got.bounds() == want.bounds()
+    assert all(got.exact(x) == want.exact(x) for x in want.order)
 
 
 def test_derived_views_equal_a_full_build():
