@@ -21,7 +21,9 @@ an event that drops an edge).  Built on first use and cached: the
 improving-move screen (`state.screen`).  No function takes a view as an
 argument, so a view can never be paired with the wrong state.  The
 equilibrium sweep decides the tree's leaves alone unless one of them
-improves, each by an A* over one shared bound.
+improves.  One exact settle loop, `_settle`, runs every shortest path: a
+best response on a dense weight block (`_Search`), each later sweep
+verdict as an A* over reduced weights on one shared bound (`_Verdicts`).
 
 Everything is exact, and no float feeds any comparison.  `_Search` and
 `state.totals` keep their exact values as plain ints over one common
@@ -596,16 +598,34 @@ class _SearchTable:
         return adj
 
 
-class _Search:
-    """(cost, fresh)-lexicographic shortest path from one `target` to the root.
+def _settle(size, dtype, source, start, goal, stop, relax):
+    """Keys of an exact Dijkstra over nodes 0 .. size - 1 in `dtype`, from
+    `source` at key `start`: the first least open key pops (ties in index
+    order) while it is below `stop`, and pops end once `goal` pops.
+    `relax(i, d)` gives each node's key through i, popped at d; an open node
+    keeps the least.  Exact if no key it gives falls below d.  Popped nodes
+    keep their key, the rest read `stop`."""
+    tent = np.full(size, stop, dtype=dtype)  # stop once popped
+    keys, is_open = tent.copy(), np.ones(size, dtype=bool)
+    tent[source] = start
+    while (d := tent[i := int(tent.argmin())]) < stop:
+        keys[i], tent[i], is_open[i] = d, stop, False
+        if i == goal:
+            break
+        np.minimum(tent, relax(i, d), out=tent, where=is_open)
+    return keys
 
-    A Dijkstra from the root that stops once `target` is settled.  It visits
-    `nodes`, in id order: the used edges' endpoints, the target and the root.
-    No other vertex x lies on a best path from any of them: x would be
-    entered and left by two unused edges, fresh and at full cost, and every
-    instance meets the triangle inequality exactly (closures by
-    construction, Euclidean instances by ceiling rounding, explicit ones by
-    `_check_triangle`), so the direct edge between x's neighbours gives a
+
+def _Search(state, target) -> BestResponse:
+    """`target`'s (cost, fresh, id sequence)-least path to the root.
+
+    A Dijkstra from the root (`_settle`) that stops once `target` pops.  It
+    visits the table's nodes, in id order: the used edges' endpoints, the
+    target and the root.  No other vertex x lies on a best path from any of
+    them: x would be entered and left by two unused edges, fresh and at full
+    cost, and every instance meets the triangle inequality exactly (closures
+    by construction, Euclidean instances by ceiling rounding, explicit ones
+    by `_check_triangle`), so the direct edge between x's neighbours gives a
     strictly smaller (cost, fresh) key.  What depends on the state alone
     comes from `state.table`, which the search caches; a target on no path
     is read from a copy of it grown by that node, which is not cached.  A
@@ -617,99 +637,61 @@ class _Search:
     `den` with f fresh edges has key s * K + f.  Each key formed here is a
     simple path plus at most one edge, so f < K and key order is
     (cost, fresh) order; the first smallest key pops in (cost, fresh, id)
-    order.  Shares are positive, so the target's optimal continuations
-    settle before it, and stopping there loses nothing `cost_fresh` and
-    `path_from` read.
+    order.  Shares are positive, so the target's optimal continuations pop
+    before it, and stopping there loses nothing the walk reads.
 
     Weights are clamped at `top`, one more than the key of the direct edge
-    target -> root.  Settled keys are at most the target's, below `top`; a
-    path through a clamped edge weighs at least `top`, clamped or exact.  So
-    the clamp changes no settled key and no continuation `path_from` takes,
-    and relaxed keys stay below 2 * top, an unsettled vertex's key.  Keys
+    target -> root, so the target always pops.  Popped keys are at most the
+    target's, below `top`; a path through a clamped edge weighs at least
+    `top`, clamped or exact.  So the clamp changes no popped key and no
+    continuation the walk takes, and relaxed keys stay below 2 * top.  Keys
     and weights are int64 when 4 * top < 2**63 and Python ints otherwise.
+
+    The path is a greedy walk: each step takes the smallest-id y with
+    key(y) + weight(cur, y) == key(cur).  Every such y extends to an
+    optimal path, so the walk gives the smallest optimal id sequence.  An
+    unpopped y (key `top`) never matches, and weights are positive, so
+    keys fall along the walk and it cannot cycle.
     """
+    inst, tab = state.instance, state.table
+    if target not in tab.pos:
+        tab = tab._grown([target], inst.costi)
+    nodes, K = tab.nodes, len(tab.nodes) + 1
 
-    __slots__ = ("nodes", "pos", "dist", "den", "_hits")
-
-    def __init__(self, state, target):
-        inst = state.instance
-        tab = state.table
-        if target not in tab.pos:
-            tab = tab._grown([target], inst.costi)
-        self.nodes, self.pos = nodes, pos = tab.nodes, tab.pos
-        K = len(nodes) + 1
-
-        divisor = [n + 1 for n in tab.users]
-        fresh = [0] * len(divisor)
-        own_path, own_count = state.paths.get(target), state.counts.get(target, 0)
-        for e in path_edges(own_path) if own_path else ():
-            k = tab.edge[e]
-            divisor[k] = n = tab.users[k]
-            fresh[k] = int(n == own_count)
-        self.den = inst.denominator * math.lcm(*(divisors := set(divisor)))
-        scale = self.den // inst.denominator
-        unit = scale * K  # an unused edge of cost c weighs c * unit + 1
-        t = pos[target]
-        k = tab.edge.get(edge_key(ROOT, target))  # the direct edge target -> root
-        d, f = (1, 1) if k is None else (divisor[k], fresh[k])
-        top = int(inst.costi[target, ROOT]) * (scale // d) * K + f + 1
-        cap = (top - 1) // unit  # an unused edge costlier than cap weighs more than top
-        per = {d: scale // d * K for d in divisors}
-        weights = [w if (w := c * per[d] + f) < top else top
-                   for c, d, f in zip(tab.costs, divisor, fresh)]
-        self.dist = {}
-        dtype = np.int64 if 4 * top < 2**63 else object
-        # min(unit, top) is unit unless cap == 0; either way a cost above
-        # cap, clipped to cap + 1, weighs more than top, and is clamped
-        sub = tab.sub if dtype is np.int64 else tab.sub.astype(object)
-        block = np.minimum(sub, cap + 1).astype(dtype, copy=False) * min(unit, top) + 1
-        np.minimum(block, top, out=block)
-        block[tab.ia, tab.ib] = block[tab.ib, tab.ia] = weights
-        self._dense(t, K, 2 * top, block)
-
-    def _dense(self, t, K, far, block):
-        """Settle on keys of `block`'s dtype: one argmin and one masked
-        minimum per pop."""
-        nodes = self.nodes
-        tent = np.full(len(nodes), far, dtype=block.dtype)  # far once settled
-        key = np.full(len(nodes), far, dtype=block.dtype)  # far until settled
-        is_open = np.ones(len(nodes), dtype=bool)
-        tent[0] = 0  # the root has the smallest id
-        while True:
-            i = int(tent.argmin())
-            d = key[i] = tent[i]
-            self.dist[nodes[i]] = divmod(int(d), K)
-            if i == t:
-                break
-            tent[i] = far
-            is_open[i] = False
-            np.minimum(tent, block[i] + d, out=tent, where=is_open)
-        self._hits = lambda cur: (key + block[cur] == key[cur]).nonzero()[0].tolist()
-
-    def cost_fresh(self, v):
-        """(exact Fraction share, fresh edges) of settled v's best path to the root."""
-        got = self.dist.get(v)
-        if got is None:
-            raise EngineInvariantError(f"no path from {v} to the root was settled")
-        return Fraction(got[0], self.den), got[1]
-
-    def path_from(self, source) -> Path:
-        """Greedy smallest-id walk along exact-optimal continuations.
-
-        Each step takes the smallest-id y with key(y) + weight(cur, y) ==
-        key(cur); every such y extends to an optimal path, so the walk gives
-        the smallest optimal id sequence.  An unsettled y (key 2 * top) never
-        matches, and keys fall along the walk, so it cannot cycle.
-        """
-        if source not in self.dist:
-            raise EngineInvariantError(f"no path from {source} to the root was settled")
-        seq, cur = [source], self.pos[source]
-        while cur:  # index 0 is the root
-            cur = next((j for j in self._hits(cur) if j != cur), None)
-            if cur is None:
-                raise EngineInvariantError("optimal-path walk got stuck (engine bug)")
-            seq.append(self.nodes[cur])
-        return tuple(seq)
+    divisor = [n + 1 for n in tab.users]
+    fresh = [0] * len(divisor)
+    own_path, own_count = state.paths.get(target), state.counts.get(target, 0)
+    for e in path_edges(own_path) if own_path else ():
+        k = tab.edge[e]
+        divisor[k] = n = tab.users[k]
+        fresh[k] = int(n == own_count)
+    scale = math.lcm(*(divisors := set(divisor)))  # den // D
+    unit = scale * K  # an unused edge of cost c weighs c * unit + 1
+    t = tab.pos[target]
+    k = tab.edge.get(edge_key(ROOT, target))  # the direct edge target -> root
+    d, f = (1, 1) if k is None else (divisor[k], fresh[k])
+    top = int(inst.costi[target, ROOT]) * (scale // d) * K + f + 1
+    cap = (top - 1) // unit  # an unused edge costlier than cap weighs more than top
+    per = {d: scale // d * K for d in divisors}
+    weights = [w if (w := c * per[d] + f) < top else top
+               for c, d, f in zip(tab.costs, divisor, fresh)]
+    dtype = np.int64 if 4 * top < 2**63 else object
+    # min(unit, top) is unit unless cap == 0; either way a cost above
+    # cap, clipped to cap + 1, weighs more than top, and is clamped
+    sub = tab.sub if dtype is np.int64 else tab.sub.astype(object)
+    block = np.minimum(sub, cap + 1).astype(dtype, copy=False) * min(unit, top) + 1
+    np.minimum(block, top, out=block)
+    block[tab.ia, tab.ib] = block[tab.ib, tab.ia] = weights
+    key = _settle(len(nodes), dtype, 0, 0, t, top, lambda i, d: block[i] + d)
+    seq, cur = [target], t
+    while cur:  # index 0 is the root
+        hits = key + block[cur] == key[cur]
+        cur = int(hits.argmax())
+        if not hits[cur]:
+            raise EngineInvariantError("optimal-path walk got stuck (engine bug)")
+        seq.append(nodes[cur])
+    share, fresh_edges = divmod(int(key[t]), K)
+    return BestResponse(tuple(seq), Fraction(share, inst.denominator * scale), fresh_edges)
 
 
 def best_response(state, vertex) -> BestResponse:
@@ -723,9 +705,7 @@ def best_response(state, vertex) -> BestResponse:
         raise EngineInvariantError("the root does not route")
     if vertex not in set(state.revealed):
         raise EngineInvariantError(f"best response for unrevealed vertex {vertex}")
-    search = _Search(state, vertex)
-    cost, fresh = search.cost_fresh(vertex)
-    return BestResponse(search.path_from(vertex), cost, fresh)
+    return _Search(state, vertex)
 
 
 def graft_path(state, vertex) -> Path:
@@ -822,28 +802,24 @@ class _Verdicts:
         return self._astar(0, set(), top, np.zeros(len(self.state.table.nodes), dtype=object))
 
     def _astar(self, source, own, stop, h):
-        """Keys of an exact A* from node `source` over `state.table`'s nodes,
-        clamped at `stop`: g + h for each node popped, g its least weight
-        from `source` with the edges in `own` at c / N, the other used ones
-        at c / (N + 1) and unused ones at c; `stop` for the rest.  Pops end
-        when the root (index 0, if not the source) pops or the least open
-        key reaches `stop`.  Keys stay below 4 * stop: int64 if that fits."""
+        """Keys g + h of an exact A* from node `source` over `state.table`'s
+        nodes, up to the root (index 0, if not the source) and clamped at
+        `stop`: `_settle` over the reduced weights w(i, j) + h(j) - h(i)
+        from key h(source), each pop building its row of w, which prices
+        the edges in `own` at c / N, the other used ones at c / (N + 1) and
+        unused ones at c.  Keys stay below 4 * stop: int64 if that fits."""
         tab, (lo, hi, scale, top) = self.state.table, self._prices
         dtype = np.int64 if 4 * stop < 2**63 else object
         cap = min(stop // scale + 1, top)  # a cost past cap weighs >= stop
         h = np.minimum(h, stop).astype(dtype)
-        tent = np.full(len(h), stop, dtype=dtype)  # stop once popped
-        keys, is_open = tent.copy(), np.ones(len(h), dtype=bool)
-        tent[source] = h[source]
-        while (d := tent[i := int(tent.argmin())]) < stop:
-            keys[i], tent[i], is_open[i] = d, stop, False
-            if i == 0 != source:
-                break
+
+        def relax(i, d):
             row = np.minimum(tab.sub[i], cap).astype(dtype, copy=False) * min(scale, stop)
             for j, k in tab.adj.get(i, ()):
                 row[j] = min(hi[k] if k in own else lo[k], stop)
-            np.minimum(tent, row + (d - h[i]) + h, out=tent, where=is_open)
-        return keys
+            return row + (d - h[i]) + h
+
+        return _settle(len(h), dtype, source, h[source], 0 if source else None, stop, relax)
 
 
 def verify_equilibrium(state) -> EquilibriumVerdict:
@@ -870,12 +846,14 @@ def verify_equilibrium(state) -> EquilibriumVerdict:
     so w_lo <= w_t on every edge.  The bound h(x), built once per sweep, is
     x's least w_lo-distance to the root over the same nodes, off which no
     best path runs (`_Search`).  So h(x) <= w_lo(x, y) + h(y) <= w_t(x, y) +
-    h(y) and h(root) = 0: h is consistent, and keys g + h never fall along
-    the pops.  If the least open key reaches cur(t), every path from t costs
-    at least cur(t), so t has no strict improvement, exact ties included;
-    if the root pops first, its key is a cheaper path's cost.  Keys,
-    weights and h are clamped at cur(t), which changes no key below it and
-    keeps h consistent.
+    h(y) and h(root) = 0: h is consistent, every reduced weight w_t(x, y) +
+    h(y) - h(x) is >= 0, and the A* is an exact Dijkstra over them
+    (`_settle`), whose keys g + h never fall along the pops.  If the least
+    open key reaches cur(t), every path from t costs at least cur(t), so t
+    has no strict improvement, exact ties included; if the root pops
+    first, its key is a cheaper path's cost.  Keys, weights and h are
+    clamped at cur(t), which changes no key below it and keeps h
+    consistent.
 
     On a tree the verdict is compared against the improving tree-move scan;
     an improving path exists iff an improving tree-follow move does, so

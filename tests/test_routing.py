@@ -58,6 +58,7 @@ from oracles import (
     brute_improving_tree_move,
     eager_prefix_sums,
     enumerate_best_response,
+    floyd_warshall,
     hypothetical_share,
     lca_from_paths,
     recompute_potential,
@@ -1020,10 +1021,6 @@ def _assert_searches_match_oracle(state):
     return kinds
 
 
-def _search(state, v):
-    return routing._Search(state, v)
-
-
 def test_kernel_matches_oracle_on_large_coprime_counts():
     rng = random.Random(1)
     kinds, dens = set(), []
@@ -1034,11 +1031,15 @@ def test_kernel_matches_oracle_on_large_coprime_counts():
     assert max(dens) > 10**12
 
 
-def test_search_skips_vertices_no_path_uses():
+def test_search_skips_vertices_no_path_uses(monkeypatch):
     # Departures leave revealed vertices that no path touches.  The search
     # leaves them out (a best path never visits one: the direct edge
     # between its neighbours is cheaper or has fewer fresh edges), and the
-    # oracle, which may route through every vertex, agrees.
+    # oracle, which may route through every vertex, agrees.  The search
+    # settles `state.table`'s nodes and its target.
+    sizes = []
+    real = routing._settle
+    monkeypatch.setattr(routing, "_settle", lambda size, *args: sizes.append(size) or real(size, *args))
     rng = random.Random(17000)
     chains = _primed_chain_states(rng, samples=16)
     metrics = (random_tree_state(rng, random_metric(rng, rng.randint(5, 8)), max_count=4)
@@ -1051,7 +1052,10 @@ def test_search_skips_vertices_no_path_uses():
             state, rng.sample(sorted(state.counts), rng.randint(1, len(state.counts) - 1)))
         on_paths = {v for e in state.usage for v in e}
         for v in range(1, state.instance.n):
-            assert _search(state, v).nodes == sorted(on_paths | {ROOT, v})
+            sizes.clear()
+            routing._Search(state, v)
+            assert state.table.nodes == sorted(on_paths | {ROOT})
+            assert sizes == [len(on_paths | {ROOT, v})]
         skipped += state.instance.n - len(on_paths | {ROOT})
         kinds |= _assert_searches_match_oracle(state)
     assert kinds == {"terminal", "steiner"}
@@ -1072,17 +1076,19 @@ def _prime_loaded(rng, inst, primes):
 
 
 def _count_kernels(monkeypatch):
-    """Counter of the searches that settle on int64 keys ("int64") and on
-    Python-int keys ("object"), by the dtype of the weight block the
-    kernel runs on, from here to the end of the test."""
+    """Counter of the best-response searches that settle on int64 keys
+    ("int64") and on Python-int keys ("object"), by the dtype `_settle` runs
+    them in, from here to the end of the test.  A search's goal is its
+    target, never the root; an A*'s is the root (0) or, for the bound, None."""
     ran = Counter()
-    real = routing._Search._dense
+    real = routing._settle
 
-    def counted(self, t, K, far, block):
-        ran["object" if block.dtype == object else str(block.dtype)] += 1
-        return real(self, t, K, far, block)
+    def counted(size, dtype, source, start, goal, *args):
+        if goal:
+            ran["object" if dtype is object else np.dtype(dtype).name] += 1
+        return real(size, dtype, source, start, goal, *args)
 
-    monkeypatch.setattr(routing._Search, "_dense", counted)
+    monkeypatch.setattr(routing, "_settle", counted)
     return ran
 
 
@@ -1125,10 +1131,13 @@ def test_search_clamps_edges_far_beyond_the_direct_edge(monkeypatch, far, low, k
         state = _prime_loaded(rng, inst, primes)
         for v in (1, 2, 3):
             runs = ran[kernel]
-            search = _search(state, v)
-            unit = search.den // inst.denominator * (len(search.nodes) + 1)
-            clamped += (ran[kernel] > runs and far * unit >= 2**63
-                        and any(u >= 4 for u in search.nodes))
+            routing._Search(state, v)
+            # the search's nodes and its den // D, lcm of its share divisors
+            nodes = {*state.table.nodes, v}
+            own = set(routing.path_edges(state.paths.get(v, ())))
+            scale = math.lcm(*(n if e in own else n + 1 for e, n in state.usage.items()))
+            clamped += (ran[kernel] > runs and far * scale * (len(nodes) + 1) >= 2**63
+                        and any(u >= 4 for u in nodes))
         kinds |= _assert_searches_match_oracle(state)
     assert clamped >= 10
     assert kinds == {"terminal", "steiner"}
@@ -1182,6 +1191,66 @@ def test_search_breaks_full_ties_on_equal_distances(primes):
             order = list(range(1, n))
             rng.shuffle(order)
             _assert_searches_match_oracle(replace(state, revealed=(ROOT, *order)))
+
+
+@pytest.mark.parametrize("scale", [1, 2**63 + 1], ids=["int64", "object"])
+def test_settle_matches_floyd_warshall(scale):
+    # `_settle`, the one shortest-path loop of best responses, the sweep's
+    # bound and its A* verdicts, on random complete graphs with positive
+    # symmetric weights (past 2^63 in object dtype), against all-pairs
+    # distances: from a source at a nonzero key, up to a goal, below a
+    # stop, and as an A* whose keys add a consistent potential h.  Weights
+    # of 1 to 3 make many equal keys, which must pop in index order.
+    rng = random.Random(17400)
+    dtype = np.int64 if scale == 1 else object
+    tied = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        w = [[0] * n for _ in range(n)]
+        for a, b in combinations(range(n), 2):
+            w[a][b] = w[b][a] = rng.randint(1, 3) * scale
+        dist = floyd_warshall(w)
+        block = np.array(w, dtype=dtype)
+        source, start = rng.randrange(n), rng.randint(1, 5) * scale
+        far = start + 3 * n * scale  # past every key
+        pops = []
+
+        def relax(i, d):
+            pops.append(i)
+            return block[i] + d
+
+        exact = [start + dist[source][j] for j in range(n)]
+        order = sorted(range(n), key=lambda j: (exact[j], j))
+        assert routing._settle(n, dtype, source, start, None, far, relax).tolist() == exact
+        assert pops == order
+        tied += sum(exact[a] == exact[b] for a, b in zip(order, order[1:]))
+        # a goal: the nodes before it in (key, index) order and the goal
+        # itself pop, exact; the rest read the stop
+        goal = rng.randrange(n)
+        done = order[:order.index(goal) + 1]
+        keys = routing._settle(n, dtype, source, start, goal, far, relax).tolist()
+        assert keys == [exact[j] if j in done else far for j in range(n)]
+        # a stop: the nodes at or past it read it
+        stop = start + rng.randint(0, 2 * n) * scale
+        keys = routing._settle(n, dtype, source, start, None, stop, relax).tolist()
+        assert keys == [min(k, stop) for k in exact]
+        # h = distance to the goal is consistent: over the reduced weights
+        # w(i, j) + h(j) - h(i) from key h(source), keys are distance + h
+        h = np.array([dist[j][goal] for j in range(n)], dtype=dtype)
+        # (a zero reduced weight can tie a node to its parent's key only
+        # after the parent pops, so ties need not pop in index order)
+        exact = [dist[source][j] + h[j] for j in range(n)]
+
+        def reduced(i, d):
+            return block[i] + (d - h[i]) + h
+
+        assert routing._settle(n, dtype, source, h[source], None, far, reduced).tolist() == exact
+        keys = routing._settle(n, dtype, source, h[source], goal, far, reduced).tolist()
+        g = dist[source][goal]
+        assert keys[goal] == g
+        assert all(k == e if e < g else k == far if e > g else k in (e, far)
+                   for k, e in zip(keys, exact))
+    assert tied >= 500, tied
 
 
 def test_kernels_match_oracles_on_python_int_costs():
@@ -1730,8 +1799,9 @@ def test_verify_sweep_runs_under_forwarding_wrappers(monkeypatch):
     # A call tracer replaces `_Search`, `_Tree` and `has_improving_move` by
     # plain functions that forward their arguments, and names each
     # has_improving_move call from exactly (state, vertex).  The sweep must
-    # give the same verdicts under them, so no code may use `_Search` or
-    # `_Tree` as a class at runtime or pass has_improving_move anything else.
+    # give the same verdicts under them, so no code may call `_Search` other
+    # than through the module's name, use `_Tree` as a class at runtime or
+    # pass has_improving_move anything else.
     rng = random.Random(17700)
     states = [random_tree_state(rng, random_metric(rng, rng.randint(4, 8)))
               for _ in range(12)]
