@@ -493,8 +493,11 @@ def run_epoch_eqp(state, family, event, *, epoch_index=0,
     `state` must be a balanced equilibrium (as every epoch leaves it): an
     arrival into it grafts onto the tree by one edge without a search.
     """
-    kind, state = _apply_event(state, family, event, batch_order=batch_order,
+    before = state  # the caller holds it, so naming it keeps nothing alive
+    kind, state = _apply_event(before, family, event, batch_order=batch_order,
                                adopt_tree_paths=True)
+    # no superseded state's screen is read again: one screen lives at a time
+    vars(before).pop("screen", None)
     allowed_rank = LEAF_UNBALANCED if kind == "arrive" else BALANCED
     cls = classify(state, family)
     if cls.rank > allowed_rank:
@@ -510,6 +513,7 @@ def run_epoch_eqp(state, family, event, *, epoch_index=0,
     moves = []
     while cls.rank != BALANCED_EQUILIBRIUM:
         sel = select_tree_move(state, family, cls=cls)
+        vars(state).pop("screen", None)
         state, cls, phi, record = _apply_move(state, family, sel, phi, len(moves))
         moves.append(record)
         if on_move is not None:

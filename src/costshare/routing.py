@@ -23,7 +23,8 @@ argument, so a view can never be paired with the wrong state.  The
 equilibrium sweep decides the tree's leaves alone unless one of them
 improves.  One exact settle loop, `_settle`, runs every shortest path: a
 best response on a dense weight block (`_Search`), each later sweep
-verdict as an A* over reduced weights on one shared bound (`_Verdicts`).
+verdict as an A* over one reduced lower-price block per sweep, patched on
+the terminal's own edges in each row it reads (`_Verdicts`).
 
 Everything is exact, and no float feeds any comparison.  `_Search` and
 `state.totals` keep their exact values as plain ints over one common
@@ -566,7 +567,7 @@ class _SearchTable:
         """A copy with the sorted vertices `extra`, none of them a node,
         inserted into `nodes`: `pos`, `sub`, `ia` and `ib` follow."""
         tab = type(self).__new__(type(self))
-        tab.__dict__ = {k: v for k, v in self.__dict__.items() if k != "adj"}
+        tab.__dict__ = dict(self.__dict__)
         if extra:
             at = [bisect.bisect_left(self.nodes, v) for v in extra]
             tab.nodes = nodes = sorted(self.nodes + extra)
@@ -588,15 +589,6 @@ class _SearchTable:
         tab.users = list(usage.values())
         return tab
 
-    @cached_property
-    def adj(self):
-        """{i: [(j, k) for each used edge k at node i]}, built on first use."""
-        adj: dict = {}
-        for k, (i, j) in enumerate(zip(self.ia.tolist(), self.ib.tolist())):
-            adj.setdefault(i, []).append((j, k))
-            adj.setdefault(j, []).append((i, k))
-        return adj
-
 
 def _settle(size, dtype, source, start, goal, stop, relax):
     """Keys of an exact Dijkstra over nodes 0 .. size - 1 in `dtype`, from
@@ -606,13 +598,14 @@ def _settle(size, dtype, source, start, goal, stop, relax):
     keeps the least.  Exact if no key it gives falls below d.  Popped nodes
     keep their key, the rest read `stop`."""
     tent = np.full(size, stop, dtype=dtype)  # stop once popped
-    keys, is_open = tent.copy(), np.ones(size, dtype=bool)
+    keys, shut = tent.copy(), np.full(size, start, dtype=dtype)  # no key is below start
     tent[source] = start
     while (d := tent[i := int(tent.argmin())]) < stop:
-        keys[i], tent[i], is_open[i] = d, stop, False
+        keys[i], shut[i] = d, stop
         if i == goal:
             break
-        np.minimum(tent, relax(i, d), out=tent, where=is_open)
+        np.minimum(tent, relax(i, d), out=tent)
+        np.maximum(tent, shut, out=tent)
     return keys
 
 
@@ -673,13 +666,15 @@ def _Search(state, target) -> BestResponse:
     top = int(inst.costi[target, ROOT]) * (scale // d) * K + f + 1
     cap = (top - 1) // unit  # an unused edge costlier than cap weighs more than top
     per = {d: scale // d * K for d in divisors}
-    weights = [w if (w := c * per[d] + f) < top else top
-               for c, d, f in zip(tab.costs, divisor, fresh)]
     dtype = np.int64 if 4 * top < 2**63 else object
+    weights = np.array([w if (w := c * per[d] + f) < top else top
+                        for c, d, f in zip(tab.costs, divisor, fresh)], dtype=dtype)
     # min(unit, top) is unit unless cap == 0; either way a cost above
     # cap, clipped to cap + 1, weighs more than top, and is clamped
     sub = tab.sub if dtype is np.int64 else tab.sub.astype(object)
-    block = np.minimum(sub, cap + 1).astype(dtype, copy=False) * min(unit, top) + 1
+    block = np.minimum(sub, cap + 1).astype(dtype, copy=False)
+    block *= min(unit, top)
+    block += 1
     np.minimum(block, top, out=block)
     block[tab.ia, tab.ib] = block[tab.ib, tab.ia] = weights
     key = _settle(len(nodes), dtype, 0, 0, t, top, lambda i, d: block[i] + d)
@@ -761,8 +756,8 @@ def has_improving_move(state, vertex) -> Optional[Witness]:
 
 class _Verdicts:
     """One sweep's verdicts, "can terminal t strictly improve?": the first by
-    `has_improving_move`, each later one by `decide`, an A* over the bound
-    that the second builds (`verify_equilibrium`)."""
+    `has_improving_move`, each later one by `decide`, an A* over the reduced
+    block that the second builds (`verify_equilibrium`)."""
 
     def __init__(self, state):
         self.state, self.first = state, None
@@ -774,8 +769,21 @@ class _Verdicts:
         return self.decide(t)
 
     def decide(self, t) -> bool:
-        own, cur = self._own[t]
-        return self._astar(self.state.table.pos[t], own, cur, self._bound)[0] < cur
+        (lo, hi, _, _), (R, h) = self._prices, self._block
+        ks, cur = self._own[t]
+        at = [self.state.table.pos[v] for v in self.state.paths[t]]
+        patch: dict = {}  # t's own edges at each node: (other end, hi - lo)
+        for a, b, k in zip(at, at[1:], ks):
+            patch.setdefault(a, []).append((b, hi[k] - lo[k]))
+            patch.setdefault(b, []).append((a, hi[k] - lo[k]))
+
+        def relax(i, d):
+            row = R[i] + d
+            for j, up in patch.get(i, ()):
+                row[j] += up
+            return row
+
+        return _settle(len(h), R.dtype, at[0], h[at[0]], 0, cur, relax)[0] < cur
 
     @cached_property
     def _prices(self):
@@ -788,38 +796,29 @@ class _Verdicts:
 
     @cached_property
     def _own(self):
-        """{t: (t's path edges, cur(t) over den)} for every terminal t."""
+        """{t: (t's path edges in path order, cur(t) over den)} per terminal t."""
         edge, hi, own = self.state.table.edge, self._prices[1], {}
         for t, path in self.state.paths.items():
-            ks = {edge[e] for e in path_edges(path)}
+            ks = [edge[e] for e in path_edges(path)]
             own[t] = ks, sum(hi[k] for k in ks)
         return own
 
     @cached_property
-    def _bound(self):
-        """h, clamped at the largest current share."""
-        top = max(cur for _, cur in self._own.values())
-        return self._astar(0, set(), top, np.zeros(len(self.state.table.nodes), dtype=object))
-
-    def _astar(self, source, own, stop, h):
-        """Keys g + h of an exact A* from node `source` over `state.table`'s
-        nodes, up to the root (index 0, if not the source) and clamped at
-        `stop`: `_settle` over the reduced weights w(i, j) + h(j) - h(i)
-        from key h(source), each pop building its row of w, which prices
-        the edges in `own` at c / N, the other used ones at c / (N + 1) and
-        unused ones at c.  Keys stay below 4 * stop: int64 if that fits."""
-        tab, (lo, hi, scale, top) = self.state.table, self._prices
-        dtype = np.int64 if 4 * stop < 2**63 else object
-        cap = min(stop // scale + 1, top)  # a cost past cap weighs >= stop
-        h = np.minimum(h, stop).astype(dtype)
-
-        def relax(i, d):
-            row = np.minimum(tab.sub[i], cap).astype(dtype, copy=False) * min(scale, stop)
-            for j, k in tab.adj.get(i, ()):
-                row[j] = min(hi[k] if k in own else lo[k], stop)
-            return row + (d - h[i]) + h
-
-        return _settle(len(h), dtype, source, h[source], 0 if source else None, stop, relax)
+    def _block(self):
+        """(R, h): the lower prices W clamped at the largest cur(t), T, the
+        bound h (`_settle` over W, stop T) and R = W + h(j) - h(i), in place."""
+        tab, (lo, _, scale, top) = self.state.table, self._prices
+        T = max(cur for _, cur in self._own.values())
+        dtype = np.int64 if 4 * T < 2**63 else object
+        # a cost past cap weighs at least T; a used edge's lo < hi <= T
+        W = np.minimum(tab.sub, min(T // scale + 1, top)).astype(dtype, copy=False)
+        W *= min(scale, T)
+        np.minimum(W, T, out=W)
+        W[tab.ia, tab.ib] = W[tab.ib, tab.ia] = np.array(lo, dtype=dtype)
+        h = _settle(len(W), dtype, 0, 0, None, T, lambda i, d: W[i] + d)
+        W += h
+        W -= h[:, None]
+        return W, h
 
 
 def verify_equilibrium(state) -> EquilibriumVerdict:
@@ -843,17 +842,22 @@ def verify_equilibrium(state) -> EquilibriumVerdict:
     D * lcm{N_e, N_e + 1 : e used}.  t's prices w_t are c_e / N_e on its
     path, c_e / (N_e + 1) on other used edges, c_e on unused ones; the lower
     prices w_lo are c_e / (N_e + 1) on every used edge, c_e on unused ones,
-    so w_lo <= w_t on every edge.  The bound h(x), built once per sweep, is
-    x's least w_lo-distance to the root over the same nodes, off which no
-    best path runs (`_Search`).  So h(x) <= w_lo(x, y) + h(y) <= w_t(x, y) +
-    h(y) and h(root) = 0: h is consistent, every reduced weight w_t(x, y) +
-    h(y) - h(x) is >= 0, and the A* is an exact Dijkstra over them
-    (`_settle`), whose keys g + h never fall along the pops.  If the least
-    open key reaches cur(t), every path from t costs at least cur(t), so t
-    has no strict improvement, exact ties included; if the root pops
-    first, its key is a cheaper path's cost.  Keys, weights and h are
-    clamped at cur(t), which changes no key below it and keeps h
-    consistent.
+    so w_lo <= w_t on every edge.  Once per sweep, T its largest cur(t), W =
+    min(w_lo, T) is built over those nodes, off which no best path runs
+    (`_Search`), and h(x) = min(x's W-distance to the root, T) = min(x's
+    w_lo-distance, T).  As min(a + b, T) <= min(a, T) + min(b, T) for a, b
+    >= 0, h(x) <= min(w_lo(x, y), T) + h(y) <= min(w_t(x, y), T) + h(y), and
+    h(root) = 0: h is consistent for t's prices clamped at T, and the A* is
+    an exact Dijkstra (`_settle`) over reduced weights >= 0.  W is
+    reweighted in place to R(x, y) = W(x, y) + h(y) - h(x); t's differ from
+    R on its own edges alone, both ways, by c_e / N_e - c_e / (N_e + 1), as
+    c_e / N_e <= cur(t) <= T is unclamped, and a verdict adds that to the
+    row it copies at a pop, never to R.  A key below cur(t) <= T is a path
+    through no clamped edge, with h exact at its end, so the clamp changes
+    no key below the stop.  If the least open key reaches cur(t), every path
+    from t costs at least cur(t), so t has no strict improvement, exact ties
+    included; if the root pops first, its key is a cheaper path's cost.
+    Keys stay below 4T: int64 if that fits, chosen once per sweep.
 
     On a tree the verdict is compared against the improving tree-move scan;
     an improving path exists iff an improving tree-follow move does, so

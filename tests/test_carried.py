@@ -267,7 +267,7 @@ def _record_reroutes(monkeypatch, check):
 def _assert_table_is_a_full_build(state):
     got, want = state.table, routing._SearchTable(replace(state))
     assert got.nodes == sorted({ROOT, *(v for e in state.usage for v in e)})
-    for field in ("nodes", "pos", "edge", "users", "costs", "adj"):
+    for field in ("nodes", "pos", "edge", "users", "costs"):
         assert getattr(got, field) == getattr(want, field), field
     for field in ("ia", "ib", "sub"):
         mine, full = getattr(got, field), getattr(want, field)

@@ -442,6 +442,35 @@ def test_run_eqp_is_deterministic():
     assert [e.moves for e in a.epochs] == [e.moves for e in b.epochs]
 
 
+def test_an_eqp_epoch_keeps_no_superseded_screen(monkeypatch):
+    # `run_epoch_eqp` drops the cached improving-move screen of each state
+    # it supersedes: the input state's once the event is applied, each
+    # pre-move state's once its move is selected, so the next state's
+    # screen is never built beside it.  The epoch's output keeps its own.
+    tally = Counter()
+    epoch, apply_move = dynamics.run_epoch_eqp, dynamics._apply_move
+
+    def epoching(state, *args, **kwargs):
+        tally["inputs with a screen"] += "screen" in vars(state)
+        new, rec = epoch(state, *args, **kwargs)
+        assert "screen" not in vars(state) and "screen" in vars(new)
+        tally["epochs"] += 1
+        return new, rec
+
+    def moving(state, *args):
+        assert "screen" not in vars(state)
+        tally["moves"] += 1
+        return apply_move(state, *args)
+
+    monkeypatch.setattr(dynamics, "run_epoch_eqp", epoching)
+    monkeypatch.setattr(dynamics, "_apply_move", moving)
+    run = build_random_euclidean(60, 0)
+    res = run_eqp(run.instance, run.events, verify=False, accounting=False)
+    assert "screen" in vars(res.state)
+    assert tally["epochs"] == len(run.events) == tally["inputs with a screen"] + 1
+    assert tally["moves"] >= 20, tally
+
+
 def test_departed_relay_becomes_interior_and_arrivals_adopt_its_path():
     inst = line_instance(0, 10, 11)
     events = [

@@ -1587,9 +1587,10 @@ def _lemma_states(rng, count):
 def _record_verdicts(monkeypatch):
     """(searched, decided, bounds): the target of every `_Search`, the
     terminal of every sweep verdict, the first verdict's search included, in
-    order, and one entry per shared bound built."""
+    order, and one entry per shared bound built (the one `_settle` run with
+    no goal)."""
     searched, decided, bounds = [], [], []
-    search, decide, astar = routing._Search, routing._Verdicts.decide, routing._Verdicts._astar
+    search, decide, settle = routing._Search, routing._Verdicts.decide, routing._settle
 
     def searching(state, target):
         if not decided:  # the sweep's first verdict
@@ -1601,14 +1602,14 @@ def _record_verdicts(monkeypatch):
         decided.append(t)
         return decide(verdicts, t)
 
-    def running(verdicts, source, *args):
-        if source == 0:  # from the root: the bound
-            bounds.append(verdicts.state)
-        return astar(verdicts, source, *args)
+    def settling(size, dtype, source, start, goal, *args):
+        if goal is None:  # from the root to every node: the bound
+            bounds.append(size)
+        return settle(size, dtype, source, start, goal, *args)
 
     monkeypatch.setattr(routing, "_Search", searching)
     monkeypatch.setattr(routing._Verdicts, "decide", deciding)
-    monkeypatch.setattr(routing._Verdicts, "_astar", running)
+    monkeypatch.setattr(routing, "_settle", settling)
     return searched, decided, bounds
 
 
@@ -1730,9 +1731,10 @@ def _verdict_states(monkeypatch):
 
 
 def test_every_astar_verdict_matches_a_best_response_search(monkeypatch):
-    # `verify_equilibrium`'s later verdicts, one A* each over the shared
-    # bound, say "improves" exactly when a best-response search does, exact
-    # ties (best == current) included.
+    # `verify_equilibrium`'s later verdicts, one A* each over the sweep's
+    # reduced block, say "improves" exactly when a best-response search
+    # does, exact ties (best == current) included, in sweeps whose block is
+    # int64 and in sweeps whose block holds Python ints.
     tally = Counter()
     for state in _verdict_states(monkeypatch):
         verdicts = routing._Verdicts(state)
@@ -1743,12 +1745,58 @@ def test_every_astar_verdict_matches_a_best_response_search(monkeypatch):
                 tally["improves"] += 1
             elif best_response(state, t).cost == shared_cost(state, t):
                 tally["tie"] += 1
+        if state.counts:
+            tally[verdicts._block[0].dtype.name] += 1
         try:
             state.view
         except EngineInvariantError:
             tally["non-tree states"] += 1
     assert tally["tie"] >= 1000 and tally["improves"] >= 200, tally
     assert tally["non-tree states"] >= 20, tally
+    assert tally["int64"] >= 1000 and tally["object"] >= 50, tally
+
+
+def test_every_astar_key_is_a_distance_plus_the_bound(monkeypatch):
+    # Each key a verdict's A* pops is t's exact distance from t at its own
+    # prices over `state.table`'s nodes (c / N on its path, c / (N + 1) on
+    # other used edges, c on unused ones, all over den), by Floyd-Warshall,
+    # plus the sweep's bound h, itself checked the same way; every other
+    # node reads cur(t).  No verdict
+    # tells the own-edge patch made toward the root alone from the patch
+    # made both ways (a cheaper path priced so exists iff a truly cheaper
+    # one does); some of these keys do.
+    runs = []
+    settle = routing._settle
+    monkeypatch.setattr(routing, "_settle", lambda *args: runs.append(settle(*args)) or runs[-1])
+    rng = random.Random(20100)
+    tally = Counter()
+    for i in range(500):
+        inst = (big_denominator_metric(rng, rng.randint(4, 6)) if i % 5 == 0
+                else random_metric(rng, rng.randint(5, 12)))
+        state = random_tree_state(rng, inst, max_count=rng.choice([1, 2, 3, 5]))
+        verdicts, nodes, costi = routing._Verdicts(state), state.table.nodes, state.instance.costi
+        scale = math.lcm(*{k for n in state.usage.values() for k in (n, n + 1)})  # den // D
+
+        def prices(own):
+            return [[int(costi[a, b]) * scale // (state.usage[e] + (e not in own))
+                     if (e := routing.edge_key(a, b)) in state.usage else int(costi[a, b]) * scale
+                     for b in nodes] for a in nodes]
+
+        owns = {t: set(routing.path_edges(path)) for t, path in state.paths.items()}
+        curs = {t: sum(int(costi[e]) * scale // state.usage[e] for e in own) for t, own in owns.items()}
+        # h: the root distance at the lower prices, clamped at the largest cur
+        h = [min(d[0], max(curs.values())) for d in floyd_warshall(prices(set()))]
+        for t in sorted(state.counts):
+            cur, dist = curs[t], floyd_warshall(prices(owns[t]))[nodes.index(t)]
+            improves = verdicts.decide(t)
+            keys = runs[-1].tolist()
+            assert verdicts._block[1].tolist() == h
+            for x, key in enumerate(keys):
+                assert key == cur or key == dist[x] + h[x] < cur, (state.paths, t, x)
+                tally["popped"] += key < cur
+            assert improves == (keys[0] < cur) == (dist[0] < cur)
+            tally["improves"] += bool(improves)
+    assert tally["popped"] >= 3000 and tally["improves"] >= 500, tally
 
 
 def test_sweep_builds_one_search_table_per_state(monkeypatch):
