@@ -36,7 +36,7 @@ from typing import Optional
 
 from .errors import ClosureViolationError, EngineInvariantError, VerificationError
 from .metric import ROOT, MetricInstance, mst_cost
-from .rationals import floor_log2_ratio, pow2
+from .rationals import floor_log2_ratio, pow2, within_log_gate
 from .routing import RoutingState, find_improving_tree_move, solution_cost
 
 
@@ -377,7 +377,8 @@ def logn_accounting(state: RoutingState, family: DualFamily,
     floor(log2 n) + 2 levels are charged at all; both facts follow
     unconditionally from the at-most-once premise, so their failure raises
     EngineInvariantError.  The reported `certified` flag is the measured
-    gate: total/opt <= 32 * (log2 n + 1).
+    gate, total/opt <= 32 * (log2 n + 1), decided exactly (`within_log_gate`);
+    `ratio` and `gate` are reported as they are, `gate` a float.
     """
     n = len(state.revealed)
     if not state.usage:
@@ -441,7 +442,7 @@ def logn_accounting(state: RoutingState, family: DualFamily,
     gate = 32.0 * (math.log2(n) + 1.0)
     return AccountingReport(
         n=n, total_cost=total, opt_cost=opt, ratio=ratio, gate=gate,
-        certified=float(ratio) <= gate, max_edge=Fraction(max_edge, den),
+        certified=within_log_gate(ratio, n), max_edge=Fraction(max_edge, den),
         ignored_cost=Fraction(ignored_cost, den), ignored_count=ignored_count,
         rows=tuple(rows), levels_charged=len(rows), level_budget=level_budget,
     )

@@ -37,6 +37,7 @@ from .duals import (
     DualFamily,
     StateClass,
     classify,
+    compute_charges,
     logn_accounting,
 )
 from .errors import (
@@ -51,6 +52,7 @@ from .routing import (
     EquilibriumVerdict,
     RoutingState,
     add_terminal,
+    arrival_screen,
     best_response,
     closest_improving_target,
     graft_path,
@@ -236,7 +238,7 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
         return not pow2_le(j, int(costi[u, v]), den)
 
     # the vertices whose screen row keeps a target, in id order; row 0 is the root
-    movers = [view.order[i] for i in (state.screen[1:].any(axis=1).nonzero()[0] + 1).tolist()]
+    movers = [view.order[i] for i in (state.screen[0][1:].any(axis=1).nonzero()[0] + 1).tolist()]
 
     if cls.rank == LEAF_UNBALANCED:
         non_leaves = frozenset(v for v in view.order if v not in view.leaves)
@@ -449,24 +451,24 @@ def _arrival_path(state, item, *, adopt_tree_paths, into_equilibrium=False):
     return path
 
 
-def _apply_arrival(state, event, *, batch_order, adopt_tree_paths):
+def _apply_arrival(state, family, event, *, batch_order, adopt_tree_paths):
     """Route the event's items; under adopt_tree_paths, `state` is an equilibrium.
 
     Items routed against that equilibrium itself (all of them under the
-    snapshot order, the first under the sequential one) graft onto the tree.
+    snapshot order, the first under the sequential one) graft onto the tree,
+    and each state between two items gets its charge map (`compute_charges`).
     """
-    if batch_order == "snapshot":
-        plans = [(it, _arrival_path(state, it, adopt_tree_paths=adopt_tree_paths,
-                                    into_equilibrium=adopt_tree_paths))
-                 for it in event.items]
-        for it, path in plans:
-            state = add_terminal(state, it.vertex, it.count, path)
-        return state
-    if batch_order != "sequential":
+    if batch_order not in ("snapshot", "sequential"):
         raise ConfigError(f"unknown batch order {batch_order!r}")
+    plans = [_arrival_path(state, it, adopt_tree_paths=adopt_tree_paths,
+                           into_equilibrium=adopt_tree_paths)
+             for it in event.items] if batch_order == "snapshot" else None
     for i, it in enumerate(event.items):
-        path = _arrival_path(state, it, adopt_tree_paths=adopt_tree_paths,
-                             into_equilibrium=adopt_tree_paths and i == 0)
+        if i and adopt_tree_paths:  # so the next map is patched from it
+            compute_charges(state, family)
+        path = plans[i] if plans else _arrival_path(
+            state, it, adopt_tree_paths=adopt_tree_paths,
+            into_equilibrium=adopt_tree_paths and i == 0)
         state = add_terminal(state, it.vertex, it.count, path)
     return state
 
@@ -475,7 +477,7 @@ def _apply_event(state, family, event, *, batch_order, adopt_tree_paths):
     """The step both policies share; returns (kind, state after the event)."""
     state = _reveal_for_event(state, family, event)
     if isinstance(event, ArrivalEvent):
-        return "arrive", _apply_arrival(state, event, batch_order=batch_order,
+        return "arrive", _apply_arrival(state, family, event, batch_order=batch_order,
                                         adopt_tree_paths=adopt_tree_paths)
     if isinstance(event, DepartureEvent):
         missing = [v for v in event.vertices if not state.is_active(v)]
@@ -491,13 +493,16 @@ def run_epoch_eqp(state, family, event, *, epoch_index=0,
     """One event, then prioritized moves until balanced equilibrium again.
 
     `state` must be a balanced equilibrium (as every epoch leaves it): an
-    arrival into it grafts onto the tree by one edge without a search.
+    arrival into it grafts onto the tree by one edge without a search, and
+    a single arrival's state is screened by its delta (`arrival_screen`).
     """
     before = state  # the caller holds it, so naming it keeps nothing alive
     kind, state = _apply_event(before, family, event, batch_order=batch_order,
                                adopt_tree_paths=True)
     # no superseded state's screen is read again: one screen lives at a time
     vars(before).pop("screen", None)
+    if kind == "arrive" and len(event.items) == 1:  # screened by the event's delta
+        vars(state)["screen"] = arrival_screen(state, state.paths[event.items[0].vertex])
     allowed_rank = LEAF_UNBALANCED if kind == "arrive" else BALANCED
     cls = classify(state, family)
     if cls.rank > allowed_rank:

@@ -3,9 +3,10 @@
 All game-relevant quantities are `fractions.Fraction`; these utilities cover
 the places where plain Fraction arithmetic is not quite enough: the exact
 floor log2 of an integer ratio p/q (for charge levels, so that readers of
-the integer cost matrix build no Fraction), harmonic numbers as integer
-pairs (for the potential), and the "p/q" string round-trip used by every
-serialized artifact, with Python's int/str digit limit lifted for it alone.
+the integer cost matrix build no Fraction), the certificate's irrational
+gate decided exactly, harmonic numbers as integer pairs (for the
+potential), and the "p/q" string round-trip used by every serialized
+artifact, with Python's int/str digit limit lifted for it alone.
 """
 
 from __future__ import annotations
@@ -68,6 +69,29 @@ def floor_log2_ratio(p: int, q: int) -> int:
     # 2**(j-1) < p/q < 2**(j+1), so the answer is j or j - 1
     j = p.bit_length() - q.bit_length()
     return j if pow2_le(j, p, q) else j - 1
+
+
+def within_log_gate(ratio: Fraction, n: int) -> bool:
+    """ratio <= 32 (log2 n + 1), exactly, for an int n >= 1.  With x = ratio
+    / 32 - 1 = p / q in lowest terms, that is x <= log2 n: true if p <= 0,
+    else 2^p <= n^q, decided on a bracket lo 2^e <= n^q <= hi 2^e of ints
+    cut to t bits (lo down, hi up) at each step of a square-and-multiply.
+    t doubles until the bracket decides, as it does once t covers n^q."""
+    x = Fraction(ratio) / 32 - 1
+    p, q, t = x.numerator, x.denominator, 64
+    while p > 0:
+        lo, hi, e = 1, 1, 0
+        for bit in bin(q)[2:]:
+            m = n if bit == "1" else 1
+            lo, hi = lo * lo * m, hi * hi * m
+            cut = max(0, hi.bit_length() - t)
+            lo, hi, e = lo >> cut, -(-hi >> cut), 2 * e + cut
+        if hi.bit_length() <= p - e:  # n^q <= hi 2^e < 2^p
+            return False
+        if lo and lo.bit_length() > p - e:  # 2^p <= lo 2^e <= n^q
+            return True
+        t *= 2
+    return True
 
 
 def pow2_le(j: int, p: int, q: int) -> bool:

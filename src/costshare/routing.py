@@ -18,13 +18,12 @@ the solution cost and potential (`state.totals`); a run builds each in
 full, by the test oracles `_Tree(state)`, `_SearchTable(state)` and
 `_totals(state)`, for the first state that reads it (the table again after
 an event that drops an edge).  Built on first use and cached: the
-improving-move screen (`state.screen`).  No function takes a view as an
-argument, so a view can never be paired with the wrong state.  The
-equilibrium sweep decides the tree's leaves alone unless one of them
-improves.  One exact settle loop, `_settle`, runs every shortest path: a
-best response on a dense weight block (`_Search`), each later sweep
-verdict as an A* over one reduced lower-price block per sweep, patched on
-the terminal's own edges in each row it reads (`_Verdicts`).
+improving-move screen (`state.screen`), over every pair, or set by an eqp
+epoch after one arrival into an equilibrium, over only the pairs that the
+arrival can make improving (`arrival_screen`).  No function takes a view
+as an argument, so a view can never be paired with the wrong state.  One
+exact settle loop, `_settle`, runs every shortest path: best responses
+(`_Search`) and the equilibrium sweep's verdicts (`_Verdicts`).
 
 Everything is exact, and no float feeds any comparison.  `_Search` and
 `state.totals` keep their exact values as plain ints over one common
@@ -256,22 +255,22 @@ def _rerouted(state, segments, **fields) -> RoutingState:
     as it falls out), over a denominator that only grows within a run.  The
     view, if built, is derived at the links, unless they form no tree; the
     search table, if built, unless the event drops an edge."""
-    deltas, links = {}, {}
+    deltas, links = {}, {}  # links: vertex -> (its parent, the edge's key)
     for path, k in segments:
-        for e in path_edges(path):
+        for x, p in zip(path, path[1:]):
+            links[x] = p, (e := (x, p) if x < p else (p, x))
             deltas[e] = deltas.get(e, 0) + k
-        links.update(zip(path, path[1:]))
     usage, costi = dict(state.usage), state.instance.costi
     cost, by_count = 0, {}  # the delta's
     for e, k in deltas.items():
-        before, c = usage.get(e, 0), int(costi[e])
-        if before + k:
-            usage[e] = before + k
+        before, c = usage.get(e, 0), costi.item(e)
+        if after := before + k:
+            usage[e] = after
         else:
             del usage[e]
-        cost += c * ((before + k > 0) - (before > 0))
+        cost += c * ((after > 0) - (before > 0))
         by_count[before] = by_count.get(before, 0) - c
-        by_count[before + k] = by_count.get(before + k, 0) + c
+        by_count[after] = by_count.get(after, 0) + c
     new = replace(state, usage=usage, **fields)
     if "totals" in state.__dict__:
         old_cost, num, lcm = state.totals
@@ -314,9 +313,12 @@ class _Tree:
     > 0, each F c < 2^61 / n, so every bound is below 2^61 + n.  A full
     build makes them on first read.  A view derived from one with bounds
     carries them (`_carry_sums`): let R be the vertices whose parent edge
-    changed its parent or its count; a vertex off R's subtrees keeps its
-    root path, each edge with its count, so its bounds, and only R's
-    subtrees are recomputed; F is fixed, so nothing rescales.  The exact
+    changed its parent or its count.  Off R's subtrees a vertex keeps its
+    root path, each edge with its count, so its bounds.  In them, a vertex
+    of R is recomputed from its parent, and any other x keeps its edge and
+    count, so its term a(x) - a(p): a'(x) = a(x) + a'(p) - a(p), b alike
+    (F is fixed, so nothing rescales).  That walk also records g(x), the R
+    edges on x's root path (`_g`, None on a full build).  The exact
     sums, A(x) M and B(x) M with M the lcm of the view's divisors {N_e,
     N_e+1}, are built where a bound cannot decide (`exact`), memoised per
     vertex with the view, never carried.
@@ -333,7 +335,7 @@ class _Tree:
     """
 
     __slots__ = ("parent", "children", "order", "leaves", "_instance", "_users",
-                 "_base", "_changed", "_bounds", "_exact", "__weakref__")
+                 "_base", "_changed", "_bounds", "_exact", "_g", "__weakref__")
 
     def __init__(self, state: RoutingState):
         parent = {}
@@ -362,7 +364,7 @@ class _Tree:
         self.parent, self.children, self.order = parent, children, sorted(children)
         self.leaves = {v for v in children if not children[v] and v != ROOT}
         self._instance, self._users = state.instance, users
-        self._base = self._changed = self._bounds = self._exact = None
+        self._base = self._changed = self._bounds = self._exact = self._g = None
         bad = self.leaves - set(state.counts)
         if bad:
             raise EngineInvariantError(f"tree leaves without terminals: {sorted(bad)}")
@@ -373,10 +375,10 @@ class _Tree:
         the paths then disagree on its parent, and `state` is no tree.
 
         `links` maps each vertex whose parent edge the event touched to its
-        parent in `state`.  The edge's user count is read from `state.usage`;
-        a vertex whose edge no one uses any more is dropped.  The dicts are
-        copied, the children lists only where they change: a view never
-        changes after it is made, so the rest are shared.
+        parent in `state` and that edge's key.  The edge's user count is
+        read from `state.usage`; a vertex whose edge no one uses any more is
+        dropped.  The dicts are copied, the children lists only where they
+        change: a view never changes after it is made, so the rest are shared.
         """
         view = type(self).__new__(type(self))
         parent, users, children = dict(self.parent), dict(self._users), dict(self.children)
@@ -388,15 +390,14 @@ class _Tree:
                 own.add(x)
             return children[x]
 
-        gone = {x for x, p in links.items() if not usage.get(edge_key(x, p))}
-        touched, moved, recounted, grown = set(), set(), set(), False
-        for x, p in links.items():
-            if x in gone:
+        gone, touched, moved, recounted, grown = set(), set(), set(), set(), False
+        for x, (p, e) in links.items():
+            if not (n := usage.get(e)):
+                gone.add(x)
                 continue
-            users[x] = usage[edge_key(x, p)]
-            old = parent.get(x)
+            users[x], old = n, parent.get(x)
             if old == p:
-                if users[x] != self._users[x]:
+                if n != self._users[x]:
                     recounted.add(x)
                 continue
             if old is None:
@@ -428,13 +429,13 @@ class _Tree:
         view._instance, view._users = self._instance, users
         # a charge reads the parent edge and the leaf flag
         view._base, view._changed = weakref.ref(self), moved | gone | (leaves ^ self.leaves)
-        view._bounds = view._exact = None
+        view._bounds = view._exact = view._g = None
         if self._bounds is not None:
             view._carry_sums(self, moved | recounted, gone)
         return view
 
     def _carry_sums(self, base, changed, gone):
-        """Derive the bounds from `base`'s, `changed` being R (see the class)."""
+        """Derive the bounds and g from `base`'s, `changed` being R (`_Tree`)."""
         parent = self.parent
         tops = []  # the vertices of R with no vertex of R above them
         for x in changed:
@@ -444,12 +445,10 @@ class _Tree:
             if y == ROOT:
                 tops.append(x)
         s, *old = base._bounds
-        a, b = ({parent[x]: sums[parent[x]] for x in tops} for sums in old)
-        self._fill(s, a, b, tops)
-        if len(a) < len(self.children):  # the vertices off R's subtrees keep theirs
-            a, b = ({**kept, **fresh} for kept, fresh in zip(old, (a, b)))
-            for x in gone:
-                del a[x], b[x]
+        a, b = (dict(sums) for sums in old)
+        for x in gone:
+            del a[x], b[x]
+        self._g = self._fill(s, a, b, tops, changed, old)
         self._bounds = s, a, b
 
     def changed_since(self, base):
@@ -468,20 +467,24 @@ class _Tree:
         inst = self._instance
         s = max(0, 61 - (inst.n * int(inst.costi.max())).bit_length())
         self._bounds = s, {ROOT: 0}, {ROOT: 0}
-        self._fill(*self._bounds, list(self.children[ROOT]))
+        self._fill(*self._bounds, list(self.children[ROOT]), self.parent)
 
-    def _fill(self, s, a, b, stack):
+    def _fill(self, s, a, b, stack, R, old=None):
         """Set a and b on the subtrees of the vertices in `stack`, top down,
-        each vertex from its parent's entry, final already."""
+        from each parent's entry, final already: at R from the parent edge,
+        elsewhere by the parent's change since `old`, the base's; return g."""
         parent, users, children = self.parent, self._users, self.children
-        costi = self._instance.costi
+        costi, g, (oa, ob) = self._instance.costi, {}, old or (None, None)
         while stack:
             x = stack.pop()
-            p, n = parent[x], users[x]
-            c = costi.item(x, p) << s
-            a[x] = a[p] - (-c // n)
-            b[x] = b[p] + c // (n + 1)
+            p = parent[x]
+            if x in R:
+                n, c = users[x], costi.item(x, p) << s
+                a[x], b[x], g[x] = a[p] - (-c // n), b[p] + c // (n + 1), g.get(p, 0) + 1
+            else:
+                a[x], b[x], g[x] = oa[x] + a[p] - oa[p], ob[x] + b[p] - ob[p], g[p]
             stack += children[x]
+        return g
 
     def exact(self, x) -> tuple:
         """(M, A(x) M, B(x) M), M the lcm of the view's divisors {N_e,
@@ -938,10 +941,22 @@ def is_legal_improving(state, u, v) -> bool:
     return _move_fault(state.view, u, v) is None and is_improving_tree_move(state, u, v)
 
 
-def _candidate_screen(state):
-    """Integer screen of improving moves: a bool matrix over `view.order`.
+def _survivors(state, rows, cols):
+    """`_candidate_screen`'s test on the id arrays rows x cols: a(u) - F c(u, v) > b(v)."""
+    s, a, b = state.view.bounds()
+    dtype = np.int64 if s else object  # explicit: past 2^63 numpy picks uint64 or float64
+    block = state.instance.costi.take(rows, 0).take(cols, 1).astype(dtype, copy=False)
+    block <<= s  # `take` copied it: work in place
+    av, bv = (np.array([d[x] for x in ids.tolist()], dtype=dtype)
+              for d, ids in ((a, rows), (b, cols)))
+    return np.subtract(av[:, None], block, out=block) > bv
 
-    Entry (i, j) is False only if order[i] -> order[j] cannot improve, and
+
+def _candidate_screen(state):
+    """Integer screen of improving moves: (mask, cols), a bool matrix over
+    rows `view.order` and columns `cols`, the ids `view.order` here too.
+
+    Entry (i, j) is False only if order[i] -> cols[j] cannot improve, and
     the diagonal (no move) is False; read it through `state.screen`.  An
     improving move u -> v has A(u) - B(v) - c(u, v) > A(L) - B(L) >= 0, so
     with the view's bounds (`_Tree`), a(u) >= F A(u) and b(v) <= F B(v), it
@@ -952,17 +967,43 @@ def _candidate_screen(state):
     left side is c + B(p) - B(p) = c, and its right side A(u) - A(p) = c / N
     is no larger.
     """
-    view = state.view
-    (s, a, b), order = view.bounds(), view.order
-    ids = np.array(order)
-    dtype = np.int64 if s else object  # explicit: past 2^63 numpy picks uint64 or float64
-    block = state.instance.costi.take(ids, 0).take(ids, 1).astype(dtype, copy=False)
-    block <<= s  # `take` copied it: work in place
-    av, bv = (np.array([d[x] for x in order], dtype=dtype) for d in (a, b))
-    mask = np.subtract(av[:, None], block, out=block) > bv
+    view, order = state.view, state.view.order
+    mask = _survivors(state, ids := np.array(order), ids)
     np.fill_diagonal(mask, False)
     mask[np.arange(1, len(order)), np.searchsorted(ids, [view.parent[x] for x in order[1:]])] = False
-    return mask
+    return mask, order
+
+
+def arrival_screen(state, path):
+    """The screen of `state`, made from a balanced equilibrium by one
+    arrival along the root path `path`, P: `_candidate_screen`'s test on
+    the rows x off P and the columns y in the subtree of P's top vertex
+    with g(x) < g(y), g counting P's edges on a root path (`_Tree`).
+
+    No pair improved before, and the arrival adds users on P's edges alone.
+    So for old x, y with L = lca(x, y), both sides of c(x, y) + B(y) - B(L)
+    < A(x) - A(L) can only shrink, and only on P's edges: x -> y improves
+    now only if y -> L holds an edge of P.  A root path holds P from the
+    vertex z where it meets P; so that holds iff y meets P strictly below
+    x's z (L is then that z), iff g(x) < g(y), which drops the diagonal and
+    the own parents.  A row x on P is its own z, so such a y lies in x's
+    subtree: no legal target.  A new vertex can only be the newcomer v,
+    grafted at w.  Its column has the largest g.  Its row is empty: v -> y
+    prices c(v, y) and y -> L as a lone newcomer would, at least c(v, w)
+    and w -> L at N + 1 users by `graft_path`'s proof, where each of v's k
+    agents pays c(v, w) / k and w -> L at N + k.
+    """
+    view = state.view
+    if view._g is None:  # the view was not carried over the arrival
+        return _candidate_screen(state)
+    g, on, order = view._g, set(path), view.order
+    cols = sorted(g)
+    if on.issuperset(order):  # no row off P
+        return np.zeros((len(order), len(cols)), dtype=bool), cols
+    # a row on P gets a g above every column's
+    gx = np.array([len(path) if x in on else g.get(x, 0) for x in order])
+    gy = np.array([g[y] for y in cols])
+    return _survivors(state, np.array(order), np.array(cols)) & (gx[:, None] < gy), cols
 
 
 _SCAN_BLOCK = 1 << 14  # screen entries per nonzero in find_improving_tree_move
@@ -976,13 +1017,13 @@ def find_improving_tree_move(state):
     survivors in row-major order, which is (u, v) id order.  Row 0, the
     root, has no parent edge to swap.
     """
-    view, screen = state.view, state.screen
+    view, (screen, ids) = state.view, state.screen
     order = view.order
     step = max(1, _SCAN_BLOCK // len(order))
     for start in range(1, len(order), step):
         rows, cols = np.nonzero(screen[start:start + step])
         for i, j in zip(rows.tolist(), cols.tolist()):
-            u, v = order[start + i], order[j]
+            u, v = order[start + i], ids[j]
             if not view.in_subtree(v, u) and is_improving_tree_move(state, u, v):
                 return u, v
     return None
@@ -1000,17 +1041,10 @@ def closest_improving_target(state, u, allowed=None):
     order = view.order
     if u not in view.parent:  # the root has no parent either
         raise EngineInvariantError(f"{u} is not a tree vertex below the root")
-    crow = state.instance.costi[u]
-    below = view.subtree(u)
-    cands = []
-    for j in np.nonzero(state.screen[bisect.bisect_left(order, u)])[0].tolist():
-        v = order[j]
-        if v in below:
-            continue
-        if allowed is not None and v not in allowed:
-            continue
-        cands.append((int(crow[v]), v))
-    cands.sort()
+    crow, (screen, ids), below = state.instance.costi[u], state.screen, view.subtree(u)
+    row = np.nonzero(screen[bisect.bisect_left(order, u)])[0].tolist()
+    cands = sorted((int(crow[v]), v) for j in row
+                   if (v := ids[j]) not in below and (allowed is None or v in allowed))
     return next((v for _, v in cands if is_improving_tree_move(state, u, v)), None)
 
 

@@ -456,18 +456,20 @@ def eager_prefix_sums(paths, usage, costi, denominator):
     return (den, *({x: s[i] for x, s in sums.items()} for i in range(2)))
 
 
-def row_scan_first_improving(order, mask, in_subtree, improves):
+def row_scan_first_improving(order, screen, in_subtree, improves):
     """First (u, v) by rows of the screen's mask whose move improves, or None.
 
-    Walks ``mask`` row by row (``order[i]`` is row and column i, the root
-    first and skipped), keeps each row's True entries, drops targets inside
-    u's subtree, and asks ``improves(u, v)`` in order.
+    ``screen`` is (mask, cols).  Walks ``mask`` row by row (``order[i]`` is
+    row i, the root first and skipped; ``cols[j]`` is column j), keeps each
+    row's True entries, drops targets inside u's subtree, and asks
+    ``improves(u, v)`` in order.
     """
+    mask, cols = screen
     for i, u in enumerate(order):
         if u == ROOT:
             continue
         for j, kept in enumerate(mask[i]):
-            v = order[j]
+            v = cols[j]
             if kept and not in_subtree(v, u) and improves(u, v):
                 return u, v
     return None

@@ -87,7 +87,7 @@ def test_carried_quantities_match_rebuilds_on_random_transitions():
     # Random arrivals (new leaves, relay chains, multi-agent count bumps,
     # relays turned terminals), departures of one or several terminals and
     # tree-follow moves, some abandoning relays, on explicit metrics.  Some
-    # steps apply two events before the next read, as a sequential
+    # steps apply two events before the next read, as a one-shot
     # multi-item arrival does, so the next map is built in full.  Every
     # state read is checked against the oracles, its charge map under two
     # families whose cuts differ.
@@ -248,6 +248,27 @@ def test_a_view_not_derived_from_the_last_charged_one_is_charged_in_full(monkeyp
     assert compute_charges(two, family) is family.last_charges and bases == [None]
 
 
+def test_a_multi_item_eqp_arrival_patches_the_charge_map(monkeypatch):
+    # Under eqp, each state between two items of an arrival gets its charge
+    # map, patched from the last one, so the event's final state is patched
+    # too: after the run's first map, no map is built in full.  Random
+    # schedules with two- and three-item arrivals, in both batch orders.
+    builds, events = Counter(), Counter()
+    charge = duals._charge
+    monkeypatch.setattr(duals, "_charge", lambda family, view, vertices, base=None:
+                        builds.update(["full" if base is None else "patched"])
+                        or charge(family, view, vertices, base))
+    rng = random.Random(26200)
+    for k in range(30):
+        inst = random_metric(rng, rng.randint(4, 12))
+        schedule = random_schedule(rng, inst.n, 14, False)
+        events.update(len(ev.items) for ev in schedule if isinstance(ev, ArrivalEvent))
+        builds.clear()
+        run_eqp(inst, schedule, batch_order="snapshot" if k % 2 else "sequential")
+        assert builds["full"] == 1 and builds["patched"] >= len(schedule) - 1, builds
+    assert events[2] + events[3] >= 50, events
+
+
 # ---------------------------------------------------------------------------
 # the search table and the view's prefix sums, carried by `_rerouted`
 
@@ -314,37 +335,56 @@ def test_carried_prefix_sums_equal_a_full_build(monkeypatch):
     # eqp runs carry each view's share bounds from the last one: euclid n=30
     # churn (moves and departures), steiner-gap n=20 (relay chains, where
     # every arrival changes every edge) and random explicit schedules.
-    # Every carried bound equals a full build's, int for int; some steps
-    # recompute every vertex and others only part of the tree; and each
-    # screen equals one built from a full build's bounds.
-    tally, filled = Counter(), [0]  # filled: vertices the last `_fill` set
-    real_fill = routing._Tree._fill
-
-    def fill(view, s, a, b, stack):
-        before = len(a)
-        real_fill(view, s, a, b, stack)
-        filled[0] = len(a) - before
+    # Every carried bound equals a full build's, int for int.  The carry
+    # walks R's subtrees, R the vertices whose parent edge changed its
+    # parent or its count, recomputing R and shifting the rest, and records
+    # g, the R edges on each walked vertex's root path; some steps walk
+    # every vertex and others only part of the tree.  Each full screen
+    # equals one built from a full build's bounds, and each arrival screen
+    # that full screen on the rows off the arrival's path and the columns
+    # whose g exceeds the row's.
+    tally = Counter()
 
     def check(state, new):
         old = state.__dict__.get("view")
         view = new.__dict__.get("view")
         if old is None or old._bounds is None or view is None:
             return
-        tally["whole" if filled[0] == len(view.order) - 1 else "part"] += 1
+        R = {x for x in view.parent if (old.parent.get(x), old._users.get(x))
+             != (view.parent[x], view._users[x])}
+        g = {x: sum(y in R for y in view.path_to_root(x)[:-1]) for x in view.parent}
+        assert view._g == {x: k for x, k in g.items() if k}
+        tally["whole" if len(view._g) == len(view.order) - 1 else "part"] += 1
+        tally["recomputed"] += len(R)
+        tally["shifted"] += len(view._g) - len(R)
         assert view._bounds == routing._Tree(replace(new)).bounds()
         tally["carried"] += 1
 
-    real_screen = routing._candidate_screen
+    real_screen, real_arrival = routing._candidate_screen, routing.arrival_screen
 
     def screen(state):
-        mask = real_screen(state)
-        assert np.array_equal(mask, real_screen(replace(state)))
+        mask, cols = real_screen(state)
+        want, full_cols = real_screen(replace(state))
+        assert cols == full_cols and np.array_equal(mask, want)
         tally["screens"] += 1
-        return mask
+        return mask, cols
+
+    def arrival(state, path):
+        mask, cols = real_arrival(state, path)
+        full = replace(state)
+        want, order = real_screen(full)
+        g = {y: sum(z in path for z in full.view.path_to_root(y)[:-1]) for y in order}
+        assert cols == sorted(full.view.subtree(path[-2]))
+        for i, x in enumerate(order):
+            for j, y in enumerate(cols):
+                kept = x not in path and g[x] < g[y] and want[i, order.index(y)]
+                assert mask[i, j] == kept, (x, y, path)
+        tally["arrival screens"] += 1
+        return mask, cols
 
     _record_reroutes(monkeypatch, check)
-    monkeypatch.setattr(routing._Tree, "_fill", fill)
     monkeypatch.setattr(routing, "_candidate_screen", screen)
+    monkeypatch.setattr(dynamics, "arrival_screen", arrival)
     run = build_random_euclidean(30, 0, "churn")
     res = run_eqp(run.instance, run.events, verify=False, accounting=False)
     assert any(ep.moves for ep in res.epochs)
@@ -355,7 +395,9 @@ def test_carried_prefix_sums_equal_a_full_build(monkeypatch):
         inst = random_metric(rng, rng.randint(4, 10))
         run_eqp(inst, random_schedule(rng, inst.n, 14, False))
     assert tally["carried"] >= 400 and tally["whole"] >= 100 and tally["part"] >= 100, tally
-    assert tally["screens"] >= 300, tally
+    assert tally["recomputed"] >= 1000 and tally["shifted"] >= 300, tally
+    assert tally["screens"] + tally["arrival screens"] >= 300, tally
+    assert tally["screens"] >= 100 and tally["arrival screens"] >= 100, tally
 
 
 def _harmonic_sum_of_every_count(by_count):

@@ -8,6 +8,7 @@ component membership can be placed deliberately.
 import random
 from collections import Counter
 from dataclasses import replace as dc_replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from costshare import (
     initial_state,
     logn_accounting,
     mst_cost,
+    solution_cost,
     with_revealed,
 )
 from costshare.duals import (
@@ -581,6 +583,30 @@ def test_accounting_explicit_opt_override():
     assert report.ratio == 2
     with pytest.raises(EngineInvariantError, match="positive"):
         logn_accounting(state, family, opt=0)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+def test_accounting_certifies_exactly_at_an_irrational_gate(above):
+    # n = 3: a ratio 10^-40 from 32 (log2 3 + 1).  The float gate lies
+    # 3.4e-15 below the true one and the ratio rounds onto it, so a float
+    # comparison passes both; the exact decision passes only the one below.
+    state, family = _line_state((0, 100, 130), {1: (1, 0), 2: (2, 1, 0)})
+    with localcontext() as ctx:
+        ctx.prec = 100
+        gate = Fraction(32 * (Decimal(3).ln() / Decimal(2).ln() + 1))
+    ratio = gate + Fraction(1 if above else -1, 10**40)
+    report = logn_accounting(state, family, opt=solution_cost(state) / ratio)
+    assert report.n == 3 and report.ratio == ratio and report.certified is not above
+    assert float(report.ratio) <= report.gate  # what a float decision says
+
+
+def test_accounting_certifies_exactly_at_an_integer_gate():
+    # n = 4: the gate is 96 exactly; 96 passes and 96 + 10^-30 does not.
+    state, family = _line_state((0, 100, 130, 500), {1: (1, 0), 2: (2, 1, 0)})
+    for ratio, certified in ((Fraction(96), True), (96 + Fraction(1, 10**30), False)):
+        report = logn_accounting(state, family, opt=solution_cost(state) / ratio)
+        assert report.n == 4 and report.ratio == ratio and report.gate == 96
+        assert report.certified is certified
 
 
 def test_accounting_rejects_double_charged_cuts():

@@ -296,7 +296,8 @@ def test_select_matches_a_walk_over_every_row():
         except ClosureViolationError:
             continue
         every = dc_replace(state)
-        every.__dict__["screen"] = np.ones((len(state.view.order),) * 2, dtype=bool)
+        order = state.view.order
+        every.__dict__["screen"] = np.ones((len(order),) * 2, dtype=bool), order
         sel = select_tree_move(state, family, cls=cls)
         tag = sel and sel.tag
         tags[tag] += 1

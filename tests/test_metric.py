@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,7 +30,7 @@ from costshare import (
 )
 import costshare.rationals
 from costshare.metric import EUCLIDEAN_GRID
-from costshare.rationals import floor_log2_ratio, harmonic, pow2
+from costshare.rationals import floor_log2_ratio, harmonic, pow2, within_log_gate
 from conftest import big_denominator_metric, random_metric
 from oracles import (
     brute_mst,
@@ -114,6 +116,41 @@ def test_floor_log2_rejects_nonpositive():
         floor_log2_exact(Fraction(0))
     with pytest.raises(ValueError):
         floor_log2_exact(Fraction(-3))
+
+
+def _log_gate(n, digits=200):
+    """32 (log2 n + 1) as a Decimal of `digits` significant digits, exact
+    at a power of two."""
+    if n & (n - 1) == 0:
+        return Decimal(32 * n.bit_length())
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return 32 * (Decimal(n).ln() / Decimal(2).ln() + 1)
+
+
+def test_log_gate_matches_a_high_precision_decimal():
+    # Random rationals against 32 (log2 n + 1): far from it, within 10^-k
+    # of it for k up to 60 on either side, and at powers of two exactly on
+    # it.  The Decimal oracle keeps 200 digits, so it decides every case
+    # whose distance to the gate exceeds 10^-150, and every case here has.
+    rng = random.Random(26300)
+    seen = Counter()
+    for k in range(3000):
+        n = (rng.randint(1, 50), rng.randint(1, 10**6), 1 << rng.randint(0, 40))[k % 3]
+        gate = _log_gate(n)
+        if k % 5 == 0:
+            ratio = Fraction(rng.randint(0, 10**7), rng.randint(1, 10**4))
+        elif n & (n - 1) == 0 and k % 5 == 1:
+            ratio = Fraction(32 * n.bit_length())  # exactly on the gate
+        else:
+            ratio = Fraction(gate) + Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), 10 ** rng.randint(1, 60))
+        with localcontext() as ctx:
+            ctx.prec = 200
+            gap = Decimal(ratio.numerator) / Decimal(ratio.denominator) - gate
+        assert gap == 0 or abs(gap) > Decimal(10) ** -150
+        assert within_log_gate(ratio, n) == (gap <= 0), (ratio, n)
+        seen[gap <= 0, abs(gap) < 1] += 1
+    assert min(seen[key] for key in ((True, True), (False, True), (True, False), (False, False))) >= 100, seen
 
 
 def test_harmonic_small_values():

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from costshare import (
+    ClosureViolationError,
     EngineInvariantError,
     ROOT,
     add_terminal,
@@ -40,7 +41,7 @@ from costshare import (
     with_revealed,
 )
 from costshare import classify, dynamics, routing, select_tree_move
-from costshare.duals import BALANCED
+from costshare.duals import BALANCED, StateClass
 from costshare.instances import build_gm, build_sigma, build_steiner_gap_fixture
 from costshare.routing import graft_path, has_improving_move, is_legal_improving
 from conftest import (
@@ -433,8 +434,8 @@ def test_closest_improving_target_matches_oracle(restricted):
 def _assert_screen_keeps_every_improving_pair(state):
     """Number of improving pairs; each must survive the screen, and no
     diagonal entry may, nor any vertex's own parent."""
-    view, matrix, mask = state.view, _matrix(state.instance), state.screen
-    assert not mask.diagonal().any()
+    view, matrix, (mask, cols) = state.view, _matrix(state.instance), state.screen
+    assert cols is view.order and not mask.diagonal().any()
     kept = 0
     for i, u in enumerate(view.order[1:], 1):  # order[0] is the root
         assert not mask[i, view.order.index(view.parent[u])], (u, state.paths)
@@ -487,7 +488,8 @@ def test_integer_screen_keeps_a_pair_that_scores_minus_one():
     assert s == 0 and 2**63 < a[1] < 2**64
     assert math.floor(Fraction(A1, big)) - math.ceil(Fraction(B2, big)) - inst.cost(1, 2) == -1
     assert a[1] - m // 2 - b[2] == 1 and is_improving_tree_move(state, 1, 2)
-    assert state.screen[1, 2]
+    mask, cols = state.screen
+    assert cols == [0, 1, 2] and mask[1, 2]
     _assert_screen_keeps_every_improving_pair(state)  # 2 -> 1 improves too
 
 
@@ -517,12 +519,13 @@ def _assert_bounds_band(state, matrix):
     cost = inst.costi.take(ids, 0).take(ids, 1).astype(object) * scale
     gain = np.array([A[x] for x in order], dtype=object)[:, None] - cost - np.array(
         [B[x] for x in order], dtype=object)
-    improving = set()
+    improving, (mask, cols) = set(), state.screen
+    assert cols is order
     for i, j in zip(*np.nonzero(gain > 0)):
         u, v = order[i], order[j]
         if u != ROOT and not view.in_subtree(v, u) and brute_improving_tree_move(
                 matrix, state.counts, state.paths, u, v):
-            assert state.screen[i, j], (u, v)
+            assert mask[i, j], (u, v)
             improving.add((u, v))
     return s, improving
 
@@ -675,6 +678,97 @@ def test_select_builds_one_screen_per_state(monkeypatch):
     assert select_tree_move(state, family, cls=cls) is not None
     assert select_tree_move(state, family) is not None
     assert builds == [state]
+
+
+def _outcome(call):
+    """What `call()` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except (ClosureViolationError, EngineInvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def test_arrival_screen_keeps_every_improving_pair_and_every_choice(monkeypatch):
+    # Every state that an eqp epoch screens by its single arrival's delta:
+    # 300 random explicit runs (arrivals at new vertices, at relays and at
+    # terminals, counts up to 30; one in ten on big-denominator metrics and
+    # one in ten on closures scaled past 2^61, whose scores are Python
+    # ints), the euclid n=120 churn panel and steiner-gap n=20.  Each legal improving pair lies in the arrival
+    # screen: on the explicit runs every legal pair goes to the exact test,
+    # on the larger ones every pair the full screen keeps (which keeps
+    # every improving pair, `test_integer_screen_keeps_every_improving_pair`).
+    # `classify` and `select_tree_move` decide as they do on the full screen.
+    tally, screened = Counter(), [None]
+    real_screen, real_classify = dynamics.arrival_screen, dynamics.classify
+
+    def arrival(state, path):
+        screened[0] = state
+        return real_screen(state, path)
+
+    def checked(state, family, **kwargs):
+        if state is not screened[0]:
+            return real_classify(state, family, **kwargs)
+        got = _outcome(lambda: real_classify(state, family, **kwargs))
+        view, (mask, cols) = state.view, state.screen
+        full = replace(state)
+        full.__dict__.update(view=view, screen=routing._candidate_screen(state))
+        small = len(view.order) <= 13
+        for u, v in (_legal_pairs(state, view) if small else (
+                (u, v) for i, j in zip(*np.nonzero(full.screen[0]))
+                if (u := view.order[i]) != ROOT and not view.in_subtree(v := view.order[j], u))):
+            if is_improving_tree_move(state, u, v):
+                assert v in cols and mask[view.order.index(u), cols.index(v)], (u, v)
+                tally["improving"] += 1
+        want = _outcome(lambda: real_classify(full, family, **kwargs))
+        assert got == want
+        if isinstance(got, StateClass) and got.rank != 0:
+            sel = _outcome(lambda: select_tree_move(state, family, cls=got))
+            assert sel == _outcome(lambda: select_tree_move(full, family, cls=want))
+            tally["selected"] += 1
+        tally["states"] += 1
+        if isinstance(got, tuple):
+            raise got[0](got[1])
+        return got
+
+    monkeypatch.setattr(dynamics, "arrival_screen", arrival)
+    monkeypatch.setattr(dynamics, "classify", checked)
+    rng = random.Random(26100)
+    for k in range(300):
+        n = rng.randint(3, 8 if k % 10 == 0 else 12)  # the primes suffice for 8
+        inst = big_denominator_metric(rng, n) if k % 10 == 0 else random_metric(rng, n)
+        if k % 10 == 5:
+            inst = explicit_metric(n, {(a, b): inst.cost(a, b) * 2**64
+                                       for a, b in combinations(range(n), 2)})
+        run_eqp(inst, random_schedule(rng, n, 14, False), verify=False, accounting=False)
+    explicit = tally["states"]
+    for seed in range(8):
+        er = build_random_euclidean(120, seed, "churn")
+        run_eqp(er.instance, er.events, verify=False, accounting=False)
+    fx = build_steiner_gap_fixture(20)
+    run_eqp(fx.instance, fx.events, verify=False, accounting=False)
+    assert explicit >= 1000 and tally["states"] >= 1500 and tally["improving"] >= 80, tally
+    assert tally["selected"] >= 100, tally
+
+
+def test_arrival_screens_cut_the_work_of_the_churn_panel(monkeypatch):
+    # The euclid n=120 churn panel (seeds 0-7, eqp, no final sweep): 4,855
+    # exact move tests and 1,539 full screens when every state was screened
+    # in full; steiner-gap n=50 built 101, one per event.  Now only the
+    # states after a departure, a move or a multi-item arrival are.
+    counts = Counter()
+    real_test, real_screen = routing.is_improving_tree_move, routing._candidate_screen
+    monkeypatch.setattr(routing, "is_improving_tree_move",
+                        lambda state, u, v: counts.update(["tests"]) or real_test(state, u, v))
+    monkeypatch.setattr(routing, "_candidate_screen",
+                        lambda state: counts.update(["screens"]) or real_screen(state))
+    for seed in range(8):
+        er = build_random_euclidean(120, seed, "churn")
+        run_eqp(er.instance, er.events, verify=False)
+    assert counts["tests"] <= 2400 and counts["screens"] == 483, counts
+    counts.clear()
+    fx = build_steiner_gap_fixture(50)
+    run_eqp(fx.instance, fx.events, verify=False)
+    assert counts["screens"] == 1, counts
 
 
 def test_tree_follow_move_matches_reroute_oracle():
