@@ -69,6 +69,8 @@ from .routing import (
 DATA_FILES = ("events.jsonl", "snapshot.json", "accounting.json",
               "accounting.csv", "summary.csv")
 
+LEVEL_COLUMNS = ("level", "charges", "charged_cost", "components", "dual_bound")
+
 SUMMARY_COLUMNS = (
     "label", "mode", "n", "events", "moves", "agents", "final_cost",
     "opt_cost", "ratio", "certified", "final_class", "levels_charged",
@@ -205,18 +207,11 @@ def _accounting_jsonable(report) -> dict:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """`header`, then per dict in `rows` its values under those keys."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
-
-
-def _accounting_csv_rows(report):
-    return [
-        (r.level, r.charges, format_rational(r.charged_cost),
-         r.components, format_rational(r.dual_bound))
-        for r in report.rows
-    ]
+        w.writerows([row[c] for c in header] for row in rows)
 
 
 def _summary_row(cfg, result, report, final_class) -> dict:
@@ -412,13 +407,11 @@ def _run_into(cfg, out: Path) -> dict:
         for row in _event_lines(result, cfg["mode"]):
             fh.write(_dumps(row) + "\n")
     _write_json(out / "snapshot.json", snapshot_to_jsonable(result.state))
-    _write_json(out / "accounting.json", _accounting_jsonable(report))
-    _write_csv(out / "accounting.csv",
-               ("level", "charges", "charged_cost", "components", "dual_bound"),
-               _accounting_csv_rows(report))
+    accounting = _accounting_jsonable(report)
+    _write_json(out / "accounting.json", accounting)
+    _write_csv(out / "accounting.csv", LEVEL_COLUMNS, accounting["levels"])
     row = _summary_row(cfg, result, report, final_class)
-    _write_csv(out / "summary.csv", SUMMARY_COLUMNS,
-               [tuple(row[c] for c in SUMMARY_COLUMNS)])
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [row])
     _write_json(out / "meta.json",
                 {"config": cfg, "version": __version__,
                  "wall_time_s": round(wall, 3)})
@@ -443,14 +436,16 @@ def cmd_verify(args) -> int:
     verdict = verify_equilibrium(state)
     if not verdict.ok:
         w = verdict.witness
-        print(f"equilibrium: NO — terminal witness at vertex {w.vertex} "
-              f"(current {w.current}, better {w.candidate})")
+        print(f"equilibrium: NO — terminal witness at vertex {w.vertex} (current "
+              f"{format_rational(w.current)}, better {format_rational(w.candidate)})")
+        print(w)  # the same witness as one JSON line
         return 4
     cls = classify(state, family)
     report = logn_accounting(state, family)
     print("equilibrium: yes")
     print(f"class: {cls.name}")
-    print(f"cost {report.total_cost} vs optimum {report.opt_cost}: "
+    print(f"cost {format_rational(report.total_cost)} vs optimum "
+          f"{format_rational(report.opt_cost)}: "
           f"ratio {float(report.ratio):.3f}, gate {report.gate:.1f}, "
           f"certified {'yes' if report.certified else 'NO'}")
     return 0 if report.certified else 4
@@ -490,8 +485,7 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "summary.csv", SUMMARY_COLUMNS,
-               [tuple(r[c] for c in SUMMARY_COLUMNS) for r in rows])
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, rows)
     _write_json(out / "meta.json",
                 {"config": {"cmd": "sweep", "jobs": jobs},
                  "version": __version__, "workers": workers,

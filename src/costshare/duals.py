@@ -36,7 +36,7 @@ from typing import Optional
 
 from .errors import ClosureViolationError, EngineInvariantError, VerificationError
 from .metric import ROOT, MetricInstance, mst_cost
-from .rationals import floor_log2_ratio, pow2, within_log_gate
+from .rationals import floor_log2_ratio, format_rational, pow2, within_log_gate
 from .routing import RoutingState, find_improving_tree_move, solution_cost
 
 
@@ -93,7 +93,7 @@ class DualFamily:
     `compute_charges` built last, stays valid for its view.
     """
 
-    __slots__ = ("instance", "inserted", "_seen", "levels", "_charges", "last_charges")
+    __slots__ = ("instance", "inserted", "_seen", "levels", "_charges", "last_charges", "_synced")
 
     def __init__(self, instance: MetricInstance):
         self.instance = instance
@@ -102,6 +102,7 @@ class DualFamily:
         self.levels: dict = {}  # level -> LevelPartition, built on first query
         self._charges: dict = {}  # (vertex, parent, leaf) -> ChargeRecord
         self.last_charges: Optional[ChargeMap] = None
+        self._synced: Optional[tuple] = None  # the `revealed` last matched
 
     def __contains__(self, v) -> bool:
         return v in self._seen
@@ -241,10 +242,12 @@ def compute_charges(state: RoutingState, family: DualFamily) -> ChargeMap:
     last map gets that map patched where they differ (`changed_since`),
     any other view a full build.
     """
-    # as sets; both sides are free of duplicates
-    if not (len(family.inserted) == len(state.revealed)
-            and family._seen.issuperset(state.revealed)):
+    # as sets; both sides are free of duplicates.  A family that matched this
+    # same tuple and has as many vertices still does, as it only grows.
+    if len(family.inserted) != len(state.revealed) or (
+            family._synced is not state.revealed and not family._seen.issuperset(state.revealed)):
         raise EngineInvariantError("dual family out of sync with revealed vertices")
+    family._synced = state.revealed
     view, last = state.view, family.last_charges
     if last is not None and last.view is view:
         return last
@@ -421,7 +424,8 @@ def logn_accounting(state: RoutingState, family: DualFamily,
         bound = dual_lower_bound(family, j)
         if csum > 32 * bound:
             raise EngineInvariantError(
-                f"level {j} charges {csum} exceed 32x its dual bound {bound}"
+                f"level {j} charges {format_rational(csum)} exceed 32x its dual "
+                f"bound {format_rational(bound)}"
             )
         rows.append(LevelRow(j, cnt, csum, comps, bound))
 
@@ -429,7 +433,7 @@ def logn_accounting(state: RoutingState, family: DualFamily,
     if len(rows) > level_budget:
         raise EngineInvariantError(
             f"{len(rows)} levels charged; at most {level_budget} are possible "
-            f"after ignoring edges below {threshold}"
+            f"after ignoring edges below {format_rational(threshold)}"
         )
 
     if opt is None:

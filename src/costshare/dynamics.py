@@ -47,7 +47,7 @@ from .errors import (
     VerificationError,
 )
 from .metric import ROOT, MetricInstance, _int, _ints
-from .rationals import pow2_le
+from .rationals import format_rational, pow2_le
 from .routing import (
     EquilibriumVerdict,
     RoutingState,
@@ -242,14 +242,10 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
 
     if cls.rank == LEAF_UNBALANCED:
         non_leaves = frozenset(v for v in view.order if v not in view.leaves)
-        for u in [u for u in movers if u in view.leaves]:
-            tgt = closest_improving_target(state, u, allowed=non_leaves)
-            if tgt is not None:
-                return SelectedMove(u, tgt, "lu-a", cls)
-        for u in [u for u in movers if u not in view.leaves]:
-            tgt = closest_improving_target(state, u, allowed=non_leaves)
-            if tgt is not None:
-                return SelectedMove(u, tgt, "lu-b", cls)
+        for tag, leaf in (("lu-a", True), ("lu-b", False)):  # leaves first
+            for u in [u for u in movers if (u in view.leaves) == leaf]:
+                if (tgt := closest_improving_target(state, u, allowed=non_leaves)) is not None:
+                    return SelectedMove(u, tgt, tag, cls)
         for cut in sorted(cls.charges.by_cut):
             recs = cls.charges.by_cut[cut]
             chargers_nl = [r.vertex for r in recs if not r.leaf]
@@ -266,7 +262,7 @@ def select_tree_move(state, family, *, cls=None) -> Optional[SelectedMove]:
                     if not within(u, v, cut[0]):
                         raise EngineInvariantError(
                             f"co-members {u},{v} of a level-{cut[0]} component "
-                            f"are {state.instance.cost(u, v)} apart")
+                            f"are {format_rational(state.instance.cost(u, v))} apart")
                     return SelectedMove(u, v, "lu-c", cls, context_cut=cut)
             raise ClosureViolationError(
                 f"cut {cut} is charged by non-leaf {u} and leaves "
@@ -373,7 +369,7 @@ def _apply_move(state, family, sel, phi, index):
     if not new_phi < phi:
         raise EngineInvariantError(
             f"move {sel.mover}->{sel.target} did not lower the potential "
-            f"({phi} -> {new_phi})")
+            f"({format_rational(phi)} -> {format_rational(new_phi)})")
     post = classify(new_state, family)
     mover_was_leaf = sel.mover in state.view.leaves  # the subtree moves along
     new_cut = family.charge(sel.mover, sel.target, mover_was_leaf).cut
@@ -419,14 +415,10 @@ class RunResult:
 def _reveal_for_event(state, family, event):
     if not isinstance(event, ArrivalEvent):
         return state
-    seen = set(state.revealed)
-    order = [v for v in dict.fromkeys(tuple(event.reveal) + event.vertices())
-             if v not in seen]
-    if order:
-        state = with_revealed(state, order)
-        for v in order:
-            family.insert(v)
-    return state
+    new = with_revealed(state, tuple(event.reveal) + event.vertices())
+    for v in new.revealed[len(state.revealed):]:
+        family.insert(v)
+    return new
 
 
 def _arrival_path(state, item, *, adopt_tree_paths, into_equilibrium=False):

@@ -16,7 +16,6 @@ artifact see only these.  The exact kernels in `routing` and `duals` read
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 
@@ -57,20 +56,15 @@ class MetricInstance:
         return f"MetricInstance(n={self.n}, kind={self.kind!r})"
 
 
-def _int_matrix(rows) -> np.ndarray:
-    """Square matrix of Python ints: int64 when every entry fits, else object."""
-    top = max((max(row) for row in rows), default=0)
-    return np.array(rows, dtype=np.int64 if top < 2**63 else object)
-
-
 def _lowest_terms(costi, den):
-    """(costi // g, den // g), g the gcd of den and every entry."""
+    """(costi // g, den // g), g the gcd of den and every entry; int64 when
+    every entry fits."""
     g = den
     for row in costi:
-        g = math.gcd(g, int(np.gcd.reduce(row)))
-        if g == 1:
-            return costi, den
-    costi = costi // g
+        if (g := math.gcd(g, int(np.gcd.reduce(row)))) == 1:
+            break
+    if g > 1:
+        costi = costi // g
     if costi.dtype == object and costi.max() < 2**63:
         costi = costi.astype(np.int64)
     return costi, den // g
@@ -86,8 +80,7 @@ def _check_triangle(costi) -> None:
 
     On int64 while every two-term sum fits, on Python ints otherwise.
     """
-    if costi.dtype != object and int(costi.max()) >= 2**62:
-        costi = costi.astype(object)
+    costi = costi.astype(np.int64 if costi.max() < 2**62 else object)
     for k in range(len(costi)):
         bad = np.argwhere(costi[:, k][:, None] + costi[k, :][None, :] < costi)
         if len(bad):
@@ -100,10 +93,23 @@ def _check_triangle(costi) -> None:
 def metric_closure(n, weighted_edges) -> MetricInstance:
     """Shortest-path closure of a connected, positively weighted graph.
 
-    `weighted_edges` is an iterable of (u, v, cost) with exact rationals.
-    The closure is an exact Dijkstra per source on ints (the edge costs
-    times the lcm of their denominators), so the result is a metric by
-    construction and skips re-validation.
+    `weighted_edges` holds (u, v, cost) with exact rationals, read as ints
+    over D, the lcm of their denominators.  The closure is an exact
+    Floyd-Warshall (Floyd 1962; Warshall 1962), in place on one n x n
+    matrix of such ints, which becomes `costi`:
+
+    - Sentinel: with S the sum of the edge ints, every shortest distance is
+      at most S, so a non-edge starts at S + 1 and no path through one
+      beats a real path; an entry still above S at the end means the graph
+      is disconnected.
+    - Dtype: a relaxation adds two entries, each at most S + 1, so the loop
+      runs in int64 iff 2(S + 1) < 2^63, on Python ints otherwise; the
+      result is int64 iff its largest entry is below 2^63 (`_lowest_terms`).
+    - Parallel edges keep their least weight.
+    - Fewer than n - 1 edges are refused before any n-sized allocation.
+
+    Shortest-path distances meet the triangle inequality, so the result is
+    a metric by construction and skips re-validation.
     """
     _need_root(n)
     edges = []
@@ -114,38 +120,28 @@ def metric_closure(n, weighted_edges) -> MetricInstance:
         if u == v:
             raise ConfigError(f"self-loop at vertex {u}")
         if c <= 0:
-            raise ConfigError(f"edge ({u},{v}) has non-positive cost {c}")
+            raise ConfigError(f"edge ({u},{v}) has non-positive cost {format_rational(c)}")
         edges.append((u, v, c))
-    if len(edges) < n - 1:  # refused before the n adjacency lists exist
+    if len(edges) < n - 1:  # refused before the n x n matrix exists
         raise MetricError("weighted graph is disconnected; closure undefined")
 
     den = math.lcm(*(c.denominator for _, _, c in edges))
-    adj = [[] for _ in range(n)]
-    for u, v, c in edges:
-        w = c.numerator * (den // c.denominator)
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-
-    rows = []
-    for src in range(n):
-        dist = [None] * n
-        dist[src] = 0
-        heap = [(0, src)]
-        while heap:
-            d, x = heapq.heappop(heap)
-            if d > dist[x]:
-                continue
-            for y, w in adj[x]:
-                nd = d + w
-                if dist[y] is None or nd < dist[y]:
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
-        if None in dist:
-            raise MetricError("weighted graph is disconnected; closure undefined")
-        rows.append(dist)
+    ints = [c.numerator * (den // c.denominator) for _, _, c in edges]
+    top = sum(ints)  # S
+    d = np.full((n, n), top + 1, dtype=np.int64 if 2 * (top + 1) < 2**63 else object)
+    np.fill_diagonal(d, 0)
+    for (u, v, _), w in zip(edges, ints):
+        if w < d[u, v]:
+            d[u, v] = d[v, u] = w
+    via = np.empty_like(d)
+    for k in range(n):  # d stays symmetric, so row k is also column k
+        np.add(d[k, :, None], d[k], out=via)
+        np.minimum(d, via, out=d)
+    if d.max() > top:
+        raise MetricError("weighted graph is disconnected; closure undefined")
 
     meta = {"edges": [[u, v, format_rational(c)] for u, v, c in edges]}
-    return MetricInstance(_int_matrix(rows), den, "weighted-graph", meta)
+    return MetricInstance(d, den, "weighted-graph", meta)
 
 
 def euclidean_instance(points) -> MetricInstance:
@@ -172,13 +168,12 @@ def euclidean_instance(points) -> MetricInstance:
     lcm = math.lcm(*(c.denominator for p in pts for c in p))
     xs = [x.numerator * (lcm // x.denominator) for x, _ in pts]
     ys = [y.numerator * (lcm // y.denominator) for _, y in pts]
+    meta = {"points": [[format_rational(x), format_rational(y)] for x, y in pts]}
     if grid % lcm == 0:
         r = grid // lcm
         gx, gy = [x * r for x in xs], [y * r for y in ys]
         if (max(gx) - min(gx)) ** 2 + (max(gy) - min(gy)) ** 2 < 2**62:
-            costi = _grid_ceil_sqrt(gx, gy)
-            meta = {"points": [[format_rational(x), format_rational(y)] for x, y in pts]}
-            return MetricInstance(costi, grid, "euclidean", meta)
+            return MetricInstance(_grid_ceil_sqrt(gx, gy), grid, "euclidean", meta)
     scale, l2 = grid * grid, lcm * lcm
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -187,8 +182,7 @@ def euclidean_instance(points) -> MetricInstance:
             target = -(-(dx * dx + dy * dy) * scale // l2)  # ceil(s G^2 / L^2)
             k = math.isqrt(target)
             rows[i][j] = rows[j][i] = k if k * k == target else k + 1
-    meta = {"points": [[format_rational(x), format_rational(y)] for x, y in pts]}
-    return MetricInstance(_int_matrix(rows), grid, "euclidean", meta)
+    return MetricInstance(np.array(rows, dtype=object), grid, "euclidean", meta)
 
 
 def _grid_ceil_sqrt(xs, ys) -> np.ndarray:
@@ -241,7 +235,7 @@ def explicit_metric(n, pair_costs) -> MetricInstance:
     rows = [[0] * n for _ in range(n)]
     for (a, b), c in pairs.items():
         rows[a][b] = rows[b][a] = c.numerator * (den // c.denominator)
-    costi = _int_matrix(rows)
+    costi = np.array(rows, dtype=object)
     _check_triangle(costi)
     meta = {
         "costs": [[a, b, format_rational(pairs[a, b])] for a in range(n) for b in range(a + 1, n)]

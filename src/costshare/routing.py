@@ -40,6 +40,7 @@ public API returns Fractions throughout.
 from __future__ import annotations
 
 import bisect
+import json
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import EngineInvariantError
 from .metric import ROOT, MetricInstance
-from .rationals import harmonic
+from .rationals import format_rational, harmonic
 
 Edge = tuple[int, int]
 Path = tuple[int, ...]
@@ -87,6 +88,11 @@ class RoutingState:
         return v in self.counts
 
     @cached_property
+    def seen(self) -> frozenset:
+        """`revealed` as a set, carried like `view`."""
+        return frozenset(self.revealed)
+
+    @cached_property
     def view(self) -> "_Tree":
         """This state's tree view, carried from the state it came from or
         built in full on first use.  Raises EngineInvariantError (and caches
@@ -119,12 +125,18 @@ class BestResponse:
 
 @dataclass(frozen=True)
 class Witness:
-    """Evidence that some agent can strictly lower its shared cost."""
+    """Evidence that some agent can strictly lower its shared cost; str is JSON."""
 
     vertex: int
     path: Path
     current: Fraction
     candidate: Fraction
+
+    def __str__(self):
+        return json.dumps({"vertex": self.vertex, "path": list(self.path),
+                           "current": format_rational(self.current),
+                           "candidate": format_rational(self.candidate)},
+                          sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -138,18 +150,15 @@ def initial_state(instance) -> RoutingState:
 
 
 def with_revealed(state, new_vertices) -> RoutingState:
-    seen = set(state.revealed)
-    added = []
-    for v in new_vertices:
-        if v in seen:
-            continue
+    seen = state.seen
+    added = [v for v in dict.fromkeys(new_vertices) if v not in seen]
+    for v in added:
         if not 0 <= v < state.instance.n:
             raise EngineInvariantError(f"vertex {v} outside instance range")
-        seen.add(v)
-        added.append(v)
     if not added:
         return state
     new = replace(state, revealed=state.revealed + tuple(added))
+    new.__dict__["seen"] = seen.union(added)
     for name in ("view", "screen", "table", "totals"):
         # all are built from paths, counts and usage, never from `revealed`
         if name in state.__dict__:
@@ -163,8 +172,7 @@ def add_terminal(state, vertex, count, path) -> RoutingState:
     path = tuple(path)
     if not path or path[0] != vertex or path[-1] != ROOT or len(set(path)) != len(path):
         raise EngineInvariantError(f"malformed arrival path {path} for vertex {vertex}")
-    revealed = set(state.revealed)
-    if any(v not in revealed for v in path):
+    if not state.seen.issuperset(path):
         raise EngineInvariantError("arrival path routes through unrevealed vertices")
     counts = dict(state.counts)
     paths = dict(state.paths)
@@ -177,7 +185,8 @@ def add_terminal(state, vertex, count, path) -> RoutingState:
     else:
         counts[vertex] = count
         paths[vertex] = path
-    return _rerouted(state, [(path, count)], counts=counts, paths=paths)
+    return _rerouted(state, [(path, count)], counts=counts, paths=paths,
+                     last_mover=state.last_mover)
 
 
 def prune_departures(state, departing) -> RoutingState:
@@ -246,32 +255,35 @@ def _totals(state) -> tuple:
     return (cost, *_harmonic_sum(by_count))
 
 
-def _rerouted(state, segments, **fields) -> RoutingState:
-    """`state` after one event, `fields` replaced: each segment (path, k)
-    gives every edge of `path` k more users and links each of its vertices
-    to the next, a later segment's link winning.  The totals, if built, move
-    by the same delta: an edge going from N to N' users adds c_e * (H(N') -
-    H(N)) to the potential, and c_e to the cost as it comes into use (-c_e
-    as it falls out), over a denominator that only grows within a run.  The
-    view, if built, is derived at the links, unless they form no tree; the
-    search table, if built, unless the event drops an edge."""
+def _rerouted(state, segments, *, counts, paths, last_mover) -> RoutingState:
+    """`state` after one event, with the given counts, paths and last mover:
+    each segment (path, k) gives every edge of `path` k more users and links
+    each of its vertices to the next, a later segment's link winning.  The
+    totals, if built, move by the same delta: an edge going from N to N'
+    users adds c_e * (H(N') - H(N)) to the potential, and c_e to the cost as
+    it comes into use (-c_e as it falls out), over a denominator that only
+    grows within a run.  The view, if built, is derived at the links, unless
+    they form no tree; the search table, if built, unless the event drops
+    an edge."""
     deltas, links = {}, {}  # links: vertex -> (its parent, the edge's key)
     for path, k in segments:
         for x, p in zip(path, path[1:]):
             links[x] = p, (e := (x, p) if x < p else (p, x))
             deltas[e] = deltas.get(e, 0) + k
     usage, costi = dict(state.usage), state.instance.costi
-    cost, by_count = 0, {}  # the delta's
+    cost, by_count, dropped = 0, {}, False  # the delta's
     for e, k in deltas.items():
         before, c = usage.get(e, 0), costi.item(e)
         if after := before + k:
             usage[e] = after
         else:
             del usage[e]
+            dropped = True
         cost += c * ((after > 0) - (before > 0))
         by_count[before] = by_count.get(before, 0) - c
         by_count[after] = by_count.get(after, 0) + c
-    new = replace(state, usage=usage, **fields)
+    new = RoutingState(state.instance, state.revealed, counts, paths, usage, last_mover)
+    new.__dict__["seen"] = state.seen
     if "totals" in state.__dict__:
         old_cost, num, lcm = state.totals
         step, lcm_step = _harmonic_sum(by_count)
@@ -281,9 +293,9 @@ def _rerouted(state, segments, **fields) -> RoutingState:
     view = state.__dict__.get("view")
     if view is not None and (view := view._derive(new, links)) is not None:
         new.__dict__["view"] = view
-    table, added = state.__dict__.get("table"), [e for e in deltas if e not in state.usage]
-    if table is not None and len(usage) == len(state.usage) + len(added):  # none dropped
-        new.__dict__["table"] = table._derive(usage, added, costi)
+    table = state.__dict__.get("table")
+    if table is not None and not dropped:
+        new.__dict__["table"] = table._derive(usage, deltas, costi)
     return new
 
 
@@ -580,9 +592,10 @@ class _SearchTable:
             tab.sub = costi.take(ids, 0).take(ids, 1)
         return tab
 
-    def _derive(self, usage, added, costi):
+    def _derive(self, usage, deltas, costi):
         """The table of the state whose `usage` keeps every edge of this
-        one's, with new counts, and appends the edges `added`."""
+        one's, with new counts, and appends the new edges of `deltas`."""
+        added = [e for e in deltas if e not in self.edge]
         tab = self._grown(sorted({v for e in added for v in e} - self.pos.keys()), costi)
         if added:
             ends = np.array([(tab.pos[a], tab.pos[b]) for a, b in added], dtype=np.intp)
@@ -701,7 +714,7 @@ def best_response(state, vertex) -> BestResponse:
     """
     if vertex == ROOT:
         raise EngineInvariantError("the root does not route")
-    if vertex not in set(state.revealed):
+    if vertex not in state.seen:
         raise EngineInvariantError(f"best response for unrevealed vertex {vertex}")
     return _Search(state, vertex)
 
@@ -734,7 +747,7 @@ def graft_path(state, vertex) -> Path:
     view = state.view
     if vertex == ROOT or vertex in view:
         raise EngineInvariantError(f"graft of tree vertex {vertex}")
-    if vertex not in set(state.revealed):
+    if vertex not in state.seen:
         raise EngineInvariantError(f"graft of unrevealed vertex {vertex}")
     (s, _, b), order = view.bounds(), view.order
     costs = state.instance.costi[vertex, order].tolist()
@@ -1070,4 +1083,4 @@ def tree_follow_move(state, u, v) -> RoutingState:
     # the exchange: the block leaves u's old root path for its new one;
     # above the lca the two segments cancel
     return _rerouted(state, [(old_above, -block), ((u,) + new_tail, block)],
-                     paths=paths, last_mover=u)
+                     counts=state.counts, paths=paths, last_mover=u)

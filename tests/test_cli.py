@@ -17,6 +17,7 @@ from costshare import (
     add_terminal,
     explicit_metric,
     initial_state,
+    parse_rational,
     schedule_from_jsonable,
     schedule_to_jsonable,
     solution_cost,
@@ -107,8 +108,9 @@ def test_verify_names_the_first_improving_terminal_not_the_first_leaf(tmp_path, 
     snap = tmp_path / "snapshot.json"
     snap.write_text(json.dumps(snapshot_to_jsonable(state)))
     assert main(["verify", str(snap)]) == 4
-    assert capsys.readouterr().out == (
-        "equilibrium: NO — terminal witness at vertex 1 (current 1, better 9/10)\n")
+    human, line = capsys.readouterr().out.splitlines()
+    assert human == "equilibrium: NO — terminal witness at vertex 1 (current 1, better 9/10)"
+    assert line == '{"candidate":"9/10","current":"1","path":[1,0],"vertex":1}'
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +444,52 @@ def test_a_cost_past_the_int_digit_limit_is_read_and_written(tmp_path, capsys):
     assert _read_summary(out / "summary.csv")["final_cost"] == "1" * 5000
     assert main(["replay", str(out)]) == 0
     assert "error" not in capsys.readouterr().err
+
+
+def test_verify_prints_a_cost_past_the_int_digit_limit(tmp_path, capsys):
+    ipath, spath = tmp_path / "instance.json", tmp_path / "schedule.json"
+    ipath.write_text(json.dumps({"kind": "weighted-graph", "n": 2, "edges": [[0, 1, "1" * 5000]]}))
+    spath.write_text(json.dumps(schedule_to_jsonable([ArrivalEvent((ArrivalItem(1, 2),))])))
+    out = tmp_path / "run"
+    assert main(["run", "--instance", str(ipath), "--schedule", str(spath),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out / "snapshot.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["equilibrium: yes", "class: balanced-equilibrium"]
+    assert lines[2].startswith(f"cost {'1' * 5000} vs optimum {'1' * 5000}: ratio 1.000")
+
+
+# Vertex 1 keeps (1, 0) at 100 units although (1, 2, 0) costs 60 + 55/6
+# once vertex 2's five agents ride (2, 0); a unit is 10^5000.
+_UNIT = 10**5000
+_HUGE_TRIANGLE = {"kind": "weighted-graph", "n": 3, "edges": [
+    [0, 1, "100" + "0" * 5000], [1, 2, "60" + "0" * 5000], [0, 2, "55" + "0" * 5000]]}
+
+
+def test_verify_witness_json_round_trips_past_the_int_digit_limit(tmp_path, capsys):
+    state = with_revealed(initial_state(instance_from_dict(_HUGE_TRIANGLE)), (1, 2))
+    state = add_terminal(add_terminal(state, 1, 1, (1, 0)), 2, 5, (2, 0))
+    snap = tmp_path / "snapshot.json"
+    snap.write_text(json.dumps(snapshot_to_jsonable(state)))
+    assert main(["verify", str(snap)]) == 4
+    human, line = capsys.readouterr().out.splitlines()
+    assert human.startswith("equilibrium: NO — terminal witness at vertex 1 (current 1")
+    got = json.loads(line)
+    assert (got["vertex"], got["path"]) == (1, [1, 2, 0])
+    assert parse_rational(got["current"]) == 100 * _UNIT
+    assert parse_rational(got["candidate"]) == (60 + Fraction(55, 6)) * _UNIT
+
+
+def test_noneqp_non_equilibrium_past_the_int_digit_limit_exits_4(tmp_path, capsys):
+    ipath, spath = tmp_path / "instance.json", tmp_path / "schedule.json"
+    ipath.write_text(json.dumps(_HUGE_TRIANGLE))
+    spath.write_text(json.dumps(schedule_to_jsonable(
+        [ArrivalEvent((ArrivalItem(1, 1),)), ArrivalEvent((ArrivalItem(2, 5),))])))
+    assert main(["run", "--instance", str(ipath), "--schedule", str(spath),
+                 "--mode", "noneqp", "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "final state is not an equilibrium" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("meta", [

@@ -29,6 +29,7 @@ from costshare import (
     parse_rational,
 )
 import costshare.rationals
+from costshare.instances import build_gm, build_steiner_gap_fixture
 from costshare.metric import EUCLIDEAN_GRID
 from costshare.rationals import floor_log2_ratio, harmonic, pow2, within_log_gate
 from conftest import big_denominator_metric, random_metric
@@ -412,6 +413,54 @@ def test_closure_with_mixed_denominators_matches_fraction_dijkstra(seed):
     want = dijkstra_closure(n, edges)
     assert _matrix(inst) == want
     assert inst.denominator == math.lcm(*(c.denominator for row in want for c in row))
+
+
+def _random_multigraph(seed):
+    """A connected graph on 2..12 vertices whose pairs may repeat, in either
+    order, with a dearer edge before or after the cheaper one."""
+    rng = random.Random(4000 + seed)
+    n = rng.randint(2, 12)
+    edges = [(rng.randrange(v), v, Fraction(rng.randint(1, 99), rng.choice((1, 2, 3))))
+             for v in range(1, n)]
+    for u, v, c in rng.sample(edges, (n + 1) // 2):
+        twin = (v, u, c + rng.randint(1, 9)) if rng.random() < 0.5 else (u, v, c / 2)
+        edges.insert(rng.randrange(len(edges) + 1), twin)
+    return n, edges
+
+
+def _closure_cases():
+    yield from ((f"gm-m{m}", lambda m=m: build_gm(m).instance) for m in (2, 3, 4, 5))
+    yield from ((f"steiner-gap-n{n}", lambda n=n: build_steiner_gap_fixture(n).instance)
+                for n in (1, 5, 50))
+    yield from ((f"multigraph-{seed}", lambda seed=seed: metric_closure(*_random_multigraph(seed)))
+                for seed in range(6))
+    yield "parallel-pair", lambda: metric_closure(2, [(0, 1, 3), (1, 0, 5), (0, 1, 4)])
+    # S = 2^62 + 1: every distance fits int64, but two sentinels S + 1 do not
+    yield "sum-in-2^62..2^63", lambda: metric_closure(
+        3, [(0, 1, 2**61), (1, 2, 2**61 + 1)])
+    yield "distance-past-int64", lambda: metric_closure(3, [(0, 1, 2**62), (1, 2, 2**62 + 1)])
+    yield "5000-digit-edge", lambda: metric_closure(
+        4, [(0, 1, 10**4999 + 7), (1, 2, 3), (2, 3, Fraction(10**4999, 3)), (0, 3, 1)])
+
+
+_CLOSURE_CASES = dict(_closure_cases())
+
+
+@pytest.mark.parametrize("name", list(_CLOSURE_CASES))
+def test_closure_matches_fraction_dijkstra_with_its_dtype(name):
+    inst = _CLOSURE_CASES[name]()
+    edges = [(u, v, parse_rational(c)) for u, v, c in inst.meta["edges"]]
+    want = dijkstra_closure(inst.n, edges)
+    assert _matrix(inst) == want
+    assert inst.denominator == math.lcm(*(c.denominator for row in want for c in row))
+    top = max(c * inst.denominator for row in want for c in row)
+    assert inst.costi.dtype == (np.int64 if top < 2**63 else object)
+
+
+def test_closure_dtype_cases_take_the_path_they_name():
+    assert _CLOSURE_CASES["sum-in-2^62..2^63"]().costi.dtype == np.int64
+    assert _CLOSURE_CASES["distance-past-int64"]().costi.dtype == object
+    assert _CLOSURE_CASES["5000-digit-edge"]().costi.dtype == object
 
 
 @pytest.mark.parametrize("den, unit", [(3, 10**17), (1, 2**70), (10**6 + 3, 2**55)])

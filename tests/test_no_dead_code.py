@@ -12,6 +12,9 @@ dunder must be read as an attribute somewhere in the source, the tests or
 the benchmark.  Here tests do count as readers, as a fixture's fields hold
 the expectations that tests check.  The rules go by name alone: a read of
 `x.n` counts for every field named `n`.
+
+Every name a source module imports must be read in that module or listed
+in its `__all__` (`from __future__` imports aside).
 """
 
 import ast
@@ -36,13 +39,18 @@ def _names(node):
     return out
 
 
+def _exports(tree):
+    """The names a module lists in its `__all__`."""
+    return {elt.value for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts}
+
+
 def unused_definitions(modules):
     """'module: name' of each module-level def or class nothing else names."""
     used = sum((_names(tree) for tree in modules.values()), Counter())
-    exported = {elt.value for tree in modules.values() for node in tree.body
-                if isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-                for elt in node.value.elts}
+    exported = set().union(*map(_exports, modules.values()))
     return [f"{name}: {node.name}"
             for name, tree in modules.items() for node in tree.body
             if isinstance(node, _DEFS) and node.name not in exported
@@ -60,6 +68,23 @@ def unused_methods(modules):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not (node.name.startswith("__") and node.name.endswith("__"))
             and node.name not in attrs]
+
+
+def unused_imports(modules):
+    """'module: name' of each imported name its module neither reads nor
+    exports."""
+    out = []
+    for name, tree in modules.items():
+        kept = _exports(tree) | {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            out += [f"{name}: {b}" for b in bound if b not in kept]
+    return out
 
 
 def _fields(cls):
@@ -99,6 +124,12 @@ def test_every_src_definition_is_used():
     assert unused_methods(modules) == []
 
 
+def test_every_src_import_is_used():
+    modules = _parse(sorted(SRC.glob("*.py")))
+    assert len(modules) > 5
+    assert unused_imports(modules) == []
+
+
 def test_every_src_field_is_read():
     readers = [ast.parse(path.read_text(), str(path)) for folder in ("tests", "perfbench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
@@ -118,6 +149,18 @@ def test_the_rules_on_small_modules(source, definitions, methods):
     modules = {"m": ast.parse(source)}
     assert unused_definitions(modules) == definitions
     assert unused_methods(modules) == methods
+
+
+@pytest.mark.parametrize("source, imports", [
+    ("import heapq\nimport math\n\nx = math.pi\n", ["m: heapq"]),
+    ("import numpy as np\nfrom fractions import Fraction as F\n\ndef f():\n"
+     "    return np.zeros(1), F(1)\n", []),
+    ("import os.path\n\np = os.path.sep\n", []),
+    ("from __future__ import annotations\nfrom .x import a, b\n\n__all__ = ['a']\n",
+     ["m: b"]),
+], ids=["unused", "aliased", "dotted", "exported"])
+def test_the_import_rule_on_small_modules(source, imports):
+    assert unused_imports({"m": ast.parse(source)}) == imports
 
 
 _POINT = "from dataclasses import dataclass\n\n@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n"
