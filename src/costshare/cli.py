@@ -118,8 +118,8 @@ def snapshot_to_jsonable(state) -> dict:
 def snapshot_from_jsonable(data):
     """Rebuild (state, family) from a snapshot dict; ConfigError if malformed.
 
-    The dual family is rebuilt from `revealed`; `insertion_order` is still
-    written for compatibility and must repeat `revealed` exactly.
+    The dual family starts empty: its first charge inserts `revealed`.
+    `insertion_order`, written for compatibility, must repeat `revealed`.
     """
     if not isinstance(data, dict):
         raise ConfigError("snapshot must be a JSON object")
@@ -152,11 +152,7 @@ def snapshot_from_jsonable(data):
             state = add_terminal(state, v, count, path)
         except EngineInvariantError as exc:
             raise ConfigError(f"terminal row {row!r}: {exc}") from None
-    state = dc_replace(state, last_mover=last_mover)
-    family = DualFamily(instance)
-    for v in revealed:
-        family.insert(v)
-    return state, family
+    return dc_replace(state, last_mover=last_mover), DualFamily(instance)
 
 
 # ---------------------------------------------------------------------------

@@ -83,13 +83,13 @@ class LevelPartition:
 class DualFamily:
     """All levels' partitions over the vertices inserted so far.
 
-    Vertices must be inserted in revelation order, root first, and are never
-    removed (a departed terminal still shapes the partitions).  Level j is
-    built on its first query by replaying `inserted`, and every later insert
-    extends it, so each stored level is the first-fit partition of the
-    insertion history and its `of` entries are only ever appended: once u is
-    inserted, `component_of(u, j)` never changes.  So `charge` memoizes one
-    ChargeRecord per (vertex, parent, leaf), and `last_charges`, the map
+    `compute_charges` inserts `state.revealed` in order, root first, and no
+    vertex is removed (a departed terminal still shapes the partitions).
+    Level j is built on its first query by replaying `inserted`, and each
+    insert extends it, so each stored level is the first-fit partition of
+    the insertion history and its `of` entries are only ever appended: once
+    u is inserted, `component_of(u, j)` never changes.  So `charge` memoizes
+    one ChargeRecord per (vertex, parent, leaf), and `last_charges`, the map
     `compute_charges` built last, stays valid for its view.
     """
 
@@ -103,9 +103,6 @@ class DualFamily:
         self._charges: dict = {}  # (vertex, parent, leaf) -> ChargeRecord
         self.last_charges: Optional[ChargeMap] = None
         self._synced: Optional[tuple] = None  # the `revealed` last matched
-
-    def __contains__(self, v) -> bool:
-        return v in self._seen
 
     def insert(self, v: int) -> None:
         if v in self._seen:
@@ -237,11 +234,14 @@ def _charge(family, view, vertices, base=None) -> ChargeMap:
 def compute_charges(state: RoutingState, family: DualFamily) -> ChargeMap:
     """Charge every tree vertex's parent edge to its cut.
 
-    Reads only the tree's shape, each charge one lookup in the family's
-    memo (`DualFamily.charge`).  A view derived from that of the family's
-    last map gets that map patched where they differ (`changed_since`),
-    any other view a full build.
+    Inserts first, in order, what `state.revealed` holds past
+    `family.inserted`; the family must then hold `revealed` as a set.  Reads
+    only the tree's shape, each charge a memo lookup (`DualFamily.charge`).
+    A view derived from the family's last map's view gets that map patched
+    where they differ (`changed_since`), any other a full build.
     """
+    for v in state.revealed[len(family.inserted):]:
+        family.insert(v)
     # as sets; both sides are free of duplicates.  A family that matched this
     # same tuple and has as many vertices still does, as it only grows.
     if len(family.inserted) != len(state.revealed) or (

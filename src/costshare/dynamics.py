@@ -412,15 +412,6 @@ class RunResult:
     accounting: Optional[AccountingReport]
 
 
-def _reveal_for_event(state, family, event):
-    if not isinstance(event, ArrivalEvent):
-        return state
-    new = with_revealed(state, tuple(event.reveal) + event.vertices())
-    for v in new.revealed[len(state.revealed):]:
-        family.insert(v)
-    return new
-
-
 def _arrival_path(state, item, *, adopt_tree_paths, into_equilibrium=False):
     v = item.vertex
     if adopt_tree_paths and v in state.view:  # an active v's own path, too
@@ -467,8 +458,8 @@ def _apply_arrival(state, family, event, *, batch_order, adopt_tree_paths):
 
 def _apply_event(state, family, event, *, batch_order, adopt_tree_paths):
     """The step both policies share; returns (kind, state after the event)."""
-    state = _reveal_for_event(state, family, event)
     if isinstance(event, ArrivalEvent):
+        state = with_revealed(state, tuple(event.reveal) + event.vertices())
         return "arrive", _apply_arrival(state, family, event, batch_order=batch_order,
                                         adopt_tree_paths=adopt_tree_paths)
     if isinstance(event, DepartureEvent):
@@ -548,7 +539,6 @@ def _run(instance, events, epoch, *, verify, accounting=False,
     check_schedule(instance, events)
     state = initial_state(instance)
     family = DualFamily(instance)
-    family.insert(ROOT)
     records = []
     for i, ev in enumerate(events):
         state, rec = epoch(state, family, ev, epoch_index=i)

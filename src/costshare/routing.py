@@ -295,7 +295,7 @@ def _rerouted(state, segments, *, counts, paths, last_mover) -> RoutingState:
         new.__dict__["view"] = view
     table = state.__dict__.get("table")
     if table is not None and not dropped:
-        new.__dict__["table"] = table._derive(usage, deltas, costi)
+        new.__dict__["table"] = table._derive(deltas, costi)
     return new
 
 
@@ -313,7 +313,8 @@ class _Tree:
     raises, the derivation returns None.
 
     Built at once: the tree's shape, all that charging reads: parent,
-    children (sorted lists), the sorted `order` and the `leaves`.
+    children (sorted lists), the sorted `order` and the `leaves`; the
+    counts are read from the state's own `usage` (`_usage`).
 
     The share bounds a and b (`bounds`), which the screen, the graft and
     the move test read, are ints over F = 2^s, one shift per instance: s =
@@ -346,7 +347,7 @@ class _Tree:
     removes edges; and a move's target lies outside the mover's subtree.
     """
 
-    __slots__ = ("parent", "children", "order", "leaves", "_instance", "_users",
+    __slots__ = ("parent", "children", "order", "leaves", "_instance", "_usage",
                  "_base", "_changed", "_bounds", "_exact", "_g", "__weakref__")
 
     def __init__(self, state: RoutingState):
@@ -365,17 +366,15 @@ class _Tree:
                     f"routing path {path} does not end at the root: a cycle or a cut-off path")
         children: dict = {v: [] for v in parent}
         children[ROOT] = []
-        users = {}
         for child, par in parent.items():
             children.setdefault(par, []).append(child)
-            users[child] = n = state.usage.get(edge_key(child, par))
-            if not n:
+            if not state.usage.get(edge_key(child, par)):
                 raise EngineInvariantError(f"tree edge ({child},{par}) has no recorded usage")
         for kids in children.values():
             kids.sort()
         self.parent, self.children, self.order = parent, children, sorted(children)
         self.leaves = {v for v in children if not children[v] and v != ROOT}
-        self._instance, self._users = state.instance, users
+        self._instance, self._usage = state.instance, state.usage
         self._base = self._changed = self._bounds = self._exact = self._g = None
         bad = self.leaves - set(state.counts)
         if bad:
@@ -387,13 +386,13 @@ class _Tree:
         the paths then disagree on its parent, and `state` is no tree.
 
         `links` maps each vertex whose parent edge the event touched to its
-        parent in `state` and that edge's key.  The edge's user count is
-        read from `state.usage`; a vertex whose edge no one uses any more is
-        dropped.  The dicts are copied, the children lists only where they
-        change: a view never changes after it is made, so the rest are shared.
+        parent in `state` and that edge's key.  A vertex whose edge no one
+        uses any more is dropped, one that keeps its parent recounted if the
+        count differs in this view's `usage`.  The dicts are copied, the
+        children lists only where they change: the rest are shared.
         """
         view = type(self).__new__(type(self))
-        parent, users, children = dict(self.parent), dict(self._users), dict(self.children)
+        parent, children = dict(self.parent), dict(self.children)
         usage, own = state.usage, set()  # own: children lists copied already
 
         def kids(x):
@@ -402,15 +401,14 @@ class _Tree:
                 own.add(x)
             return children[x]
 
-        gone, touched, moved, recounted, grown = set(), set(), set(), set(), False
+        gone, touched, moved, recounted, grown = set(), set(), {}, {}, False  # moved, recounted: x -> n
         for x, (p, e) in links.items():
             if not (n := usage.get(e)):
                 gone.add(x)
                 continue
-            users[x], old = n, parent.get(x)
-            if old == p:
-                if n != self._users[x]:
-                    recounted.add(x)
+            if (old := parent.get(x)) == p:
+                if n != self._usage[e]:
+                    recounted[x] = n
                 continue
             if old is None:
                 kids(x)
@@ -423,10 +421,10 @@ class _Tree:
             parent[x] = p
             bisect.insort(kids(p), x)
             touched.update((x, p))
-            moved.add(x)
+            moved[x] = n
         for x in gone:  # its children, if it had any, are gone too
             p = parent.pop(x)
-            del users[x], children[x]
+            del children[x]
             if p not in gone:
                 kids(p).remove(x)
                 touched.add(p)
@@ -438,9 +436,9 @@ class _Tree:
                 leaves.add(x)
         view.parent, view.children, view.leaves = parent, children, leaves
         view.order = sorted(children) if gone or grown else self.order
-        view._instance, view._users = self._instance, users
+        view._instance, view._usage = self._instance, usage
         # a charge reads the parent edge and the leaf flag
-        view._base, view._changed = weakref.ref(self), moved | gone | (leaves ^ self.leaves)
+        view._base, view._changed = weakref.ref(self), moved.keys() | gone | (leaves ^ self.leaves)
         view._bounds = view._exact = view._g = None
         if self._bounds is not None:
             view._carry_sums(self, moved | recounted, gone)
@@ -479,19 +477,20 @@ class _Tree:
         inst = self._instance
         s = max(0, 61 - (inst.n * int(inst.costi.max())).bit_length())
         self._bounds = s, {ROOT: 0}, {ROOT: 0}
-        self._fill(*self._bounds, list(self.children[ROOT]), self.parent)
+        R = {x: self._usage[edge_key(x, p)] for x, p in self.parent.items()}
+        self._fill(*self._bounds, list(self.children[ROOT]), R)
 
     def _fill(self, s, a, b, stack, R, old=None):
         """Set a and b on the subtrees of the vertices in `stack`, top down,
-        from each parent's entry, final already: at R from the parent edge,
-        elsewhere by the parent's change since `old`, the base's; return g."""
-        parent, users, children = self.parent, self._users, self.children
+        from each parent's final entry: at R (x -> its count) by the parent
+        edge, elsewhere by the parent's change since the base's `old`; return g."""
+        parent, children = self.parent, self.children
         costi, g, (oa, ob) = self._instance.costi, {}, old or (None, None)
         while stack:
             x = stack.pop()
             p = parent[x]
             if x in R:
-                n, c = users[x], costi.item(x, p) << s
+                n, c = R[x], costi.item(x, p) << s
                 a[x], b[x], g[x] = a[p] - (-c // n), b[p] + c // (n + 1), g.get(p, 0) + 1
             else:
                 a[x], b[x], g[x] = oa[x] + a[p] - oa[p], ob[x] + b[p] - ob[p], g[p]
@@ -502,7 +501,7 @@ class _Tree:
         """(M, A(x) M, B(x) M), M the lcm of the view's divisors {N_e,
         N_e+1}: built on first need, then memoised per vertex."""
         if self._exact is None:
-            divisors = {k for n in self._users.values() for k in (n, n + 1)}
+            divisors = {k for n in self._usage.values() for k in (n, n + 1)}
             self._exact = math.lcm(*divisors), {ROOT: (0, 0)}
         M, memo = self._exact
         up = []
@@ -511,7 +510,8 @@ class _Tree:
             x = self.parent[x]
         A, B = memo[x]
         for y in reversed(up):
-            c, n = self._instance.costi.item(y, self.parent[y]), self._users[y]
+            p = self.parent[y]
+            c, n = self._instance.costi.item(y, p), self._usage[edge_key(y, p)]
             memo[y] = A, B = A + c * (M // n), B + c * (M // (n + 1))
         return M, A, B
 
@@ -557,8 +557,8 @@ class _SearchTable:
     """What the searches of a state share, cached as `state.table`:
     `nodes` (the used edges' endpoints and the root) with index map `pos`;
     per used edge k, in `usage` order (`edge` maps it to k), its nodes ia[k]
-    and ib[k], users[k] and costs[k] = c * D; and the cost block `sub` =
-    costi[nodes][:, nodes].
+    and ib[k] and costs[k] = c * D, its count being `state.usage`'s k-th;
+    and the cost block `sub` = costi[nodes][:, nodes].
 
     Built in full, `_SearchTable(state)`, or derived from the previous
     state's (`_derive`, called by `_rerouted` alone) when the event drops
@@ -573,7 +573,6 @@ class _SearchTable:
         self.ia = np.array([pos[a] for a, _ in usage], dtype=np.intp)
         self.ib = np.array([pos[b] for _, b in usage], dtype=np.intp)
         self.edge = {e: k for k, e in enumerate(usage)}
-        self.users = list(usage.values())
         ids = np.array(nodes)
         self.costs = costi[ids[self.ia], ids[self.ib]].tolist()
         self.sub = costi.take(ids, 0).take(ids, 1)
@@ -592,7 +591,7 @@ class _SearchTable:
             tab.sub = costi.take(ids, 0).take(ids, 1)
         return tab
 
-    def _derive(self, usage, deltas, costi):
+    def _derive(self, deltas, costi):
         """The table of the state whose `usage` keeps every edge of this
         one's, with new counts, and appends the new edges of `deltas`."""
         added = [e for e in deltas if e not in self.edge]
@@ -600,9 +599,8 @@ class _SearchTable:
         if added:
             ends = np.array([(tab.pos[a], tab.pos[b]) for a, b in added], dtype=np.intp)
             tab.ia, tab.ib = np.concatenate((tab.ia, ends[:, 0])), np.concatenate((tab.ib, ends[:, 1]))
-            tab.edge = {**self.edge, **{e: k for k, e in enumerate(added, len(self.users))}}
+            tab.edge = {**self.edge, **{e: k for k, e in enumerate(added, len(self.costs))}}
             tab.costs = self.costs + [int(costi[e]) for e in added]
-        tab.users = list(usage.values())
         return tab
 
 
@@ -667,12 +665,12 @@ def _Search(state, target) -> BestResponse:
         tab = tab._grown([target], inst.costi)
     nodes, K = tab.nodes, len(tab.nodes) + 1
 
-    divisor = [n + 1 for n in tab.users]
+    divisor = [n + 1 for n in state.usage.values()]
     fresh = [0] * len(divisor)
     own_path, own_count = state.paths.get(target), state.counts.get(target, 0)
     for e in path_edges(own_path) if own_path else ():
         k = tab.edge[e]
-        divisor[k] = n = tab.users[k]
+        divisor[k] = n = state.usage[e]
         fresh[k] = int(n == own_count)
     scale = math.lcm(*(divisors := set(divisor)))  # den // D
     unit = scale * K  # an unused edge of cost c weighs c * unit + 1
@@ -805,10 +803,10 @@ class _Verdicts:
     def _prices(self):
         """(c / (N + 1), c / N) per used edge over den = D * lcm{N_e, N_e + 1 :
         e used}, den // D and the largest cost between nodes."""
-        tab = self.state.table
-        scale = math.lcm(*{k for n in tab.users for k in (n, n + 1)})
-        return ([c * (scale // (n + 1)) for c, n in zip(tab.costs, tab.users)],
-                [c * (scale // n) for c, n in zip(tab.costs, tab.users)], scale, int(tab.sub.max()))
+        tab, users = self.state.table, self.state.usage.values()
+        scale = math.lcm(*{k for n in users for k in (n, n + 1)})
+        return ([c * (scale // (n + 1)) for c, n in zip(tab.costs, users)],
+                [c * (scale // n) for c, n in zip(tab.costs, users)], scale, int(tab.sub.max()))
 
     @cached_property
     def _own(self):

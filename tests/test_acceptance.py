@@ -352,7 +352,8 @@ def test_charges_and_prefix_sums_match_oracles_on_every_state(monkeypatch):
             return view
         audited[id(view)] = view
         want = routing._Tree(replace(state))
-        for field in ("parent", "children", "order", "leaves", "_users"):
+        assert view._usage is state.usage  # the counts are the state's own
+        for field in ("parent", "children", "order", "leaves"):
             assert getattr(view, field) == getattr(want, field), field
         assert view.bounds() == want.bounds()  # carried or not, int for int
         inst = state.instance

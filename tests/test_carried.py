@@ -288,7 +288,8 @@ def _record_reroutes(monkeypatch, check):
 def _assert_table_is_a_full_build(state):
     got, want = state.table, routing._SearchTable(replace(state))
     assert got.nodes == sorted({ROOT, *(v for e in state.usage for v in e)})
-    for field in ("nodes", "pos", "edge", "users", "costs"):
+    assert list(got.edge) == list(state.usage)  # edge k is usage's k-th
+    for field in ("nodes", "pos", "edge", "costs"):
         assert getattr(got, field) == getattr(want, field), field
     for field in ("ia", "ib", "sub"):
         mine, full = getattr(got, field), getattr(want, field)
@@ -350,8 +351,8 @@ def test_carried_prefix_sums_equal_a_full_build(monkeypatch):
         view = new.__dict__.get("view")
         if old is None or old._bounds is None or view is None:
             return
-        R = {x for x in view.parent if (old.parent.get(x), old._users.get(x))
-             != (view.parent[x], view._users[x])}
+        R = {x for x, p in view.parent.items() if old.parent.get(x) != p
+             or state.usage[e := routing.edge_key(x, p)] != new.usage[e]}
         g = {x: sum(y in R for y in view.path_to_root(x)[:-1]) for x in view.parent}
         assert view._g == {x: k for x, k in g.items() if k}
         tally["whole" if len(view._g) == len(view.order) - 1 else "part"] += 1

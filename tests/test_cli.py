@@ -29,7 +29,7 @@ from costshare.dynamics import ArrivalEvent, ArrivalItem, run_eqp, run_noneqp
 from costshare.errors import ClosureViolationError
 from costshare.metric import instance_from_dict, instance_to_dict
 from costshare.routing import Witness, has_improving_move
-from conftest import line_instance
+from conftest import OFF_TREE, line_instance
 from oracles import check_invariants
 
 
@@ -111,6 +111,19 @@ def test_verify_names_the_first_improving_terminal_not_the_first_leaf(tmp_path, 
     human, line = capsys.readouterr().out.splitlines()
     assert human == "equilibrium: NO — terminal witness at vertex 1 (current 1, better 9/10)"
     assert line == '{"candidate":"9/10","current":"1","path":[1,0],"vertex":1}'
+
+
+def test_verify_names_the_witness_of_a_non_tree_snapshot(tmp_path, capsys):
+    # OFF_TREE's one-shot run ends off the tree; the sweep then decides
+    # every terminal, and 4 is the first that improves.
+    costs, events = OFF_TREE
+    state = run_noneqp(explicit_metric(5, costs), events, verify=False).state
+    snap = tmp_path / "snapshot.json"
+    snap.write_text(json.dumps(snapshot_to_jsonable(state)))
+    assert main(["verify", str(snap)]) == 4
+    human, line = capsys.readouterr().out.splitlines()
+    assert human == "equilibrium: NO — terminal witness at vertex 4 (current 38/3, better 203/68)"
+    assert line == '{"candidate":"203/68","current":"38/3","path":[4,3,1,0],"vertex":4}'
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +250,20 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, argv):
     rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_non_integer_size(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--gen", "euclidean", "--n", "10,x", "--out", str(out)]) == 2
+    assert "the n list wants a comma-separated integer list, got '10,x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unwritable_output_exits_2_as_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["gen", "--gen", "poa", "--n", "3", "--out", str(blocker / "x")]) == 2
+    assert capsys.readouterr().err.startswith("io error:")
 
 
 # well-formed, but no engine instance can hold them

@@ -421,19 +421,48 @@ def test_compute_charges_matches_rebuild_on_random_trees():
                     for k, v in got.by_cut.items()} == by_cut
 
 
+def _flat_levels(family):
+    return {j: (lp.centers, lp.of) for j, lp in family.levels.items()}
+
+
+def test_compute_charges_catches_the_family_up_with_revealed():
+    # compute_charges first inserts, in order, what `revealed` holds past the
+    # family's `inserted`.  A family that lags by any suffix, levels built
+    # or not, ends with the inserted list, levels and charges of one filled
+    # in revelation order.
+    rng = random.Random(2807)
+    for trial in range(6):
+        inst = random_metric(rng, 11)
+        state = random_tree_state(rng, inst, shuffled=True)
+        want = family_for(state)
+        records = [(r.vertex, r.level, r.cut, r.costi, r.leaf)
+                   for r in compute_charges(state, want).records]
+        for keep in range(len(state.revealed) + 1):
+            family = DualFamily(inst)
+            for v in state.revealed[:keep]:
+                family.insert(v)
+            if keep and trial % 2:  # some levels exist before the catch-up
+                for rec in compute_charges(state, want).records:
+                    family.num_components(rec.level)
+            got = compute_charges(state, family)
+            assert family.inserted == want.inserted == list(state.revealed)
+            assert [(r.vertex, r.level, r.cut, r.costi, r.leaf) for r in got.records] == records
+            assert _flat_levels(family) == _flat_levels(want)
+
+
 def test_compute_charges_requires_family_sync():
-    # The family must hold the revealed vertices, as a set: its order may
-    # differ (`_shuffled_family` in test_carried.py relies on that).
+    # After the catch-up the family must hold the revealed vertices, as a
+    # set: its order may differ (`_shuffled_family` in test_carried.py relies
+    # on that), but a family ahead of the state, or one holding a vertex the
+    # state never revealed, is out of sync.
     inst = line_instance(0, 5, 9, 14)
     state = with_revealed(initial_state(inst), [1, 2])
     state = add_terminal(state, 1, 1, (1, 0))
     family = DualFamily(inst)
-    family.insert(0)
-    family.insert(1)  # vertex 2 missing
-    with pytest.raises(EngineInvariantError, match="out of sync"):
-        compute_charges(state, family)
-    family.insert(2)
-    compute_charges(state, family)  # in sync
+    for v in (0, 2, 1):  # another order, the same set
+        family.insert(v)
+    compute_charges(state, family)
+    assert family.inserted == [0, 2, 1]
     family.insert(3)  # one vertex too many
     with pytest.raises(EngineInvariantError, match="out of sync"):
         compute_charges(state, family)
@@ -442,6 +471,12 @@ def test_compute_charges_requires_family_sync():
         other.insert(v)
     with pytest.raises(EngineInvariantError, match="out of sync"):
         compute_charges(state, other)
+    short = DualFamily(inst)
+    for v in (0, 3):  # caught up by vertex 2 to as many, but 3 was never revealed
+        short.insert(v)
+    with pytest.raises(EngineInvariantError, match="out of sync"):
+        compute_charges(state, short)
+    assert short.inserted == [0, 3, 2]
 
 
 # ---------------------------------------------------------------------------

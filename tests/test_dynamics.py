@@ -45,8 +45,9 @@ from costshare.duals import (
     BALANCED_EQUILIBRIUM,
     LEAF_UNBALANCED,
     NONLEAF_UNBALANCED,
+    StateClass,
 )
-from costshare.dynamics import _class_marker
+from costshare.dynamics import SelectedMove, _assert_move_contract, _class_marker
 from costshare.instances import build_gm, build_random_euclidean, build_sigma
 from costshare.routing import RoutingState
 from conftest import family_for, line_instance, random_metric, random_tree_state
@@ -640,6 +641,73 @@ def test_non_tree_states_raise_at_the_view(paths, counts, usage, match):
     with pytest.raises(EngineInvariantError, match=match):
         state.view
     assert _class_marker(state, family) == "non-tree"
+
+
+def test_the_move_contract_refuses_each_breach_with_its_details():
+    # Synthetic selections and landings: an lu-a or lu-d move must land
+    # leaf-unbalanced or tighter; one that lands nonleaf-unbalanced may have
+    # crowded only the mover's new cut if it was a balanced or lu-b move,
+    # and must have cleared its context cut if it was an lu-c or nlu move.
+    new_cut, other = (1, 0), (2, 4)
+
+    def sel(tag, context=None):
+        return SelectedMove(3, 5, tag, StateClass(BALANCED, None), context_cut=context)
+
+    def landing(rank, heavy=None):
+        return StateClass(rank, None, heavy_cut=heavy)
+
+    def details(move, post):
+        with pytest.raises(ClosureViolationError) as exc:
+            _assert_move_contract(move, post, new_cut)
+        return exc.value.details
+
+    tags = ("balanced", "lu-a", "lu-b", "lu-c", "lu-d", "nlu")
+    for tag in tags:
+        for rank in (BALANCED_EQUILIBRIUM, BALANCED, LEAF_UNBALANCED):
+            _assert_move_contract(sel(tag, other), landing(rank), new_cut)
+    for tag in ("lu-a", "lu-d"):
+        assert details(sel(tag), landing(NONLEAF_UNBALANCED, new_cut)) == {
+            "tag": tag, "mover": 3, "target": 5}
+    for tag in ("balanced", "lu-b"):
+        _assert_move_contract(sel(tag), landing(NONLEAF_UNBALANCED, new_cut), new_cut)
+        assert details(sel(tag), landing(NONLEAF_UNBALANCED, other)) == {
+            "tag": tag, "heavy": "(2, 4)", "mover_cut": "(1, 0)"}
+    for tag in ("lu-c", "nlu"):
+        _assert_move_contract(sel(tag, other), landing(NONLEAF_UNBALANCED, new_cut), new_cut)
+        assert details(sel(tag, other), landing(NONLEAF_UNBALANCED, other)) == {
+            "tag": tag, "cut": "(2, 4)"}
+
+
+def test_a_one_shot_state_past_the_four_classes_is_marked(monkeypatch):
+    # `_class_marker` names a state that `classify` refuses as past the
+    # ladder, and the one-shot runner records it as the epoch's class.
+    def refuse(state, family, **kwargs):
+        raise ClosureViolationError("multiple cuts with two or more non-leaf chargers")
+
+    monkeypatch.setattr(dynamics, "classify", refuse)
+    gm = build_gm(2)
+    res = run_noneqp(gm.instance, list(build_sigma(gm)), verify=False)
+    assert {ep.post_class for ep in res.epochs} == {"beyond-nonleaf-unbalanced"}
+    assert len(res.epochs) == 32
+
+
+def test_a_run_inserts_each_revealed_vertex_once_in_order(monkeypatch):
+    # The family follows `state.revealed`: `compute_charges` inserts what it
+    # lacks, so a run inserts each revealed vertex once, in order, under
+    # both policies, and a run with no events leaves the family empty.
+    inserts = []
+    real = duals.DualFamily.insert
+    monkeypatch.setattr(duals.DualFamily, "insert",
+                        lambda family, v: inserts.append(v) or real(family, v))
+    er = build_random_euclidean(30, 0)
+    gm = build_gm(3)
+    for run in (lambda: run_eqp(er.instance, list(er.events)),
+                lambda: run_noneqp(gm.instance, list(build_sigma(gm)))):
+        inserts.clear()
+        res = run()
+        assert inserts == res.family.inserted == list(res.state.revealed)
+    inserts.clear()
+    assert run_eqp(er.instance, []).family.inserted == inserts == []
 
 
 def test_mover_new_cut_is_the_charge_of_its_new_parent_edge():

@@ -19,9 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from costshare import (
+    ArrivalEvent,
+    ArrivalItem,
     ClosureViolationError,
     EngineInvariantError,
     ROOT,
+    VerificationError,
     add_terminal,
     best_response,
     build_random_euclidean,
@@ -41,9 +44,10 @@ from costshare import (
     with_revealed,
 )
 from costshare import classify, dynamics, routing, select_tree_move
+from costshare.cli import snapshot_from_jsonable, snapshot_to_jsonable
 from costshare.duals import BALANCED, StateClass
 from costshare.instances import build_gm, build_sigma, build_steiner_gap_fixture
-from costshare.routing import graft_path, has_improving_move, is_legal_improving
+from costshare.routing import Witness, graft_path, has_improving_move, is_legal_improving
 from conftest import (
     OFF_TREE,
     big_denominator_metric,
@@ -750,6 +754,33 @@ def test_arrival_screen_keeps_every_improving_pair_and_every_choice(monkeypatch)
     assert tally["selected"] >= 100, tally
 
 
+def test_an_arrival_into_a_loaded_equilibrium_is_screened_in_full(monkeypatch):
+    # A snapshot-loaded equilibrium builds its view in full, without bounds,
+    # so the view an arrival derives from it carries no bounds and no g, and
+    # `arrival_screen` falls back to the full screen.  One arrival at a leaf
+    # terminal of the euclid n=30 (seed 0) final state takes that path, and
+    # ends where the same arrival into the run's own final state does.
+    er = build_random_euclidean(30, 0)
+    res = run_eqp(er.instance, er.events, verify=False, accounting=False)
+    state, family = snapshot_from_jsonable(snapshot_to_jsonable(res.state))
+    t = min(state.view.leaves)
+    event = ArrivalEvent((ArrivalItem(t, 1),))
+    want = run_epoch_eqp(res.state, res.family, event)
+    screens, real = [], dynamics.arrival_screen
+
+    def arrival(state, path):
+        got = real(state, path)
+        screens.append((state.view._g, got, routing._candidate_screen(state)))
+        return got
+
+    monkeypatch.setattr(dynamics, "arrival_screen", arrival)
+    after, record = run_epoch_eqp(state, family, event)
+    (g, (mask, cols), (full, full_cols)), = screens
+    assert g is None and cols == full_cols and np.array_equal(mask, full)
+    assert (after.paths, after.counts, record) == (want[0].paths, want[0].counts, want[1])
+    assert after.counts[t] == state.counts[t] + 1
+
+
 def test_arrival_screens_cut_the_work_of_the_churn_panel(monkeypatch):
     # The euclid n=120 churn panel (seeds 0-7, eqp, no final sweep): 4,855
     # exact move tests and 1,539 full screens when every state was screened
@@ -1444,7 +1475,8 @@ def test_revealing_keeps_the_search_table_and_rerouting_rebuilds_it():
 def _assert_view_is_a_full_build(state):
     assert "view" in state.__dict__  # cached with the state, not built on this read
     got, want = state.view, routing._Tree(replace(state))
-    for field in ("parent", "children", "order", "leaves", "_users"):
+    assert got._usage is state.usage  # the counts are the state's own
+    for field in ("parent", "children", "order", "leaves"):
         assert getattr(got, field) == getattr(want, field), field
     # carried or built, the bounds are the same ints, and so are the exact sums
     assert got.bounds() == want.bounds()
@@ -1822,6 +1854,49 @@ def _verdict_states(monkeypatch):
     fx = build_steiner_gap_fixture(20)
     run_eqp(fx.instance, fx.events, verify=False, accounting=False)
     return states
+
+
+def _is_tree(state):
+    try:
+        state.view
+    except EngineInvariantError:
+        return False
+    return True
+
+
+def test_a_non_tree_sweep_names_the_least_improving_terminal(monkeypatch):
+    # Off the tree the sweep decides every terminal in id order: its witness
+    # is the best response of the least improving terminal, and, where the
+    # instance is small, the exhaustive oracle's first witness.
+    tally = Counter()
+    for state in filter(lambda s: not _is_tree(s), _verdict_states(monkeypatch)):
+        least = next(t for t in sorted(state.counts) if has_improving_move(state, t))
+        verdict = verify_equilibrium(state)
+        assert not verdict.ok and verdict.witness == has_improving_move(state, least)
+        if state.instance.n <= 7:
+            want = next(filter(None, (_oracle_witness(_matrix(state.instance), state, t)
+                                      for t in sorted(state.counts))))
+            w = verdict.witness
+            assert (w.vertex, w.path, w.current, w.candidate) == (want[1], *want[3:])
+            tally["oracled"] += 1
+        tally["states"] += 1
+    assert tally["states"] >= 40 and tally["oracled"] >= 35, tally
+
+
+def test_the_off_tree_run_fails_verification_with_its_witness(monkeypatch):
+    # OFF_TREE's one-shot run ends off the tree, where terminal 4 can
+    # leave relay 2 for 1's crowd.  A sweep that finds no improving terminal
+    # on a non-tree contradicts the downward-closure argument, and raises.
+    costs, events = OFF_TREE
+    want = Witness(4, (4, 3, 1, 0), Fraction(38, 3), Fraction(203, 68))
+    with pytest.raises(VerificationError, match="not an equilibrium") as exc:
+        run_noneqp(explicit_metric(5, costs), events, verify=True)
+    assert str(want) in str(exc.value)
+    state = run_noneqp(explicit_metric(5, costs), events, verify=False).state
+    assert not _is_tree(state) and verify_equilibrium(state).witness == want
+    monkeypatch.setattr(routing._Verdicts, "improves", lambda self, t: False)
+    with pytest.raises(EngineInvariantError, match="non-tree routing"):
+        verify_equilibrium(state)
 
 
 def test_every_astar_verdict_matches_a_best_response_search(monkeypatch):
