@@ -8,6 +8,12 @@ Five subcommands:
 * ``sweep``   run a parameter grid in parallel, one summary row per run
 * ``replay``  re-run a previous output directory and byte-compare artifacts
 
+One table, `GENERATORS`, gives each ``--gen`` choice its config keys and the
+modes its schedule runs in: the layered gm schedule pins one-shot paths, so
+it runs under ``--mode noneqp`` alone, and the poa fixture has no schedule.
+gen, run and sweep build their configs from the command line alike, and
+every config, replay's too, is checked before any instance is built.
+
 Every artifact except ``meta.json`` is byte-deterministic for a fixed
 configuration (``meta.json`` records wall time, so replay skips it).  Exit
 codes: 0 success, 2 bad input (ConfigError), 3 internal invariant breach
@@ -35,7 +41,7 @@ from pathlib import Path
 from . import __version__
 from .duals import CLASS_NAMES, DualFamily, classify, logn_accounting
 from .dynamics import (
-    MOVE_CEILING_FACTOR,
+    BATCH_ORDERS,
     run_eqp,
     run_noneqp,
     schedule_from_jsonable,
@@ -262,30 +268,62 @@ def _build_steiner_gap(cfg):
             f"steiner-gap n={cfg['n']}: {len(fx.events)} events")
 
 
+MODES = ("eqp", "noneqp")
+
+
 @dataclass(frozen=True)
 class Generator:
     keys: tuple  # config keys, each named after its command-line flag
     label: str  # run label, formatted with the config
     build: object  # config -> (instance, events or None, extra files, note)
-    sweep: bool = False  # offered by `costshare sweep`
+    modes: tuple  # the modes its schedule runs in; none for a static fixture
 
 
 GENERATORS = {
-    "gm": Generator(("m",), "gm-m{m}", _build_gm, sweep=True),
+    # the layered schedule pins one-shot best responses
+    "gm": Generator(("m",), "gm-m{m}", _build_gm, ("noneqp",)),
     "euclidean": Generator(("n", "seed", "profile"),
-                           "euclidean-n{n}-s{seed}-{profile}", _build_euclidean,
-                           sweep=True),
-    "poa": Generator(("n",), "poa-n{n}", _build_poa),
-    "steiner-gap": Generator(("n",), "steiner-gap-n{n}", _build_steiner_gap),
+                           "euclidean-n{n}-s{seed}-{profile}", _build_euclidean, MODES),
+    "poa": Generator(("n",), "poa-n{n}", _build_poa, ()),
+    "steiner-gap": Generator(("n",), "steiner-gap-n{n}", _build_steiner_gap, MODES),
 }
 
 
 # ---------------------------------------------------------------------------
-# configs: a plain dict describes one run; shared by run, sweep, and replay
+# configs: a plain dict describes what gen writes or what run, sweep and
+# replay run
 
 
-MODES = ("eqp", "noneqp")
-BATCH_ORDERS = ("sequential", "snapshot")
+def _config_from_args(args) -> dict:
+    """The config a command line gives; a sweep's keys hold its raw lists."""
+    cfg = {key: getattr(args, key) for key in ("mode", "batch_order") if key in args}
+    if args.gen:
+        cfg["gen"] = args.gen
+        cfg.update((key, getattr(args, key)) for key in GENERATORS[args.gen].keys)
+    for key in ("instance", "schedule"):
+        if getattr(args, key, None):
+            cfg[key] = str(Path(getattr(args, key)).resolve())
+    return cfg
+
+
+def _check_gen(cfg, mode=None) -> Generator:
+    """The row of `cfg`'s generator; ConfigError unless `cfg` holds each of
+    its keys and `mode`, if given, is one its schedule runs in."""
+    gen = cfg.get("gen")
+    if not isinstance(gen, str) or gen not in GENERATORS:
+        raise ConfigError(f"unknown generator {gen!r}")
+    row = GENERATORS[gen]
+    for key in row.keys:
+        if cfg.get(key) is None:
+            raise ConfigError(f"--gen {gen} needs --{key}")
+        if key != "profile":  # the generator checks its profile name itself
+            _int(cfg[key], f"--{key}")
+    if mode is not None and mode not in row.modes:
+        raise ConfigError(
+            f"--gen {gen} runs under --mode {' or '.join(row.modes)} only" if row.modes
+            else f"the {gen} generator is a static fixture with no schedule; "
+                 f"use `costshare gen --gen {gen}` and `costshare verify` instead")
+    return row
 
 
 def _check_config(cfg) -> dict:
@@ -294,26 +332,15 @@ def _check_config(cfg) -> dict:
     A config comes from the command line, from a sweep grid or from the
     meta.json of a run being replayed, which may have been edited by hand.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"a run config must be an object, got {cfg!r}")
     if cfg.get("mode") not in MODES:
         raise ConfigError(f"unknown mode {cfg.get('mode')!r}")
-    if _int(cfg.get("move_ceiling", MOVE_CEILING_FACTOR), "the move ceiling") < 0:
-        raise ConfigError(f"the move ceiling must be >= 0, got {cfg['move_ceiling']}")
-    gen = cfg.get("gen")
-    if gen is None:
+    if cfg.get("gen") is None:
         if not (isinstance(cfg.get("instance"), str) and isinstance(cfg.get("schedule"), str)):
             raise ConfigError("nothing to run: give --gen, or --instance with --schedule")
-        return cfg
-    if "instance" in cfg or "schedule" in cfg:
+    elif "instance" in cfg or "schedule" in cfg:
         raise ConfigError("give either --gen or --instance/--schedule, not both")
-    if not isinstance(gen, str) or gen not in GENERATORS:
-        raise ConfigError(f"unknown generator {gen!r}")
-    for key in GENERATORS[gen].keys:
-        if cfg.get(key) is None:
-            raise ConfigError(f"--gen {gen} needs --{key}")
-        if key != "profile":  # the generator checks its profile name itself
-            _int(cfg[key], f"--{key}")
+    else:
+        _check_gen(cfg, cfg["mode"])
     return cfg
 
 
@@ -325,16 +352,9 @@ def _execute(cfg):
         events = schedule_from_jsonable(_load_json(cfg["schedule"]))
     else:
         instance, events, _files, _note = GENERATORS[gen].build(cfg)
-    if events is None:
-        raise ConfigError(
-            f"the {gen} generator is a static fixture with no schedule; "
-            f"use `costshare gen --gen {gen}` and `costshare verify` instead")
     batch_order = cfg.get("batch_order", "sequential")
     if cfg["mode"] == "eqp":
-        result = run_eqp(instance, events, batch_order=batch_order,
-                         accounting=False,
-                         ceiling_factor=cfg.get("move_ceiling",
-                                                MOVE_CEILING_FACTOR))
+        result = run_eqp(instance, events, batch_order=batch_order, accounting=False)
     else:
         result = run_noneqp(instance, events, batch_order=batch_order)
     report = logn_accounting(result.state, result.family)
@@ -366,8 +386,8 @@ def _max_workers(njobs: int) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = {key: getattr(args, key) for key in GENERATORS[args.gen].keys}
-    instance, events, extra, note = GENERATORS[args.gen].build(cfg)
+    cfg = _config_from_args(args)
+    instance, events, extra, note = _check_gen(cfg).build(cfg)
     files = {"instance.json": instance_to_dict(instance)}
     if events is not None:
         files["schedule.json"] = schedule_to_jsonable(events)
@@ -378,18 +398,6 @@ def cmd_gen(args) -> int:
         _write_json(out / name, doc)
     print(f"{note}, wrote {' '.join(files)}")
     return 0
-
-
-def _config_from_args(args) -> dict:
-    cfg = {"mode": args.mode, "batch_order": args.batch_order,
-           "move_ceiling": args.move_ceiling}
-    if args.gen:
-        cfg["gen"] = args.gen
-        cfg.update((key, getattr(args, key)) for key in GENERATORS[args.gen].keys)
-    for key in ("instance", "schedule"):
-        if getattr(args, key):
-            cfg[key] = str(Path(getattr(args, key)).resolve())
-    return cfg
 
 
 def _run_into(cfg, out: Path) -> dict:
@@ -458,16 +466,11 @@ def _parse_int_list(raw, what) -> list:
 
 
 def cmd_sweep(args) -> int:
-    base = {"mode": args.mode, "batch_order": args.batch_order,
-            "move_ceiling": args.move_ceiling}
+    base = _config_from_args(args)
     keys = GENERATORS[args.gen].keys
-    axes = []
-    for key in keys:
-        raw = getattr(args, key)
-        if raw is None:
-            raise ConfigError(f"--gen {args.gen} needs --{key} (a comma-separated list)")
-        axes.append([raw] if key == "profile" else _parse_int_list(raw, f"the {key} list"))
-    jobs = [_check_config({**base, "gen": args.gen, **dict(zip(keys, values))})
+    axes = [[base[key]] if key == "profile" or base[key] is None
+            else _parse_int_list(base[key], f"the {key} list") for key in keys]
+    jobs = [_check_config({**base, **dict(zip(keys, values))})
             for values in itertools.product(*axes)]
 
     workers = _max_workers(len(jobs))
@@ -535,14 +538,6 @@ def _add_gen_params(p, *, lists=False) -> None:
                    help="euclidean schedule shape")
 
 
-def _add_run_knobs(p) -> None:
-    p.add_argument("--mode", default="eqp", choices=MODES)
-    p.add_argument("--batch-order", default="sequential", choices=BATCH_ORDERS,
-                   help="how a multi-item arrival event is routed")
-    p.add_argument("--move-ceiling", type=int, default=MOVE_CEILING_FACTOR,
-                   metavar="F", help="per-epoch move budget is F * n^3")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="costshare",
@@ -561,7 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_params(p)
     p.add_argument("--instance", help="instance JSON file (alternative to --gen)")
     p.add_argument("--schedule", help="schedule JSON file")
-    _add_run_knobs(p)
+    p.add_argument("--mode", default="eqp", choices=MODES)
+    p.add_argument("--batch-order", default="sequential", choices=BATCH_ORDERS,
+                   help="how a multi-item arrival event is routed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
@@ -571,9 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter grid in parallel")
     p.add_argument("--gen", required=True,
-                   choices=tuple(g for g, row in GENERATORS.items() if row.sweep))
+                   choices=tuple(g for g, row in GENERATORS.items() if row.modes))
     _add_gen_params(p, lists=True)
-    _add_run_knobs(p)
+    p.add_argument("--mode", default="eqp", choices=MODES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -67,6 +67,7 @@ from .routing import (
 )
 
 MOVE_CEILING_FACTOR = 10  # moves allowed per epoch: factor * revealed^3
+BATCH_ORDERS = ("sequential", "snapshot")  # what a multi-item arrival is routed against
 
 
 # ---------------------------------------------------------------------------
@@ -435,23 +436,22 @@ def _arrival_path(state, item, *, adopt_tree_paths, into_equilibrium=False):
 
 
 def _apply_arrival(state, family, event, *, batch_order, adopt_tree_paths):
-    """Route the event's items; under adopt_tree_paths, `state` is an equilibrium.
+    """Route the event's items in turn, each against the event's base state
+    (the snapshot order) or the state the items before it left (sequential).
 
-    Items routed against that equilibrium itself (all of them under the
-    snapshot order, the first under the sequential one) graft onto the tree,
-    and each state between two items gets its charge map (`compute_charges`).
+    Under adopt_tree_paths the base state is an equilibrium: items routed
+    against it graft onto the tree, and each state between two items gets
+    its charge map (`compute_charges`).
     """
-    if batch_order not in ("snapshot", "sequential"):
+    if batch_order not in BATCH_ORDERS:
         raise ConfigError(f"unknown batch order {batch_order!r}")
-    plans = [_arrival_path(state, it, adopt_tree_paths=adopt_tree_paths,
-                           into_equilibrium=adopt_tree_paths)
-             for it in event.items] if batch_order == "snapshot" else None
+    base = state
     for i, it in enumerate(event.items):
         if i and adopt_tree_paths:  # so the next map is patched from it
             compute_charges(state, family)
-        path = plans[i] if plans else _arrival_path(
-            state, it, adopt_tree_paths=adopt_tree_paths,
-            into_equilibrium=adopt_tree_paths and i == 0)
+        against = base if batch_order == "snapshot" else state
+        path = _arrival_path(against, it, adopt_tree_paths=adopt_tree_paths,
+                             into_equilibrium=adopt_tree_paths and against is base)
         state = add_terminal(state, it.vertex, it.count, path)
     return state
 
@@ -471,8 +471,7 @@ def _apply_event(state, family, event, *, batch_order, adopt_tree_paths):
 
 
 def run_epoch_eqp(state, family, event, *, epoch_index=0,
-                  batch_order="sequential", on_move=None,
-                  ceiling_factor=MOVE_CEILING_FACTOR):
+                  batch_order="sequential", on_move=None):
     """One event, then prioritized moves until balanced equilibrium again.
 
     `state` must be a balanced equilibrium (as every epoch leaves it): an
@@ -497,7 +496,7 @@ def run_epoch_eqp(state, family, event, *, epoch_index=0,
 
     post_class = cls.name
     phi = potential(state)
-    ceiling = ceiling_factor * len(state.revealed) ** 3
+    ceiling = MOVE_CEILING_FACTOR * len(state.revealed) ** 3
     moves = []
     while cls.rank != BALANCED_EQUILIBRIUM:
         sel = select_tree_move(state, family, cls=cls)
@@ -554,11 +553,9 @@ def _run(instance, events, epoch, *, verify, accounting=False,
 
 
 def run_eqp(instance, events, *, batch_order="sequential", on_move=None,
-            verify=True, accounting=True,
-            ceiling_factor=MOVE_CEILING_FACTOR) -> RunResult:
+            verify=True, accounting=True) -> RunResult:
     """Run a whole schedule under equilibrium-preserving dynamics."""
-    epoch = partial(run_epoch_eqp, batch_order=batch_order, on_move=on_move,
-                    ceiling_factor=ceiling_factor)
+    epoch = partial(run_epoch_eqp, batch_order=batch_order, on_move=on_move)
     return _run(instance, events, epoch, verify=verify, accounting=accounting)
 
 

@@ -1,15 +1,19 @@
 """End-to-end CLI coverage, in-process via main(argv).
 
-One subprocess test at the bottom exercises the installed console script;
-everything else calls main() directly so coverage and debuggers see it.
+The tests at the bottom exercise the console script's entry point and the
+README's command lines; everything else calls main() directly so coverage
+and debuggers see it.
 """
 
 import filecmp
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,13 +28,23 @@ from costshare import (
     verify_equilibrium,
     with_revealed,
 )
-from costshare.cli import DATA_FILES, main, snapshot_from_jsonable, snapshot_to_jsonable
+from costshare.cli import (
+    DATA_FILES,
+    GENERATORS,
+    build_parser,
+    main,
+    snapshot_from_jsonable,
+    snapshot_to_jsonable,
+)
 from costshare.dynamics import ArrivalEvent, ArrivalItem, run_eqp, run_noneqp
 from costshare.errors import ClosureViolationError
 from costshare.metric import instance_from_dict, instance_to_dict
 from costshare.routing import Witness, has_improving_move
 from conftest import OFF_TREE, line_instance
 from oracles import check_invariants
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _read_summary(path):
@@ -66,8 +80,59 @@ def test_gm_m_is_refused_before_the_family_is_built(tmp_path, capsys, monkeypatc
         raise AssertionError(f"build_gm({m}) called")
 
     monkeypatch.setattr("costshare.cli.build_gm", unbuildable)
-    assert main([command, "--gen", "gm", "--m", "1000", "--out", str(tmp_path / "out")]) == 2
+    mode = ["--mode", "noneqp"] if command == "run" else []
+    assert main([command, "--gen", "gm", "--m", "1000", *mode,
+                 "--out", str(tmp_path / "out")]) == 2
     assert "m <= 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# flags without a default, so that leaving one out leaves its key unset
+_REQUIRED = {"m": "2", "n": "5"}
+_VALUES = {**_REQUIRED, "seed": "0", "profile": "churn"}
+
+
+def _missing_key_cases():
+    for gen, row in sorted(GENERATORS.items()):
+        for command in ("gen", "run", "sweep"):
+            if command == "sweep" and not row.modes:
+                continue  # sweep offers only generators with a schedule
+            for key in row.keys:
+                if key in _REQUIRED:
+                    yield pytest.param(command, gen, key, id=f"{command}-{gen}-{key}")
+
+
+@pytest.mark.parametrize("command, gen, key", _missing_key_cases())
+def test_a_missing_generator_key_exits_2(tmp_path, capsys, command, gen, key):
+    row = GENERATORS[gen]
+    argv = [command, "--gen", gen]
+    for k in row.keys:
+        if k != key:
+            argv += [f"--{'seeds' if command == 'sweep' and k == 'seed' else k}", _VALUES[k]]
+    if command != "gen" and row.modes:
+        argv += ["--mode", row.modes[0]]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --gen {gen} needs --{key}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["run", "--gen", "gm", "--m", "3"], "--mode noneqp"),
+    (["sweep", "--gen", "gm", "--m", "1,2"], "--mode noneqp"),
+    (["run", "--gen", "poa", "--n", "3"], "`costshare gen --gen poa` and `costshare verify`"),
+], ids=["run-gm", "sweep-gm", "run-poa"])
+def test_a_generator_runs_only_in_its_modes(tmp_path, capsys, monkeypatch, argv, says):
+    # the gm schedule pins one-shot best responses, and poa has no schedule:
+    # both are refused before the instance is built
+    def unbuildable(*args):
+        raise AssertionError("generator called")
+
+    monkeypatch.setattr("costshare.cli.build_gm", unbuildable)
+    monkeypatch.setattr("costshare.cli.build_poa_fixture", unbuildable)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
     assert not (tmp_path / "out").exists()
 
 
@@ -191,15 +256,17 @@ def test_run_from_files(tmp_path):
     assert (row["label"], row["final_cost"], row["moves"]) == ("instance", "10", "1")
 
 
-def test_exit_code_3_on_move_ceiling_breach(tmp_path, capsys):
+def test_exit_code_3_on_move_ceiling_breach(tmp_path, capsys, monkeypatch):
     ipath, spath = _write_line_fixture(tmp_path, [
         ArrivalEvent((ArrivalItem(1, 1),)),
         ArrivalEvent((ArrivalItem(2, 1),)),
     ])
+    monkeypatch.setattr("costshare.dynamics.MOVE_CEILING_FACTOR", 0)
     rc = main(["run", "--instance", str(ipath), "--schedule", str(spath),
-               "--move-ceiling", "0", "--out", str(tmp_path / "out")])
+               "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "invariant violated" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # the breach writes no artifact
 
 
 def test_exit_code_3_on_broken_path_pin(tmp_path, capsys):
@@ -243,8 +310,8 @@ def test_exit_code_4_on_unstable_oneshot_state(tmp_path, capsys):
     ["run", "--out", "{tmp}"],                                     # nothing to run
     ["verify", "{tmp}/nope.json"],
     ["sweep", "--gen", "euclidean", "--mode", "eqp", "--out", "{tmp}"],
-    ["run", "--gen", "euclidean", "--n", "25", "--seed", "1",      # negative ceiling
-     "--move-ceiling", "-1", "--out", "{tmp}"],
+    ["sweep", "--gen", "gm", "--m", ",", "--mode", "noneqp",     # empty list
+     "--out", "{tmp}"],
 ])
 def test_exit_code_2_on_config_errors(tmp_path, capsys, argv):
     rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
@@ -257,6 +324,23 @@ def test_sweep_refuses_a_non_integer_size(tmp_path, capsys):
     assert main(["sweep", "--gen", "euclidean", "--n", "10,x", "--out", str(out)]) == 2
     assert "the n list wants a comma-separated integer list, got '10,x'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads, rc", [("0", 2), (None, 0)], ids=["zero", "unset"])
+def test_sweep_workers_are_capped_by_the_environment(tmp_path, capsys, monkeypatch,
+                                                     threads, rc):
+    # unset, the cap is the CPU count; one job needs one worker either way
+    if threads is None:
+        monkeypatch.delenv("COSTSHARE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("COSTSHARE_THREADS", threads)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--gen", "gm", "--m", "1", "--mode", "noneqp",
+                 "--out", str(out)]) == rc
+    if rc:
+        assert "error: COSTSHARE_THREADS must be >= 1" in capsys.readouterr().err
+    else:
+        assert json.loads((out / "meta.json").read_text())["workers"] == 1
 
 
 def test_an_unwritable_output_exits_2_as_an_io_error(tmp_path, capsys):
@@ -401,23 +485,29 @@ def _reverse_order(snap):
     snap["insertion_order"].reverse()
 
 
+# each edits the snapshot in place, or returns the document to write instead
 @pytest.mark.parametrize("mutate", [
     _reverse_order,
-    lambda snap: snap["insertion_order"].pop(),
+    lambda snap: snap.update(insertion_order=snap["insertion_order"][:-1]),
     lambda snap: snap["insertion_order"].append(snap["insertion_order"][1]),
     lambda snap: snap["revealed"].append(99),
     lambda snap: snap.update(terminals=[[1, 1, ["x"]]]),
     lambda snap: snap.update(terminals=[[1, 0, [1, 0]]]),
     lambda snap: snap.update(last_mover="q"),
     lambda snap: snap.update(terminals=5),
+    lambda snap: [snap],
+    lambda snap: snap.update(revealed=snap["revealed"][1:]),
+    lambda snap: snap.update(last_mover=99),
+    lambda snap: snap.update(terminals=[[1, 1]]),
 ], ids=["reversed-order", "short-order", "duplicate-in-order", "revealed-99",
-        "non-int-path", "zero-count", "string-last-mover", "terminals-not-a-list"])
+        "non-int-path", "zero-count", "string-last-mover", "terminals-not-a-list",
+        "not-an-object", "revealed-without-root", "last-mover-99", "two-field-row"])
 def test_malformed_snapshot_exits_2_without_traceback(tmp_path, capsys, mutate):
     assert main(["gen", "--gen", "poa", "--n", "3", "--out", str(tmp_path)]) == 0
     snap = json.loads((tmp_path / "snapshot.json").read_text())
-    mutate(snap)
+    doc = mutate(snap)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(snap))
+    bad.write_text(json.dumps(snap if doc is None else doc))
     capsys.readouterr()
     assert main(["verify", str(bad)]) == 2
     err = capsys.readouterr().err
@@ -523,9 +613,9 @@ def test_noneqp_non_equilibrium_past_the_int_digit_limit_exits_4(tmp_path, capsy
     {"config": {"gen": "gm"}},
     [1, 2],
     {"config": {}},
-    {"config": {"gen": "gm", "m": 2, "mode": "noneqp", "move_ceiling": "x"}},
+    {"config": {"gen": "gm", "m": 2, "mode": "eqp"}},
     {"config": {"instance": 3, "schedule": 4, "mode": "eqp"}},
-    {"config": {"gen": "gm", "m": 2, "mode": "noneqp", "move_ceiling": -1}},
+    {"config": {"gen": "poa", "n": 3, "mode": "noneqp"}},
     {"config": {"gen": "euclidean", "n": 5, "seed": "1", "profile": "churn",
                 "mode": "eqp"}},
     {"config": {"gen": ["gm"], "m": 2, "mode": "eqp"}},
@@ -535,6 +625,19 @@ def test_malformed_meta_exits_2_without_traceback(tmp_path, capsys, meta):
     assert main(["replay", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_replay_ignores_a_recorded_move_ceiling(tmp_path, capsys):
+    # older runs recorded the move ceiling in their config; no artifact
+    # depends on it, as a run past the ceiling writes none
+    out = tmp_path / "run"
+    assert main(["run", "--gen", "euclidean", "--n", "12", "--seed", "2",
+                 "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    meta["config"]["move_ceiling"] = 10
+    (out / "meta.json").write_text(json.dumps(meta))
+    assert main(["replay", str(out)]) == 0
+    assert "byte-identical" in capsys.readouterr().out
 
 
 def test_replay_refuses_sweep_directories(tmp_path, capsys, monkeypatch):
@@ -594,6 +697,37 @@ def test_console_script_runs():
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("costshare ")
+
+
+def test_console_script_target_runs():
+    # the `costshare` script that pyproject.toml declares, run as pip's
+    # wrapper runs it, without installing it
+    target = re.search(r'^costshare = "([\w.]+):(\w+)"$',
+                       (ROOT / "pyproject.toml").read_text(), re.M)
+    module, func = target.groups()
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; from {module} import {func}; "
+         f"sys.argv[0] = 'costshare'; sys.exit({func}())", "--version"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip().startswith("costshare ")
+
+
+def _readme_command_lines():
+    """Each line of README.md's shell blocks that runs `costshare`."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("costshare ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 6
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_module_invocation_runs():

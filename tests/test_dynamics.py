@@ -390,12 +390,13 @@ def test_epoch_rejects_arrival_onto_nonleaf_unbalanced_state():
         run_epoch_eqp(state, family, ArrivalEvent((ArrivalItem(5, 1),), reveal=(5,)))
 
 
-def test_epoch_move_ceiling():
+def test_epoch_move_ceiling(monkeypatch):
     inst = line_instance(0, 10, 6)
     events = [ArrivalEvent((ArrivalItem(1, 1),)), ArrivalEvent((ArrivalItem(2, 1),))]
     run_eqp(inst, events)  # one rebalancing move: fine at the default ceiling
+    monkeypatch.setattr("costshare.dynamics.MOVE_CEILING_FACTOR", 0)  # read per epoch
     with pytest.raises(EngineInvariantError, match="move ceiling"):
-        run_eqp(inst, events, ceiling_factor=0)
+        run_eqp(inst, events)
 
 
 def test_epoch_records_and_move_records():

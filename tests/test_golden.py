@@ -6,10 +6,19 @@ that alters an artifact on purpose updates the digest here and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from costshare import (
+    ArrivalEvent,
+    ArrivalItem,
+    DepartureEvent,
+    instance_to_dict,
+    schedule_to_jsonable,
+)
 from costshare.cli import DATA_FILES, main
+from conftest import line_instance
 
 
 def _sha256(path):
@@ -47,7 +56,8 @@ RUNS = {
             "summary.csv": "c8cc0c9e2af321b04536a80e7bf6ee7edf019532a6c8b3bfd57c22a79c7facb6",
         },
     ),
-    # the snapshot batch order: arrivals routed against the pre-event state
+    # the arrivals profile; every euclidean arrival holds one item, so its
+    # digests equal a sequential run's and pin nothing of the batch order
     "euclidean-n40-s1-arrivals-snapshot": (
         ["--gen", "euclidean", "--n", "40", "--seed", "1", "--profile", "arrivals",
          "--batch-order", "snapshot"],
@@ -62,11 +72,60 @@ RUNS = {
 }
 
 
+# a line instance whose second event brings two agents at once: the batch
+# orders route it differently (under the snapshot order, 4 grafts onto the
+# tree without seeing 3, then moves to it), so these pin both
+LINE_INSTANCE = instance_to_dict(line_instance(0, 4, 9, 15, 20))
+LINE_SCHEDULE = schedule_to_jsonable([
+    ArrivalEvent((ArrivalItem(2, 2),), reveal=(1,)),
+    ArrivalEvent((ArrivalItem(3, 1), ArrivalItem(4, 1))),
+    DepartureEvent((2,)),
+    ArrivalEvent((ArrivalItem(1, 3),)),
+])
+LINE = ["--instance", "{tmp}/instance.json", "--schedule", "{tmp}/schedule.json"]
+
+RUNS.update({
+    "line-multi-item-eqp-sequential": (
+        [*LINE, "--batch-order", "sequential"],
+        {
+            "events.jsonl": "7b72ee0c9fe9776752d8fcec9ba4289f6248df4870e5060d9d241a81de19f875",
+            "snapshot.json": "73218a27d03969df07872b1f81853e56c5af5b5d440f167053904c5121fa542f",
+            "accounting.json": "7c4f9c1050e8c269899a18c0b751a03a6bf7bb9d6d3add9ce473ff19fb8190a6",
+            "accounting.csv": "a0bc03f0a5b720b5268951390abb8f41bdd3c7bc0d1c88ada8863bf586f2bed4",
+            "summary.csv": "cd55c42187bb2a29d78b11f0fb53b9a342bb9c766c874e1b058e1444e104bdbf",
+        },
+    ),
+    "line-multi-item-eqp-snapshot": (
+        [*LINE, "--batch-order", "snapshot"],
+        {
+            "events.jsonl": "6874ad509014e3d6a480e7528fb61aae3ec2d745b36364af468dfb7fd0839e31",
+            "snapshot.json": "9329a65f392367080a271b1d4a925af564af06371e728109cfe5e0435a9e03d9",
+            "accounting.json": "7c4f9c1050e8c269899a18c0b751a03a6bf7bb9d6d3add9ce473ff19fb8190a6",
+            "accounting.csv": "a0bc03f0a5b720b5268951390abb8f41bdd3c7bc0d1c88ada8863bf586f2bed4",
+            "summary.csv": "096bc2c8a5da8a1319968975573dd8be9b9476378d2d08efe515bd573fa45a6c",
+        },
+    ),
+    "line-multi-item-noneqp-sequential": (
+        [*LINE, "--mode", "noneqp", "--batch-order", "sequential"],
+        {
+            "events.jsonl": "c8c9fb281cd899e643ae1be7dbc7864b77e414e2de9d9c6cebdc4f9824d45f89",
+            "snapshot.json": "73218a27d03969df07872b1f81853e56c5af5b5d440f167053904c5121fa542f",
+            "accounting.json": "7c4f9c1050e8c269899a18c0b751a03a6bf7bb9d6d3add9ce473ff19fb8190a6",
+            "accounting.csv": "a0bc03f0a5b720b5268951390abb8f41bdd3c7bc0d1c88ada8863bf586f2bed4",
+            "summary.csv": "3f8c390d8a9d7301bde7f81f5b33d564078bb57dd3f1c2bbdfc766aa7c2b5d58",
+        },
+    ),
+})
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_artifact_digests(tmp_path, name):
     argv, want = RUNS[name]
-    assert main(["run", *argv, "--out", str(tmp_path)]) == 0
-    assert {f: _sha256(tmp_path / f) for f in DATA_FILES} == want
+    (tmp_path / "instance.json").write_text(json.dumps(LINE_INSTANCE))
+    (tmp_path / "schedule.json").write_text(json.dumps(LINE_SCHEDULE))
+    out = tmp_path / "out"
+    assert main(["run", *(a.format(tmp=tmp_path) for a in argv), "--out", str(out)]) == 0
+    assert {f: _sha256(out / f) for f in DATA_FILES} == want
 
 
 def test_gen_poa_snapshot_digest(tmp_path):
