@@ -42,6 +42,7 @@ from . import __version__
 from .duals import CLASS_NAMES, DualFamily, classify, logn_accounting
 from .dynamics import (
     BATCH_ORDERS,
+    MAX_ACTIVE_AGENTS,
     run_eqp,
     run_noneqp,
     schedule_from_jsonable,
@@ -158,6 +159,8 @@ def snapshot_from_jsonable(data):
             state = add_terminal(state, v, count, path)
         except EngineInvariantError as exc:
             raise ConfigError(f"terminal row {row!r}: {exc}") from None
+    if (total := sum(state.counts.values())) > MAX_ACTIVE_AGENTS:
+        raise ConfigError(f"snapshot holds {total} agents, more than {MAX_ACTIVE_AGENTS}")
     return dc_replace(state, last_mover=last_mover), DualFamily(instance)
 
 

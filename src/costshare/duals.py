@@ -20,10 +20,11 @@ from then on.  So a vertex's component at each level is fixed once it is
 inserted, and so is the charge of each (vertex, parent) edge: the family
 builds each charge once.
 
-A state's charge map changes only where its tree does, so the family keeps
-the map it built last and patches it for the next state, at the vertices
-whose parent edge or leaf flag changed (`compute_charges`).  A run builds
-one map in full; the full build is the patch's test oracle.
+A charge reads only its vertex's parent edge and leaf flag, so two tree
+views' charge maps differ exactly where those do.  The family keeps the map
+it built last and patches it there for whatever view comes next
+(`compute_charges`).  A run builds one map in full; the full build is the
+patch's test oracle.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class DualFamily:
     the insertion history and its `of` entries are only ever appended: once
     u is inserted, `component_of(u, j)` never changes.  So `charge` memoizes
     one ChargeRecord per (vertex, parent, leaf), and `last_charges`, the map
-    `compute_charges` built last, stays valid for its view.
+    `compute_charges` built last, stays valid for its view and can be
+    patched for any other.
     """
 
     __slots__ = ("instance", "inserted", "_seen", "levels", "_charges", "last_charges", "_synced")
@@ -237,8 +239,9 @@ def compute_charges(state: RoutingState, family: DualFamily) -> ChargeMap:
     Inserts first, in order, what `state.revealed` holds past
     `family.inserted`; the family must then hold `revealed` as a set.  Reads
     only the tree's shape, each charge a memo lookup (`DualFamily.charge`).
-    A view derived from the family's last map's view gets that map patched
-    where they differ (`changed_since`), any other a full build.
+    The family's first map is built in full.  Any later one is its last
+    map, patched at the vertices whose parent edge or leaf flag differs
+    between the two views, whichever states they belong to.
     """
     for v in state.revealed[len(family.inserted):]:
         family.insert(v)
@@ -249,13 +252,13 @@ def compute_charges(state: RoutingState, family: DualFamily) -> ChargeMap:
         raise EngineInvariantError("dual family out of sync with revealed vertices")
     family._synced = state.revealed
     view, last = state.view, family.last_charges
-    if last is not None and last.view is view:
-        return last
-    changed = None if last is None else view.changed_since(last.view)
-    if changed is None:  # a full build, over every non-root vertex
-        last, changed = None, view.order[1:]
-    family.last_charges = charges = _charge(family, view, changed, last)
-    return charges
+    if last is None:  # a full build, over every non-root vertex
+        family.last_charges = _charge(family, view, view.order[1:])
+    elif last.view is not view:  # a patch where the parent edges or leaf flags differ
+        old = last.view
+        changed = {x for x, _ in view.parent.items() ^ old.parent.items()}
+        family.last_charges = _charge(family, view, changed | (view.leaves ^ old.leaves), last)
+    return family.last_charges
 
 
 BALANCED_EQUILIBRIUM, BALANCED, LEAF_UNBALANCED, NONLEAF_UNBALANCED = range(4)

@@ -37,7 +37,6 @@ from .duals import (
     DualFamily,
     StateClass,
     classify,
-    compute_charges,
     logn_accounting,
 )
 from .errors import (
@@ -67,6 +66,8 @@ from .routing import (
 )
 
 MOVE_CEILING_FACTOR = 10  # moves allowed per epoch: factor * revealed^3
+# agents active at once; the potential's lcm(1..N) has about 1.44 N bits
+MAX_ACTIVE_AGENTS = 2**18
 BATCH_ORDERS = ("sequential", "snapshot")  # what a multi-item arrival is routed against
 
 
@@ -99,6 +100,7 @@ class DepartureEvent:
 
 def check_schedule(instance: MetricInstance, events) -> None:
     """Static validation of a schedule against an instance (ConfigError)."""
+    active, total = {}, 0  # vertex -> its agents, as the schedule runs; their sum
     for i, ev in enumerate(events):
         if isinstance(ev, ArrivalEvent):
             if not ev.items:
@@ -110,6 +112,8 @@ def check_schedule(instance: MetricInstance, events) -> None:
                     raise ConfigError(f"event {i}: the root hosts no agents")
                 if it.count < 1:
                     raise ConfigError(f"event {i}: count {it.count} below 1")
+                active[it.vertex] = active.get(it.vertex, 0) + it.count
+                total += it.count
                 if it.expect_path is not None:
                     p = it.expect_path
                     if (not p or p[0] != it.vertex or p[-1] != ROOT
@@ -122,12 +126,16 @@ def check_schedule(instance: MetricInstance, events) -> None:
             for v in ev.reveal:
                 if not 0 <= v < instance.n:
                     raise ConfigError(f"event {i}: revealed vertex {v} out of range")
+            if total > MAX_ACTIVE_AGENTS:
+                raise ConfigError(f"event {i}: {total} agents active at once, "
+                                  f"more than {MAX_ACTIVE_AGENTS}")
         elif isinstance(ev, DepartureEvent):
             if not ev.vertices:
                 raise ConfigError(f"event {i}: departure with no vertices")
             for v in ev.vertices:
                 if not 0 <= v < instance.n or v == ROOT:
                     raise ConfigError(f"event {i}: cannot depart vertex {v}")
+                total -= active.pop(v, 0)
         else:
             raise ConfigError(f"event {i}: unknown event object {ev!r}")
 
@@ -435,20 +443,19 @@ def _arrival_path(state, item, *, adopt_tree_paths, into_equilibrium=False):
     return path
 
 
-def _apply_arrival(state, family, event, *, batch_order, adopt_tree_paths):
+def _apply_arrival(state, event, *, batch_order, adopt_tree_paths):
     """Route the event's items in turn, each against the event's base state
     (the snapshot order) or the state the items before it left (sequential).
 
     Under adopt_tree_paths the base state is an equilibrium: items routed
-    against it graft onto the tree, and each state between two items gets
-    its charge map (`compute_charges`).
+    against it graft onto the tree.  The states between two items go
+    uncharged: `compute_charges` patches any view by its diff with the
+    family's last map.
     """
     if batch_order not in BATCH_ORDERS:
         raise ConfigError(f"unknown batch order {batch_order!r}")
     base = state
-    for i, it in enumerate(event.items):
-        if i and adopt_tree_paths:  # so the next map is patched from it
-            compute_charges(state, family)
+    for it in event.items:
         against = base if batch_order == "snapshot" else state
         path = _arrival_path(against, it, adopt_tree_paths=adopt_tree_paths,
                              into_equilibrium=adopt_tree_paths and against is base)
@@ -456,11 +463,11 @@ def _apply_arrival(state, family, event, *, batch_order, adopt_tree_paths):
     return state
 
 
-def _apply_event(state, family, event, *, batch_order, adopt_tree_paths):
+def _apply_event(state, event, *, batch_order, adopt_tree_paths):
     """The step both policies share; returns (kind, state after the event)."""
     if isinstance(event, ArrivalEvent):
         state = with_revealed(state, tuple(event.reveal) + event.vertices())
-        return "arrive", _apply_arrival(state, family, event, batch_order=batch_order,
+        return "arrive", _apply_arrival(state, event, batch_order=batch_order,
                                         adopt_tree_paths=adopt_tree_paths)
     if isinstance(event, DepartureEvent):
         missing = [v for v in event.vertices if not state.is_active(v)]
@@ -479,7 +486,7 @@ def run_epoch_eqp(state, family, event, *, epoch_index=0,
     a single arrival's state is screened by its delta (`arrival_screen`).
     """
     before = state  # the caller holds it, so naming it keeps nothing alive
-    kind, state = _apply_event(before, family, event, batch_order=batch_order,
+    kind, state = _apply_event(before, event, batch_order=batch_order,
                                adopt_tree_paths=True)
     # no superseded state's screen is read again: one screen lives at a time
     vars(before).pop("screen", None)
@@ -525,7 +532,7 @@ def _class_marker(state, family) -> str:
 
 def _oneshot_epoch(state, family, event, *, epoch_index, batch_order):
     """One event and nothing after it: the one-shot policy never reroutes."""
-    kind, state = _apply_event(state, family, event, batch_order=batch_order,
+    kind, state = _apply_event(state, event, batch_order=batch_order,
                                adopt_tree_paths=False)
     return state, EpochRecord(epoch_index, kind, _class_marker(state, family), (),
                               potential(state), solution_cost(state),

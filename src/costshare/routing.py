@@ -12,29 +12,18 @@ sequence) lexicographically, where a fresh edge is one no *other* agent uses.
 Each event is a list of segments (path, k): k more users (k < 0: fewer)
 on every edge of a root path, an arrival's, a departing terminal's, or a
 moving subtree's old and new one (the paper's exchange).  One step,
-`_rerouted`, carries over by them the tree view (`state.view`) with its
-share bounds, the table every search of a state reads (`state.table`), and
-the solution cost and potential (`state.totals`); a run builds each in
-full, by the test oracles `_Tree(state)`, `_SearchTable(state)` and
-`_totals(state)`, for the first state that reads it (the table again after
-an event that drops an edge).  Built on first use and cached: the
-improving-move screen (`state.screen`), over every pair, or set by an eqp
-epoch after one arrival into an equilibrium, over only the pairs that the
-arrival can make improving (`arrival_screen`).  No function takes a view
-as an argument, so a view can never be paired with the wrong state.  One
-exact settle loop, `_settle`, runs every shortest path: best responses
-(`_Search`) and the equilibrium sweep's verdicts (`_Verdicts`).
+`_rerouted`, carries `state.view`, `state.table` and `state.totals` over
+by them, so a run builds each in full only for the first state that reads
+it (the table again after an event that drops an edge).  No function
+takes a view as an argument, so a view can never be paired with the
+wrong state.
 
-Everything is exact, and no float feeds any comparison.  `_Search` and
-`state.totals` keep their exact values as plain ints over one common
-denominator: the instance's cost denominator D times the lcm of the
-user-count divisors they meet.  The tree view keeps fixed-point bounds on
-its share sums, rounded so that the screen, the graft and the move test
-can decide from them alone wherever they prove the answer; each falls
-back to the view's exact sums, built on demand, where they cannot.  All
-read costs from the instance's integer matrix `costi` (c * D), never from
-Fractions.  A Fraction is built only where a value leaves them, so the
-public API returns Fractions throughout.
+Everything is exact, and no float feeds any comparison.  Costs are read
+from the instance's integer matrix `costi` (c * D), never from Fractions,
+and kept as plain ints over a common denominator or as fixed-point bounds
+that fall back to exact sums where they cannot decide (`_Tree`).  A
+Fraction is built only where a value leaves them, so the public API
+returns Fractions throughout.
 """
 
 from __future__ import annotations
@@ -42,7 +31,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -307,10 +295,8 @@ class _Tree:
     """Tree view of a state whose paths form a rooted tree.
 
     Built in full, `_Tree(state)`, or derived from the previous state's
-    view (`_derive`, called by `_rerouted` alone), which it then references
-    weakly, with the vertices whose charge the step may change
-    (`changed_since`).  Both refuse the same non-trees: the full build
-    raises, the derivation returns None.
+    view (`_derive`, called by `_rerouted` alone).  Both refuse the same
+    non-trees: the full build raises, the derivation returns None.
 
     Built at once: the tree's shape, all that charging reads: parent,
     children (sorted lists), the sorted `order` and the `leaves`; the
@@ -348,7 +334,7 @@ class _Tree:
     """
 
     __slots__ = ("parent", "children", "order", "leaves", "_instance", "_usage",
-                 "_base", "_changed", "_bounds", "_exact", "_g", "__weakref__")
+                 "_bounds", "_exact", "_g")
 
     def __init__(self, state: RoutingState):
         parent = {}
@@ -375,7 +361,7 @@ class _Tree:
         self.parent, self.children, self.order = parent, children, sorted(children)
         self.leaves = {v for v in children if not children[v] and v != ROOT}
         self._instance, self._usage = state.instance, state.usage
-        self._base = self._changed = self._bounds = self._exact = self._g = None
+        self._bounds = self._exact = self._g = None
         bad = self.leaves - set(state.counts)
         if bad:
             raise EngineInvariantError(f"tree leaves without terminals: {sorted(bad)}")
@@ -437,8 +423,6 @@ class _Tree:
         view.parent, view.children, view.leaves = parent, children, leaves
         view.order = sorted(children) if gone or grown else self.order
         view._instance, view._usage = self._instance, usage
-        # a charge reads the parent edge and the leaf flag
-        view._base, view._changed = weakref.ref(self), moved.keys() | gone | (leaves ^ self.leaves)
         view._bounds = view._exact = view._g = None
         if self._bounds is not None:
             view._carry_sums(self, moved | recounted, gone)
@@ -460,12 +444,6 @@ class _Tree:
             del a[x], b[x]
         self._g = self._fill(s, a, b, tops, changed, old)
         self._bounds = s, a, b
-
-    def changed_since(self, base):
-        """The vertices whose parent edge or leaf flag differs from `base`'s,
-        those on one view only included, if this view was derived from
-        `base`; else None."""
-        return self._changed if self._base is not None and self._base() is base else None
 
     def bounds(self) -> tuple:
         """(s, a, b), carried or built in full on first read."""

@@ -20,7 +20,6 @@ from costshare import (
     DepartureEvent,
     DualFamily,
     ROOT,
-    add_terminal,
     build_random_euclidean,
     explicit_metric,
     initial_state,
@@ -36,7 +35,8 @@ from costshare import duals, dynamics, routing
 from costshare.duals import classify, compute_charges
 from costshare.instances import build_gm, build_sigma, build_steiner_gap_fixture
 from costshare.rationals import harmonic
-from conftest import OFF_TREE, family_for, random_event, random_metric, random_schedule
+from conftest import (
+    OFF_TREE, family_for, random_event, random_metric, random_schedule, random_tree_state)
 from oracles import rebuild_charges, recompute_potential
 
 
@@ -87,8 +87,8 @@ def test_carried_quantities_match_rebuilds_on_random_transitions():
     # Random arrivals (new leaves, relay chains, multi-agent count bumps,
     # relays turned terminals), departures of one or several terminals and
     # tree-follow moves, some abandoning relays, on explicit metrics.  Some
-    # steps apply two events before the next read, as a one-shot
-    # multi-item arrival does, so the next map is built in full.  Every
+    # steps apply two events before the next read, as a multi-item arrival
+    # does, so the next map is patched from one two events back.  Every
     # state read is checked against the oracles, its charge map under two
     # families whose cuts differ.
     rng = random.Random(18300)
@@ -230,28 +230,45 @@ def test_a_run_builds_each_carried_quantity_in_full_once(monkeypatch, policy):
     assert builds == once | table
 
 
-def test_a_view_not_derived_from_the_last_charged_one_is_charged_in_full(monkeypatch):
-    # The family patches its last map only for a view derived from that
-    # map's view in one step; two steps back it builds the map in full.
-    inst = random_metric(random.Random(18600), 6)
-    base = with_revealed(initial_state(inst), range(1, inst.n))
-    family = family_for(base)
-    compute_charges(base, family)
-    one = add_terminal(base, 1, 1, (1, ROOT))
-    two = add_terminal(one, 2, 1, (2, 1, ROOT))
-    assert two.view.changed_since(one.view) == {1, 2}  # 2 is new, 1 no leaf
-    assert two.view.changed_since(base.view) is None
-    bases = []
-    real = duals._charge
-    monkeypatch.setattr(duals, "_charge", lambda *args: bases.append(args[3]) or real(*args))
-    assert compute_charges(two, family) is family.last_charges and bases == [None]
-    assert compute_charges(two, family) is family.last_charges and bases == [None]
+def test_any_view_is_patched_from_the_last_charged_one(monkeypatch):
+    # A charge reads only its vertex's parent edge and leaf flag, so the
+    # family patches its last map for any view: here the last map is a
+    # sibling's (another event on the same base) or two or three events
+    # back.  Each map matches the oracle, and after the first, none is
+    # built in full.
+    builds, seen = Counter(), Counter()
+    charge = duals._charge
+    monkeypatch.setattr(duals, "_charge", lambda family, view, vertices, base=None:
+                        builds.update(["full" if base is None else "patched"])
+                        or charge(family, view, vertices, base))
+    rng = random.Random(18600)
+    for _ in range(40):
+        inst = random_metric(rng, rng.randint(4, 10))
+        base = random_tree_state(rng, inst)
+        oracle, family = _Oracle(inst), family_for(base)
+        builds.clear()
+        oracle.charges(base, family, compute_charges(base, family))
+        for _ in range(6):
+            if rng.random() < 0.5:  # two events on one base, both charged
+                charged = [random_event(rng, base)[1] for _ in range(2)]
+                seen["sibling"] += 1
+            else:  # two or three events, the last state alone charged
+                steps = rng.choice((2, 3))
+                for _ in range(steps):
+                    base = random_event(rng, base)[1]
+                charged = [base]
+                seen[steps] += 1
+            for state in charged:
+                oracle.charges(state, family, compute_charges(state, family))
+            base = charged[-1]
+        assert builds["full"] == 1 and builds["patched"] >= 6, builds
+    assert min(seen.values()) >= 30 and len(seen) == 3, seen
 
 
 def test_a_multi_item_eqp_arrival_patches_the_charge_map(monkeypatch):
-    # Under eqp, each state between two items of an arrival gets its charge
-    # map, patched from the last one, so the event's final state is patched
-    # too: after the run's first map, no map is built in full.  Random
+    # Under eqp, no state between two items of an arrival is charged, and
+    # the event's final state is patched from the map charged before the
+    # event: after the run's first map, no map is built in full.  Random
     # schedules with two- and three-item arrivals, in both batch orders.
     builds, events = Counter(), Counter()
     charge = duals._charge

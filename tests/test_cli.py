@@ -425,6 +425,21 @@ def test_malformed_instance_exits_2_as_a_process(tmp_path, instance):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_a_huge_agent_count_exits_2_at_once(tmp_path):
+    # the potential of 10**12 agents on one edge is over lcm(1..10**12)
+    ipath, spath = tmp_path / "instance.json", tmp_path / "schedule.json"
+    ipath.write_text(json.dumps(
+        {"kind": "metric", "n": 3, "costs": [[0, 1, 1], [0, 2, 1], [1, 2, 1]]}))
+    spath.write_text(json.dumps(schedule_to_jsonable([ArrivalEvent((ArrivalItem(1, 10**12),))])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "costshare.cli", "run", "--instance", str(ipath),
+         "--schedule", str(spath), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert "agents active at once" in proc.stderr
+
+
 _HUGE = "1" + "0" * 400  # beyond the float64 range
 
 
@@ -499,9 +514,11 @@ def _reverse_order(snap):
     lambda snap: snap.update(revealed=snap["revealed"][1:]),
     lambda snap: snap.update(last_mover=99),
     lambda snap: snap.update(terminals=[[1, 1]]),
+    lambda snap: snap.update(terminals=[[1, 10**12, [1, 0]]]),
 ], ids=["reversed-order", "short-order", "duplicate-in-order", "revealed-99",
         "non-int-path", "zero-count", "string-last-mover", "terminals-not-a-list",
-        "not-an-object", "revealed-without-root", "last-mover-99", "two-field-row"])
+        "not-an-object", "revealed-without-root", "last-mover-99", "two-field-row",
+        "huge-count"])
 def test_malformed_snapshot_exits_2_without_traceback(tmp_path, capsys, mutate):
     assert main(["gen", "--gen", "poa", "--n", "3", "--out", str(tmp_path)]) == 0
     snap = json.loads((tmp_path / "snapshot.json").read_text())

@@ -94,6 +94,28 @@ def test_check_schedule_rejects_malformed_events():
             check_schedule(inst, [ev])
 
 
+def test_check_schedule_caps_the_agents_active_at_once():
+    # The potential's denominator is lcm(1..N), about 1.44 N bits for N
+    # agents on one edge, so a count of 10**12 would never finish.  Counts
+    # add per vertex and across items; a departure takes its agents out.
+    inst = line_instance(0, 5, 9)
+    cap, half = dynamics.MAX_ACTIVE_AGENTS, dynamics.MAX_ACTIVE_AGENTS // 2
+    assert cap == 2**18
+
+    def arrive(*items):
+        return ArrivalEvent(tuple(ArrivalItem(v, k) for v, k in items))
+
+    check_schedule(inst, [arrive((1, half)), arrive((2, half))])
+    check_schedule(inst, [arrive((1, cap)), DepartureEvent((1,)), arrive((2, cap))])
+    for events in ([arrive((1, half)), arrive((1, half)), arrive((2, 1))],
+                   [arrive((1, cap), (2, 1))],
+                   [arrive((1, cap)), DepartureEvent((2,)), arrive((1, 1))]):
+        with pytest.raises(ConfigError, match="agents active at once"):
+            check_schedule(inst, events)
+    with pytest.raises(ConfigError, match="agents active at once"):
+        run_eqp(inst, [arrive((1, 10**12))])
+
+
 def test_schedule_json_round_trip():
     events = (
         ArrivalEvent((ArrivalItem(1, 2), ArrivalItem(3, 1, (3, 1, 0))), reveal=(3,)),
