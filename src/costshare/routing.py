@@ -541,8 +541,8 @@ class _SearchTable:
     Built in full, `_SearchTable(state)`, or derived from the previous
     state's (`_derive`, called by `_rerouted` alone) when the event drops
     no edge: its new edges then follow the old ones in `usage`, and its
-    new endpoints are inserted by `_grown`, as is a search's target off
-    the nodes (`_Search`).  A table never changes after it is made."""
+    new endpoints are inserted in id order.  A table never changes after
+    it is made."""
 
     def __init__(self, state):
         costi, usage = state.instance.costi, state.usage
@@ -555,25 +555,19 @@ class _SearchTable:
         self.costs = costi[ids[self.ia], ids[self.ib]].tolist()
         self.sub = costi.take(ids, 0).take(ids, 1)
 
-    def _grown(self, extra, costi):
-        """A copy with the sorted vertices `extra`, none of them a node,
-        inserted into `nodes`: `pos`, `sub`, `ia` and `ib` follow."""
+    def _derive(self, deltas, costi):
+        """The table of the state whose `usage` keeps every edge of this
+        one's, with new counts, and appends the new edges of `deltas`."""
         tab = type(self).__new__(type(self))
         tab.__dict__ = dict(self.__dict__)
-        if extra:
+        added = [e for e in deltas if e not in self.edge]
+        if extra := sorted({v for e in added for v in e} - self.pos.keys()):
             at = [bisect.bisect_left(self.nodes, v) for v in extra]
             tab.nodes = nodes = sorted(self.nodes + extra)
             tab.pos = {v: i for i, v in enumerate(nodes)}
             tab.ia, tab.ib = (x + np.searchsorted(at, x, side="right") for x in (self.ia, self.ib))
             ids = np.array(nodes)
             tab.sub = costi.take(ids, 0).take(ids, 1)
-        return tab
-
-    def _derive(self, deltas, costi):
-        """The table of the state whose `usage` keeps every edge of this
-        one's, with new counts, and appends the new edges of `deltas`."""
-        added = [e for e in deltas if e not in self.edge]
-        tab = self._grown(sorted({v for e in added for v in e} - self.pos.keys()), costi)
         if added:
             ends = np.array([(tab.pos[a], tab.pos[b]) for a, b in added], dtype=np.intp)
             tab.ia, tab.ib = np.concatenate((tab.ia, ends[:, 0])), np.concatenate((tab.ib, ends[:, 1]))
@@ -582,17 +576,21 @@ class _SearchTable:
         return tab
 
 
-def _settle(size, dtype, source, start, goal, stop, relax):
+def _settle(size, dtype, source, start, goal, stop, relax, into=0):
     """Keys of an exact Dijkstra over nodes 0 .. size - 1 in `dtype`, from
     `source` at key `start`: the first least open key pops (ties in index
     order) while it is below `stop`, and pops end once `goal` pops.
     `relax(i, d)` gives each node's key through i, popped at d; an open node
-    keeps the least.  Exact if no key it gives falls below d.  Popped nodes
-    keep their key, the rest read `stop`."""
+    keeps the least.  Exact if no key it gives falls below d.  If none adds
+    less than `into` past d to `goal`'s, `goal` pops once its key is below
+    d + `into`, d the least open key.  Popped nodes keep their key, the rest
+    read `stop`."""
     tent = np.full(size, stop, dtype=dtype)  # stop once popped
     keys, shut = tent.copy(), np.full(size, start, dtype=dtype)  # no key is below start
     tent[source] = start
     while (d := tent[i := int(tent.argmin())]) < stop:
+        if into and tent[goal] < d + into:
+            i, d = goal, tent[goal]
         keys[i], shut[i] = d, stop
         if i == goal:
             break
@@ -604,26 +602,32 @@ def _settle(size, dtype, source, start, goal, stop, relax):
 def _Search(state, target) -> BestResponse:
     """`target`'s (cost, fresh, id sequence)-least path to the root.
 
-    A Dijkstra from the root (`_settle`) that stops once `target` pops.  It
-    visits the table's nodes, in id order: the used edges' endpoints, the
-    target and the root.  No other vertex x lies on a best path from any of
-    them: x would be entered and left by two unused edges, fresh and at full
-    cost, and every instance meets the triangle inequality exactly (closures
-    by construction, Euclidean instances by ceiling rounding, explicit ones
-    by `_check_triangle`), so the direct edge between x's neighbours gives a
-    strictly smaller (cost, fresh) key.  What depends on the state alone
-    comes from `state.table`, which the search caches; a target on no path
-    is read from a copy of it grown by that node, which is not cached.  A
-    search adds its target's divisors, `den`, clamp and weights.
+    A Dijkstra from the root (`_settle`) that stops once `target`'s key is
+    final.  It visits the table's nodes in id order (the used edges'
+    endpoints and the root), then the target if it is none of them.  No
+    other vertex x lies on a best path from any of them: x would be entered
+    and left by two unused edges, fresh and at full cost, and every
+    instance meets the triangle inequality exactly (closures by
+    construction, Euclidean instances by ceiling rounding, explicit ones by
+    `_check_triangle`), so the direct edge between x's neighbours gives a
+    strictly smaller (cost, fresh) key.  A search reads `state.table`,
+    which it caches, and adds, uncached, its target's divisors, `den`,
+    clamp and weights, and its row and column if it is on no path.
 
     Shares are ints over `den` = D * lcm{d_e}, d_e being edge e's share
     divisor: N_e on the target's own path, N_e + 1 on other used edges, 1 on
-    unused (fresh) ones.  With K = len(nodes) + 1, a path of share s over
-    `den` with f fresh edges has key s * K + f.  Each key formed here is a
-    simple path plus at most one edge, so f < K and key order is
-    (cost, fresh) order; the first smallest key pops in (cost, fresh, id)
-    order.  Shares are positive, so the target's optimal continuations pop
-    before it, and stopping there loses nothing the walk reads.
+    unused (fresh) ones.  With K one more than the nodes visited, a path of
+    share s over `den` with f fresh edges has key s * K + f.  Each key
+    formed here is a simple path plus at most one edge, so f < K and key
+    order is (cost, fresh) order.
+
+    The stop: with `into` the least weight into t = target (its clamped
+    block column, diagonal set to `top`), t pops at its open key k once
+    k < d + into, d the least open key.  A path whose last hop leaves an
+    open y costs at least d + into > k, so k is exact.  An exact
+    predecessor z of t has key k - w(z, t) < d, as have the walk's later
+    steps: all have popped.  With <=, one at d might not, and the walk
+    would miss its smaller id.
 
     Weights are clamped at `top`, one more than the key of the direct edge
     target -> root, so the target always pops.  Popped keys are at most the
@@ -639,9 +643,12 @@ def _Search(state, target) -> BestResponse:
     keys fall along the walk and it cannot cycle.
     """
     inst, tab = state.instance, state.table
-    if target not in tab.pos:
-        tab = tab._grown([target], inst.costi)
-    nodes, K = tab.nodes, len(tab.nodes) + 1
+    nodes, sub = tab.nodes, tab.sub
+    if (t := tab.pos.get(target, len(nodes))) == len(nodes):  # the last node
+        sub = np.empty((t + 1, t + 1), dtype=sub.dtype)
+        sub[:t, :t] = tab.sub
+        sub[t] = sub[:, t] = inst.costi[target].take([*nodes, target])
+    K = len(sub) + 1
 
     divisor = [n + 1 for n in state.usage.values()]
     fresh = [0] * len(divisor)
@@ -652,7 +659,6 @@ def _Search(state, target) -> BestResponse:
         fresh[k] = int(n == own_count)
     scale = math.lcm(*(divisors := set(divisor)))  # den // D
     unit = scale * K  # an unused edge of cost c weighs c * unit + 1
-    t = tab.pos[target]
     k = tab.edge.get(edge_key(ROOT, target))  # the direct edge target -> root
     d, f = (1, 1) if k is None else (divisor[k], fresh[k])
     top = int(inst.costi[target, ROOT]) * (scale // d) * K + f + 1
@@ -663,13 +669,14 @@ def _Search(state, target) -> BestResponse:
                         for c, d, f in zip(tab.costs, divisor, fresh)], dtype=dtype)
     # min(unit, top) is unit unless cap == 0; either way a cost above
     # cap, clipped to cap + 1, weighs more than top, and is clamped
-    sub = tab.sub if dtype is np.int64 else tab.sub.astype(object)
+    sub = sub if dtype is np.int64 else sub.astype(object)
     block = np.minimum(sub, cap + 1).astype(dtype, copy=False)
     block *= min(unit, top)
     block += 1
     np.minimum(block, top, out=block)
     block[tab.ia, tab.ib] = block[tab.ib, tab.ia] = weights
-    key = _settle(len(nodes), dtype, 0, 0, t, top, lambda i, d: block[i] + d)
+    block[t, t] = top
+    key = _settle(K - 1, dtype, 0, 0, t, top, lambda i, d: block[i] + d, block[t].min())
     seq, cur = [target], t
     while cur:  # index 0 is the root
         hits = key + block[cur] == key[cur]

@@ -225,6 +225,22 @@ def test_best_response_breaks_full_ties_by_id_sequence(reveal):
     assert got.path == (3, 1, 0)
 
 
+def test_search_pops_a_tied_predecessor_at_the_stop_boundary():
+    # 3's paths (3, 1, 0) and (3, 2, 0) tie at 2 + 4/2 = 3 + 2/2 = 4, one
+    # fresh edge each.  2 (key 1) pops before 1 (key 2) and sets 3's key.
+    # With 1 the least open key d, 3's key is d plus the least weight into
+    # 3, that of the edge from 1: the search may stop only after 1 pops,
+    # or its walk misses the smaller id.
+    inst = explicit_metric(
+        4, {(0, 1): 4, (0, 2): 2, (0, 3): 5, (1, 2): 3, (1, 3): 2, (2, 3): 3})
+    state = _revealed_state(inst)
+    state = add_terminal(state, 1, 1, (1, 0))
+    state = add_terminal(state, 2, 1, (2, 0))
+    got = best_response(state, 3)
+    assert (got.cost, got.fresh_edges, got.path) == (4, 1, (3, 1, 0)) == enumerate_best_response(
+        _matrix(inst), state.counts, state.paths, 3)
+
+
 def test_best_response_does_not_depend_on_reveal_order():
     # Costs in {2, 3, 4} satisfy every triangle and make full ties (equal
     # share and fresh count) common; whichever order the vertices were
@@ -1187,6 +1203,30 @@ def test_search_skips_vertices_no_path_uses(monkeypatch):
     assert skipped >= 20
 
 
+def test_off_table_targets_break_exact_ties_by_id():
+    # A target on no path is searched as the node after the table's, which
+    # stay in id order.  Costs in {2, 3, 4} make exact ties between first
+    # hops of different ids common; every search must match the oracle.
+    rng = random.Random(17050)
+    ties = 0
+    for _ in range(120):
+        n = rng.randint(5, 7)
+        inst = explicit_metric(n, {e: rng.randint(2, 4) for e in combinations(range(n), 2)})
+        matrix = _matrix(inst)
+        state = random_tree_state(rng, inst, max_terminals=2, chain_chance=0.2, shuffled=True)
+        for v in sorted(set(range(1, n)) - set(state.table.nodes)):
+            got = best_response(state, v)
+            assert (got.cost, got.fresh_edges, got.path) == enumerate_best_response(
+                matrix, state.counts, state.paths, v)
+            # the least (share, fresh) key of a path from v through each first hop y
+            rest = sorted(set(range(n)) - {v})
+            via = [enumerate_best_response(matrix, state.counts, state.paths, v, rest, y)
+                   for y in rest]
+            keys = [(s + matrix[v][y], f + 1) for (s, f, _), y in zip(via, rest)]
+            ties += keys.count(min(keys)) > 1
+    assert ties >= 25, ties
+
+
 def _isprime(p):
     return p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
@@ -1318,17 +1358,38 @@ def test_search_breaks_full_ties_on_equal_distances(primes):
             _assert_searches_match_oracle(replace(state, revealed=(ROOT, *order)))
 
 
+def test_searches_stop_once_the_target_key_is_final(monkeypatch):
+    # gm m=4 one-shot: 320 searches over up to 81 nodes.  Popping until the
+    # target pops took 8,000 pops; stopping once no open node can lower the
+    # target's key takes 3,230.
+    pops = []
+    real = routing._settle
+
+    def counted(size, dtype, source, start, goal, stop, *args):
+        keys = real(size, dtype, source, start, goal, stop, *args)
+        if goal:  # a search's goal is its target, never the root
+            pops.append(int((keys < stop).sum()))
+        return keys
+
+    monkeypatch.setattr(routing, "_settle", counted)
+    gm = build_gm(4)
+    run_noneqp(gm.instance, list(build_sigma(gm)), verify=False)
+    assert len(pops) == 320
+    assert sum(pops) <= 4000, sum(pops)
+
+
 @pytest.mark.parametrize("scale", [1, 2**63 + 1], ids=["int64", "object"])
 def test_settle_matches_floyd_warshall(scale):
     # `_settle`, the one shortest-path loop of best responses, the sweep's
     # bound and its A* verdicts, on random complete graphs with positive
     # symmetric weights (past 2^63 in object dtype), against all-pairs
-    # distances: from a source at a nonzero key, up to a goal, below a
-    # stop, and as an A* whose keys add a consistent potential h.  Weights
-    # of 1 to 3 make many equal keys, which must pop in index order.
+    # distances: from a source at a nonzero key, up to a goal, with or
+    # without a bound `into` on the weights into it, below a stop, and as
+    # an A* whose keys add a consistent potential h.  Weights of 1 to 3
+    # make many equal keys, which must pop in index order.
     rng = random.Random(17400)
     dtype = np.int64 if scale == 1 else object
-    tied = 0
+    tied = stopped = 0
     for _ in range(300):
         n = rng.randint(1, 12)
         w = [[0] * n for _ in range(n)]
@@ -1355,6 +1416,16 @@ def test_settle_matches_floyd_warshall(scale):
         done = order[:order.index(goal) + 1]
         keys = routing._settle(n, dtype, source, start, goal, far, relax).tolist()
         assert keys == [exact[j] if j in done else far for j in range(n)]
+        # a goal with `into`, here at most the least weight into it: the
+        # goal and every popped node are exact, and every node keyed at most
+        # key(goal) - into has popped
+        least = min((w[j][goal] for j in range(n) if j != goal), default=scale)
+        into = rng.choice([least, rng.randint(1, least)])
+        cut = routing._settle(n, dtype, source, start, goal, far, relax, into).tolist()
+        assert cut[goal] == exact[goal]
+        assert all(k == e if e <= exact[goal] - into else k in (e, far)
+                   for k, e in zip(cut, exact))
+        stopped += cut.count(far) > keys.count(far)
         # a stop: the nodes at or past it read it
         stop = start + rng.randint(0, 2 * n) * scale
         keys = routing._settle(n, dtype, source, start, None, stop, relax).tolist()
@@ -1376,6 +1447,7 @@ def test_settle_matches_floyd_warshall(scale):
         assert all(k == e if e < g else k == far if e > g else k in (e, far)
                    for k, e in zip(keys, exact))
     assert tied >= 500, tied
+    assert stopped >= 50, stopped
 
 
 def test_kernels_match_oracles_on_python_int_costs():
@@ -1982,7 +2054,7 @@ def test_sweep_builds_one_search_table_per_state(monkeypatch):
         assert builds == [(state,)]
     assert verdicts == {True, False}
     # a best response off every path builds the state's table, and reads it
-    # grown by the target
+    # with the target appended
     state = add_terminal(_revealed_state(random_metric(rng, 6)), 1, 2, (1, 0))
     builds.clear()
     best_response(state, 4)
@@ -1992,8 +2064,9 @@ def test_sweep_builds_one_search_table_per_state(monkeypatch):
 def test_a_search_caches_the_state_table_and_no_grown_copy(monkeypatch):
     # A search reads `state.table`, so the state's first search builds and
     # caches it and later ones reuse it.  A target off every path is read
-    # from a copy grown by it, which is never cached: the next state's
-    # table, derived from the cached one, holds the nodes paths use alone.
+    # as one node appended to the table's block, which is never cached: the
+    # next state's table, derived from the cached one, holds the nodes
+    # paths use alone.
     builds = []
     real = routing._SearchTable
     monkeypatch.setattr(routing, "_SearchTable",
